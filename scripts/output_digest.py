@@ -1,0 +1,71 @@
+#!/usr/bin/env python3
+"""SHA-256 of every output file the six subcommands write on one data set.
+
+    PYTHONPATH=src python scripts/output_digest.py OUT_DIR [--data DIR] [--seed N]
+
+Runs fit-frequency, fit-severity, price, simulate, summarize and both kinds
+of gof (on ``severity_model.json`` and on the first priced protocol's
+``freq_<id>.json``) on ``DIR`` (default ``tests/data``), which holds
+``incidents.csv``, ``tvl.csv``, ``portfolio.json`` and
+``portfolio_priced.json``.  Everything goes under ``OUT_DIR``, which should
+be empty because every file in it is listed; the gof runs write to
+``OUT_DIR/gof_severity`` and ``OUT_DIR/gof_frequency`` so neither
+overwrites the other's ``gof.json``.  Prints one ``<sha256>  <path>`` line
+per output file, sorted by path, so two source trees are checked for
+byte-identical outputs with one diff of their listings.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import sys
+from pathlib import Path
+
+from defirisk.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run(args) -> None:
+    code = main([str(a) for a in args])
+    if code != 0:
+        sys.exit(f"{args[0]} exited {code}")
+
+
+def run_all(data: Path, out: Path, seed: int) -> None:
+    incidents, tvl = data / "incidents.csv", data / "tvl.csv"
+    portfolio, priced = data / "portfolio.json", data / "portfolio_priced.json"
+    first_priced = json.loads(priced.read_text(encoding="utf-8"))["protocols"][0]["id"]
+    run(["fit-frequency", "--incidents", incidents, "--tvl", tvl, "--portfolio", portfolio,
+         "--output", out])
+    run(["fit-severity", "--incidents", incidents, "--output", out])
+    run(["price", "--tvl", tvl, "--portfolio", priced, "--models", out, "--output", out,
+         "--seed", seed])
+    run(["simulate", "--tvl", tvl, "--portfolio", priced, "--models", out, "--output", out,
+         "--seed", seed])
+    run(["summarize", "--incidents", incidents, "--output", out])
+    run(["gof", "--model", out / "severity_model.json", "--incidents", incidents,
+         "--output", out / "gof_severity"])
+    run(["gof", "--model", out / f"freq_{first_priced}.json", "--incidents", incidents,
+         "--tvl", tvl, "--portfolio", portfolio, "--output", out / "gof_frequency"])
+
+
+def main_digest() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("out_dir", type=Path)
+    parser.add_argument("--data", type=Path, default=ROOT / "tests" / "data")
+    parser.add_argument("--seed", type=int, default=42)
+    args = parser.parse_args()
+    with contextlib.redirect_stdout(io.StringIO()):  # keep the "wrote" lines out of the listing
+        run_all(args.data, args.out_dir, args.seed)
+    for path in sorted(p for p in args.out_dir.rglob("*") if p.is_file()):
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        print(f"{digest}  {path.relative_to(args.out_dir).as_posix()}")
+
+
+if __name__ == "__main__":
+    main_digest()

@@ -15,6 +15,7 @@ errors are emitted as a JSON object on stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -31,9 +32,8 @@ from .datamodel import (
     IssueType,
     Month,
     Portfolio,
+    RejectedRow,
     build_monthly_panel,
-    derive_loss_ratio,
-    effective_tvl,
     load_incidents,
     load_portfolio,
     load_tvl,
@@ -44,26 +44,6 @@ from .numerics import RngStream, std_normal_quantile
 
 _PRICE_STREAM_BASE = 10
 _SIMULATE_STREAM = 1000
-
-_CONFIG_KEYS = {
-    "incidents",
-    "tvl",
-    "portfolio",
-    "models",
-    "output",
-    "seed",
-    "samples",
-    "theta",
-    "levels",
-    "format",
-    "workers",
-    "dependence",
-    "window_end",
-    "bootstrap",
-    "override",
-    "model",
-}
-
 
 @dataclass
 class RunConfig:
@@ -109,13 +89,17 @@ class RunConfig:
                 raise ConfigError(f"{name} path does not exist: {value}")
 
 
-def _load_config_file(path: Path) -> dict:
+def _read_json(path: Path):
     with open(path, encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid config JSON: {exc}") from exc
-    unknown = set(doc) - _CONFIG_KEYS
+            raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
+
+
+def _load_config_file(path: Path) -> dict:
+    doc = _read_json(path)
+    unknown = set(doc) - set(_SETTINGS)
     if unknown:
         raise ConfigError(f"{path}: unknown config keys {sorted(unknown)}")
     return doc
@@ -130,64 +114,39 @@ def _parse_levels(raw) -> tuple[float, ...]:
         raise ConfigError(f"bad levels {raw!r}") from exc
 
 
+# Each setting a config-file key and the flag of the same name can give:
+# key -> (RunConfig field, conversion of the raw value).
+_SETTINGS = {
+    "incidents": ("incidents", Path),
+    "tvl": ("tvl", Path),
+    "portfolio": ("portfolio", Path),
+    "models": ("models", Path),
+    "output": ("output", Path),
+    "override": ("override", Path),
+    "model": ("model", Path),
+    "seed": ("seed", int),
+    "samples": ("n_samples", int),
+    "theta": ("theta", float),
+    "levels": ("levels", _parse_levels),
+    "format": ("output_format", str),
+    "workers": ("workers", int),
+    "dependence": ("dependence", str),
+    "bootstrap": ("bootstrap", int),
+    "window_end": ("window_end", lambda raw: Month.parse(str(raw))),
+}
+
+
 def build_config(args: argparse.Namespace) -> RunConfig:
+    """Defaults, overridden by the config file, overridden by the flags given."""
     cfg = RunConfig()
-    if args.config:
-        doc = _load_config_file(Path(args.config))
-        mapping = {
-            "incidents": ("incidents", Path),
-            "tvl": ("tvl", Path),
-            "portfolio": ("portfolio", Path),
-            "models": ("models", Path),
-            "output": ("output", Path),
-            "seed": ("seed", int),
-            "samples": ("n_samples", int),
-            "theta": ("theta", float),
-            "format": ("output_format", str),
-            "workers": ("workers", int),
-            "dependence": ("dependence", str),
-            "bootstrap": ("bootstrap", int),
-            "override": ("override", Path),
-            "model": ("model", Path),
-        }
-        for key, (attr, cast) in mapping.items():
-            if key in doc and doc[key] is not None:
-                setattr(cfg, attr, cast(doc[key]))
-        if doc.get("levels") is not None:
-            cfg.levels = _parse_levels(doc["levels"])
-        if doc.get("window_end") is not None:
-            cfg.window_end = Month.parse(str(doc["window_end"]))
-    for attr, flag in (
-        ("incidents", "incidents"),
-        ("tvl", "tvl"),
-        ("portfolio", "portfolio"),
-        ("models", "models"),
-        ("override", "override"),
-        ("model", "model"),
-    ):
-        value = getattr(args, flag, None)
-        if value is not None:
-            setattr(cfg, attr, Path(value))
-    if args.output is not None:
-        cfg.output = Path(args.output)
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.samples is not None:
-        cfg.n_samples = args.samples
-    if args.theta is not None:
-        cfg.theta = args.theta
-    if args.levels is not None:
-        cfg.levels = _parse_levels(args.levels)
-    if args.format is not None:
-        cfg.output_format = args.format
-    if args.workers is not None:
-        cfg.workers = args.workers
-    if getattr(args, "dependence", None) is not None:
-        cfg.dependence = args.dependence
-    if getattr(args, "bootstrap", None) is not None:
-        cfg.bootstrap = args.bootstrap
-    if getattr(args, "window_end", None) is not None:
-        cfg.window_end = Month.parse(args.window_end)
+    doc = _load_config_file(Path(args.config)) if args.config else {}
+    for source in (doc, vars(args)):
+        for key, (attr, cast) in _SETTINGS.items():
+            if source.get(key) is not None:
+                try:
+                    setattr(cfg, attr, cast(source[key]))
+                except (TypeError, ValueError) as exc:
+                    raise ConfigError(f"bad {key} {source[key]!r}") from exc
     return cfg
 
 
@@ -236,11 +195,24 @@ def _emit_table(cfg: RunConfig, stem: str, header: list[str], rows: list[list]) 
 # shared data assembly
 
 
-def _latest_tvl(tvl_obs, protocol_id: str) -> tuple[Month, float]:
-    series = [(obs.month, obs.tvl_usd) for obs in tvl_obs if obs.protocol_id == protocol_id]
+def _by_protocol(items) -> dict[str, list]:
+    """TVL observations or incident records grouped by ``protocol_id``, in input order."""
+    groups: dict[str, list] = {}
+    for item in items:
+        groups.setdefault(item.protocol_id, []).append(item)
+    return groups
+
+
+def _latest_tvl(series, protocol_id: str) -> tuple[Month, float]:
+    """Latest (month, TVL) of one protocol's TVL observations."""
     if not series:
         raise ConfigError(f"no TVL observations for protocol {protocol_id!r}")
-    return max(series, key=lambda pair: pair[0])
+    latest = max(series, key=lambda obs: obs.month)
+    return latest.month, latest.tvl_usd
+
+
+def _report_row(r: RejectedRow) -> dict:
+    return {"line": r.line, "row": list(r.raw), "reason": r.reason}
 
 
 def _ingest_report_payload(result: IngestResult) -> dict:
@@ -249,30 +221,19 @@ def _ingest_report_payload(result: IngestResult) -> dict:
         "rows_accepted": len(result.records),
         "rows_rejected": len(result.rejected),
         "rows_flagged": len(result.flagged),
-        "rejected": [
-            {"line": r.line, "row": list(r.raw), "reason": r.reason} for r in result.rejected
-        ],
-        "flagged": [
-            {"line": r.line, "row": list(r.raw), "reason": r.reason} for r in result.flagged
-        ],
+        "rejected": [_report_row(r) for r in result.rejected],
+        "flagged": [_report_row(r) for r in result.flagged],
     }
 
 
-def _build_panels(cfg: RunConfig, portfolio: Portfolio, incidents, tvl_obs):
-    panels = {}
-    for proto in portfolio.protocols:
-        window_end = cfg.window_end or _latest_tvl(tvl_obs, proto.id)[0]
-        panels[proto.id] = build_monthly_panel(incidents, tvl_obs, proto, window_end)
-    return panels
+def _prediction_point(cfg: RunConfig, series, protocol_id: str) -> tuple[float, Month]:
+    """TVL snapshot feeding predictions and the month being predicted.
 
-
-def _prediction_point(cfg: RunConfig, tvl_obs, protocol_id: str) -> tuple[float, Month]:
-    """TVL snapshot feeding predictions and the month being predicted."""
-    month, value = _latest_tvl(tvl_obs, protocol_id)
+    ``series`` holds the protocol's own TVL observations.
+    """
+    month, value = _latest_tvl(series, protocol_id)
     if cfg.window_end is not None:
-        by_month = {
-            obs.month: obs.tvl_usd for obs in tvl_obs if obs.protocol_id == protocol_id
-        }
+        by_month = {obs.month: obs.tvl_usd for obs in series}
         if cfg.window_end in by_month:
             month, value = cfg.window_end, by_month[cfg.window_end]
     return value, month.plus(1)
@@ -285,9 +246,16 @@ def _prediction_point(cfg: RunConfig, tvl_obs, protocol_id: str) -> tuple[float,
 def cmd_fit_frequency(cfg: RunConfig) -> list[Path]:
     cfg.validate(needs=("incidents", "tvl", "portfolio"))
     ingest = load_incidents(cfg.incidents)
-    tvl_obs = load_tvl(cfg.tvl)
+    tvl_by = _by_protocol(load_tvl(cfg.tvl))
     portfolio = load_portfolio(cfg.portfolio)
-    panels = _build_panels(cfg, portfolio, ingest.records, tvl_obs)
+    incidents_by = _by_protocol(ingest.records)
+    panels = {}
+    for proto in portfolio.protocols:
+        series = tvl_by.get(proto.id, [])
+        window_end = cfg.window_end or _latest_tvl(series, proto.id)[0]
+        panels[proto.id] = build_monthly_panel(
+            incidents_by.get(proto.id, []), series, proto, window_end
+        )
 
     cfg.output.mkdir(parents=True, exist_ok=True)
     written = []
@@ -297,6 +265,12 @@ def cmd_fit_frequency(cfg: RunConfig) -> list[Path]:
             models[proto.id] = frequency.fit_frequency(panels[proto.id])
         except NoEventError:
             pass  # reported below through the peer-interval path
+
+    # One pooled fit over the attacked protocols serves every never-attacked one.
+    pooled = None
+    if len(models) < portfolio.dim:
+        with contextlib.suppress(EngineError):  # no pooled fit: no interval
+            pooled = frequency.pooled_fit([panels[pid] for pid in models])
 
     header = [
         "protocol_id",
@@ -314,21 +288,21 @@ def cmd_fit_frequency(cfg: RunConfig) -> list[Path]:
     ]
     rows = []
     for proto in portfolio.protocols:
-        tvl_next, _ = _prediction_point(cfg, tvl_obs, proto.id)
+        tvl_next, _ = _prediction_point(cfg, tvl_by.get(proto.id, []), proto.id)
         if proto.id in models:
             model = models[proto.id]
             path = cfg.output / f"freq_{proto.id}.json"
-            _write_json(path, frequency.to_dict(model))
+            doc = frequency.to_dict(model)
+            _write_json(path, doc)
             written.append(path)
-            fit = model.fit
             rows.append(
                 [
                     proto.id,
-                    float(fit.coefficients[0]),
-                    float(fit.coefficients[1]),
-                    None if math.isnan(fit.standard_errors[0]) else float(fit.standard_errors[0]),
-                    None if math.isnan(fit.standard_errors[1]) else float(fit.standard_errors[1]),
-                    int(fit.penalty is not None),
+                    doc["alpha0"],
+                    doc["alpha1"],
+                    doc["se_alpha0"],
+                    doc["se_alpha1"],
+                    int(doc["penalty"] is not None),
                     None if model.hl is None else model.hl.p_value,
                     tvl_next,
                     frequency.predict_attack_probability(model, tvl_next),
@@ -338,12 +312,12 @@ def cmd_fit_frequency(cfg: RunConfig) -> list[Path]:
                 ]
             )
         else:
-            peer_panels = [panels[pid] for pid in models]
-            try:
-                lo, hi = frequency.peer_interval(peer_panels, tvl_next)
-                note = "no events: peer interval"
-            except EngineError:
-                lo = hi = None
+            lo = hi = None
+            if pooled is not None:
+                with contextlib.suppress(EngineError):
+                    lo, hi = frequency.peer_interval(pooled, tvl_next)
+            note = "no events: peer interval"
+            if lo is None:
                 note = "no events anywhere: interval unavailable"
             rows.append(
                 [proto.id, None, None, None, None, None, None, tvl_next, None, lo, hi, note]
@@ -368,38 +342,17 @@ def cmd_fit_severity(cfg: RunConfig) -> list[Path]:
     written.append(model_path)
 
     # Plot-ready diagnostics are always CSV regardless of --format.
-    ratios_rows = []
-    resid_design = []
-    resid_values = []
-    index = 0
-    for rec in ingest.records:
-        m = Month.of(rec.date)
-        if not (model.training_window[0] <= m <= model.training_window[1]):
-            continue
-        if rec.loss_usd == 0.0:
-            continue
-        ratio = derive_loss_ratio(rec)
-        ratios_rows.append([index, rec.protocol_id, rec.date.isoformat(), float(ratio)])
-        if ratio < 1.0:
-            resid_design.append([1.0, math.log(effective_tvl(rec))])
-            resid_values.append(ratio)
-        index += 1
+    data = severity.training_set(ingest.records, model.training_window, model.time_origin)
+    ratios_rows = [
+        [index, rec.protocol_id, rec.date.isoformat(), float(ratio)]
+        for index, (rec, ratio) in enumerate(zip(data.records, data.ratios))
+    ]
     ratios_path = cfg.output / "loss_ratios.csv"
     _write_csv(ratios_path, ["index", "protocol_id", "date", "ratio"], ratios_rows)
     written.append(ratios_path)
 
-    if model.proportional_fit is not None and resid_values:
-        resid = glm.quantile_residuals(
-            model.proportional_fit, np.array(resid_design), np.array(resid_values)
-        )
-        order = np.argsort(resid, kind="stable")
-        n = len(resid)
-        qq_rows = [
-            [k, std_normal_quantile((k + 0.5) / n), float(resid[order[k]])]
-            for k in range(n)
-        ]
-        qq_path = cfg.output / "quantile_residuals.csv"
-        _write_csv(qq_path, ["index", "theoretical_quantile", "sample_quantile"], qq_rows)
+    qq_path = _write_qq_table(cfg.output / "quantile_residuals.csv", model, data)
+    if qq_path is not None:
         written.append(qq_path)
 
     if model.low_partial_warning:
@@ -415,25 +368,24 @@ def cmd_fit_severity(cfg: RunConfig) -> list[Path]:
     return written
 
 
+def _read_model(cfg: RunConfig, name: str, what: str) -> dict:
+    path = Path(cfg.models or cfg.output) / name
+    if not path.exists():
+        raise ConfigError(f"missing {what}: {path}")
+    return _read_json(path)
+
+
 def _load_frequency_models(cfg: RunConfig, portfolio: Portfolio):
-    models_dir = cfg.models or cfg.output
-    models = {}
-    for proto in portfolio.protocols:
-        path = Path(models_dir) / f"freq_{proto.id}.json"
-        if not path.exists():
-            raise ConfigError(f"missing frequency model for protocol {proto.id!r}: {path}")
-        with open(path, encoding="utf-8") as fh:
-            models[proto.id] = frequency.from_dict(json.load(fh))
-    return models
+    return {
+        proto.id: frequency.from_dict(
+            _read_model(cfg, f"freq_{proto.id}.json", f"frequency model for protocol {proto.id!r}")
+        )
+        for proto in portfolio.protocols
+    }
 
 
 def _load_severity_model(cfg: RunConfig) -> severity.SeverityModel:
-    models_dir = cfg.models or cfg.output
-    path = Path(models_dir) / "severity_model.json"
-    if not path.exists():
-        raise ConfigError(f"missing severity model file: {path}")
-    with open(path, encoding="utf-8") as fh:
-        return severity.from_dict(json.load(fh))
+    return severity.from_dict(_read_model(cfg, "severity_model.json", "severity model file"))
 
 
 _QUOTE_HEADER = [
@@ -455,14 +407,14 @@ def cmd_price(cfg: RunConfig) -> list[Path]:
         return _price_from_override(cfg)
     cfg.validate(needs=("tvl", "portfolio"))
     portfolio = load_portfolio(cfg.portfolio)
-    tvl_obs = load_tvl(cfg.tvl)
+    tvl_by = _by_protocol(load_tvl(cfg.tvl))
     freq_models = _load_frequency_models(cfg, portfolio)
     sev_model = _load_severity_model(cfg)
     theta = cfg.theta if cfg.theta is not None else portfolio.loading_theta
 
     rows = []
     for i, proto in enumerate(portfolio.protocols):
-        tvl_next, pred_month = _prediction_point(cfg, tvl_obs, proto.id)
+        tvl_next, pred_month = _prediction_point(cfg, tvl_by.get(proto.id, []), proto.id)
         quote = pricing.price(
             proto,
             tvl_next,
@@ -498,11 +450,7 @@ def _price_from_override(cfg: RunConfig) -> list[Path]:
     per protocol and stay empty otherwise.
     """
     cfg.validate(needs=("override",))
-    with open(cfg.override, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{cfg.override}: invalid JSON: {exc}") from exc
+    doc = _read_json(cfg.override)
     theta = cfg.theta if cfg.theta is not None else pricing.DEFAULT_THETA
     if cfg.portfolio is not None and Path(cfg.portfolio).exists():
         portfolio = load_portfolio(cfg.portfolio)
@@ -520,17 +468,21 @@ def _price_from_override(cfg: RunConfig) -> list[Path]:
         try:
             attack_prob = float(entry["attack_prob"])
             loss_pct = float(entry["loss_pct"])
+            tvl = float(entry.get("tvl", 1.0))
+            second = entry.get("second_moment_pct")
+            e_y2 = math.nan if second is None else tvl * tvl * float(second)
         except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"override entry for {pid!r} needs attack_prob and loss_pct") from exc
-        tvl = float(entry.get("tvl", 1.0))
-        e_l = pricing.expected_loss(attack_prob, tvl, 0.0, loss_pct)
-        expectation_usd = (1.0 + theta) * e_l
-        sd_usd = sd_pct = None
-        if "second_moment_pct" in entry:
-            e_y2 = tvl * tvl * float(entry["second_moment_pct"])
-            var = attack_prob * e_y2 - (e_l) ** 2
-            sd_usd = e_l + theta * math.sqrt(max(var, 0.0))
-            sd_pct = sd_usd / tvl
+            raise ConfigError(
+                f"override entry for {pid!r} needs numeric attack_prob and loss_pct"
+            ) from exc
+        if not (0.0 <= attack_prob <= 1.0 and 0.0 <= loss_pct <= 1.0 and tvl > 0.0):
+            raise ConfigError(
+                f"override entry for {pid!r} needs attack_prob and loss_pct in [0, 1] "
+                "and a positive tvl"
+            )
+        expectation_usd, sd_usd, _ = pricing.premiums(attack_prob, tvl * loss_pct, e_y2, theta)
+        if second is None:
+            sd_usd = None  # no second moment supplied: the SD premium is undefined
         rows.append(
             [
                 pid,
@@ -539,7 +491,7 @@ def _price_from_override(cfg: RunConfig) -> list[Path]:
                 expectation_usd,
                 expectation_usd / tvl,
                 sd_usd,
-                sd_pct,
+                None if sd_usd is None else sd_usd / tvl,
                 theta,
                 0,
                 cfg.seed,
@@ -548,37 +500,22 @@ def _price_from_override(cfg: RunConfig) -> list[Path]:
     return [_emit_table(cfg, "quotes", _QUOTE_HEADER, rows)]
 
 
+def _risk_columns(*scenarios: str) -> list[str]:
+    measures = ("var_{}", "cte_{}", "var_{}_pct", "cte_{}_pct", "se_var_{}", "se_cte_{}")
+    return [m.format(scenario) for m in measures for scenario in scenarios]
+
+
 _RISK_COLUMNS = {
-    "on": ["var_dep", "cte_dep", "var_dep_pct", "cte_dep_pct", "se_var_dep", "se_cte_dep"],
-    "off": [
-        "var_indep",
-        "cte_indep",
-        "var_indep_pct",
-        "cte_indep_pct",
-        "se_var_indep",
-        "se_cte_indep",
-    ],
-    "both": [
-        "var_dep",
-        "var_indep",
-        "cte_dep",
-        "cte_indep",
-        "var_dep_pct",
-        "var_indep_pct",
-        "cte_dep_pct",
-        "cte_indep_pct",
-        "se_var_dep",
-        "se_var_indep",
-        "se_cte_dep",
-        "se_cte_indep",
-    ],
+    "on": _risk_columns("dep"),
+    "off": _risk_columns("indep"),
+    "both": _risk_columns("dep", "indep"),
 }
 
 
 def cmd_simulate(cfg: RunConfig) -> list[Path]:
     cfg.validate(needs=("tvl", "portfolio"))
     portfolio = load_portfolio(cfg.portfolio)
-    tvl_obs = load_tvl(cfg.tvl)
+    tvl_by = _by_protocol(load_tvl(cfg.tvl))
     freq_models = _load_frequency_models(cfg, portfolio)
     sev_model = _load_severity_model(cfg)
     copula = build_copula(portfolio.similarity)
@@ -586,7 +523,7 @@ def cmd_simulate(cfg: RunConfig) -> list[Path]:
     tvls = {}
     when = None
     for proto in portfolio.protocols:
-        tvl_next, pred_month = _prediction_point(cfg, tvl_obs, proto.id)
+        tvl_next, pred_month = _prediction_point(cfg, tvl_by.get(proto.id, []), proto.id)
         tvls[proto.id] = tvl_next
         when = pred_month.first_day() if when is None else max(when, pred_month.first_day())
 
@@ -627,35 +564,23 @@ def cmd_simulate(cfg: RunConfig) -> list[Path]:
     return paths
 
 
-def _severity_designs(model: severity.SeverityModel, records):
-    """Design matrices/responses for both severity parts over the model's window."""
-    rows1, y1, rows2, y2 = [], [], [], []
-    for rec in records:
-        m = Month.of(rec.date)
-        if not (model.training_window[0] <= m <= model.training_window[1]):
-            continue
-        if rec.loss_usd == 0.0:
-            continue
-        ratio = derive_loss_ratio(rec)
-        log_tvl = math.log(effective_tvl(rec))
-        t = severity.years_since(model.time_origin, rec.date)
-        rows1.append(severity.total_loss_row(rec.chain, log_tvl, t))
-        y1.append(1.0 if ratio == 1.0 else 0.0)
-        if ratio < 1.0:
-            rows2.append([1.0, log_tvl])
-            y2.append(ratio)
-    return (
-        np.array(rows1, dtype=float).reshape(len(rows1), 7),
-        np.array(y1, dtype=float),
-        np.array(rows2, dtype=float).reshape(len(rows2), 2),
-        np.array(y2, dtype=float),
-    )
+def _write_qq_table(
+    path: Path, model: severity.SeverityModel, data: severity.TrainingSet
+) -> Path | None:
+    """QQ coordinates of the partial-loss quantile residuals; None when there are none."""
+    design, ratios = data.partial()
+    if model.proportional_fit is None or not len(ratios):
+        return None
+    resid = np.sort(glm.quantile_residuals(model.proportional_fit, design, ratios), kind="stable")
+    n = len(resid)
+    rows = [[k, std_normal_quantile((k + 0.5) / n), float(resid[k])] for k in range(n)]
+    _write_csv(path, ["index", "theoretical_quantile", "sample_quantile"], rows)
+    return path
 
 
 def cmd_gof(cfg: RunConfig) -> list[Path]:
     cfg.validate(needs=("model", "incidents"))
-    with open(cfg.model, encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = _read_json(cfg.model)
     cfg.output.mkdir(parents=True, exist_ok=True)
     written = []
     if "alpha0" in doc:
@@ -670,43 +595,24 @@ def cmd_gof(cfg: RunConfig) -> list[Path]:
         panel = build_monthly_panel(
             ingest.records, tvl_obs, matches[0], model.training_window[1]
         )
-        y = np.array([row.event for row in panel], dtype=float)
-        design = np.column_stack([np.ones(len(panel)), [row.log_tvl for row in panel]])
-        hl = glm.hosmer_lemeshow(model.fit, design, y)
-        payload = {
-            "model": "frequency",
-            "protocol_id": model.protocol_id,
-            "hl": {
-                "stat": hl.statistic,
-                "df": hl.df,
-                "p": hl.p_value,
-                "groups": hl.groups_used,
-            },
-        }
+        hl = glm.hosmer_lemeshow(model.fit, *frequency.panel_design(panel))
+        payload = {"model": "frequency", "protocol_id": model.protocol_id, "hl": hl.to_dict()}
     elif "beta" in doc or "gamma" in doc:
         model = severity.from_dict(doc)
         ingest = load_incidents(cfg.incidents)
-        design1, response1, design2, response2 = _severity_designs(model, ingest.records)
+        data = severity.training_set(ingest.records, model.training_window, model.time_origin)
+        total = data.total
         hl = None
-        if model.total_loss_fit is not None and len(response1):
-            hl = glm.hosmer_lemeshow(model.total_loss_fit, design1, response1)
+        if model.total_loss_fit is not None and len(total):
+            hl = glm.hosmer_lemeshow(model.total_loss_fit, data.design, total.astype(float))
         payload = {
             "model": "severity",
-            "n_total": int(response1.sum()) if len(response1) else 0,
-            "n_partial": len(response2),
-            "hl": None
-            if hl is None
-            else {"stat": hl.statistic, "df": hl.df, "p": hl.p_value, "groups": hl.groups_used},
+            "n_total": int(total.sum()),
+            "n_partial": int((~total).sum()),
+            "hl": None if hl is None else hl.to_dict(),
         }
-        if model.proportional_fit is not None and len(response2):
-            resid = glm.quantile_residuals(model.proportional_fit, design2, response2)
-            resid = np.sort(resid, kind="stable")
-            n = len(resid)
-            qq_rows = [
-                [k, std_normal_quantile((k + 0.5) / n), float(resid[k])] for k in range(n)
-            ]
-            qq_path = cfg.output / "gof_quantile_residuals.csv"
-            _write_csv(qq_path, ["index", "theoretical_quantile", "sample_quantile"], qq_rows)
+        qq_path = _write_qq_table(cfg.output / "gof_quantile_residuals.csv", model, data)
+        if qq_path is not None:
             written.append(qq_path)
     else:
         raise ConfigError(f"{cfg.model}: unrecognized model file")

@@ -17,6 +17,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DataError, DomainError, SchemaError, TvlGapError
+from .numerics import check_similarity
 
 
 class Chain(Enum):
@@ -68,8 +69,8 @@ class Month:
             raise SchemaError(f"month must be YYYY-MM, got {raw!r}")
         try:
             return cls(int(parts[0]), int(parts[1]))
-        except ValueError as exc:
-            raise SchemaError(f"month must be YYYY-MM, got {raw!r}") from exc
+        except (ValueError, DomainError) as exc:
+            raise SchemaError(f"month must be YYYY-MM with MM in 01..12, got {raw!r}") from exc
 
     @classmethod
     def of(cls, d: date) -> "Month":
@@ -143,12 +144,7 @@ class Portfolio:
         d = len(self.protocols)
         if sim.shape != (d, d):
             raise DataError(f"similarity must be {d}x{d}, got {sim.shape}")
-        if np.max(np.abs(sim - sim.T)) > 1e-12:
-            raise DataError("similarity matrix must be symmetric")
-        if np.max(np.abs(np.diag(sim) - 1.0)) > 1e-12:
-            raise DataError("similarity matrix must have a unit diagonal")
-        if sim.min() < 0.0 or sim.max() > 1.0:
-            raise DataError("similarity entries must lie in [0, 1]")
+        sim = check_similarity(sim)
         if not self.loading_theta > 0.0:
             raise DataError(f"loading theta must be positive, got {self.loading_theta}")
         sim = sim.copy()
@@ -196,6 +192,19 @@ INCIDENTS_HEADER = ["protocol_id", "date", "chain", "issue_type", "loss_usd", "t
 TVL_HEADER = ["protocol_id", "month", "tvl_usd"]
 
 
+def _parse_amount(name: str, raw: str) -> tuple[float | None, str | None]:
+    """(value, None) for a finite nonnegative USD amount, else (None, reason)."""
+    try:
+        value = float(raw)
+    except ValueError:
+        return None, f"bad {name} {raw!r}"
+    if not math.isfinite(value):
+        return None, f"non-finite {name} {raw}"
+    if value < 0.0:
+        return None, f"negative {name} {raw}"
+    return value, None
+
+
 def load_incidents(path) -> IngestResult:
     """Parse an incidents CSV; bad rows land in the report, never vanish."""
     records: list[IncidentRecord] = []
@@ -226,24 +235,13 @@ def load_incidents(path) -> IngestResult:
             except ValueError:
                 rejected.append(RejectedRow(line, tuple(row), f"bad date {date_raw!r}"))
                 continue
-            try:
-                loss = float(loss_raw)
-            except ValueError:
-                rejected.append(RejectedRow(line, tuple(row), f"bad loss_usd {loss_raw!r}"))
+            loss, reason = _parse_amount("loss_usd", loss_raw)
+            tvl = None
+            if reason is None and tvl_raw:
+                tvl, reason = _parse_amount("tvl_usd", tvl_raw)
+            if reason is not None:
+                rejected.append(RejectedRow(line, tuple(row), reason))
                 continue
-            if not math.isfinite(loss) or loss < 0.0:
-                rejected.append(RejectedRow(line, tuple(row), f"negative loss_usd {loss_raw}"))
-                continue
-            tvl: float | None = None
-            if tvl_raw:
-                try:
-                    tvl = float(tvl_raw)
-                except ValueError:
-                    rejected.append(RejectedRow(line, tuple(row), f"bad tvl_usd {tvl_raw!r}"))
-                    continue
-                if not math.isfinite(tvl) or tvl < 0.0:
-                    rejected.append(RejectedRow(line, tuple(row), f"negative tvl_usd {tvl_raw}"))
-                    continue
             record = IncidentRecord(
                 protocol_id=pid,
                 date=when,
@@ -279,12 +277,9 @@ def load_tvl(path) -> tuple[TvlObservation, ...]:
                 raise SchemaError(f"{path}:{line}: wrong number of fields")
             pid, month_raw, tvl_raw = (c.strip() for c in row)
             month = Month.parse(month_raw)
-            try:
-                tvl = float(tvl_raw)
-            except ValueError as exc:
-                raise SchemaError(f"{path}:{line}: bad tvl_usd {tvl_raw!r}") from exc
-            if not math.isfinite(tvl) or tvl < 0.0:
-                raise SchemaError(f"{path}:{line}: tvl_usd must be nonnegative")
+            tvl, reason = _parse_amount("tvl_usd", tvl_raw)
+            if reason is not None:
+                raise SchemaError(f"{path}:{line}: {reason}")
             key = (pid, month)
             if key in seen:
                 raise DataError(f"{path}:{line}: duplicate TVL observation for {pid} {month}")
@@ -322,7 +317,7 @@ def load_portfolio(path) -> Portfolio:
             similarity=np.asarray(doc["similarity"], dtype=float),
             loading_theta=float(doc["theta"]),
         )
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, DomainError) as exc:
         raise SchemaError(f"{path}: bad portfolio payload: {exc}") from exc
 
 

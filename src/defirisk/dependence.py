@@ -9,15 +9,16 @@ each marginal stays Bernoulli(pi_i).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
 from .numerics import (
-    EIGENVALUE_FLOOR,
     CorrelationMatrix,
     RngStream,
+    check_similarity,
     cholesky,
     mvn_sample,
     nearest_correlation,
@@ -42,35 +43,28 @@ class CopulaSpec:
 
 
 def build_copula(similarity) -> CopulaSpec:
-    """Validate a similarity matrix and factorize it for sampling."""
-    a = np.asarray(similarity, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DomainError(f"similarity matrix must be square, got shape {a.shape}")
-    if np.max(np.abs(a - a.T)) > 1e-12:
-        raise DomainError("similarity matrix must be symmetric")
-    if np.max(np.abs(np.diag(a) - 1.0)) > 1e-12:
-        raise DomainError("similarity matrix must have a unit diagonal")
-    if a.min() < 0.0 or a.max() > 1.0:
-        raise DomainError("similarity entries must lie in [0, 1]")
-
-    if np.linalg.eigvalsh(a).min() >= EIGENVALUE_FLOOR:
-        psi = CorrelationMatrix(a)
-        repaired = False
-        shift = 0.0
-    else:
-        psi = nearest_correlation(a)
-        repaired = True
-        shift = float(np.linalg.norm(psi.entries - a))
-    return CopulaSpec(psi=psi, chol=cholesky(psi), repaired=repaired, frobenius_shift=shift)
+    """Validate a similarity matrix, repair it when indefinite, and factorize it."""
+    a = check_similarity(similarity)
+    psi = nearest_correlation(a)  # passes a positive definite matrix through unchanged
+    shift = float(np.linalg.norm(psi.entries - a))
+    return CopulaSpec(psi=psi, chol=cholesky(psi), repaired=shift > 0.0, frobenius_shift=shift)
 
 
-def _thresholds(probabilities, dim: int) -> np.ndarray:
+def event_thresholds(probabilities, dim: int) -> np.ndarray:
+    """Normal thresholds z_i = Phi^-1(1 - pi_i) of the events N_i = 1 iff Z_i > z_i.
+
+    pi = 0 maps to +inf (never attacked) and pi = 1 to -inf (always
+    attacked); probabilities outside [0, 1] are rejected.
+    """
     p = np.asarray(probabilities, dtype=float)
     if p.ndim != 1 or len(p) != dim:
         raise DomainError(f"expected {dim} probabilities, got shape {p.shape}")
-    if np.any(p <= 0.0) or np.any(p >= 1.0):
-        raise DomainError("attack probabilities must lie strictly inside (0, 1)")
-    return np.array([std_normal_quantile(1.0 - pi) for pi in p])
+    if not np.all((p >= 0.0) & (p <= 1.0)):
+        raise DomainError("attack probabilities must lie in [0, 1]")
+    return np.array([
+        math.inf if pi == 0.0 else -math.inf if pi == 1.0 else std_normal_quantile(1.0 - pi)
+        for pi in p
+    ])
 
 
 def sample_frequencies(
@@ -84,7 +78,7 @@ def sample_frequencies(
     Returns a length-d 0/1 vector, or a (size, d) matrix when ``size`` is
     given.
     """
-    thresholds = _thresholds(probabilities, spec.dim)
+    thresholds = event_thresholds(probabilities, spec.dim)
     z = mvn_sample(spec.chol, rng, size=size)
     return (z > thresholds).astype(np.int8)
 
@@ -107,7 +101,7 @@ def joint_cdf_estimate(
     if n_samples < 1:
         raise DomainError("n_samples must be positive")
 
-    thresholds = _thresholds(probabilities, spec.dim)
+    thresholds = event_thresholds(probabilities, spec.dim)
     gen = rng.generator() if isinstance(rng, RngStream) else rng
     # Only coordinates with bound 0 constrain the event.
     active = np.flatnonzero(bounds == 0)

@@ -37,10 +37,11 @@ class FrequencyModel:
     covariate_dropped: bool = False
 
 
-def _panel_arrays(panel) -> tuple[np.ndarray, np.ndarray]:
+def panel_design(panel) -> tuple[np.ndarray, np.ndarray]:
+    """Design (intercept, log TVL) and 0/1 event response of panel rows."""
     x = np.array([row.log_tvl for row in panel], dtype=float)
     y = np.array([row.event for row in panel], dtype=float)
-    return x, y
+    return np.column_stack([np.ones(len(y)), x]), y
 
 
 def fit_frequency(panel, groups: int = 10) -> FrequencyModel:
@@ -50,11 +51,12 @@ def fit_frequency(panel, groups: int = 10) -> FrequencyModel:
         raise InsufficientDataError("empty monthly panel")
     if len(panel) < 2:
         raise InsufficientDataError("a single panel month cannot identify the model")
-    x, y = _panel_arrays(panel)
+    design, y = panel_design(panel)
+    x = design[:, 1]
     if y.sum() == 0:
         raise NoEventError(
             f"protocol {panel[0].protocol_id!r} has no event months; "
-            "use peer_interval for an interval approximation"
+            "use pooled_fit and peer_interval for an interval approximation"
         )
     indices = [row.month.index for row in panel]
     window = (Month.from_index(min(indices)), Month.from_index(max(indices)))
@@ -76,7 +78,6 @@ def fit_frequency(panel, groups: int = 10) -> FrequencyModel:
         )
         return FrequencyModel(protocol_id, fit, window, hl=None, covariate_dropped=True)
 
-    design = np.column_stack([np.ones(len(y)), x])
     fit = glm.fit_logistic(design, y, standardize=True)
     try:
         hl = glm.hosmer_lemeshow(fit, design, y, groups=groups)
@@ -92,31 +93,40 @@ def predict_attack_probability(model: FrequencyModel, tvl_next: float) -> float:
     return glm.predict_logistic(model.fit, [math.log(tvl_next)])
 
 
-def peer_interval(peer_panels, tvl_next: float) -> tuple[float, float]:
-    """95% interval for the attack probability of a never-attacked protocol.
+def pooled_fit(peer_panels) -> glm.LogisticFit:
+    """One logistic fit over the pooled peer panels, for ``peer_interval``.
 
-    Pools the peer panels into one logistic fit and returns the Wald
-    interval of the predicted probability at ``tvl_next``, computed on the
-    linear-predictor scale and mapped through the inverse logit.
+    Raises InsufficientDataError without panel rows, NoEventError without
+    events, and DomainError when the fit falls back to the penalized path,
+    which has no covariance for a Wald interval.
     """
-    if not tvl_next > 0.0:
-        raise DomainError(f"tvl_next must be positive, got {tvl_next}")
     rows: list[MonthlyPanelRow] = [row for panel in peer_panels for row in panel]
     if not rows:
         raise InsufficientDataError("no peer panels supplied")
-    x, y = _panel_arrays(rows)
+    design, y = panel_design(rows)
     if y.sum() == 0:
         raise NoEventError("pooled peer panels contain no events")
-    design = np.column_stack([np.ones(len(y)), x])
     fit = glm.fit_logistic(design, y, standardize=True)
     if fit.covariance is None:
         raise DomainError(
             "pooled fit fell back to the penalized path; no covariance for a Wald interval"
         )
-    z = (math.log(tvl_next) - fit.covariate_means[0]) / fit.covariate_sds[0]
+    return fit
+
+
+def peer_interval(pooled: glm.LogisticFit, tvl_next: float) -> tuple[float, float]:
+    """95% interval for the attack probability of a never-attacked protocol.
+
+    The Wald interval of the pooled fit's predicted probability at
+    ``tvl_next``, computed on the linear-predictor scale and mapped through
+    the inverse logit.
+    """
+    if not tvl_next > 0.0:
+        raise DomainError(f"tvl_next must be positive, got {tvl_next}")
+    z = (math.log(tvl_next) - pooled.covariate_means[0]) / pooled.covariate_sds[0]
     v = np.array([1.0, z])
-    eta = float(v @ fit.coefficients)
-    se = math.sqrt(float(v @ fit.covariance @ v))
+    eta = float(v @ pooled.coefficients)
+    se = math.sqrt(float(v @ pooled.covariance @ v))
     lo = glm.invlogit(eta - _Z975 * se)
     hi = glm.invlogit(eta + _Z975 * se)
     return (lo, hi)
@@ -135,17 +145,8 @@ def to_dict(model: FrequencyModel) -> dict:
         "cov_mean": float(fit.covariate_means[0]),
         "cov_sd": float(fit.covariate_sds[0]),
         "window": [str(model.training_window[0]), str(model.training_window[1])],
-        "penalty": None
-        if fit.penalty is None
-        else {"lambda": fit.penalty.lam, "alpha_mix": fit.penalty.alpha_mix},
-        "hl": None
-        if model.hl is None
-        else {
-            "stat": model.hl.statistic,
-            "df": model.hl.df,
-            "p": model.hl.p_value,
-            "groups": model.hl.groups_used,
-        },
+        "penalty": None if fit.penalty is None else fit.penalty.to_dict(),
+        "hl": None if model.hl is None else model.hl.to_dict(),
         "covariate_dropped": model.covariate_dropped,
     }
 
@@ -158,24 +159,13 @@ def from_dict(doc: dict) -> FrequencyModel:
         coefficients=np.array([float(doc["alpha0"]), float(doc["alpha1"])]),
         standard_errors=np.array(ses),
         converged=True,
-        penalty=None
-        if penalty is None
-        else glm.PenaltySpec(lam=float(penalty["lambda"]), alpha_mix=float(penalty["alpha_mix"])),
+        penalty=None if penalty is None else glm.PenaltySpec.from_dict(penalty),
         covariate_means=np.array([float(doc["cov_mean"])]),
         covariate_sds=np.array([float(doc["cov_sd"])]),
         covariance=None,
     )
     hl_doc = doc.get("hl")
-    hl = (
-        None
-        if hl_doc is None
-        else glm.HLResult(
-            statistic=float(hl_doc["stat"]),
-            df=int(hl_doc["df"]),
-            p_value=float(hl_doc["p"]),
-            groups_used=int(hl_doc["groups"]),
-        )
-    )
+    hl = None if hl_doc is None else glm.HLResult.from_dict(hl_doc)
     window = (Month.parse(doc["window"][0]), Month.parse(doc["window"][1]))
     return FrequencyModel(
         protocol_id=str(doc["protocol_id"]),

@@ -73,6 +73,13 @@ class PenaltySpec:
         if not (0.0 <= self.alpha_mix <= 1.0):
             raise DomainError(f"alpha_mix must lie in [0, 1], got {self.alpha_mix}")
 
+    def to_dict(self) -> dict:
+        return {"lambda": self.lam, "alpha_mix": self.alpha_mix}
+
+    @classmethod
+    def from_dict(cls, doc: dict) -> "PenaltySpec":
+        return cls(lam=float(doc["lambda"]), alpha_mix=float(doc["alpha_mix"]))
+
 
 @dataclass(frozen=True)
 class LogisticFit:
@@ -245,12 +252,12 @@ def fit_logistic(
             eta = np.clip(x @ beta, -_ETA_CLIP, _ETA_CLIP)
             mu = invlogit(eta)
             grad = x.T @ (y - mu)
+            w = np.maximum(mu * (1.0 - mu), 1e-12)
+            hessian = (x * w[:, None]).T @ x  # at convergence, the information for the SEs
             # Scale-free criterion: gradient of the mean log-likelihood.
             if np.max(np.abs(grad)) / n <= tol:
                 converged = True
                 break
-            w = np.maximum(mu * (1.0 - mu), 1e-12)
-            hessian = (x * w[:, None]).T @ x
             try:
                 if np.linalg.cond(hessian) > _COND_LIMIT:
                     needs_penalty = True
@@ -296,10 +303,7 @@ def fit_logistic(
             nll_trace=tuple(trace),
         )
 
-    mu = invlogit(np.clip(x @ beta, -_ETA_CLIP, _ETA_CLIP))
-    w = np.maximum(mu * (1.0 - mu), 1e-12)
-    info = (x * w[:, None]).T @ x
-    cov = np.linalg.inv(info)
+    cov = np.linalg.inv(hessian)
     ses = np.sqrt(np.diag(cov))
     return LogisticFit(
         coefficients=beta,
@@ -387,6 +391,23 @@ class HLResult:
     df: int
     p_value: float
     groups_used: int
+
+    def to_dict(self) -> dict:
+        return {
+            "stat": self.statistic,
+            "df": self.df,
+            "p": self.p_value,
+            "groups": self.groups_used,
+        }
+
+    @classmethod
+    def from_dict(cls, doc: dict) -> "HLResult":
+        return cls(
+            statistic=float(doc["stat"]),
+            df=int(doc["df"]),
+            p_value=float(doc["p"]),
+            groups_used=int(doc["groups"]),
+        )
 
 
 def _partition_sorted(p_sorted: np.ndarray, groups: int) -> list[tuple[int, int]]:

@@ -84,6 +84,31 @@ def std_normal_quantile(p: float) -> float:
     return -x if q < 0.0 else x
 
 
+def check_unit_symmetric(m, name: str = "correlation matrix") -> np.ndarray:
+    """``m`` as a float array once it is square, finite, symmetric and
+    unit-diagonal (both to 1e-12); DomainError naming ``name`` otherwise."""
+    a = np.asarray(m, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise DomainError(f"{name} must be square, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise DomainError(f"{name} has non-finite entries")
+    if np.max(np.abs(a - a.T)) > 1e-12:
+        raise DomainError(f"{name} must be symmetric (tolerance 1e-12)")
+    if np.max(np.abs(np.diag(a) - 1.0)) > 1e-12:
+        raise DomainError(f"{name} must have a unit diagonal")
+    return a
+
+
+def check_similarity(m) -> np.ndarray:
+    """A portfolio similarity matrix: ``check_unit_symmetric`` plus every
+    entry in [0, 1].  Positive definiteness is not required; the copula
+    repairs an indefinite matrix."""
+    a = check_unit_symmetric(m, "similarity matrix")
+    if a.min() < 0.0 or a.max() > 1.0:
+        raise DomainError("similarity entries must lie in [0, 1]")
+    return a
+
+
 @dataclass(frozen=True)
 class CorrelationMatrix:
     """A validated correlation matrix: symmetric, unit diagonal, PSD."""
@@ -91,15 +116,7 @@ class CorrelationMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.entries, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise DomainError(f"correlation matrix must be square, got shape {a.shape}")
-        if not np.all(np.isfinite(a)):
-            raise DomainError("correlation matrix has non-finite entries")
-        if np.max(np.abs(a - a.T)) > 1e-12:
-            raise DomainError("correlation matrix is not symmetric (tolerance 1e-12)")
-        if np.max(np.abs(np.diag(a) - 1.0)) > 1e-12:
-            raise DomainError("correlation matrix diagonal must be 1")
+        a = check_unit_symmetric(self.entries)
         if np.linalg.eigvalsh(a).min() < -1e-10:
             raise DomainError(
                 "matrix is not positive semidefinite; repair it with nearest_correlation"
@@ -141,16 +158,10 @@ def nearest_correlation(m, tol: float = 1e-10, max_iter: int = 500) -> Correlati
     EIGENVALUE_FLOOR) and the unit-diagonal affine set with Dykstra's
     correction until the two projections agree to ``tol`` in Frobenius
     norm.  Matrices already satisfying the eigenvalue floor pass through
-    unchanged, which makes the operation exactly idempotent.
+    with their entries unchanged, which makes the operation exactly
+    idempotent and lets a caller tell a repair by comparing entries.
     """
-    a = np.asarray(m, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DomainError(f"nearest_correlation requires a square matrix, got shape {a.shape}")
-    if np.max(np.abs(a - a.T)) > 1e-12:
-        raise DomainError("nearest_correlation requires a symmetric input")
-    if np.max(np.abs(np.diag(a) - 1.0)) > 1e-12:
-        raise DomainError("nearest_correlation requires a unit diagonal")
-
+    a = check_unit_symmetric(m)
     if np.linalg.eigvalsh(a).min() >= EIGENVALUE_FLOOR:
         return CorrelationMatrix(a)
 
@@ -232,4 +243,7 @@ def mvn_sample(chol: np.ndarray, rng, size: int | None = None) -> np.ndarray:
     d = low.shape[0]
     if size is None:
         return low @ gen.standard_normal(d)
-    return gen.standard_normal((int(size), d)) @ low.T
+    # A C-contiguous L^T keeps the rounding independent of how the factor is
+    # stored: BLAS rounds a product with a transposed view differently for
+    # some shapes.
+    return gen.standard_normal((int(size), d)) @ np.ascontiguousarray(low.T)

@@ -62,6 +62,22 @@ def expected_loss(attack_prob: float, tvl: float, total_loss_prob: float, mean_r
     return pf * tvl * ((1.0 - ps) * mr + ps)
 
 
+def premiums(pi_f: float, e_y: float, e_y2: float, theta: float) -> tuple[float, float, bool]:
+    """Expectation and SD premiums (1 + theta) E(L) and E(L) + theta SD(L).
+
+    L = N Y with N ~ Bernoulli(pi_f), so E(N^2) = E(N) and
+    Var(L) = pi_f E(Y^2) - pi_f^2 E(Y)^2.  A negative variance (Monte Carlo
+    moments can produce one) is clamped to zero, which the third element
+    reports.
+    """
+    e_l = pi_f * e_y
+    variance = pi_f * e_y2 - pi_f * pi_f * e_y * e_y
+    clamped = variance < 0.0
+    if clamped:
+        variance = 0.0
+    return (1.0 + theta) * e_l, e_l + theta * math.sqrt(variance), clamped
+
+
 def severity_second_moment(
     model: sev.SeverityModel,
     chain,
@@ -71,11 +87,7 @@ def severity_second_moment(
     rng: RngStream | np.random.Generator = RngStream(0),
 ) -> float:
     """E(Y^2) = TVL^2 * ((1 - pi_S) * E(R*^2) + pi_S)."""
-    pi_s = sev.predict_total_loss_prob(model, chain, tvl, when)
-    if model.total_loss_only:
-        return tvl * tvl
-    moments = sev.ratio_moments(model, tvl, n_samples=n_samples, rng=rng)
-    return tvl * tvl * ((1.0 - pi_s) * moments.second_moment_r + pi_s)
+    return tvl * tvl * sev.loss_moments(model, chain, tvl, when, n_samples=n_samples, rng=rng)[1]
 
 
 def price(
@@ -92,38 +104,20 @@ def price(
     """Quote one protocol under both premium principles.
 
     The ratio moments come from a single Monte Carlo draw set, so the mean
-    and second moment of the severity are internally consistent;
-    Var(L) = E(N) E(Y^2) - E(N)^2 E(Y)^2 uses E(N^2) = E(N) for the
-    Bernoulli frequency.
+    and second moment of the severity are internally consistent; the
+    premiums come from ``premiums``.
     """
     if not theta > 0.0:
         raise DomainError(f"theta must be positive, got {theta}")
     if not 0.0 < coverage_fraction <= 1.0:
         raise DomainError(f"coverage_fraction must lie in (0, 1], got {coverage_fraction}")
     pi_f = predict_attack_probability(frequency_model, tvl)
-    pi_s = sev.predict_total_loss_prob(severity_model, protocol.chain, tvl, when)
-
-    if severity_model.total_loss_only:
-        mean_r, second_r = 0.0, 0.0  # unused: pi_s == 1 makes the bracket 1
-        n_used = 0
-    else:
-        moments = sev.ratio_moments(severity_model, tvl, n_samples=n_samples, rng=rng)
-        mean_r, second_r = moments.mean_r, moments.second_moment_r
-        n_used = moments.n_samples
-
-    loss_pct = (1.0 - pi_s) * mean_r + pi_s
-    e_y = tvl * loss_pct
-    e_y2 = tvl * tvl * ((1.0 - pi_s) * second_r + pi_s)
-    e_l = pi_f * e_y
-    variance = pi_f * e_y2 - pi_f * pi_f * e_y * e_y
-    clamped = False
-    if variance < 0.0:
-        variance = 0.0
-        clamped = True
-    sd_l = math.sqrt(variance)
-
-    expectation_usd = (1.0 + theta) * e_l * coverage_fraction
-    sd_usd = (e_l + theta * sd_l) * coverage_fraction
+    loss_pct, second_r, n_used = sev.loss_moments(
+        severity_model, protocol.chain, tvl, when, n_samples=n_samples, rng=rng
+    )
+    expectation_usd, sd_usd, clamped = premiums(pi_f, tvl * loss_pct, tvl * tvl * second_r, theta)
+    expectation_usd *= coverage_fraction
+    sd_usd *= coverage_fraction
     meta = McMeta(
         n_samples=n_used,
         seed=rng.seed,

@@ -93,19 +93,44 @@ def total_loss_row(chain: Chain, log_tvl: float, t: float) -> list[float]:
     return [1.0, d_eth, d_oth, log_tvl, t, d_eth * t, d_oth * t]
 
 
-def fit_severity(
+@dataclass(frozen=True)
+class TrainingSet:
+    """The incidents a severity model is fitted and diagnosed on.
+
+    ``records`` fall inside the training window and have a positive loss;
+    ``ratios`` are their loss ratios and ``design`` their total-loss design
+    rows (``total_loss_row``).  ``zero_loss`` counts the in-window records
+    skipped for a zero loss.
+    """
+
+    records: tuple[IncidentRecord, ...]
+    ratios: np.ndarray
+    design: np.ndarray
+    zero_loss: int
+
+    @property
+    def total(self) -> np.ndarray:
+        """True where the ratio is a total loss."""
+        return self.ratios == 1.0
+
+    def partial(self) -> tuple[np.ndarray, np.ndarray]:
+        """Design (intercept, log TVL) and ratios of the partial losses."""
+        keep = ~self.total
+        design = np.column_stack([np.ones(int(keep.sum())), self.design[keep, 3]])
+        return design, self.ratios[keep]
+
+
+def training_set(
     incidents,
     window: tuple[Month, Month] = DEFAULT_WINDOW,
     time_origin: date = DEFAULT_TIME_ORIGIN,
-    groups: int = 10,
-) -> SeverityModel:
-    """Fit both parts of the severity model from pooled ecosystem incidents.
+) -> TrainingSet:
+    """Select and encode the severity training incidents.
 
-    Zero-loss incidents are skipped (counted, not errored); incidents with
-    missing or zero TVL enter as total losses with the loss standing in
-    for TVL.
+    Incidents with missing or zero TVL enter as total losses with the loss
+    standing in for TVL.
     """
-    in_window: list[IncidentRecord] = []
+    records: list[IncidentRecord] = []
     zero_loss = 0
     for rec in incidents:
         m = Month.of(rec.date)
@@ -114,23 +139,32 @@ def fit_severity(
         if rec.loss_usd == 0.0:
             zero_loss += 1
             continue
-        in_window.append(rec)
-    if not in_window:
+        records.append(rec)
+    ratios = np.array([derive_loss_ratio(rec) for rec in records], dtype=float)
+    rows = [
+        total_loss_row(rec.chain, math.log(effective_tvl(rec)), years_since(time_origin, rec.date))
+        for rec in records
+    ]
+    design = np.array(rows, dtype=float).reshape(len(records), 7)
+    return TrainingSet(tuple(records), ratios, design, zero_loss)
+
+
+def fit_severity(
+    incidents,
+    window: tuple[Month, Month] = DEFAULT_WINDOW,
+    time_origin: date = DEFAULT_TIME_ORIGIN,
+    groups: int = 10,
+) -> SeverityModel:
+    """Fit both parts of the severity model on ``training_set(incidents)``.
+
+    Zero-loss incidents are skipped (counted, not errored).
+    """
+    data = training_set(incidents, window, time_origin)
+    if not data.records:
         raise InsufficientDataError("no usable incidents inside the training window")
-
-    ratios = np.array([derive_loss_ratio(rec) for rec in in_window])
-    log_tvls = np.array([math.log(effective_tvl(rec)) for rec in in_window])
-    times = np.array([years_since(time_origin, rec.date) for rec in in_window])
-    total = ratios == 1.0
+    total = data.total
     n_total = int(total.sum())
-    n_partial = int((~total).sum())
-
-    design1 = np.array(
-        [
-            total_loss_row(rec.chain, lt, t)
-            for rec, lt, t in zip(in_window, log_tvls, times)
-        ]
-    )
+    n_partial = len(data.records) - n_total
 
     if n_partial == 0:
         # Every training ratio was a full loss: nothing to fit on either
@@ -144,17 +178,16 @@ def fit_severity(
             n_total=n_total,
             n_partial=0,
             low_partial_warning=True,
-            zero_loss_skipped=zero_loss,
+            zero_loss_skipped=data.zero_loss,
         )
 
-    total_fit = glm.fit_logistic(design1, total.astype(float), standardize=False)
+    total_fit = glm.fit_logistic(data.design, total.astype(float), standardize=False)
     try:
-        hl = glm.hosmer_lemeshow(total_fit, design1, total.astype(float), groups=groups)
+        hl = glm.hosmer_lemeshow(total_fit, data.design, total.astype(float), groups=groups)
     except NotApplicableError:
         hl = None
 
-    partial_design = np.column_stack([np.ones(n_partial), log_tvls[~total]])
-    proportional_fit = glm.fit_linear_on_logit(partial_design, ratios[~total])
+    proportional_fit = glm.fit_linear_on_logit(*data.partial())
 
     return SeverityModel(
         total_loss_fit=total_fit,
@@ -165,7 +198,7 @@ def fit_severity(
         n_total=n_total,
         n_partial=n_partial,
         low_partial_warning=n_partial < MIN_PARTIAL_OBS,
-        zero_loss_skipped=zero_loss,
+        zero_loss_skipped=data.zero_loss,
     )
 
 
@@ -239,6 +272,31 @@ def sample_ratio(
     return float(out[0]) if size is None else out
 
 
+def loss_moments(
+    model: SeverityModel,
+    chain: Chain,
+    tvl: float,
+    when: date,
+    n_samples: int = 100_000,
+    rng: RngStream | np.random.Generator = RngStream(0),
+) -> tuple[float, float, int]:
+    """E(R), E(R^2) of the loss ratio given an attack, and the draws used.
+
+    R is 1 with probability pi_S and the partial ratio R* otherwise, so
+    E(R^k) = (1 - pi_S) E(R*^k) + pi_S, with both partial moments from one
+    Monte Carlo draw set (none when the model is total-loss-only).
+    """
+    pi_s = predict_total_loss_prob(model, chain, tvl, when)
+    if model.total_loss_only:
+        return pi_s, pi_s, 0
+    moments = ratio_moments(model, tvl, n_samples=n_samples, rng=rng)
+    return (
+        (1.0 - pi_s) * moments.mean_r + pi_s,
+        (1.0 - pi_s) * moments.second_moment_r + pi_s,
+        moments.n_samples,
+    )
+
+
 def predicted_loss_percentage(
     model: SeverityModel,
     chain: Chain,
@@ -248,11 +306,7 @@ def predicted_loss_percentage(
     rng: RngStream | np.random.Generator = RngStream(0),
 ) -> float:
     """Expected fraction of TVL lost given an attack: (1 - pi_S) E(R*) + pi_S."""
-    pi_s = predict_total_loss_prob(model, chain, tvl, when)
-    if model.total_loss_only:
-        return 1.0
-    moments = ratio_moments(model, tvl, n_samples=n_samples, rng=rng)
-    return (1.0 - pi_s) * moments.mean_r + pi_s
+    return loss_moments(model, chain, tvl, when, n_samples=n_samples, rng=rng)[0]
 
 
 def to_dict(model: SeverityModel) -> dict:
@@ -268,17 +322,8 @@ def to_dict(model: SeverityModel) -> dict:
         "sigma2": None if prop is None else float(prop.sigma2),
         "time_origin": model.time_origin.isoformat(),
         "window": [str(model.training_window[0]), str(model.training_window[1])],
-        "penalty": None
-        if (tl is None or tl.penalty is None)
-        else {"lambda": tl.penalty.lam, "alpha_mix": tl.penalty.alpha_mix},
-        "hl": None
-        if model.hl is None
-        else {
-            "stat": model.hl.statistic,
-            "df": model.hl.df,
-            "p": model.hl.p_value,
-            "groups": model.hl.groups_used,
-        },
+        "penalty": None if (tl is None or tl.penalty is None) else tl.penalty.to_dict(),
+        "hl": None if model.hl is None else model.hl.to_dict(),
         "n_total": model.n_total,
         "n_partial": model.n_partial,
         "low_partial_warning": model.low_partial_warning,
@@ -298,9 +343,7 @@ def from_dict(doc: dict) -> SeverityModel:
             coefficients=np.asarray(beta, dtype=float),
             standard_errors=np.array([math.nan if s is None else float(s) for s in ses]),
             converged=True,
-            penalty=None
-            if penalty is None
-            else glm.PenaltySpec(lam=float(penalty["lambda"]), alpha_mix=float(penalty["alpha_mix"])),
+            penalty=None if penalty is None else glm.PenaltySpec.from_dict(penalty),
             covariate_means=np.zeros(len(beta) - 1),
             covariate_sds=np.ones(len(beta) - 1),
             covariance=None,
@@ -315,16 +358,7 @@ def from_dict(doc: dict) -> SeverityModel:
             xtx_inverse=None,
         )
     hl_doc = doc.get("hl")
-    hl = (
-        None
-        if hl_doc is None
-        else glm.HLResult(
-            statistic=float(hl_doc["stat"]),
-            df=int(hl_doc["df"]),
-            p_value=float(hl_doc["p"]),
-            groups_used=int(hl_doc["groups"]),
-        )
-    )
+    hl = None if hl_doc is None else glm.HLResult.from_dict(hl_doc)
     return SeverityModel(
         total_loss_fit=tl,
         proportional_fit=prop,

@@ -23,10 +23,10 @@ import numpy as np
 
 from . import severity as sev
 from .datamodel import Portfolio
-from .dependence import CopulaSpec
+from .dependence import CopulaSpec, event_thresholds
 from .errors import ConfigError, DomainError
 from .frequency import predict_attack_probability
-from .numerics import RngStream, std_normal_quantile
+from .numerics import RngStream, mvn_sample
 
 _BLOCK = 1 << 16
 
@@ -35,14 +35,6 @@ _STREAM_DEP = 1
 _STREAM_INDEP = 2
 _STREAM_BOOT_DEP = 3
 _STREAM_BOOT_INDEP = 4
-
-
-def _event_threshold(pi: float) -> float:
-    if pi <= 0.0:
-        return math.inf
-    if pi >= 1.0:
-        return -math.inf
-    return std_normal_quantile(1.0 - pi)
 
 
 def _resolve_inputs(portfolio, frequency_models, tvls):
@@ -85,25 +77,21 @@ def simulate_aggregate(
         _, tvl_arr = _resolve_inputs(portfolio, None, tvls)
     else:
         probs, tvl_arr = _resolve_inputs(portfolio, frequency_models, tvls)
-    if np.any(probs < 0.0) or np.any(probs > 1.0):
-        raise DomainError("attack probabilities must lie in [0, 1]")
+    thresholds = event_thresholds(probs, portfolio.dim)
     if copula is not None and copula.dim != portfolio.dim:
         raise ConfigError(
             f"copula dimension {copula.dim} does not match portfolio size {portfolio.dim}"
         )
 
     d = portfolio.dim
-    chol_t = None if copula is None else copula.chol.T.copy()
-    thresholds = np.array([_event_threshold(pi) for pi in probs])
     chains = [proto.chain for proto in portfolio.protocols]
 
     def run_block(block: int) -> np.ndarray:
         start = block * _BLOCK
         m = min(_BLOCK, n_sims - start)
         gen = rng.block_generator(block)
-        if chol_t is not None:
-            z = gen.standard_normal((m, d)) @ chol_t
-            events = z > thresholds
+        if copula is not None:
+            events = mvn_sample(copula.chol, gen, size=m) > thresholds
         else:
             events = gen.random((m, d)) < probs
         s = np.zeros(m)
@@ -146,19 +134,19 @@ def value_at_risk(sample: np.ndarray, q: float) -> float:
     return float(s[_order_index(s.size, q) - 1])
 
 
-def conditional_tail_expectation(sample: np.ndarray, q: float) -> float:
-    """Mean of sample values strictly above VaR_q; VaR itself if none exceed it."""
+def _tail(sample: np.ndarray, q: float) -> tuple[float, float, bool]:
+    """VaR_q, CTE_q, and whether no sample value lies above VaR_q (then CTE_q = VaR_q)."""
     s = np.asarray(sample, dtype=float)
     var_q = value_at_risk(s, q)
     start = int(np.searchsorted(s, var_q, side="right"))
     if start >= s.size:
-        return var_q
-    return float(s[start:].mean())
+        return var_q, var_q, True
+    return var_q, float(s[start:].mean()), False
 
 
-def _tail_is_degenerate(sample: np.ndarray, q: float) -> bool:
-    var_q = value_at_risk(sample, q)
-    return int(np.searchsorted(sample, var_q, side="right")) >= sample.size
+def conditional_tail_expectation(sample: np.ndarray, q: float) -> float:
+    """Mean of sample values strictly above VaR_q; VaR itself if none exceed it."""
+    return _tail(sample, q)[1]
 
 
 @dataclass(frozen=True)
@@ -258,13 +246,11 @@ def risk_report(
     rows = []
     degenerate = []
     for j, q in enumerate(levels):
-        vd = value_at_risk(s_dep, q)
-        vi = value_at_risk(s_indep, q)
-        cd = conditional_tail_expectation(s_dep, q)
-        ci = conditional_tail_expectation(s_indep, q)
-        if _tail_is_degenerate(s_dep, q):
+        vd, cd, no_tail_dep = _tail(s_dep, q)
+        vi, ci, no_tail_indep = _tail(s_indep, q)
+        if no_tail_dep:
             degenerate.append(f"cte_dep@{q:g}")
-        if _tail_is_degenerate(s_indep, q):
+        if no_tail_indep:
             degenerate.append(f"cte_indep@{q:g}")
         rows.append(
             RiskRow(

@@ -372,6 +372,13 @@ class TestErrorSurface:
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["code"] == 3
 
+    def test_invalid_model_json_exits_2(self, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        model.write_text("{not json")
+        code = run(["gof", "--model", model, "--incidents", INCIDENTS, "--output", tmp_path])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["error"]["code"] == 2
+
     def test_empty_incidents_routes_all_to_no_event_notice(self, tmp_path):
         empty = tmp_path / "empty.csv"
         empty.write_text("protocol_id,date,chain,issue_type,loss_usd,tvl_usd\n")
@@ -383,6 +390,58 @@ class TestErrorSurface:
     def test_bad_samples_rejected(self, tmp_path):
         assert run(["summarize", "--incidents", INCIDENTS, "--output", tmp_path,
                     "--samples", 100]) == 2
+
+
+def _set_entry(value):
+    def edit(doc):
+        doc["similarity"][0][1] = doc["similarity"][1][0] = value
+    return edit
+
+
+def _asymmetric(doc):
+    doc["similarity"][0][1] += 0.1
+
+
+def _non_square(doc):
+    doc["similarity"] = [row[:-1] for row in doc["similarity"]]
+
+
+def _bad_inception(doc):
+    doc["protocols"][0]["inception"] = "2020-13"
+
+
+# (extra tvl.csv rows, portfolio edit, extra flags) of fit-frequency runs
+# whose input is malformed.
+MALFORMED = {
+    "tvl-month-13": ("P1,2020-13,100\n", None, []),
+    "tvl-nan": ("P1,2031-01,nan\n", None, []),
+    "tvl-inf": ("P1,2031-01,inf\n", None, []),
+    "inception-month-13": ("", _bad_inception, []),
+    "window-end-month-13": ("", None, ["--window-end", "2020-13"]),
+    "similarity-asymmetric": ("", _asymmetric, []),
+    "similarity-entry-1.5": ("", _set_entry(1.5), []),
+    "similarity-entry-nan": ("", _set_entry(math.nan), []),
+    "similarity-non-square": ("", _non_square, []),
+}
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_exits_2_with_one_json_error_line(self, case, tmp_path, capsys):
+        tvl_rows, edit, flags = MALFORMED[case]
+        tvl = tmp_path / "tvl.csv"
+        tvl.write_text(Path(TVL).read_text() + tvl_rows)
+        doc = json.loads(Path(PORTFOLIO).read_text())
+        if edit is not None:
+            edit(doc)
+        portfolio = tmp_path / "portfolio.json"
+        portfolio.write_text(json.dumps(doc))
+        code = run(["fit-frequency", "--incidents", INCIDENTS, "--tvl", tvl,
+                    "--portfolio", portfolio, "--output", tmp_path / "out", *flags])
+        lines = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"]["code"] == 2
 
 
 class TestConfigFile:
@@ -416,6 +475,30 @@ class TestGof:
         doc = json.loads((tmp_path / "gof.json").read_text())
         assert doc["model"] == "frequency"
         assert doc["hl"]["df"] == doc["hl"]["groups"] - 2
+
+    def test_severity_gof_matches_fit_severity(self, fitted_dir, tmp_path):
+        # gof and fit-severity select the same training incidents.
+        assert run(["gof", "--model", fitted_dir / "severity_model.json",
+                    "--incidents", INCIDENTS, "--output", tmp_path]) == 0
+        assert ((tmp_path / "gof_quantile_residuals.csv").read_bytes()
+                == (fitted_dir / "quantile_residuals.csv").read_bytes())
+        model = json.loads((fitted_dir / "severity_model.json").read_text())
+        doc = json.loads((tmp_path / "gof.json").read_text())
+        for key in ("hl", "n_total", "n_partial"):
+            assert doc[key] == model[key], key
+
+    def test_frequency_gof_matches_fit_frequency(self, fitted_dir, tmp_path):
+        checked = 0
+        for path in sorted(fitted_dir.glob("freq_*.json")):
+            model = json.loads(path.read_text())
+            if model["hl"] is None:
+                continue
+            out = tmp_path / path.stem
+            assert run(["gof", "--model", path, "--incidents", INCIDENTS, "--tvl", TVL,
+                        "--portfolio", PORTFOLIO, "--output", out]) == 0
+            assert json.loads((out / "gof.json").read_text())["hl"] == model["hl"]
+            checked += 1
+        assert checked > 0
 
     def test_severity_gof_emits_residuals(self, fitted_dir, tmp_path):
         assert run(["gof", "--model", fitted_dir / "severity_model.json",

@@ -54,6 +54,11 @@ class TestMonth:
         with pytest.raises(DomainError):
             Month(2022, 13)
 
+    @pytest.mark.parametrize("raw", ["2022-13", "2022-00"])
+    def test_month_out_of_range_is_schema_error(self, raw):
+        with pytest.raises(SchemaError):
+            Month.parse(raw)
+
 
 class TestLoadIncidents:
     def test_optional_tvl_parses_as_absent(self, tmp_path):
@@ -81,6 +86,22 @@ class TestLoadIncidents:
         assert len(result.records) == 0
         assert len(result.rejected) == 1
         assert "loss" in result.rejected[0].reason
+
+    @pytest.mark.parametrize(
+        "amounts,reason",
+        [
+            ("nan,", "non-finite loss_usd nan"),
+            ("-inf,", "non-finite loss_usd -inf"),
+            ("5,inf", "non-finite tvl_usd inf"),
+            ("-5,", "negative loss_usd -5"),
+            ("5,-1e6", "negative tvl_usd -1e6"),
+        ],
+    )
+    def test_bad_amount_reason(self, tmp_path, amounts, reason):
+        path = write(tmp_path, "i.csv", INCIDENTS_HEADER + f"P1,2022-01-01,ETH,oracle,{amounts}\n")
+        result = load_incidents(path)
+        assert not result.records
+        assert [r.reason for r in result.rejected] == [reason]
 
     def test_zero_loss_kept_but_flagged(self, tmp_path):
         path = write(tmp_path, "i.csv", INCIDENTS_HEADER + "P1,2022-01-01,ETH,oracle,0,\n")

@@ -100,6 +100,18 @@ class TestSampleFrequencies:
         b = sample_frequencies(pi, spec, RngStream(26), size=64)
         assert np.array_equal(a, b)
 
+    def test_certain_and_impossible_attacks(self):
+        spec = build_copula(np.array([[1.0, 0.5], [0.5, 1.0]]))
+        draws = sample_frequencies([0.0, 1.0], spec, RngStream(30), size=1000)
+        assert not draws[:, 0].any()
+        assert draws[:, 1].all()
+
+    @pytest.mark.parametrize("probs", [[-0.1, 0.5], [0.5, 1.1], [float("nan"), 0.5]])
+    def test_probability_outside_unit_interval_rejected(self, probs):
+        spec = build_copula(np.eye(2))
+        with pytest.raises(DomainError):
+            sample_frequencies(probs, spec, RngStream(1))
+
     def test_dimension_mismatch(self):
         spec = build_copula(np.eye(3))
         with pytest.raises(DomainError):

@@ -109,7 +109,7 @@ class TestPeerInterval:
         model = frequency.fit_frequency(panel)
         tvl = 2e7
         point = frequency.predict_attack_probability(model, tvl)
-        lo, hi = frequency.peer_interval([panel], tvl)
+        lo, hi = frequency.peer_interval(frequency.pooled_fit([panel]), tvl)
         assert 0.0 <= lo < point < hi <= 1.0
 
     def test_flat_pool_interval_contains_true_rate(self):
@@ -129,14 +129,14 @@ class TestPeerInterval:
                     )
                 )
             panels.append(rows)
-        lo, hi = frequency.peer_interval(panels, 1e7)
+        lo, hi = frequency.peer_interval(frequency.pooled_fit(panels), 1e7)
         assert lo < 0.03 < hi
 
     def test_interval_ordering_on_random_pools(self):
         for seed in range(20):
             panel = frequency_panel((-2.0, 0.3), 300, seed=1000 + seed)
             tvl = float(np.exp(16.0))
-            lo, hi = frequency.peer_interval([panel], tvl)
+            lo, hi = frequency.peer_interval(frequency.pooled_fit([panel]), tvl)
             pooled_fit = frequency.fit_frequency(panel)
             point = frequency.predict_attack_probability(pooled_fit, tvl)
             assert lo <= point <= hi
@@ -144,7 +144,7 @@ class TestPeerInterval:
     def test_no_events_anywhere(self):
         panel = constant_tvl_panel(24, events=set())
         with pytest.raises(NoEventError):
-            frequency.peer_interval([panel], 1e7)
+            frequency.pooled_fit([panel])
 
 
 class TestSerialization:
