@@ -39,7 +39,7 @@ from .datamodel import (
     load_tvl,
 )
 from .dependence import build_copula
-from .errors import ConfigError, EngineError, NoEventError
+from .errors import ConfigError, EngineError, NoEventError, SchemaError
 from .numerics import RngStream, std_normal_quantile
 
 _PRICE_STREAM_BASE = 10
@@ -333,7 +333,8 @@ def cmd_fit_frequency(cfg: RunConfig) -> list[Path]:
 def cmd_fit_severity(cfg: RunConfig) -> list[Path]:
     cfg.validate(needs=("incidents",))
     ingest = load_incidents(cfg.incidents)
-    model = severity.fit_severity(ingest.records)
+    data = severity.training_set(ingest.records)
+    model = severity.fit_severity(data)
     cfg.output.mkdir(parents=True, exist_ok=True)
     written = []
 
@@ -342,7 +343,6 @@ def cmd_fit_severity(cfg: RunConfig) -> list[Path]:
     written.append(model_path)
 
     # Plot-ready diagnostics are always CSV regardless of --format.
-    data = severity.training_set(ingest.records, model.training_window, model.time_origin)
     ratios_rows = [
         [index, rec.protocol_id, rec.date.isoformat(), float(ratio)]
         for index, (rec, ratio) in enumerate(zip(data.records, data.ratios))
@@ -368,24 +368,43 @@ def cmd_fit_severity(cfg: RunConfig) -> list[Path]:
     return written
 
 
-def _read_model(cfg: RunConfig, name: str, what: str) -> dict:
-    path = Path(cfg.models or cfg.output) / name
+def _read_model(path: Path, what: str) -> dict:
+    """The JSON object of a fitted-model file."""
     if not path.exists():
         raise ConfigError(f"missing {what}: {path}")
-    return _read_json(path)
+    doc = _read_json(path)
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{path}: expected a JSON object, got {type(doc).__name__}")
+    return doc
+
+
+def _rebuild_model(path: Path, doc: dict, from_dict):
+    """``from_dict(doc)``, naming the file in a schema error."""
+    try:
+        return from_dict(doc)
+    except SchemaError as exc:
+        raise SchemaError(f"{path}: {exc}") from exc
+
+
+def _load_model(cfg: RunConfig, name: str, what: str, from_dict):
+    path = Path(cfg.models or cfg.output) / name
+    return _rebuild_model(path, _read_model(path, what), from_dict)
 
 
 def _load_frequency_models(cfg: RunConfig, portfolio: Portfolio):
     return {
-        proto.id: frequency.from_dict(
-            _read_model(cfg, f"freq_{proto.id}.json", f"frequency model for protocol {proto.id!r}")
+        proto.id: _load_model(
+            cfg,
+            f"freq_{proto.id}.json",
+            f"frequency model for protocol {proto.id!r}",
+            frequency.from_dict,
         )
         for proto in portfolio.protocols
     }
 
 
 def _load_severity_model(cfg: RunConfig) -> severity.SeverityModel:
-    return severity.from_dict(_read_model(cfg, "severity_model.json", "severity model file"))
+    return _load_model(cfg, "severity_model.json", "severity model file", severity.from_dict)
 
 
 _QUOTE_HEADER = [
@@ -500,18 +519,6 @@ def _price_from_override(cfg: RunConfig) -> list[Path]:
     return [_emit_table(cfg, "quotes", _QUOTE_HEADER, rows)]
 
 
-def _risk_columns(*scenarios: str) -> list[str]:
-    measures = ("var_{}", "cte_{}", "var_{}_pct", "cte_{}_pct", "se_var_{}", "se_cte_{}")
-    return [m.format(scenario) for m in measures for scenario in scenarios]
-
-
-_RISK_COLUMNS = {
-    "on": _risk_columns("dep"),
-    "off": _risk_columns("indep"),
-    "both": _risk_columns("dep", "indep"),
-}
-
-
 def cmd_simulate(cfg: RunConfig) -> list[Path]:
     cfg.validate(needs=("tvl", "portfolio"))
     portfolio = load_portfolio(cfg.portfolio)
@@ -539,10 +546,10 @@ def cmd_simulate(cfg: RunConfig) -> list[Path]:
         rng=RngStream(cfg.seed, _SIMULATE_STREAM),
         workers=cfg.workers,
         bootstrap_resamples=cfg.bootstrap,
+        dependence=cfg.dependence,
     )
-    columns = _RISK_COLUMNS[cfg.dependence]
-    header = ["level"] + columns
-    rows = [[row.level] + [getattr(row, c) for c in columns] for row in report.rows]
+    header = ["level", *report.columns]
+    rows = [[getattr(row, c) for c in header] for row in report.rows]
     paths = [_emit_table(cfg, "risk_report", header, rows)]
     meta_path = cfg.output / "risk_report_meta.json"
     _write_json(
@@ -556,6 +563,7 @@ def cmd_simulate(cfg: RunConfig) -> list[Path]:
             "repaired_similarity": copula.repaired,
             "frobenius_shift": copula.frobenius_shift,
             "degenerate_tail": list(report.degenerate_tail),
+            "var_on_atom": list(report.var_on_atom),
             "dependence": cfg.dependence,
             "workers_independent": True,
         },
@@ -580,12 +588,12 @@ def _write_qq_table(
 
 def cmd_gof(cfg: RunConfig) -> list[Path]:
     cfg.validate(needs=("model", "incidents"))
-    doc = _read_json(cfg.model)
+    doc = _read_model(cfg.model, "model file")
     cfg.output.mkdir(parents=True, exist_ok=True)
     written = []
     if "alpha0" in doc:
         cfg.validate(needs=("tvl", "portfolio"))
-        model = frequency.from_dict(doc)
+        model = _rebuild_model(cfg.model, doc, frequency.from_dict)
         portfolio = load_portfolio(cfg.portfolio)
         matches = [p for p in portfolio.protocols if p.id == model.protocol_id]
         if not matches:
@@ -598,7 +606,7 @@ def cmd_gof(cfg: RunConfig) -> list[Path]:
         hl = glm.hosmer_lemeshow(model.fit, *frequency.panel_design(panel))
         payload = {"model": "frequency", "protocol_id": model.protocol_id, "hl": hl.to_dict()}
     elif "beta" in doc or "gamma" in doc:
-        model = severity.from_dict(doc)
+        model = _rebuild_model(cfg.model, doc, severity.from_dict)
         ingest = load_incidents(cfg.incidents)
         data = severity.training_set(ingest.records, model.training_window, model.time_origin)
         total = data.total

@@ -94,6 +94,12 @@ class Month:
         return f"{self.year:04d}-{self.month:02d}"
 
 
+def parse_window(raw) -> tuple[Month, Month]:
+    """A training window stored as a ``[start, end]`` pair of YYYY-MM strings."""
+    start, end = raw
+    return Month.parse(start), Month.parse(end)
+
+
 def month_range(start: Month, end: Month) -> list[Month]:
     """All months from start to end inclusive."""
     if end < start:

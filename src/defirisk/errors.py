@@ -71,3 +71,31 @@ class RankError(EngineError):
 
 class NotApplicableError(EngineError):
     """A diagnostic test cannot be computed on this fit (e.g. too few groups)."""
+
+
+_REQUIRED = object()
+
+
+def json_field(doc: dict, key: str, cast, default=_REQUIRED):
+    """``cast(doc[key])`` for a JSON object read from a file.
+
+    ``default``, when given, stands in for a missing or null value.  A
+    missing key, or a value ``cast`` rejects, is a SchemaError naming the
+    key.
+    """
+    try:
+        value = doc[key]
+    except KeyError:
+        if default is _REQUIRED:
+            raise SchemaError(f"missing key {key!r}") from None
+        return default
+    except TypeError as exc:
+        raise SchemaError(f"expected a JSON object holding {key!r}, got {doc!r:.60}") from exc
+    if value is None and default is not _REQUIRED:
+        return default
+    try:
+        return cast(value)
+    except SchemaError as exc:
+        raise SchemaError(f"in {key!r}: {exc}") from exc
+    except (TypeError, ValueError, IndexError, AttributeError) as exc:
+        raise SchemaError(f"bad value for key {key!r}: {value!r:.60}") from exc

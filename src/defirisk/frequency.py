@@ -13,8 +13,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import glm
-from .datamodel import Month, MonthlyPanelRow
-from .errors import DomainError, InsufficientDataError, NoEventError, NotApplicableError
+from .datamodel import Month, MonthlyPanelRow, parse_window
+from .errors import (
+    DomainError,
+    InsufficientDataError,
+    NoEventError,
+    NotApplicableError,
+    json_field,
+)
 from .numerics import std_normal_quantile
 
 _Z975 = std_normal_quantile(0.975)
@@ -152,25 +158,26 @@ def to_dict(model: FrequencyModel) -> dict:
 
 
 def from_dict(doc: dict) -> FrequencyModel:
-    """Rebuild a frequency model from its JSON payload."""
-    ses = [math.nan if doc.get(k) is None else float(doc[k]) for k in ("se_alpha0", "se_alpha1")]
-    penalty = doc.get("penalty")
+    """Rebuild a frequency model from its JSON payload.
+
+    A missing or malformed field is a SchemaError naming the key.
+    """
+    penalty = json_field(doc, "penalty", glm.PenaltySpec.from_dict, None)
     fit = glm.LogisticFit(
-        coefficients=np.array([float(doc["alpha0"]), float(doc["alpha1"])]),
-        standard_errors=np.array(ses),
+        coefficients=np.array([json_field(doc, "alpha0", float), json_field(doc, "alpha1", float)]),
+        standard_errors=np.array(
+            [json_field(doc, k, float, math.nan) for k in ("se_alpha0", "se_alpha1")]
+        ),
         converged=True,
-        penalty=None if penalty is None else glm.PenaltySpec.from_dict(penalty),
-        covariate_means=np.array([float(doc["cov_mean"])]),
-        covariate_sds=np.array([float(doc["cov_sd"])]),
+        penalty=penalty,
+        covariate_means=np.array([json_field(doc, "cov_mean", float)]),
+        covariate_sds=np.array([json_field(doc, "cov_sd", float)]),
         covariance=None,
     )
-    hl_doc = doc.get("hl")
-    hl = None if hl_doc is None else glm.HLResult.from_dict(hl_doc)
-    window = (Month.parse(doc["window"][0]), Month.parse(doc["window"][1]))
     return FrequencyModel(
-        protocol_id=str(doc["protocol_id"]),
+        protocol_id=json_field(doc, "protocol_id", str),
         fit=fit,
-        training_window=window,
-        hl=hl,
-        covariate_dropped=bool(doc.get("covariate_dropped", False)),
+        training_window=json_field(doc, "window", parse_window),
+        hl=json_field(doc, "hl", glm.HLResult.from_dict, None),
+        covariate_dropped=json_field(doc, "covariate_dropped", bool, False),
     )

@@ -24,6 +24,7 @@ from .errors import (
     InsufficientDataError,
     NotApplicableError,
     RankError,
+    json_field,
 )
 
 # Linear predictors are clipped here before the inverse link, which keeps
@@ -78,7 +79,9 @@ class PenaltySpec:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "PenaltySpec":
-        return cls(lam=float(doc["lambda"]), alpha_mix=float(doc["alpha_mix"]))
+        return cls(
+            lam=json_field(doc, "lambda", float), alpha_mix=json_field(doc, "alpha_mix", float)
+        )
 
 
 @dataclass(frozen=True)
@@ -403,10 +406,10 @@ class HLResult:
     @classmethod
     def from_dict(cls, doc: dict) -> "HLResult":
         return cls(
-            statistic=float(doc["stat"]),
-            df=int(doc["df"]),
-            p_value=float(doc["p"]),
-            groups_used=int(doc["groups"]),
+            statistic=json_field(doc, "stat", float),
+            df=json_field(doc, "df", int),
+            p_value=json_field(doc, "p", float),
+            groups_used=json_field(doc, "groups", int),
         )
 
 

@@ -16,8 +16,15 @@ from datetime import date
 import numpy as np
 
 from . import glm
-from .datamodel import Chain, IncidentRecord, Month, derive_loss_ratio, effective_tvl
-from .errors import DomainError, InsufficientDataError, NotApplicableError
+from .datamodel import (
+    Chain,
+    IncidentRecord,
+    Month,
+    derive_loss_ratio,
+    effective_tvl,
+    parse_window,
+)
+from .errors import DomainError, InsufficientDataError, NotApplicableError, json_field
 from .numerics import RngStream
 
 DEFAULT_WINDOW = (Month(2020, 1), Month(2023, 12))
@@ -97,16 +104,18 @@ def total_loss_row(chain: Chain, log_tvl: float, t: float) -> list[float]:
 class TrainingSet:
     """The incidents a severity model is fitted and diagnosed on.
 
-    ``records`` fall inside the training window and have a positive loss;
-    ``ratios`` are their loss ratios and ``design`` their total-loss design
-    rows (``total_loss_row``).  ``zero_loss`` counts the in-window records
-    skipped for a zero loss.
+    ``records`` fall inside the training ``window`` and have a positive
+    loss; ``ratios`` are their loss ratios and ``design`` their total-loss
+    design rows (``total_loss_row``, time counted from ``time_origin``).
+    ``zero_loss`` counts the in-window records skipped for a zero loss.
     """
 
     records: tuple[IncidentRecord, ...]
     ratios: np.ndarray
     design: np.ndarray
     zero_loss: int
+    window: tuple[Month, Month]
+    time_origin: date
 
     @property
     def total(self) -> np.ndarray:
@@ -146,20 +155,14 @@ def training_set(
         for rec in records
     ]
     design = np.array(rows, dtype=float).reshape(len(records), 7)
-    return TrainingSet(tuple(records), ratios, design, zero_loss)
+    return TrainingSet(tuple(records), ratios, design, zero_loss, window, time_origin)
 
 
-def fit_severity(
-    incidents,
-    window: tuple[Month, Month] = DEFAULT_WINDOW,
-    time_origin: date = DEFAULT_TIME_ORIGIN,
-    groups: int = 10,
-) -> SeverityModel:
-    """Fit both parts of the severity model on ``training_set(incidents)``.
+def fit_severity(data: TrainingSet, groups: int = 10) -> SeverityModel:
+    """Fit both parts of the severity model on a ``training_set``.
 
     Zero-loss incidents are skipped (counted, not errored).
     """
-    data = training_set(incidents, window, time_origin)
     if not data.records:
         raise InsufficientDataError("no usable incidents inside the training window")
     total = data.total
@@ -172,8 +175,8 @@ def fit_severity(
         return SeverityModel(
             total_loss_fit=None,
             proportional_fit=None,
-            time_origin=time_origin,
-            training_window=window,
+            time_origin=data.time_origin,
+            training_window=data.window,
             hl=None,
             n_total=n_total,
             n_partial=0,
@@ -192,8 +195,8 @@ def fit_severity(
     return SeverityModel(
         total_loss_fit=total_fit,
         proportional_fit=proportional_fit,
-        time_origin=time_origin,
-        training_window=window,
+        time_origin=data.time_origin,
+        training_window=data.window,
         hl=hl,
         n_total=n_total,
         n_partial=n_partial,
@@ -332,41 +335,62 @@ def to_dict(model: SeverityModel) -> dict:
     }
 
 
+def _vector(n: int, finite: bool = True):
+    """Cast of a JSON list to a float vector of length ``n``; null entries read NaN."""
+
+    def cast(raw) -> np.ndarray:
+        vec = np.array(raw, dtype=float)
+        if vec.shape != (n,) or (finite and not np.isfinite(vec).all()):
+            raise ValueError(f"expected {n} {'finite ' if finite else ''}numbers")
+        return vec
+
+    return cast
+
+
+def _variance(raw) -> float:
+    """Cast of a JSON number to a finite, non-negative variance."""
+    value = float(raw)
+    if not 0.0 <= value < math.inf:
+        raise ValueError(f"expected a finite non-negative variance, got {value}")
+    return value
+
+
 def from_dict(doc: dict) -> SeverityModel:
-    """Rebuild a severity model from its JSON payload."""
-    beta = doc.get("beta")
+    """Rebuild a severity model from its JSON payload.
+
+    A missing or malformed field is a SchemaError naming the key.
+    """
+    beta = json_field(doc, "beta", _vector(7), None)
     tl = None
     if beta is not None:
-        ses = doc.get("beta_se") or [None] * len(beta)
-        penalty = doc.get("penalty")
         tl = glm.LogisticFit(
-            coefficients=np.asarray(beta, dtype=float),
-            standard_errors=np.array([math.nan if s is None else float(s) for s in ses]),
+            coefficients=beta,
+            standard_errors=json_field(
+                doc, "beta_se", _vector(7, finite=False), np.full(7, math.nan)
+            ),
             converged=True,
-            penalty=None if penalty is None else glm.PenaltySpec.from_dict(penalty),
-            covariate_means=np.zeros(len(beta) - 1),
-            covariate_sds=np.ones(len(beta) - 1),
+            penalty=json_field(doc, "penalty", glm.PenaltySpec.from_dict, None),
+            covariate_means=np.zeros(6),
+            covariate_sds=np.ones(6),
             covariance=None,
         )
-    gamma = doc.get("gamma")
+    gamma = json_field(doc, "gamma", _vector(2), None)
     prop = None
     if gamma is not None:
         prop = glm.LinearLogitFit(
-            coefficients=np.asarray(gamma, dtype=float),
-            sigma2=float(doc["sigma2"]),
+            coefficients=gamma,
+            sigma2=json_field(doc, "sigma2", _variance),
             residuals=np.empty(0),
             xtx_inverse=None,
         )
-    hl_doc = doc.get("hl")
-    hl = None if hl_doc is None else glm.HLResult.from_dict(hl_doc)
     return SeverityModel(
         total_loss_fit=tl,
         proportional_fit=prop,
-        time_origin=date.fromisoformat(doc["time_origin"]),
-        training_window=(Month.parse(doc["window"][0]), Month.parse(doc["window"][1])),
-        hl=hl,
-        n_total=int(doc["n_total"]),
-        n_partial=int(doc["n_partial"]),
-        low_partial_warning=bool(doc["low_partial_warning"]),
-        zero_loss_skipped=int(doc.get("zero_loss_skipped", 0)),
+        time_origin=json_field(doc, "time_origin", date.fromisoformat),
+        training_window=json_field(doc, "window", parse_window),
+        hl=json_field(doc, "hl", glm.HLResult.from_dict, None),
+        n_total=json_field(doc, "n_total", int),
+        n_partial=json_field(doc, "n_partial", int),
+        low_partial_warning=json_field(doc, "low_partial_warning", bool),
+        zero_loss_skipped=json_field(doc, "zero_loss_skipped", int, 0),
     )

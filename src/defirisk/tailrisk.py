@@ -9,7 +9,20 @@ same seed yields byte-identical results for any worker count.
 VaR uses the ceil(n q)-th order statistic, the exact sample analogue of
 the generalized-inverse definition; CTE averages the strictly greater
 tail and falls back to VaR (flagged) when the sample puts an atom at the
-top.
+top.  A VaR that more than one sample value equals sits on an atom of the
+sample and is flagged too.
+
+Bootstrap standard errors resample only the top of the sorted sample
+(Efron & Tibshirani, *An Introduction to the Bootstrap*, 1993).  In a
+multinomial resample of n values, the count c of draws landing in the top
+m order statistics is Binomial(n, m/n), and given c those draws are
+uniform over the top m; the other n - c lie at or below all of them.  When
+the deepest rank any level needs falls among the top c, the top c draws
+alone fix every VaR and CTE; otherwise the other n - c draws are made as
+well.  The resampled law is therefore exact, and each resample costs
+O(m) instead of O(n) with m a little above n (1 - min level): the draws
+are tallied per order statistic, and a running count of the tallies
+gives each rank.
 """
 
 from __future__ import annotations
@@ -112,7 +125,7 @@ def simulate_aggregate(
     else:
         parts = [run_block(b) for b in range(n_blocks)]
     sample = np.concatenate(parts) if parts else np.empty(0)
-    sample.sort(kind="stable")
+    sample.sort()  # equal floats are indistinguishable, so any sort gives the same bytes
     return sample
 
 
@@ -134,14 +147,16 @@ def value_at_risk(sample: np.ndarray, q: float) -> float:
     return float(s[_order_index(s.size, q) - 1])
 
 
-def _tail(sample: np.ndarray, q: float) -> tuple[float, float, bool]:
-    """VaR_q, CTE_q, and whether no sample value lies above VaR_q (then CTE_q = VaR_q)."""
+def _tail(sample: np.ndarray, q: float) -> tuple[float, float, bool, bool]:
+    """VaR_q, CTE_q, whether no sample value lies above VaR_q (then CTE_q = VaR_q),
+    and whether VaR_q sits on an atom (more than one sample value equals it)."""
     s = np.asarray(sample, dtype=float)
     var_q = value_at_risk(s, q)
     start = int(np.searchsorted(s, var_q, side="right"))
+    on_atom = start - int(np.searchsorted(s, var_q, side="left")) > 1
     if start >= s.size:
-        return var_q, var_q, True
-    return var_q, float(s[start:].mean()), False
+        return var_q, var_q, True, on_atom
+    return var_q, float(s[start:].mean()), False, on_atom
 
 
 def conditional_tail_expectation(sample: np.ndarray, q: float) -> float:
@@ -149,58 +164,125 @@ def conditional_tail_expectation(sample: np.ndarray, q: float) -> float:
     return _tail(sample, q)[1]
 
 
+# Scenarios simulated for each ``dependence`` value, in report-column order.
+_SCENARIOS = {"on": ("dep",), "off": ("indep",), "both": ("dep", "indep")}
+
+# Per scenario: whether paths draw through the copula, the path stream and
+# the bootstrap stream (offsets within the report's base stream).
+_STREAMS = {
+    "dep": (True, _STREAM_DEP, _STREAM_BOOT_DEP),
+    "indep": (False, _STREAM_INDEP, _STREAM_BOOT_INDEP),
+}
+
+# Measures of one scenario at one level, in report-column order.
+_MEASURES = ("var_{}", "cte_{}", "var_{}_pct", "cte_{}_pct", "se_var_{}", "se_cte_{}")
+
+
 @dataclass(frozen=True)
 class RiskRow:
-    """All measures for one confidence level (USD and share of assets)."""
+    """All measures for one confidence level (USD and share of assets).
+
+    The measures of a scenario the report did not simulate are None.
+    """
 
     level: float
-    var_dep: float
-    var_indep: float
-    cte_dep: float
-    cte_indep: float
-    var_dep_pct: float
-    var_indep_pct: float
-    cte_dep_pct: float
-    cte_indep_pct: float
-    se_var_dep: float
-    se_var_indep: float
-    se_cte_dep: float
-    se_cte_indep: float
+    var_dep: float | None = None
+    var_indep: float | None = None
+    cte_dep: float | None = None
+    cte_indep: float | None = None
+    var_dep_pct: float | None = None
+    var_indep_pct: float | None = None
+    cte_dep_pct: float | None = None
+    cte_indep_pct: float | None = None
+    se_var_dep: float | None = None
+    se_var_indep: float | None = None
+    se_cte_dep: float | None = None
+    se_cte_indep: float | None = None
 
 
 @dataclass(frozen=True)
 class RiskReport:
     rows: tuple[RiskRow, ...]
+    scenarios: tuple[str, ...]
     total_tvl: float
     n_sims: int
     seed: int
     base_stream: int
     bootstrap_resamples: int
     degenerate_tail: tuple[str, ...]
+    var_on_atom: tuple[str, ...]
 
     @property
     def levels(self) -> tuple[float, ...]:
         return tuple(row.level for row in self.rows)
 
+    @property
+    def columns(self) -> tuple[str, ...]:
+        """Names of the measures the rows carry, in report-column order."""
+        return tuple(m.format(s) for m in _MEASURES for s in self.scenarios)
+
+
+def _tail_size(n: int, t: int) -> int:
+    """How many top order statistics each resample draws from when it needs the top ``t``.
+
+    The count of draws landing in the top m is Binomial(n, m/n), with mean
+    m and sd below sqrt(m), so it falls short of t only about 10 sd below
+    its mean: the full-resample fallback is there for exactness, not speed.
+    """
+    return min(n, t + math.ceil(10.0 * math.sqrt(t)) + 10)
+
+
+def _resample_counts(n: int, t: int, m: int, gen) -> tuple[np.ndarray, int]:
+    """How often one multinomial resample of a sorted n-sample draws each order statistic it needs.
+
+    Returns ``(counts, lo)``: ``counts[i]`` is the number of draws of the
+    (lo + i)-th smallest value (0-based); every other draw lies below it,
+    and at least ``t`` draws are counted, so the top ``t`` ranks of the
+    resample are among them.  The count c of draws in the top ``m`` >= ``t``
+    order statistics is drawn first; if c >= t only those c draws are made,
+    else the other n - c draws from the rest of the sample too, so the law
+    is exact for any such ``m``.
+    """
+    c = int(gen.binomial(n, m / n))
+    top = np.bincount(gen.integers(0, m, c), minlength=m)
+    if c >= t:
+        return top, n - m
+    return np.concatenate([np.bincount(gen.integers(0, n - m, n - c), minlength=n - m), top]), 0
+
+
+def _resample_tail(sample: np.ndarray, counts: np.ndarray, lo: int, ks) -> list[tuple]:
+    """(VaR, CTE) at each 1-based rank in ``ks`` of a resample tallied by ``_resample_counts``.
+
+    CTE is the mean of the resample's values strictly above VaR, or VaR
+    when there are none.
+    """
+    values = sample[lo:]
+    rank = np.cumsum(counts)  # the resample's rank of the last draw of each value
+    rank += sample.size - rank[-1]
+    out = []
+    for k in ks:
+        v = float(values[np.searchsorted(rank, k)])
+        above = int(np.searchsorted(values, v, side="right"))
+        weight = counts[above:]
+        drawn = int(weight.sum())
+        out.append((v, float((weight * values[above:]).sum()) / drawn if drawn else v))
+    return out
+
 
 def _bootstrap_ses(sample: np.ndarray, levels, resamples: int, gen) -> tuple[np.ndarray, np.ndarray]:
-    """Bootstrap SEs of (VaR, CTE) at each level via index resampling."""
+    """Bootstrap SEs of (VaR, CTE) at each level, resampling the top of the sorted sample."""
     n = sample.size
     ks = [_order_index(n, q) for q in levels]
-    kth = sorted(set(k - 1 for k in ks))
-    var_vals = np.empty((resamples, len(ks)))
-    cte_vals = np.empty((resamples, len(ks)))
-    for r in range(resamples):
-        idx = gen.integers(0, n, n)
-        x = sample[idx]
-        part = np.partition(x, kth)
-        for j, k in enumerate(ks):
-            v = part[k - 1]
-            tail = part[k - 1:]
-            above = tail[tail > v]
-            var_vals[r, j] = v
-            cte_vals[r, j] = above.mean() if above.size else v
-    return var_vals.std(axis=0, ddof=1), cte_vals.std(axis=0, ddof=1)
+    t = n - min(ks) + 1
+    m = _tail_size(n, t)
+    reps = np.array(
+        [_resample_tail(sample, *_resample_counts(n, t, m, gen), ks) for _ in range(resamples)]
+    )
+    # Deviations from the first replicate have the same SD, and an SD of
+    # exactly 0 when every replicate agrees (a float mean of equal values
+    # need not equal them).
+    se = (reps - reps[0]).std(axis=0, ddof=1)
+    return se[:, 0], se[:, 1]
 
 
 def risk_report(
@@ -216,11 +298,19 @@ def risk_report(
     workers: int = 1,
     bootstrap_resamples: int = 200,
     attack_probabilities=None,
+    dependence: str = "both",
 ) -> RiskReport:
-    """VaR and CTE with and without frequency dependence, plus bootstrap SEs."""
+    """VaR and CTE with frequency dependence, without it, or both, plus bootstrap SEs.
+
+    ``dependence`` is "on" (copula paths only), "off" (independent paths
+    only) or "both".  Each scenario draws from its own streams, so its
+    measures do not depend on whether the other one ran.
+    """
     levels = tuple(float(q) for q in levels)
     if any(not (0.0 < q < 1.0) for q in levels):
         raise DomainError("confidence levels must lie in (0, 1)")
+    if dependence not in _SCENARIOS:
+        raise ConfigError(f"dependence must be on/off/both, got {dependence!r}")
     common = dict(
         portfolio=portfolio,
         frequency_models=frequency_models,
@@ -231,50 +321,46 @@ def risk_report(
         workers=workers,
         attack_probabilities=attack_probabilities,
     )
-    s_dep = simulate_aggregate(copula=copula, rng=rng.child(_STREAM_DEP), **common)
-    s_indep = simulate_aggregate(copula=None, rng=rng.child(_STREAM_INDEP), **common)
 
-    se_var_dep, se_cte_dep = _bootstrap_ses(
-        s_dep, levels, bootstrap_resamples, rng.child(_STREAM_BOOT_DEP).generator()
-    )
-    se_var_indep, se_cte_indep = _bootstrap_ses(
-        s_indep, levels, bootstrap_resamples, rng.child(_STREAM_BOOT_INDEP).generator()
-    )
+    def measure(scenario: str) -> list[tuple]:
+        """(VaR, CTE, no tail, on atom, SE VaR, SE CTE) per level; the sample is freed on return."""
+        with_copula, path_stream, boot_stream = _STREAMS[scenario]
+        sample = simulate_aggregate(
+            copula=copula if with_copula else None, rng=rng.child(path_stream), **common
+        )
+        se_var, se_cte = _bootstrap_ses(
+            sample, levels, bootstrap_resamples, rng.child(boot_stream).generator()
+        )
+        return [(*_tail(sample, q), se_var[j], se_cte[j]) for j, q in enumerate(levels)]
+
+    scenarios = _SCENARIOS[dependence]
+    measured = {scenario: measure(scenario) for scenario in scenarios}
 
     _, tvl_arr = _resolve_inputs(portfolio, None, tvls)
     total_tvl = float(tvl_arr.sum())
     rows = []
     degenerate = []
+    on_atom = []
     for j, q in enumerate(levels):
-        vd, cd, no_tail_dep = _tail(s_dep, q)
-        vi, ci, no_tail_indep = _tail(s_indep, q)
-        if no_tail_dep:
-            degenerate.append(f"cte_dep@{q:g}")
-        if no_tail_indep:
-            degenerate.append(f"cte_indep@{q:g}")
-        rows.append(
-            RiskRow(
-                level=q,
-                var_dep=vd,
-                var_indep=vi,
-                cte_dep=cd,
-                cte_indep=ci,
-                var_dep_pct=vd / total_tvl,
-                var_indep_pct=vi / total_tvl,
-                cte_dep_pct=cd / total_tvl,
-                cte_indep_pct=ci / total_tvl,
-                se_var_dep=float(se_var_dep[j]),
-                se_var_indep=float(se_var_indep[j]),
-                se_cte_dep=float(se_cte_dep[j]),
-                se_cte_indep=float(se_cte_indep[j]),
-            )
-        )
+        values = {}
+        for scenario in scenarios:
+            var_q, cte_q, no_tail, atom, se_var, se_cte = measured[scenario][j]
+            if no_tail:
+                degenerate.append(f"cte_{scenario}@{q:g}")
+            if atom:
+                on_atom.append(f"var_{scenario}@{q:g}")
+            names = (m.format(scenario) for m in _MEASURES)
+            measures = (var_q, cte_q, var_q / total_tvl, cte_q / total_tvl, se_var, se_cte)
+            values.update(zip(names, map(float, measures)))
+        rows.append(RiskRow(level=q, **values))
     return RiskReport(
         rows=tuple(rows),
+        scenarios=scenarios,
         total_tvl=total_tvl,
         n_sims=n_sims,
         seed=rng.seed,
         base_stream=rng.stream_id,
         bootstrap_resamples=bootstrap_resamples,
         degenerate_tail=tuple(degenerate),
+        var_on_atom=tuple(on_atom),
     )

@@ -5,6 +5,7 @@ import math
 import numpy as np
 
 from defirisk.numerics import std_normal_cdf
+from defirisk.tailrisk import _order_index
 
 
 def _phi(z):
@@ -41,3 +42,29 @@ def bivariate_upper_orthant(a: float, b: float, rho: float, n_nodes: int = 400) 
         tail = 1.0 - std_normal_cdf((b - rho * zi) / denom)
         total += wi * _phi(zi) * tail
     return half * total
+
+
+def full_bootstrap_ses(sample: np.ndarray, levels, resamples: int, gen):
+    """Bootstrap SEs of (VaR, CTE) at each level from full n-index resamples.
+
+    The plain multinomial bootstrap the tail-only scheme in
+    ``tailrisk._bootstrap_ses`` must agree with in law: every resample
+    draws n indices into the sorted ``sample``.
+    """
+    n = sample.size
+    ks = [_order_index(n, q) for q in levels]
+    kth = sorted(set(k - 1 for k in ks))
+    var_vals = np.empty((resamples, len(ks)))
+    cte_vals = np.empty((resamples, len(ks)))
+    for r in range(resamples):
+        idx = gen.integers(0, n, n)
+        x = sample[idx]
+        part = np.partition(x, kth)
+        for j, k in enumerate(ks):
+            v = part[k - 1]
+            tail = part[k - 1:]
+            above = tail[tail > v]
+            var_vals[r, j] = v
+            cte_vals[r, j] = above.mean() if above.size else v
+    return var_vals.std(axis=0, ddof=1), cte_vals.std(axis=0, ddof=1)
+

@@ -103,7 +103,7 @@ def test_criterion_3_severity_parametric_recovery():
             10_000, seed=rep * 104729 + 1, betas=TOTAL_LOSS_COEFS,
             gammas=PROP_LOSS_COEFS, sigma2=sigma2,
         )
-        model = severity.fit_severity(incidents)
+        model = severity.fit_severity(severity.training_set(incidents))
         tl, prop = model.total_loss_fit, model.proportional_fit
         if tl.penalty is not None:
             continue

@@ -311,6 +311,26 @@ class TestFormats:
         header = (tmp_path / "risk_report.csv").read_text().splitlines()[0]
         assert "var_indep" in header and "var_dep" not in header
 
+    def test_single_scenario_matches_its_columns_of_both(self, fitted_dir, tmp_path):
+        def report(dependence):
+            out = tmp_path / dependence
+            assert run(["simulate", "--tvl", TVL, "--portfolio", PORTFOLIO_PRICED,
+                        "--models", fitted_dir, "--output", out, "--seed", 5,
+                        "--samples", 20000, "--bootstrap", 10, "--dependence", dependence]) == 0
+            with open(out / "risk_report.csv", newline="") as fh:
+                rows = list(csv.reader(fh))
+            meta = json.loads((out / "risk_report_meta.json").read_text())
+            return {name: [row[i] for row in rows[1:]] for i, name in enumerate(rows[0])}, meta
+
+        both, both_meta = report("both")
+        for dependence, scenario in (("off", "indep"), ("on", "dep")):
+            single, meta = report(dependence)
+            assert list(single) == ["level"] + [c for c in both if scenario in c.split("_")]
+            for column, cells in single.items():
+                assert cells == both[column], column
+            for flags in ("degenerate_tail", "var_on_atom"):
+                assert meta[flags] == [f for f in both_meta[flags] if f"_{scenario}@" in f]
+
     def test_levels_flag_sets_report_rows(self, fitted_dir, tmp_path):
         assert run(["simulate", "--tvl", TVL, "--portfolio", PORTFOLIO_PRICED,
                     "--models", fitted_dir, "--output", tmp_path, "--seed", 5,
@@ -378,6 +398,39 @@ class TestErrorSurface:
         code = run(["gof", "--model", model, "--incidents", INCIDENTS, "--output", tmp_path])
         assert code == 2
         assert json.loads(capsys.readouterr().err)["error"]["code"] == 2
+
+    @pytest.mark.parametrize("command", ["simulate", "gof"])
+    @pytest.mark.parametrize(
+        "name, edit, key",
+        [
+            ("freq_P1.json", lambda doc: {"alpha0": 1.0}, "alpha1"),
+            ("freq_P1.json", lambda doc: {**doc, "cov_sd": "wide"}, "cov_sd"),
+            ("severity_model.json", lambda doc: {"beta": [1.0]}, "beta"),
+            ("severity_model.json", lambda doc: {**doc, "hl": [1]}, "hl"),
+            ("severity_model.json", lambda doc: {**doc, "sigma2": -1.0}, "sigma2"),
+        ],
+        ids=["freq-missing", "freq-mistyped", "severity-short-beta", "severity-bad-hl",
+             "severity-negative-sigma2"],
+    )
+    def test_malformed_model_json_exits_2(
+        self, fitted_dir, tmp_path, capsys, command, name, edit, key
+    ):
+        models = tmp_path / "models"
+        shutil.copytree(fitted_dir, models)
+        path = models / name
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        inputs = ["--tvl", TVL, "--output", tmp_path / "out"]
+        if command == "simulate":
+            args = ["simulate", "--portfolio", PORTFOLIO_PRICED, "--models", models,
+                    "--samples", 10000, "--bootstrap", 2]
+        else:
+            args = ["gof", "--model", path, "--incidents", INCIDENTS, "--portfolio", PORTFOLIO]
+        assert run(args + inputs) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])["error"]
+        assert error["type"] == "SchemaError"
+        assert str(path) in error["message"] and repr(key) in error["message"]
 
     def test_empty_incidents_routes_all_to_no_event_notice(self, tmp_path):
         empty = tmp_path / "empty.csv"

@@ -60,7 +60,7 @@ def total_loss_only_model():
 class TestFitSeverity:
     def test_parametric_recovery(self):
         incidents = severity_incidents(10_000, 301, TOTAL_LOSS_COEFS, PROP_LOSS_COEFS, SIGMA2_TRUTH)
-        model = severity.fit_severity(incidents)
+        model = severity.fit_severity(severity.training_set(incidents))
         tl = model.total_loss_fit
         assert tl.penalty is None
         assert np.all(np.abs(tl.coefficients - TOTAL_LOSS_COEFS) <= 3.0 * tl.standard_errors)
@@ -85,7 +85,7 @@ class TestFitSeverity:
                     f"E{i}", date(2021, 3, 1), Chain.ETH, IssueType.OTHER, tvl / 2, tvl
                 )
             )
-        model = severity.fit_severity(incidents)
+        model = severity.fit_severity(severity.training_set(incidents))
         assert model.total_loss_fit.penalty is not None
         assert np.all(np.isfinite(model.total_loss_fit.coefficients))
         assert model.n_partial == 60
@@ -96,7 +96,7 @@ class TestFitSeverity:
             IncidentRecord(f"P{i}", date(2022, 1, 1), Chain.ETH, IssueType.OTHER, 1e6, None)
             for i in range(40)
         ]
-        model = severity.fit_severity(incidents)
+        model = severity.fit_severity(severity.training_set(incidents))
         assert model.total_loss_only
         assert severity.predict_total_loss_prob(model, Chain.ETH, 1e6, date(2023, 1, 1)) == 1.0
 
@@ -106,13 +106,13 @@ class TestFitSeverity:
             IncidentRecord("OLD", date(2019, 6, 1), Chain.ETH, IssueType.OTHER, 1e6, 1e7),
             IncidentRecord("ZERO", date(2021, 6, 1), Chain.ETH, IssueType.OTHER, 0.0, 1e7),
         ]
-        model = severity.fit_severity(inside + outside)
+        model = severity.fit_severity(severity.training_set(inside + outside))
         assert model.n_total + model.n_partial == 50
         assert model.zero_loss_skipped == 1
 
     def test_low_partial_warning(self):
         incidents = severity_incidents(40, 307, TOTAL_LOSS_COEFS, PROP_LOSS_COEFS, 1.0)
-        model = severity.fit_severity(incidents)
+        model = severity.fit_severity(severity.training_set(incidents))
         if model.n_partial < severity.MIN_PARTIAL_OBS:
             assert model.low_partial_warning
 
@@ -123,7 +123,7 @@ class TestFitSeverity:
             incidents = severity_incidents(
                 2000, 400 + seed, TOTAL_LOSS_COEFS, PROP_LOSS_COEFS, SIGMA2_TRUTH
             )
-            model = severity.fit_severity(incidents)
+            model = severity.fit_severity(severity.training_set(incidents))
             if model.hl is not None and model.hl.p_value > 0.05:
                 passes += 1
         assert passes >= 18
@@ -271,7 +271,7 @@ class TestSerialization:
         import json
 
         incidents = severity_incidents(800, 311, TOTAL_LOSS_COEFS, PROP_LOSS_COEFS, 2.0)
-        model = severity.fit_severity(incidents)
+        model = severity.fit_severity(severity.training_set(incidents))
         back = severity.from_dict(json.loads(json.dumps(severity.to_dict(model))))
         when = date(2023, 5, 1)
         for chain in (Chain.ETH, Chain.BSC, Chain.OTHER):

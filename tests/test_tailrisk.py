@@ -12,6 +12,7 @@ from defirisk.dependence import build_copula
 from defirisk.errors import ConfigError, DomainError
 from defirisk.numerics import RngStream
 
+from oracles import full_bootstrap_ses
 from test_pricing import flat_frequency_model, flat_severity_model
 from test_severity import total_loss_only_model
 
@@ -262,6 +263,66 @@ class TestRiskReport:
         theory = math.sqrt(0.95 * 0.05 / n) / (math.exp(-z * z / 2) / math.sqrt(2 * math.pi))
         assert 0.7 < se_var[0] / theory < 1.4
 
+    def test_var_on_atom_flags(self, monkeypatch):
+        # Criterion 5's exact Bernoulli mixture puts VaR on the zero atom at
+        # 0.90 and on the total-loss atom at 0.96; a continuous sample never.
+        n = 1_000_000
+        k = int(0.05 * n)
+        mixture = np.concatenate([np.zeros(n - k), np.full(k, 100.0)])
+        continuous = np.sort(RngStream(8, 0).generator().standard_normal(n))
+        for sample, flagged in (
+            (mixture, ("var_dep@0.9", "var_indep@0.9", "var_dep@0.96", "var_indep@0.96")),
+            (continuous, ()),
+        ):
+            monkeypatch.setattr(tailrisk, "simulate_aggregate", lambda **_: sample)
+            report = tailrisk.risk_report(
+                make_portfolio(1),
+                None,
+                total_loss_only_model(),
+                build_copula(np.eye(1)),
+                {"P0": 100.0},
+                WHEN,
+                levels=(0.90, 0.96),
+                n_sims=n,
+                rng=RngStream(4, 0),
+                bootstrap_resamples=10,
+                attack_probabilities=[0.05],
+            )
+            assert report.var_on_atom == flagged
+
+    def test_single_scenario_report_carries_only_its_columns(self):
+        report = tailrisk.risk_report(
+            make_portfolio(2),
+            {f"P{i}": flat_frequency_model(0.1, f"P{i}") for i in range(2)},
+            total_loss_only_model(),
+            build_copula(np.eye(2)),
+            {"P0": 1e6, "P1": 2e6},
+            WHEN,
+            levels=(0.9,),
+            n_sims=20_000,
+            rng=RngStream(3, 50),
+            bootstrap_resamples=10,
+            dependence="off",
+        )
+        assert report.scenarios == ("indep",)
+        assert report.columns == (
+            "var_indep", "cte_indep", "var_indep_pct", "cte_indep_pct",
+            "se_var_indep", "se_cte_indep",
+        )
+        assert report.rows[0].var_dep is None and report.rows[0].var_indep > 0.0
+        with pytest.raises(ConfigError):
+            tailrisk.risk_report(
+                make_portfolio(1),
+                {"P0": flat_frequency_model(0.1, "P0")},
+                total_loss_only_model(),
+                None,
+                {"P0": 1e6},
+                WHEN,
+                n_sims=10_000,
+                rng=RngStream(1),
+                dependence="sometimes",
+            )
+
     def test_bad_levels_rejected(self):
         portfolio = make_portfolio(1)
         with pytest.raises(DomainError):
@@ -276,3 +337,91 @@ class TestRiskReport:
                 n_sims=10_000,
                 rng=RngStream(1),
             )
+
+
+class TestTailOnlyBootstrap:
+    @staticmethod
+    def atoms_sample(n=20_000):
+        """A zero atom (89%), a continuous middle (8%) and a total-loss atom (3%)."""
+        middle = 1e6 * np.exp(RngStream(21, 0).generator().standard_normal(int(0.08 * n)))
+        zeros = np.zeros(int(0.89 * n))
+        return np.sort(np.concatenate([zeros, middle, np.full(n - zeros.size - middle.size, 1e9)]))
+
+    def test_standard_errors_agree_with_full_bootstrap(self):
+        # Levels on the zero atom's edge, inside the continuous part, on the
+        # total-loss atom's edge and inside that atom.  The mean SE over 40
+        # bootstrap seeds must agree with the full resampling oracle's within
+        # 4 combined standard errors of the two means.
+        sample = self.atoms_sample()
+        levels = (0.89, 0.95, 0.97, 0.99)
+        seeds = range(40)
+        tail = np.array([
+            np.concatenate(tailrisk._bootstrap_ses(sample, levels, 40, RngStream(s, 1).generator()))
+            for s in seeds
+        ])
+        full = np.array([
+            np.concatenate(full_bootstrap_ses(sample, levels, 40, RngStream(s, 2).generator()))
+            for s in seeds
+        ])
+        gap = np.abs(tail.mean(axis=0) - full.mean(axis=0))
+        se = np.hypot(tail.std(axis=0, ddof=1), full.std(axis=0, ddof=1)) / math.sqrt(len(seeds))
+        assert np.all(gap <= 4.0 * se), (gap / np.where(se > 0, se, np.nan)).round(2)
+        assert np.all(tail[:, :3] > 0.0) and np.all(tail[:, 3] == 0.0)
+
+    def test_short_top_draw_falls_back_to_an_exact_full_resample(self):
+        # With m = t the binomial count of draws in the top m falls below t
+        # in P(Bin(10, 0.3) < 3) = 38% of resamples, which then draw the
+        # rest of the sample too.  Either way rank k of the resample must
+        # follow its exact law: P(X_(k) <= x_j) = P(Bin(n, j/n) >= k).
+        n, t, draws = 10, 3, 20_000
+        gen = RngStream(30, 0).generator()
+        ranks = (8, 10)
+        seen = np.empty((draws, len(ranks)))
+        fallbacks = 0
+        for r in range(draws):
+            counts, lo = tailrisk._resample_counts(n, t, t, gen)
+            fallbacks += lo == 0
+            drawn = np.repeat(np.arange(lo + 1, n + 1), counts)  # the counted x_j, ascending
+            seen[r] = [drawn[k - 1 - (n - drawn.size)] for k in ranks]
+        p_fall = sum(math.comb(n, c) * 0.3**c * 0.7 ** (n - c) for c in range(t))
+        assert abs(fallbacks / draws - p_fall) <= 5.0 * math.sqrt(p_fall * (1 - p_fall) / draws)
+        for i, k in enumerate(ranks):
+            for j in range(1, n):
+                p = j / n
+                exact = sum(math.comb(n, c) * p**c * (1 - p) ** (n - c) for c in range(k, n + 1))
+                got = float((seen[:, i] <= j).mean())
+                assert abs(got - exact) <= 5.0 * math.sqrt(exact * (1 - exact) / draws) + 1e-12
+
+    def test_tallied_resample_measures_match_the_explicit_resample(self):
+        # Expand each tally into the resample it stands for (the draws not
+        # tallied lie below index lo) and recompute VaR and CTE from it,
+        # on the tail path (m from _tail_size) and on the fallback (m = t).
+        sample = self.atoms_sample(2_000)
+        n = sample.size
+        levels = (0.89, 0.95, 0.97, 0.99)
+        ks = [tailrisk._order_index(n, q) for q in levels]
+        t = n - min(ks) + 1
+        gen = RngStream(32, 0).generator()
+        paths = set()
+        for m in (tailrisk._tail_size(n, t), t):
+            for _ in range(40):
+                counts, lo = tailrisk._resample_counts(n, t, m, gen)
+                paths.add(lo)
+                below = np.full(n - int(counts.sum()), sample[lo - 1] if lo else 0.0)
+                resample = np.concatenate([below, np.repeat(sample[lo:], counts)])
+                for (v, cte), q in zip(tailrisk._resample_tail(sample, counts, lo, ks), levels):
+                    want_var, want_cte, *_ = tailrisk._tail(resample, q)
+                    assert v == want_var
+                    assert cte == pytest.approx(want_cte, rel=1e-12)
+        assert 0 in paths and len(paths) > 1
+
+    def test_var_on_an_atom_in_every_resample_has_zero_se(self):
+        # 20% of the sample on one total loss: VaR at 0.9, 0.95 and 0.99
+        # lands on it in every resample.  numpy's axis-0 SD of 200 copies of
+        # 459252161.86 in three columns is 5.4e-07, not 0, so the SD must be
+        # taken around a replicate.
+        rest = np.sort(RngStream(31, 0).generator().random(16_000)) * 1e8
+        sample = np.concatenate([rest, np.full(4_000, 459252161.86)])
+        levels = (0.90, 0.95, 0.99)
+        se_var, se_cte = tailrisk._bootstrap_ses(sample, levels, 200, RngStream(31, 1).generator())
+        assert np.all(se_var == 0.0) and np.all(se_cte == 0.0)
