@@ -37,6 +37,7 @@ from .datamodel import (
     load_incidents,
     load_portfolio,
     load_tvl,
+    read_json_object,
 )
 from .dependence import build_copula
 from .errors import ConfigError, EngineError, NoEventError, SchemaError
@@ -67,12 +68,14 @@ class RunConfig:
     model: Path | None = None
 
     def validate(self, needs: tuple[str, ...]) -> None:
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
         if self.n_samples < 10_000:
             raise ConfigError(f"samples must be at least 10^4, got {self.n_samples}")
-        if self.theta is not None and not self.theta > 0.0:
-            raise ConfigError(f"theta must be positive, got {self.theta}")
-        if any(not (0.0 < q < 1.0) for q in self.levels):
-            raise ConfigError(f"levels must lie strictly in (0, 1), got {self.levels}")
+        if self.theta is not None and not 0.0 < self.theta < math.inf:
+            raise ConfigError(f"theta must be positive and finite, got {self.theta}")
+        if not self.levels or any(not (0.0 < q < 1.0) for q in self.levels):
+            raise ConfigError(f"levels must be one or more in (0, 1), got {self.levels}")
         if self.output_format not in ("csv", "json"):
             raise ConfigError(f"format must be csv or json, got {self.output_format}")
         if self.dependence not in ("on", "off", "both"):
@@ -89,16 +92,8 @@ class RunConfig:
                 raise ConfigError(f"{name} path does not exist: {value}")
 
 
-def _read_json(path: Path):
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
-
-
 def _load_config_file(path: Path) -> dict:
-    doc = _read_json(path)
+    doc = read_json_object(path)
     unknown = set(doc) - set(_SETTINGS)
     if unknown:
         raise ConfigError(f"{path}: unknown config keys {sorted(unknown)}")
@@ -145,8 +140,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             if source.get(key) is not None:
                 try:
                     setattr(cfg, attr, cast(source[key]))
-                except (TypeError, ValueError) as exc:
-                    raise ConfigError(f"bad {key} {source[key]!r}") from exc
+                except (TypeError, ValueError, OverflowError) as exc:
+                    raise ConfigError(f"bad {key} {source[key]!r:.60}") from exc
     return cfg
 
 
@@ -372,10 +367,7 @@ def _read_model(path: Path, what: str) -> dict:
     """The JSON object of a fitted-model file."""
     if not path.exists():
         raise ConfigError(f"missing {what}: {path}")
-    doc = _read_json(path)
-    if not isinstance(doc, dict):
-        raise SchemaError(f"{path}: expected a JSON object, got {type(doc).__name__}")
-    return doc
+    return read_json_object(path)
 
 
 def _rebuild_model(path: Path, doc: dict, from_dict):
@@ -469,7 +461,7 @@ def _price_from_override(cfg: RunConfig) -> list[Path]:
     per protocol and stay empty otherwise.
     """
     cfg.validate(needs=("override",))
-    doc = _read_json(cfg.override)
+    doc = read_json_object(cfg.override)
     theta = cfg.theta if cfg.theta is not None else pricing.DEFAULT_THETA
     if cfg.portfolio is not None and Path(cfg.portfolio).exists():
         portfolio = load_portfolio(cfg.portfolio)
@@ -490,16 +482,18 @@ def _price_from_override(cfg: RunConfig) -> list[Path]:
             tvl = float(entry.get("tvl", 1.0))
             second = entry.get("second_moment_pct")
             e_y2 = math.nan if second is None else tvl * tvl * float(second)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(
                 f"override entry for {pid!r} needs numeric attack_prob and loss_pct"
             ) from exc
-        if not (0.0 <= attack_prob <= 1.0 and 0.0 <= loss_pct <= 1.0 and tvl > 0.0):
+        if not (0.0 <= attack_prob <= 1.0 and 0.0 <= loss_pct <= 1.0 and 0.0 < tvl < math.inf):
             raise ConfigError(
                 f"override entry for {pid!r} needs attack_prob and loss_pct in [0, 1] "
-                "and a positive tvl"
+                "and a positive finite tvl"
             )
         expectation_usd, sd_usd, _ = pricing.premiums(attack_prob, tvl * loss_pct, e_y2, theta)
+        if not math.isfinite(expectation_usd) or (second is not None and not math.isfinite(sd_usd)):
+            raise ConfigError(f"override entry for {pid!r} gives a premium that is not finite")
         if second is None:
             sd_usd = None  # no second moment supplied: the SD premium is undefined
         rows.append(
@@ -575,11 +569,15 @@ def cmd_simulate(cfg: RunConfig) -> list[Path]:
 def _write_qq_table(
     path: Path, model: severity.SeverityModel, data: severity.TrainingSet
 ) -> Path | None:
-    """QQ coordinates of the partial-loss quantile residuals; None when there are none."""
+    """QQ coordinates of the partial-loss quantile residuals.
+
+    None when there are none: no partial losses, or a zero residual variance.
+    """
     design, ratios = data.partial()
-    if model.proportional_fit is None or not len(ratios):
+    fit = model.proportional_fit
+    if fit is None or not len(ratios) or fit.sigma2 == 0.0:
         return None
-    resid = np.sort(glm.quantile_residuals(model.proportional_fit, design, ratios), kind="stable")
+    resid = np.sort(glm.quantile_residuals(fit, design, ratios), kind="stable")
     n = len(resid)
     rows = [[k, std_normal_quantile((k + 0.5) / n), float(resid[k])] for k in range(n)]
     _write_csv(path, ["index", "theoretical_quantile", "sample_quantile"], rows)
@@ -604,7 +602,11 @@ def cmd_gof(cfg: RunConfig) -> list[Path]:
             ingest.records, tvl_obs, matches[0], model.training_window[1]
         )
         hl = glm.hosmer_lemeshow(model.fit, *frequency.panel_design(panel))
-        payload = {"model": "frequency", "protocol_id": model.protocol_id, "hl": hl.to_dict()}
+        payload = {
+            "model": "frequency",
+            "protocol_id": model.protocol_id,
+            "hl": None if hl is None else hl.to_dict(),
+        }
     elif "beta" in doc or "gamma" in doc:
         model = _rebuild_model(cfg.model, doc, severity.from_dict)
         ingest = load_incidents(cfg.incidents)

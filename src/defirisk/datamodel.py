@@ -97,7 +97,10 @@ class Month:
 def parse_window(raw) -> tuple[Month, Month]:
     """A training window stored as a ``[start, end]`` pair of YYYY-MM strings."""
     start, end = raw
-    return Month.parse(start), Month.parse(end)
+    start, end = Month.parse(start), Month.parse(end)
+    if end < start:
+        raise ValueError(f"window end {end} precedes its start {start}")
+    return start, end
 
 
 def month_range(start: Month, end: Month) -> list[Month]:
@@ -151,8 +154,8 @@ class Portfolio:
         if sim.shape != (d, d):
             raise DataError(f"similarity must be {d}x{d}, got {sim.shape}")
         sim = check_similarity(sim)
-        if not self.loading_theta > 0.0:
-            raise DataError(f"loading theta must be positive, got {self.loading_theta}")
+        if not 0.0 < self.loading_theta < math.inf:
+            raise DataError(f"loading theta must be positive and finite, got {self.loading_theta}")
         sim = sim.copy()
         sim.setflags(write=False)
         object.__setattr__(self, "similarity", sim)
@@ -294,16 +297,26 @@ def load_tvl(path) -> tuple[TvlObservation, ...]:
     return tuple(out)
 
 
-def load_portfolio(path) -> Portfolio:
-    """Parse the portfolio JSON: protocols, similarity matrix, theta."""
+def read_json_object(path) -> dict:
+    """The JSON object a portfolio, config, override or fitted-model file holds."""
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, or nested too deep
             raise SchemaError(f"{path}: invalid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{path}: expected a JSON object, got {type(doc).__name__}")
+    return doc
+
+
+def load_portfolio(path) -> Portfolio:
+    """Parse the portfolio JSON: protocols, similarity matrix, theta."""
+    doc = read_json_object(path)
     for key in ("protocols", "similarity", "theta"):
         if key not in doc:
             raise SchemaError(f"{path}: missing portfolio key {key!r}")
+    if not isinstance(doc["protocols"], list):
+        raise SchemaError(f"{path}: protocols must be a list")
     protocols = []
     for entry in doc["protocols"]:
         try:
@@ -323,7 +336,7 @@ def load_portfolio(path) -> Portfolio:
             similarity=np.asarray(doc["similarity"], dtype=float),
             loading_theta=float(doc["theta"]),
         )
-    except (ValueError, TypeError, DomainError) as exc:
+    except (ValueError, TypeError, OverflowError, DomainError) as exc:
         raise SchemaError(f"{path}: bad portfolio payload: {exc}") from exc
 
 
@@ -338,6 +351,11 @@ def build_monthly_panel(
     Multiple incidents inside one month collapse to a single event; a
     missing or zero TVL month is an error, never interpolated.
     """
+    if window_end < protocol.inception:
+        raise DataError(
+            f"protocol {protocol.id!r}: window end {window_end} precedes inception "
+            f"{protocol.inception}"
+        )
     months = month_range(protocol.inception, window_end)
     tvl_by_month = {obs.month: obs.tvl_usd for obs in tvl if obs.protocol_id == protocol.id}
     event_months = {

@@ -69,10 +69,6 @@ class RankError(EngineError):
     """Design matrix is rank deficient where a full-rank fit is required."""
 
 
-class NotApplicableError(EngineError):
-    """A diagnostic test cannot be computed on this fit (e.g. too few groups)."""
-
-
 _REQUIRED = object()
 
 
@@ -97,5 +93,5 @@ def json_field(doc: dict, key: str, cast, default=_REQUIRED):
         return cast(value)
     except SchemaError as exc:
         raise SchemaError(f"in {key!r}: {exc}") from exc
-    except (TypeError, ValueError, IndexError, AttributeError) as exc:
+    except (TypeError, ValueError, OverflowError, IndexError, AttributeError) as exc:
         raise SchemaError(f"bad value for key {key!r}: {value!r:.60}") from exc

@@ -18,7 +18,6 @@ from .errors import (
     DomainError,
     InsufficientDataError,
     NoEventError,
-    NotApplicableError,
     json_field,
 )
 from .numerics import std_normal_quantile
@@ -85,10 +84,7 @@ def fit_frequency(panel, groups: int = 10) -> FrequencyModel:
         return FrequencyModel(protocol_id, fit, window, hl=None, covariate_dropped=True)
 
     fit = glm.fit_logistic(design, y, standardize=True)
-    try:
-        hl = glm.hosmer_lemeshow(fit, design, y, groups=groups)
-    except NotApplicableError:
-        hl = None
+    hl = glm.hosmer_lemeshow(fit, design, y, groups=groups)
     return FrequencyModel(protocol_id, fit, window, hl=hl)
 
 
@@ -157,6 +153,22 @@ def to_dict(model: FrequencyModel) -> dict:
     }
 
 
+def _finite(raw) -> float:
+    """Cast of a JSON number to a finite float."""
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {value}")
+    return value
+
+
+def _positive(raw) -> float:
+    """Cast of a JSON number to a finite positive float."""
+    value = _finite(raw)
+    if value <= 0.0:
+        raise ValueError(f"expected a positive number, got {value}")
+    return value
+
+
 def from_dict(doc: dict) -> FrequencyModel:
     """Rebuild a frequency model from its JSON payload.
 
@@ -164,14 +176,16 @@ def from_dict(doc: dict) -> FrequencyModel:
     """
     penalty = json_field(doc, "penalty", glm.PenaltySpec.from_dict, None)
     fit = glm.LogisticFit(
-        coefficients=np.array([json_field(doc, "alpha0", float), json_field(doc, "alpha1", float)]),
+        coefficients=np.array(
+            [json_field(doc, "alpha0", _finite), json_field(doc, "alpha1", _finite)]
+        ),
         standard_errors=np.array(
             [json_field(doc, k, float, math.nan) for k in ("se_alpha0", "se_alpha1")]
         ),
         converged=True,
         penalty=penalty,
-        covariate_means=np.array([json_field(doc, "cov_mean", float)]),
-        covariate_sds=np.array([json_field(doc, "cov_sd", float)]),
+        covariate_means=np.array([json_field(doc, "cov_mean", _finite)]),
+        covariate_sds=np.array([json_field(doc, "cov_sd", _positive)]),
         covariance=None,
     )
     return FrequencyModel(

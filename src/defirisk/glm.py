@@ -13,16 +13,15 @@ way.  Standardization uses the sample standard deviation (ddof=1).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import chi2
 
 from .errors import (
     DegenerateResponseError,
     DomainError,
     InsufficientDataError,
-    NotApplicableError,
     RankError,
     json_field,
 )
@@ -434,14 +433,15 @@ def _partition_sorted(p_sorted: np.ndarray, groups: int) -> list[tuple[int, int]
     return bounds
 
 
-def hosmer_lemeshow(fit: LogisticFit, design, response, groups: int = 10) -> HLResult:
+def hosmer_lemeshow(fit: LogisticFit, design, response, groups: int = 10) -> HLResult | None:
     """Grouped Pearson chi-square test of logistic calibration.
 
     Observations are sorted by fitted probability and split into
     near-equal groups (ties kept together); groups whose expected events
     are 0 or equal to the group size are merged into a neighbour.  The
     statistic sums (O - E)^2 / (E (1 - mean p)) over groups and is referred
-    to chi-square with groups_used - 2 degrees of freedom.
+    to chi-square with groups_used - 2 degrees of freedom.  None when fewer
+    than 3 groups remain after merging: the test does not apply.
     """
     if groups < 3:
         raise DomainError(f"need at least 3 groups, got {groups}")
@@ -474,16 +474,44 @@ def hosmer_lemeshow(fit: LogisticFit, design, response, groups: int = 10) -> HLR
 
     used = len(cells)
     if used < 3:
-        raise NotApplicableError(
-            f"only {used} usable groups after merging; Hosmer-Lemeshow needs 3"
-        )
+        return None
     stat = 0.0
     for n_g, obs, exp in cells:
         mean_p = exp / n_g
         stat += (obs - exp) ** 2 / (exp * (1.0 - mean_p))
     df = used - 2
-    p_value = float(chi2.sf(stat, df))
+    p_value = _chi2_sf(stat, df)
     return HLResult(statistic=float(stat), df=df, p_value=p_value, groups_used=used)
+
+
+def _chi2_sf(x: float, df: int) -> float:
+    """Upper tail P(X > x) of a chi-square variable with integer ``df`` >= 1.
+
+    Closed forms for an integer df (Abramowitz & Stegun 26.4.4-26.4.5),
+    with h = x/2: for even df the Poisson sum exp(-h) sum_{j<df/2} h^j / j!,
+    for odd df erfc(sqrt h) + exp(-h) sum_{j=1}^{(df-1)/2} h^(j-1/2) / Gamma(j+1/2).
+    Every term is positive, so no digits cancel.  Beyond x of about 1490,
+    where exp(-h) underflows, the result is 0.
+    """
+    if x <= 0.0:
+        return 1.0
+    h = 0.5 * x
+    decay = math.exp(-h)
+    if decay == 0.0:
+        return 0.0
+    if df % 2 == 0:
+        term = total = 1.0  # h^0 / 0!
+        for j in range(1, df // 2):
+            term *= h / j
+            total += term
+        return decay * total
+    root = math.sqrt(h)
+    term = 2.0 * root / math.sqrt(math.pi)  # h^(1/2) / Gamma(3/2)
+    total = 0.0
+    for j in range(1, (df - 1) // 2 + 1):
+        total += term
+        term *= h / (j + 0.5)
+    return math.erfc(root) + decay * total
 
 
 def quantile_residuals(fit: LinearLogitFit, design, response) -> np.ndarray:

@@ -24,7 +24,7 @@ from .datamodel import (
     effective_tvl,
     parse_window,
 )
-from .errors import DomainError, InsufficientDataError, NotApplicableError, json_field
+from .errors import DomainError, InsufficientDataError, json_field
 from .numerics import RngStream
 
 DEFAULT_WINDOW = (Month(2020, 1), Month(2023, 12))
@@ -185,10 +185,7 @@ def fit_severity(data: TrainingSet, groups: int = 10) -> SeverityModel:
         )
 
     total_fit = glm.fit_logistic(data.design, total.astype(float), standardize=False)
-    try:
-        hl = glm.hosmer_lemeshow(total_fit, data.design, total.astype(float), groups=groups)
-    except NotApplicableError:
-        hl = None
+    hl = glm.hosmer_lemeshow(total_fit, data.design, total.astype(float), groups=groups)
 
     proportional_fit = glm.fit_linear_on_logit(*data.partial())
 

@@ -1,13 +1,22 @@
+import contextlib
 import csv
+import io
 import json
 import math
+import os
 import re
 import shutil
+import subprocess
+import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from defirisk.cli import main
+import defirisk
+from defirisk.cli import _SETTINGS, main
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -463,6 +472,10 @@ def _bad_inception(doc):
     doc["protocols"][0]["inception"] = "2020-13"
 
 
+def _late_inception(doc):
+    doc["protocols"][0]["inception"] = "2030-01"
+
+
 # (extra tvl.csv rows, portfolio edit, extra flags) of fit-frequency runs
 # whose input is malformed.
 MALFORMED = {
@@ -470,6 +483,7 @@ MALFORMED = {
     "tvl-nan": ("P1,2031-01,nan\n", None, []),
     "tvl-inf": ("P1,2031-01,inf\n", None, []),
     "inception-month-13": ("", _bad_inception, []),
+    "inception-after-window": ("", _late_inception, []),
     "window-end-month-13": ("", None, ["--window-end", "2020-13"]),
     "similarity-asymmetric": ("", _asymmetric, []),
     "similarity-entry-1.5": ("", _set_entry(1.5), []),
@@ -519,6 +533,226 @@ class TestConfigFile:
         cfg.write_text(json.dumps({"incidnets": "x"}))
         assert run(["summarize", "--config", cfg, "--incidents", INCIDENTS,
                     "--output", tmp_path]) == 2
+
+
+# Arbitrary JSON as Python's json module reads it: NaN, the infinities and
+# integers no double holds included, nested a few levels.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.text(max_size=10)
+    | st.integers(min_value=-(10**400), max_value=10**400),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=10), inner, max_size=4),
+    max_leaves=10,
+)
+
+
+def json_objects(keys):
+    """JSON objects keyed by names from ``keys`` or by arbitrary text."""
+    return st.dictionaries(st.sampled_from(keys) | st.text(max_size=10), JSON_VALUES, max_size=6)
+
+
+def exits_cleanly(args) -> None:
+    """Run one command in-process: exit 0, or exit 2 with exactly one JSON error line."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = run(args)
+    lines = err.getvalue().splitlines()
+    assert code in (0, 2), (code, lines)
+    if code == 2:
+        assert len(lines) == 1, lines
+        assert json.loads(lines[0])["error"]["code"] == 2
+
+
+OVERRIDE_ENTRY_KEYS = ["attack_prob", "loss_pct", "tvl", "second_moment_pct"]
+
+# The keys of fitted frequency and severity model files.
+MODEL_KEYS = [
+    "alpha0", "alpha1", "beta", "beta_se", "cov_mean", "cov_sd", "covariate_dropped", "gamma",
+    "hl", "low_partial_warning", "n_partial", "n_total", "penalty", "protocol_id", "se_alpha0",
+    "se_alpha1", "sigma2", "time_origin", "total_loss_only", "window", "zero_loss_skipped",
+]
+# Top-level keys of a portfolio file, and keys of its protocol entries.
+PORTFOLIO_KEYS = ["protocols", "similarity", "theta"]
+PROTOCOL_KEYS = ["id", "chain", "inception", "description"]
+REMOVE = object()
+
+
+def set_or_remove(doc: dict, key: str, value) -> None:
+    if value is REMOVE:
+        doc.pop(key, None)
+    else:
+        doc[key] = value
+
+
+@pytest.fixture(scope="module")
+def override_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("override") / "override.json"
+    path.write_text(json.dumps({"P1": {"attack_prob": 0.02, "loss_pct": 0.3}}))
+    return path
+
+
+def command_args(command: str, models: Path, override: Path) -> list:
+    """A run of ``command`` on the fixture that exits 0 as it stands."""
+    return {
+        "summarize": ["summarize", "--incidents", INCIDENTS],
+        "price": ["price", "--override", override],
+        "simulate": ["simulate", "--tvl", TVL, "--portfolio", PORTFOLIO_PRICED,
+                     "--models", models, "--samples", 10000, "--bootstrap", 2, "--workers", 1],
+    }[command]
+
+
+class TestJsonInputs:
+    """Any JSON value as a config, override, fitted-model or portfolio file exits 0 or 2."""
+
+    @pytest.mark.parametrize("command, role", [("summarize", "config"), ("price", "config"),
+                                               ("simulate", "config"), ("price", "override")])
+    @pytest.mark.parametrize("content", [5, ["seed"], [1, 2], "seed", None],
+                             ids=["number", "list-of-key", "list", "string", "null"])
+    def test_non_object_file_names_the_file(self, fitted_dir, override_file, tmp_path, capsys,
+                                            command, role, content):
+        path = tmp_path / f"{role}.json"
+        path.write_text(json.dumps(content))
+        if role == "override":
+            override_file = path
+        args = command_args(command, fitted_dir, override_file)
+        if role == "config":
+            args += ["--config", path]
+        assert run(args + ["--output", tmp_path / "out"]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])["error"]
+        assert error["code"] == 2 and str(path) in error["message"]
+
+    def test_deeply_nested_file_names_the_file(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        assert run(["summarize", "--incidents", INCIDENTS, "--config", path,
+                    "--output", tmp_path / "out"]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and str(path) in json.loads(lines[0])["error"]["message"]
+
+    @settings(max_examples=150, deadline=None)
+    @given(command=st.sampled_from(["summarize", "price", "simulate"]),
+           doc=JSON_VALUES | json_objects(sorted(_SETTINGS)))
+    @example(command="summarize", doc=5)
+    @example(command="summarize", doc=["seed"])
+    @example(command="summarize", doc={"samples": math.inf})
+    @example(command="price", doc={"levels": [10**400]})
+    @example(command="price", doc={"theta": math.inf, "format": "json"})
+    @example(command="simulate", doc={"seed": -1})
+    @example(command="simulate", doc={"levels": []})
+    def test_config_file(self, fitted_dir, override_file, command, doc):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "config.json"
+            path.write_text(json.dumps(doc))
+            exits_cleanly(command_args(command, fitted_dir, override_file)
+                          + ["--config", path, "--output", Path(tmp) / "out"])
+
+    @settings(max_examples=150, deadline=None)
+    @given(doc=JSON_VALUES | st.dictionaries(
+               st.sampled_from(["P1", "P2", "P3"]) | st.text(max_size=10),
+               JSON_VALUES | json_objects(OVERRIDE_ENTRY_KEYS), max_size=4),
+           with_portfolio=st.booleans())
+    @example(doc=[1, 2], with_portfolio=False)
+    @example(doc={"P1": {"attack_prob": 10**400, "loss_pct": 0.1}}, with_portfolio=False)
+    def test_override_file(self, doc, with_portfolio):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "override.json"
+            path.write_text(json.dumps(doc))
+            args = ["price", "--override", path, "--output", Path(tmp) / "out"]
+            if with_portfolio:
+                args += ["--portfolio", PORTFOLIO_PRICED]
+            exits_cleanly(args)
+
+    @settings(max_examples=150, deadline=None)
+    @given(name=st.sampled_from(["freq_P1.json", "severity_model.json"]),
+           command=st.sampled_from(["gof", "simulate"]),
+           key=st.none() | st.sampled_from(MODEL_KEYS), value=JSON_VALUES | st.just(REMOVE))
+    @example(name="freq_P1.json", command="gof", key="alpha0", value=10**400)
+    @example(name="freq_P1.json", command="gof", key="alpha0", value=math.nan)
+    @example(name="freq_P1.json", command="gof", key="alpha1", value=1e300)
+    @example(name="freq_P1.json", command="simulate", key="cov_sd", value=0)
+    @example(name="freq_P1.json", command="gof", key="window", value=["2020-05", "2019-01"])
+    @example(name="freq_P1.json", command="simulate", key="hl",
+             value={"stat": 1.0, "df": math.inf, "p": 0.5, "groups": 3})
+    @example(name="severity_model.json", command="gof", key="sigma2", value=0)
+    @example(name="severity_model.json", command="gof", key="beta", value=[1e300] * 7)
+    @example(name="severity_model.json", command="simulate", key="zero_loss_skipped",
+             value=math.inf)
+    def test_model_file(self, fitted_dir, name, command, key, value):
+        """The file holds ``value`` (REMOVE: nothing), or the fitted model with ``key``
+        set to ``value`` or removed."""
+        if key is None:
+            text = "" if value is REMOVE else json.dumps(value)
+        else:
+            doc = json.loads((fitted_dir / name).read_text())
+            set_or_remove(doc, key, value)
+            text = json.dumps(doc)
+        with tempfile.TemporaryDirectory() as tmp:
+            models = Path(tmp) / "models"
+            shutil.copytree(fitted_dir, models)
+            (models / name).write_text(text)
+            if command == "gof":
+                args = ["gof", "--model", models / name, "--incidents", INCIDENTS,
+                        "--tvl", TVL, "--portfolio", PORTFOLIO]
+            else:
+                args = ["simulate", "--tvl", TVL, "--portfolio", PORTFOLIO_PRICED,
+                        "--models", models, "--samples", 10000, "--bootstrap", 2]
+            exits_cleanly(args + ["--output", Path(tmp) / "out"])
+
+    @settings(max_examples=150, deadline=None)
+    @given(command=st.sampled_from(["fit-frequency", "simulate"]),
+           key=st.none() | st.sampled_from(PORTFOLIO_KEYS + PROTOCOL_KEYS),
+           value=JSON_VALUES | st.just(REMOVE))
+    @example(command="simulate", key=None, value=5)
+    @example(command="simulate", key=None, value=["protocols", "similarity", "theta"])
+    @example(command="fit-frequency", key="protocols", value=5)
+    @example(command="simulate", key="theta", value=10**400)
+    def test_portfolio_file(self, fitted_dir, command, key, value):
+        """The portfolio holds ``value`` (REMOVE: nothing), or the fixture portfolio with
+        ``key`` of the file or of its first protocol set to ``value`` or removed."""
+        source = PORTFOLIO if command == "fit-frequency" else PORTFOLIO_PRICED
+        if key is None:
+            text = "" if value is REMOVE else json.dumps(value)
+        else:
+            doc = json.loads(Path(source).read_text())
+            set_or_remove(doc if key in PORTFOLIO_KEYS else doc["protocols"][0], key, value)
+            text = json.dumps(doc)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "portfolio.json"
+            path.write_text(text)
+            if command == "fit-frequency":
+                args = ["fit-frequency", "--incidents", INCIDENTS, "--tvl", TVL]
+            else:
+                args = ["simulate", "--tvl", TVL, "--models", fitted_dir, "--samples", 10000,
+                        "--bootstrap", 2, "--workers", 1]
+            exits_cleanly(args + ["--portfolio", path, "--output", Path(tmp) / "out"])
+
+
+# Runs fit-frequency and gof in a fresh interpreter and prints the scipy
+# modules loaded by then.
+_IMPORT_PROBE = """
+import json, sys
+from defirisk.cli import main
+data, out = sys.argv[1:3]
+assert main(["fit-frequency", "--incidents", data + "/incidents.csv", "--tvl",
+             data + "/tvl.csv", "--portfolio", data + "/portfolio.json", "--output", out]) == 0
+assert main(["gof", "--model", out + "/freq_P1.json", "--incidents", data + "/incidents.csv",
+             "--tvl", data + "/tvl.csv", "--portfolio", data + "/portfolio.json",
+             "--output", out + "/gof"]) == 0
+print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
+"""
+
+
+class TestImportGraph:
+    def test_cli_runs_without_scipy(self, tmp_path):
+        src = str(Path(defirisk.__file__).resolve().parent.parent)
+        proc = subprocess.run(
+            [sys.executable, "-c", _IMPORT_PROBE, str(DATA), str(tmp_path)],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == []
 
 
 class TestGof:

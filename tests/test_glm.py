@@ -1,8 +1,11 @@
+import math
+
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.stats import kstest
+from scipy.stats import chi2, kstest
 
 from defirisk import glm
 from defirisk.errors import (
@@ -275,6 +278,43 @@ class TestHosmerLemeshow:
         fit, design, y = self.saturated_fit()
         with pytest.raises(DomainError):
             glm.hosmer_lemeshow(fit, design, y, groups=2)
+
+    def test_one_tied_group_is_not_applicable(self):
+        # An intercept-only fit ties every probability, so one group remains.
+        design = np.ones((50, 1))
+        y = np.array([1.0] * 10 + [0.0] * 40)
+        fit = glm.fit_logistic(design, y, standardize=False)
+        assert glm.hosmer_lemeshow(fit, design, y) is None
+
+
+class TestChi2Tail:
+    # Tiny, unit-scale, the Hosmer-Lemeshow range and deep in the tail.
+    XS = [1e-8, 1e-3, 0.5, 1.0, *np.linspace(2.0, 200.0, 100).tolist(), 700.0]
+    DFS = range(1, 31)
+
+    def test_matches_mpmath(self):
+        worst = 0.0
+        with mpmath.workdps(40):
+            for df in self.DFS:
+                for x in self.XS:
+                    exact = mpmath.gammainc(mpmath.mpf(df) / 2, mpmath.mpf(x) / 2, mpmath.inf,
+                                            regularized=True)
+                    if exact >= mpmath.mpf("1e-300"):
+                        rel = abs(mpmath.mpf(glm._chi2_sf(x, df)) - exact) / exact
+                        worst = max(worst, float(rel))
+        assert worst <= 1e-13
+
+    def test_matches_scipy(self):
+        for df in self.DFS:
+            for x in self.XS:
+                want = chi2.sf(x, df)
+                if want >= 1e-300:
+                    assert glm._chi2_sf(x, df) == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("x", [0.0, -0.0, -1e-300, -3.5, -math.inf])
+    def test_nonpositive_x_is_exactly_one(self, x):
+        for df in self.DFS:
+            assert glm._chi2_sf(x, df) == 1.0
 
 
 class TestQuantileResiduals:
