@@ -32,13 +32,13 @@ from .numerics import (
     std_normal_cdf,
     std_normal_quantile,
 )
-from .pricing import PremiumQuote, expected_loss, price, severity_second_moment
+from .pricing import PremiumQuote, premiums, price
 from .severity import (
     RatioMoments,
     SeverityModel,
     fit_severity,
+    loss_moments,
     predict_total_loss_prob,
-    predicted_loss_percentage,
     ratio_moments,
     sample_ratio,
 )
@@ -74,25 +74,24 @@ __all__ = [
     "cholesky",
     "conditional_tail_expectation",
     "derive_loss_ratio",
-    "expected_loss",
     "fit_frequency",
     "fit_severity",
     "joint_cdf_estimate",
     "load_incidents",
     "load_portfolio",
     "load_tvl",
+    "loss_moments",
     "mvn_sample",
     "nearest_correlation",
     "peer_interval",
     "predict_attack_probability",
     "predict_total_loss_prob",
-    "predicted_loss_percentage",
+    "premiums",
     "price",
     "ratio_moments",
     "risk_report",
     "sample_frequencies",
     "sample_ratio",
-    "severity_second_moment",
     "simulate_aggregate",
     "std_normal_cdf",
     "std_normal_quantile",

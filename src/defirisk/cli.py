@@ -5,8 +5,9 @@ Every command is a pure function of (input files, config, seed): reruns
 with the same inputs produce byte-identical output files, and the
 ``--workers`` flag never changes results, only wall time.
 
-Stream allocation (all derived from --seed): protocol quotes use streams
-10, 11, ...; the simulate command owns stream 1000 and its children.
+Only simulate draws random numbers, from stream 1000 of --seed and its
+children.  price is deterministic: its quotes depend on neither --seed nor
+--samples nor a protocol's position in the portfolio.
 
 Exit codes: 0 success, 2 configuration/schema error, 3 numerical failure;
 errors are emitted as a JSON object on stderr.
@@ -21,6 +22,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from datetime import date
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +45,6 @@ from .dependence import build_copula
 from .errors import ConfigError, EngineError, NoEventError, SchemaError
 from .numerics import RngStream, std_normal_quantile
 
-_PRICE_STREAM_BASE = 10
 _SIMULATE_STREAM = 1000
 
 @dataclass
@@ -395,8 +396,13 @@ def _load_frequency_models(cfg: RunConfig, portfolio: Portfolio):
     }
 
 
-def _load_severity_model(cfg: RunConfig) -> severity.SeverityModel:
-    return _load_model(cfg, "severity_model.json", "severity model file", severity.from_dict)
+def _load_severity_model(cfg: RunConfig, earliest: date) -> severity.SeverityModel:
+    """The severity model, which must start by ``earliest``, its first prediction date."""
+    model = _load_model(cfg, "severity_model.json", "severity model file", severity.from_dict)
+    if model.time_origin > earliest:
+        path = Path(cfg.models or cfg.output) / "severity_model.json"
+        raise SchemaError(f"{path}: 'time_origin' is after the prediction date {earliest}")
+    return model
 
 
 _QUOTE_HEADER = [
@@ -419,22 +425,15 @@ def cmd_price(cfg: RunConfig) -> list[Path]:
     cfg.validate(needs=("tvl", "portfolio"))
     portfolio = load_portfolio(cfg.portfolio)
     tvl_by = _by_protocol(load_tvl(cfg.tvl))
+    points = [_prediction_point(cfg, tvl_by.get(p.id, []), p.id) for p in portfolio.protocols]
     freq_models = _load_frequency_models(cfg, portfolio)
-    sev_model = _load_severity_model(cfg)
+    sev_model = _load_severity_model(cfg, min(month for _, month in points).first_day())
     theta = cfg.theta if cfg.theta is not None else portfolio.loading_theta
 
     rows = []
-    for i, proto in enumerate(portfolio.protocols):
-        tvl_next, pred_month = _prediction_point(cfg, tvl_by.get(proto.id, []), proto.id)
+    for proto, (tvl_next, pred_month) in zip(portfolio.protocols, points):
         quote = pricing.price(
-            proto,
-            tvl_next,
-            pred_month.first_day(),
-            freq_models[proto.id],
-            sev_model,
-            theta=theta,
-            n_samples=cfg.n_samples,
-            rng=RngStream(cfg.seed, _PRICE_STREAM_BASE + i),
+            proto, tvl_next, pred_month.first_day(), freq_models[proto.id], sev_model, theta=theta
         )
         rows.append(
             [
@@ -446,8 +445,8 @@ def cmd_price(cfg: RunConfig) -> list[Path]:
                 quote.sd_premium_usd,
                 quote.sd_premium_pct,
                 quote.theta,
-                quote.mc_meta.n_samples,
-                quote.mc_meta.seed,
+                quote.n_samples,
+                cfg.seed,
             ]
         )
     return [_emit_table(cfg, "quotes", _QUOTE_HEADER, rows)]
@@ -481,7 +480,7 @@ def _price_from_override(cfg: RunConfig) -> list[Path]:
             loss_pct = float(entry["loss_pct"])
             tvl = float(entry.get("tvl", 1.0))
             second = entry.get("second_moment_pct")
-            e_y2 = math.nan if second is None else tvl * tvl * float(second)
+            second = None if second is None else float(second)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(
                 f"override entry for {pid!r} needs numeric attack_prob and loss_pct"
@@ -491,7 +490,13 @@ def _price_from_override(cfg: RunConfig) -> list[Path]:
                 f"override entry for {pid!r} needs attack_prob and loss_pct in [0, 1] "
                 "and a positive finite tvl"
             )
-        expectation_usd, sd_usd, _ = pricing.premiums(attack_prob, tvl * loss_pct, e_y2, theta)
+        if second is not None and not loss_pct * loss_pct <= second <= loss_pct:
+            raise ConfigError(
+                f"override entry for {pid!r} needs second_moment_pct in [loss_pct^2, loss_pct] "
+                f"= [{loss_pct * loss_pct!r}, {loss_pct!r}], got {second!r}"
+            )
+        e_y2 = math.nan if second is None else tvl * tvl * second
+        expectation_usd, sd_usd = pricing.premiums(attack_prob, tvl * loss_pct, e_y2, theta)
         if not math.isfinite(expectation_usd) or (second is not None and not math.isfinite(sd_usd)):
             raise ConfigError(f"override entry for {pid!r} gives a premium that is not finite")
         if second is None:
@@ -517,16 +522,12 @@ def cmd_simulate(cfg: RunConfig) -> list[Path]:
     cfg.validate(needs=("tvl", "portfolio"))
     portfolio = load_portfolio(cfg.portfolio)
     tvl_by = _by_protocol(load_tvl(cfg.tvl))
+    points = [_prediction_point(cfg, tvl_by.get(p.id, []), p.id) for p in portfolio.protocols]
+    tvls = {p.id: tvl_next for p, (tvl_next, _) in zip(portfolio.protocols, points)}
+    when = max(month for _, month in points).first_day()
     freq_models = _load_frequency_models(cfg, portfolio)
-    sev_model = _load_severity_model(cfg)
+    sev_model = _load_severity_model(cfg, when)
     copula = build_copula(portfolio.similarity)
-
-    tvls = {}
-    when = None
-    for proto in portfolio.protocols:
-        tvl_next, pred_month = _prediction_point(cfg, tvl_by.get(proto.id, []), proto.id)
-        tvls[proto.id] = tvl_next
-        when = pred_month.first_day() if when is None else max(when, pred_month.first_day())
 
     report = tailrisk.risk_report(
         portfolio,
@@ -696,7 +697,7 @@ def cmd_summarize(cfg: RunConfig) -> list[Path]:
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON config file; flags override it")
     parser.add_argument("--seed", type=int, help="base RNG seed (u64)")
-    parser.add_argument("--samples", type=int, help="Monte Carlo samples / simulation paths")
+    parser.add_argument("--samples", type=int, help="simulation paths")
     parser.add_argument("--theta", type=float, help="premium loading")
     parser.add_argument("--levels", help="comma-separated confidence levels")
     parser.add_argument("--format", choices=("csv", "json"), help="report format")

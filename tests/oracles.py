@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 
+from defirisk.glm import invlogit
 from defirisk.numerics import std_normal_cdf
 from defirisk.tailrisk import _order_index
 
@@ -68,3 +69,39 @@ def full_bootstrap_ses(sample: np.ndarray, levels, resamples: int, gen):
             cte_vals[r, j] = above.mean() if above.size else v
     return var_vals.std(axis=0, ddof=1), cte_vals.std(axis=0, ddof=1)
 
+
+def mc_ratio_moments(eta: float, sigma: float, n_samples: int, gen):
+    """Monte Carlo E(R*), E(R*^2) of R* = invlogit(eta + sigma Z) and their SEs.
+
+    Returns (mean, second moment, SE of the mean, SE of the second
+    moment) from ``n_samples`` standard normal draws of ``gen``.
+    """
+    vals = invlogit(eta + sigma * gen.standard_normal(n_samples))
+    squares = vals * vals
+    root_n = math.sqrt(n_samples)
+    return (
+        float(vals.mean()),
+        float(squares.mean()),
+        float(vals.std(ddof=1) / root_n),
+        float(squares.std(ddof=1) / root_n),
+    )
+
+
+def exact_ratio_moments(eta: float, sigma2: float, dps: int = 30):
+    """E(R*) and E(R*^2) of R* = invlogit(eta + sigma Z) by adaptive mpmath quadrature.
+
+    The integrand is split at the mode of the normal density and at the
+    midpoint of the logistic step, z = -eta / sigma.
+    """
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        sigma = mp.sqrt(sigma2)
+        breaks = sorted({mp.mpf(0), -mp.mpf(eta) / sigma})
+        moments = []
+        for k in (1, 2):
+            def f(z, k=k):
+                return (1 / (1 + mp.exp(-(eta + sigma * z)))) ** k * mp.npdf(z)
+
+            moments.append(float(mp.quad(f, [-mp.inf, *breaks, mp.inf])))
+    return moments[0], moments[1]

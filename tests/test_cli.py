@@ -295,6 +295,30 @@ class TestDeterminism:
             outs.append(out)
         assert (outs[0] / "quotes.csv").read_bytes() == (outs[1] / "quotes.csv").read_bytes()
 
+    def test_quotes_depend_on_neither_seed_nor_position(self, fitted_dir, tmp_path):
+        doc = json.loads(Path(PORTFOLIO_PRICED).read_text())
+        reversed_doc = {
+            **doc,
+            "protocols": doc["protocols"][::-1],
+            "similarity": [row[::-1] for row in doc["similarity"][::-1]],
+        }
+        reversed_path = tmp_path / "portfolio_reversed.json"
+        reversed_path.write_text(json.dumps(reversed_doc))
+
+        def quotes(portfolio, seed):
+            out = tmp_path / f"{Path(portfolio).stem}_{seed}"
+            assert run(["price", "--tvl", TVL, "--portfolio", portfolio, "--models", fitted_dir,
+                        "--output", out, "--seed", seed]) == 0
+            lines = (out / "quotes.csv").read_text().splitlines()
+            return {line.split(",")[0]: line for line in lines[1:]}
+
+        forward = quotes(PORTFOLIO_PRICED, 1)
+        assert quotes(reversed_path, 1) == forward
+        other_seed = quotes(PORTFOLIO_PRICED, 2)
+        assert list(other_seed) == list(forward)
+        for pid, line in forward.items():
+            assert line.endswith(",1") and other_seed[pid] == line[:-1] + "2"
+
 
 class TestFormats:
     def test_json_and_csv_quotes_agree(self, fitted_dir, tmp_path):
@@ -369,6 +393,28 @@ class TestOverridePricing:
             assert float(rows[pid]["expectation_pct"]) == pytest.approx(expected, rel=1e-12)
             assert rows[pid]["sd_usd"] == ""  # no second moment supplied
 
+    @pytest.mark.parametrize(
+        "entry, code",
+        [
+            ({"second_moment_pct": -1.0}, 2),
+            ({"second_moment_pct": 0.25}, 2),  # above loss_pct
+            ({"second_moment_pct": 0.03}, 2),  # below loss_pct^2
+            ({"second_moment_pct": math.nan}, 2),
+            ({"attack_prob": 1.2}, 2),
+            ({"second_moment_pct": 0.2 * 0.2}, 0),
+            ({"second_moment_pct": 0.2}, 0),
+        ],
+        ids=["negative", "above-loss-pct", "below-loss-pct-squared", "nan",
+             "attack-prob-above-1", "at-loss-pct-squared", "at-loss-pct"],
+    )
+    def test_second_moment_range(self, tmp_path, capsys, entry, code):
+        path = tmp_path / "override.json"
+        path.write_text(json.dumps({"P9": {"attack_prob": 0.1, "loss_pct": 0.2, **entry}}))
+        assert run(["price", "--override", path, "--output", tmp_path]) == code
+        if code:
+            error = json.loads(capsys.readouterr().err)["error"]
+            assert error["type"] == "ConfigError" and "'P9'" in error["message"]
+
     def test_theta_zero_would_be_rejected(self, tmp_path):
         path = tmp_path / "override.json"
         path.write_text(json.dumps({"A": {"attack_prob": 0.1, "loss_pct": 0.2}}))
@@ -440,6 +486,23 @@ class TestErrorSurface:
         error = json.loads(lines[0])["error"]
         assert error["type"] == "SchemaError"
         assert str(path) in error["message"] and repr(key) in error["message"]
+
+    @pytest.mark.parametrize("command", ["price", "simulate"])
+    def test_time_origin_after_prediction_exits_2(self, fitted_dir, tmp_path, capsys, command):
+        models = tmp_path / "models"
+        shutil.copytree(fitted_dir, models)
+        path = models / "severity_model.json"
+        path.write_text(json.dumps({**json.loads(path.read_text()), "time_origin": "9999-12-31"}))
+        args = [command, "--tvl", TVL, "--portfolio", PORTFOLIO_PRICED, "--models", models,
+                "--output", tmp_path / "out"]
+        if command == "simulate":
+            args += ["--samples", 10000, "--bootstrap", 2]
+        assert run(args) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])["error"]
+        assert error["type"] == "SchemaError"
+        assert str(path) in error["message"] and "'time_origin'" in error["message"]
 
     def test_empty_incidents_routes_all_to_no_event_notice(self, tmp_path):
         empty = tmp_path / "empty.csv"
@@ -753,6 +816,17 @@ class TestImportGraph:
         )
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout.splitlines()[-1]) == []
+
+    def test_cli_import_leaves_quadrature_unbuilt(self):
+        # The ratio-moment quadrature loads numpy.polynomial on first use only.
+        src = str(Path(defirisk.__file__).resolve().parent.parent)
+        probe = "import sys, defirisk.cli; print('numpy.polynomial' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-c", probe],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 class TestGof:

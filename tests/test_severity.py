@@ -11,6 +11,7 @@ from defirisk.datamodel import Chain, IncidentRecord, IssueType, Month
 from defirisk.errors import DomainError
 from defirisk.numerics import RngStream
 
+from oracles import exact_ratio_moments, mc_ratio_moments
 from reference_values import PROP_LOSS_COEFS, TOTAL_LOSS_COEFS
 from synth import severity_incidents
 
@@ -159,39 +160,48 @@ class TestPredictTotalLossProb:
             severity.predict_total_loss_prob(model, Chain.ETH, 1e6, date(2019, 12, 31))
 
 
+# eta grid of the quadrature check, spanning [-12, 6]; it includes -10.5,
+# where the plain 128-node rule misses E(R*^2) at sigma^2 = 9 by 1.1e-8.
+QUAD_ETAS = (-12.0, -10.5, -8.0, -5.0, -2.5, -1.0, 0.0, 1.5, 3.0, 6.0)
+
+
 class TestRatioMoments:
     def test_zero_variance_is_exact(self):
         model = reference_model(sigma2=0.0)
         tvl = 3e7
         eta = PROP_LOSS_COEFS[0] + PROP_LOSS_COEFS[1] * math.log(tvl)
-        moments = severity.ratio_moments(model, tvl, n_samples=5000, rng=RngStream(1))
+        moments = severity.ratio_moments(model, tvl)
         assert moments.mean_r == glm.invlogit(eta)
         assert moments.second_moment_r == glm.invlogit(eta) ** 2
-        assert moments.mc_standard_error == 0.0
 
     def test_symmetric_predictor_centers_at_half(self):
         model = reference_model(gammas=[0.0, 0.0], sigma2=2.0)
-        moments = severity.ratio_moments(model, 1e7, n_samples=100_000, rng=RngStream(2))
-        assert abs(moments.mean_r - 0.5) <= 3.0 * moments.mc_standard_error
+        moments = severity.ratio_moments(model, 1e7)
+        assert abs(moments.mean_r - 0.5) <= 1e-15
+
+    @pytest.mark.parametrize("sigma2", [0.01, 0.5, 2.0, 4.0, 6.0, 9.0])
+    def test_matches_exact_integration(self, sigma2):
+        for eta in QUAD_ETAS:
+            moments = severity.ratio_moments(reference_model(gammas=[eta, 0.0], sigma2=sigma2), 1e7)
+            mean, second = exact_ratio_moments(eta, sigma2)
+            assert moments.mean_r == pytest.approx(mean, rel=1e-12, abs=0.0), eta
+            assert moments.second_moment_r == pytest.approx(second, rel=1e-12, abs=0.0), eta
+            assert moments.n_samples == severity.QUADRATURE_NODES
 
     def test_matches_higher_resolution_redraw(self):
         model = reference_model(sigma2=SIGMA2_TRUTH)
         tvl = 5e7
-        small = severity.ratio_moments(model, tvl, n_samples=100_000, rng=RngStream(3, 1))
-        big = severity.ratio_moments(model, tvl, n_samples=10_000_000, rng=RngStream(3, 2))
-        combined = math.hypot(small.mc_standard_error, big.mc_standard_error)
-        assert abs(small.mean_r - big.mean_r) <= 4.0 * combined
+        moments = severity.ratio_moments(model, tvl)
+        eta = PROP_LOSS_COEFS[0] + PROP_LOSS_COEFS[1] * math.log(tvl)
+        mean, second, se_mean, se_second = mc_ratio_moments(
+            eta, math.sqrt(SIGMA2_TRUTH), 10_000_000, RngStream(3, 2).generator()
+        )
+        assert abs(moments.mean_r - mean) <= 4.0 * se_mean
+        assert abs(moments.second_moment_r - second) <= 4.0 * se_second
 
     def test_determinism(self):
         model = reference_model(sigma2=2.0)
-        a = severity.ratio_moments(model, 1e6, n_samples=50_000, rng=RngStream(9, 4))
-        b = severity.ratio_moments(model, 1e6, n_samples=50_000, rng=RngStream(9, 4))
-        assert a == b
-
-    def test_sample_floor(self):
-        model = reference_model()
-        with pytest.raises(DomainError):
-            severity.ratio_moments(model, 1e6, n_samples=999)
+        assert severity.ratio_moments(model, 1e6) == severity.ratio_moments(model, 1e6)
 
     @given(
         g0=st.floats(min_value=-4, max_value=4),
@@ -202,7 +212,7 @@ class TestRatioMoments:
     @settings(max_examples=25, deadline=None)
     def test_moment_inequalities(self, g0, g1, sigma2, tvl):
         model = reference_model(gammas=[g0, g1], sigma2=sigma2)
-        m = severity.ratio_moments(model, tvl, n_samples=2000, rng=RngStream(5))
+        m = severity.ratio_moments(model, tvl)
         assert m.mean_r**2 <= m.second_moment_r + 1e-15
         assert m.second_moment_r <= m.mean_r
 
@@ -239,9 +249,11 @@ class TestSampleRatio:
 
 
 class TestPredictedLossPercentage:
+    """E(R), the expected fraction of TVL lost given an attack, from ``loss_moments``."""
+
     def test_certain_total_loss(self):
         model = total_loss_only_model()
-        assert severity.predicted_loss_percentage(model, Chain.ETH, 1e6, date(2022, 1, 1)) == 1.0
+        assert severity.loss_moments(model, Chain.ETH, 1e6, date(2022, 1, 1))[0] == 1.0
 
     def test_two_part_arithmetic(self):
         # pi_S = 0.02 and E(R*) = 0.024 combine to 0.98*0.024 + 0.02.
@@ -250,19 +262,14 @@ class TestPredictedLossPercentage:
             gammas=[glm.logit(0.024), 0.0],
             sigma2=0.0,
         )
-        got = severity.predicted_loss_percentage(model, Chain.BSC, 1e7, date(2020, 1, 1))
+        got = severity.loss_moments(model, Chain.BSC, 1e7, date(2020, 1, 1))[0]
         assert got == pytest.approx(0.04352, abs=1e-12)
 
-    def test_nonincreasing_in_tvl_with_common_random_numbers(self):
+    def test_nonincreasing_in_tvl(self):
         model = reference_model(sigma2=SIGMA2_TRUTH)
         when = date(2022, 1, 1)
         grid = [10**k for k in range(5, 13)]
-        vals = [
-            severity.predicted_loss_percentage(
-                model, Chain.ETH, tvl, when, n_samples=50_000, rng=RngStream(11)
-            )
-            for tvl in grid
-        ]
+        vals = [severity.loss_moments(model, Chain.ETH, tvl, when)[0] for tvl in grid]
         assert all(a >= b for a, b in zip(vals, vals[1:]))
 
 
