@@ -42,7 +42,7 @@ from .datamodel import (
     read_json_object,
 )
 from .dependence import build_copula
-from .errors import ConfigError, EngineError, NoEventError, SchemaError
+from .errors import ConfigError, DataError, EngineError, NoEventError, SchemaError
 from .numerics import RngStream, std_normal_quantile
 
 _SIMULATE_STREAM = 1000
@@ -232,6 +232,8 @@ def _prediction_point(cfg: RunConfig, series, protocol_id: str) -> tuple[float, 
         by_month = {obs.month: obs.tvl_usd for obs in series}
         if cfg.window_end in by_month:
             month, value = cfg.window_end, by_month[cfg.window_end]
+    if month == Month(9999, 12):
+        raise DataError(f"protocol {protocol_id!r}: no calendar month after {month} to predict")
     return value, month.plus(1)
 
 

@@ -68,9 +68,12 @@ class Month:
         if len(parts) != 2:
             raise SchemaError(f"month must be YYYY-MM, got {raw!r}")
         try:
-            return cls(int(parts[0]), int(parts[1]))
+            month = cls(int(parts[0]), int(parts[1]))
         except (ValueError, DomainError) as exc:
             raise SchemaError(f"month must be YYYY-MM with MM in 01..12, got {raw!r}") from exc
+        if not 1 <= month.year <= 9999:
+            raise SchemaError(f"month must be YYYY-MM with YYYY in 0001..9999, got {raw!r}")
+        return month
 
     @classmethod
     def of(cls, d: date) -> "Month":
@@ -214,86 +217,90 @@ def _parse_amount(name: str, raw: str) -> tuple[float | None, str | None]:
     return value, None
 
 
+def _csv_rows(path, header: list[str], what: str):
+    """(line, cells) of each non-blank row of a CSV file under ``header``.
+
+    An empty file, another header, or bytes that are not UTF-8 text are a
+    SchemaError naming the file.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        try:
+            reader = csv.reader(fh)
+            first = next(reader, None)
+            if first is None:
+                raise SchemaError(f"{path}: empty {what} file")
+            if [h.strip() for h in first] != header:
+                raise SchemaError(f"{path}: bad {what} header {first!r}, expected {header}")
+            for line, row in enumerate(reader, start=2):
+                if row and any(cell.strip() for cell in row):
+                    yield line, row
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise SchemaError(f"{path}: not a readable {what} CSV: {exc}") from exc
+
+
 def load_incidents(path) -> IngestResult:
     """Parse an incidents CSV; bad rows land in the report, never vanish."""
     records: list[IncidentRecord] = []
     rejected: list[RejectedRow] = []
     flagged: list[RejectedRow] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    for line, row in _csv_rows(path, INCIDENTS_HEADER, "incidents"):
+        if len(row) != len(INCIDENTS_HEADER):
+            rejected.append(RejectedRow(line, tuple(row), "wrong number of fields"))
+            continue
+        pid, date_raw, chain_raw, issue_raw, loss_raw, tvl_raw = (c.strip() for c in row)
+        if not pid:
+            rejected.append(RejectedRow(line, tuple(row), "empty protocol_id"))
+            continue
         try:
-            header = next(reader)
-        except StopIteration as exc:
-            raise SchemaError(f"{path}: empty incidents file") from exc
-        if [h.strip() for h in header] != INCIDENTS_HEADER:
-            raise SchemaError(
-                f"{path}: bad incidents header {header!r}, expected {INCIDENTS_HEADER}"
+            when = date.fromisoformat(date_raw)
+        except ValueError:
+            rejected.append(RejectedRow(line, tuple(row), f"bad date {date_raw!r}"))
+            continue
+        loss, reason = _parse_amount("loss_usd", loss_raw)
+        tvl = None
+        if reason is None and tvl_raw:
+            tvl, reason = _parse_amount("tvl_usd", tvl_raw)
+        if reason is not None:
+            rejected.append(RejectedRow(line, tuple(row), reason))
+            continue
+        record = IncidentRecord(
+            protocol_id=pid,
+            date=when,
+            chain=Chain.parse(chain_raw),
+            issue_type=IssueType.parse(issue_raw),
+            loss_usd=loss,
+            tvl_usd=tvl,
+        )
+        if loss == 0.0:
+            flagged.append(
+                RejectedRow(line, tuple(row), "zero loss: excluded from severity fitting")
             )
-        for line, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != len(INCIDENTS_HEADER):
-                rejected.append(RejectedRow(line, tuple(row), "wrong number of fields"))
-                continue
-            pid, date_raw, chain_raw, issue_raw, loss_raw, tvl_raw = (c.strip() for c in row)
-            if not pid:
-                rejected.append(RejectedRow(line, tuple(row), "empty protocol_id"))
-                continue
-            try:
-                when = date.fromisoformat(date_raw)
-            except ValueError:
-                rejected.append(RejectedRow(line, tuple(row), f"bad date {date_raw!r}"))
-                continue
-            loss, reason = _parse_amount("loss_usd", loss_raw)
-            tvl = None
-            if reason is None and tvl_raw:
-                tvl, reason = _parse_amount("tvl_usd", tvl_raw)
-            if reason is not None:
-                rejected.append(RejectedRow(line, tuple(row), reason))
-                continue
-            record = IncidentRecord(
-                protocol_id=pid,
-                date=when,
-                chain=Chain.parse(chain_raw),
-                issue_type=IssueType.parse(issue_raw),
-                loss_usd=loss,
-                tvl_usd=tvl,
-            )
-            if loss == 0.0:
-                flagged.append(
-                    RejectedRow(line, tuple(row), "zero loss: excluded from severity fitting")
-                )
-            records.append(record)
+        records.append(record)
     return IngestResult(tuple(records), tuple(rejected), tuple(flagged))
 
 
 def load_tvl(path) -> tuple[TvlObservation, ...]:
-    """Parse a monthly TVL CSV; duplicates for one (protocol, month) are an error."""
+    """Parse a monthly TVL CSV; a zero TVL, or two for one (protocol, month), is an error."""
     out: list[TvlObservation] = []
     seen: set[tuple[str, Month]] = set()
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    for line, row in _csv_rows(path, TVL_HEADER, "tvl"):
+        if len(row) != len(TVL_HEADER):
+            raise SchemaError(f"{path}:{line}: wrong number of fields")
+        pid, month_raw, tvl_raw = (c.strip() for c in row)
         try:
-            header = next(reader)
-        except StopIteration as exc:
-            raise SchemaError(f"{path}: empty tvl file") from exc
-        if [h.strip() for h in header] != TVL_HEADER:
-            raise SchemaError(f"{path}: bad tvl header {header!r}, expected {TVL_HEADER}")
-        for line, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != len(TVL_HEADER):
-                raise SchemaError(f"{path}:{line}: wrong number of fields")
-            pid, month_raw, tvl_raw = (c.strip() for c in row)
             month = Month.parse(month_raw)
-            tvl, reason = _parse_amount("tvl_usd", tvl_raw)
-            if reason is not None:
-                raise SchemaError(f"{path}:{line}: {reason}")
-            key = (pid, month)
-            if key in seen:
-                raise DataError(f"{path}:{line}: duplicate TVL observation for {pid} {month}")
-            seen.add(key)
-            out.append(TvlObservation(pid, month, tvl))
+        except SchemaError as exc:
+            raise SchemaError(f"{path}:{line}: {exc}") from exc
+        tvl, reason = _parse_amount("tvl_usd", tvl_raw)
+        if reason is None and tvl == 0.0:
+            reason = f"zero tvl_usd {tvl_raw}: log TVL undefined"
+        if reason is not None:
+            raise SchemaError(f"{path}:{line}: {reason}")
+        key = (pid, month)
+        if key in seen:
+            raise DataError(f"{path}:{line}: duplicate TVL observation for {pid} {month}")
+        seen.add(key)
+        out.append(TvlObservation(pid, month, tvl))
     return tuple(out)
 
 

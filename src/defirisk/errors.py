@@ -95,3 +95,10 @@ def json_field(doc: dict, key: str, cast, default=_REQUIRED):
         raise SchemaError(f"in {key!r}: {exc}") from exc
     except (TypeError, ValueError, OverflowError, IndexError, AttributeError) as exc:
         raise SchemaError(f"bad value for key {key!r}: {value!r:.60}") from exc
+
+
+def json_bool(raw) -> bool:
+    """Cast for ``json_field`` of a JSON value that must be true or false."""
+    if not isinstance(raw, bool):
+        raise ValueError(f"expected true or false, got {raw!r:.60}")
+    return raw

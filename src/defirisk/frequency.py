@@ -18,6 +18,7 @@ from .errors import (
     DomainError,
     InsufficientDataError,
     NoEventError,
+    json_bool,
     json_field,
 )
 from .numerics import std_normal_quantile
@@ -144,6 +145,7 @@ def to_dict(model: FrequencyModel) -> dict:
         "alpha1": float(fit.coefficients[1]),
         "se_alpha0": ses[0],
         "se_alpha1": ses[1],
+        "converged": bool(fit.converged),
         "cov_mean": float(fit.covariate_means[0]),
         "cov_sd": float(fit.covariate_sds[0]),
         "window": [str(model.training_window[0]), str(model.training_window[1])],
@@ -182,7 +184,7 @@ def from_dict(doc: dict) -> FrequencyModel:
         standard_errors=np.array(
             [json_field(doc, k, float, math.nan) for k in ("se_alpha0", "se_alpha1")]
         ),
-        converged=True,
+        converged=json_field(doc, "converged", json_bool),
         penalty=penalty,
         covariate_means=np.array([json_field(doc, "cov_mean", _finite)]),
         covariate_sds=np.array([json_field(doc, "cov_sd", _positive)]),
@@ -193,5 +195,5 @@ def from_dict(doc: dict) -> FrequencyModel:
         fit=fit,
         training_window=json_field(doc, "window", parse_window),
         hl=json_field(doc, "hl", glm.HLResult.from_dict, None),
-        covariate_dropped=json_field(doc, "covariate_dropped", bool, False),
+        covariate_dropped=json_field(doc, "covariate_dropped", json_bool, False),
     )

@@ -230,13 +230,14 @@ class RngStream:
         return RngStream(self.seed, self.stream_id + int(offset))
 
 
-def mvn_sample(chol: np.ndarray, rng, size: int | None = None) -> np.ndarray:
+def mvn_sample(chol: np.ndarray, rng, size: int | None = None, out=None) -> np.ndarray:
     """Multivariate normal draw(s) Z = L u with u iid standard normal.
 
     ``rng`` may be an RngStream (a fresh generator is materialized, so the
     same stream always yields the same draws) or a live numpy Generator to
     continue an existing sequence.  With ``size=None`` returns one vector
-    of length d, otherwise an array of shape (size, d).
+    of length d, otherwise an array of shape (size, d), written into
+    ``out`` when given.
     """
     low = np.asarray(chol, dtype=float)
     gen = rng.generator() if isinstance(rng, RngStream) else rng
@@ -246,4 +247,4 @@ def mvn_sample(chol: np.ndarray, rng, size: int | None = None) -> np.ndarray:
     # A C-contiguous L^T keeps the rounding independent of how the factor is
     # stored: BLAS rounds a product with a transposed view differently for
     # some shapes.
-    return gen.standard_normal((int(size), d)) @ np.ascontiguousarray(low.T)
+    return np.matmul(gen.standard_normal((int(size), d)), np.ascontiguousarray(low.T), out=out)

@@ -25,7 +25,7 @@ from .datamodel import (
     effective_tvl,
     parse_window,
 )
-from .errors import DomainError, InsufficientDataError, json_field
+from .errors import DomainError, InsufficientDataError, json_bool, json_field
 from .numerics import RngStream
 
 DEFAULT_WINDOW = (Month(2020, 1), Month(2023, 12))
@@ -265,6 +265,41 @@ def ratio_moments(model: SeverityModel, tvl: float) -> RatioMoments:
     return RatioMoments(float(w @ ratios), float(w @ (ratios * ratios)), z.size)
 
 
+@dataclass(frozen=True)
+class RatioLaw:
+    """One protocol's loss ratio given an attack, at one TVL and date.
+
+    The ratio is 1 with probability ``pi_s``, else invlogit(eta + sigma Z)
+    with Z standard normal; ``eta`` is None for a total-loss-only model,
+    whose ratio is always 1.
+    """
+
+    pi_s: float
+    eta: float | None = None
+    sigma: float = 0.0
+
+    def draw(self, gen: np.random.Generator, k: int) -> np.ndarray:
+        """k ratios in (0, 1].
+
+        Consumes k uniforms, then k normals, whichever branch each draw
+        takes, so the draw count is input-independent; a total-loss-only
+        law consumes none.
+        """
+        if self.eta is None:
+            return np.ones(k)
+        u = gen.random(k)
+        z = gen.standard_normal(k)
+        return np.where(u < self.pi_s, 1.0, glm.invlogit(self.eta + self.sigma * z))
+
+
+def ratio_law(model: SeverityModel, chain: Chain, tvl: float, when: date) -> RatioLaw:
+    """The loss-ratio law of a protocol on ``chain`` with ``tvl`` attacked on ``when``."""
+    pi_s = predict_total_loss_prob(model, chain, tvl, when)
+    if model.total_loss_only:
+        return RatioLaw(pi_s)
+    return RatioLaw(pi_s, *_proportional_params(model, tvl))
+
+
 def sample_ratio(
     model: SeverityModel,
     chain: Chain,
@@ -273,22 +308,11 @@ def sample_ratio(
     rng: RngStream | np.random.Generator,
     size: int | None = None,
 ):
-    """Draw loss ratios in (0, 1]: total loss with probability pi_S, else
-    a fresh logit-normal partial ratio.
-
-    Consumes one uniform and one normal per draw regardless of the branch
-    taken, so the draw count is input-independent.
-    """
-    pi_s = predict_total_loss_prob(model, chain, tvl, when)
+    """Draw loss ratios in (0, 1] from ``ratio_law``: total loss with
+    probability pi_S, else a fresh logit-normal partial ratio."""
+    law = ratio_law(model, chain, tvl, when)
     gen = rng.generator() if isinstance(rng, RngStream) else rng
-    k = 1 if size is None else int(size)
-    if model.total_loss_only:
-        out = np.ones(k)
-        return float(out[0]) if size is None else out
-    eta, sigma = _proportional_params(model, tvl)
-    u = gen.random(k)
-    z = gen.standard_normal(k)
-    out = np.where(u < pi_s, 1.0, glm.invlogit(eta + sigma * z))
+    out = law.draw(gen, 1 if size is None else int(size))
     return float(out[0]) if size is None else out
 
 
@@ -322,6 +346,7 @@ def to_dict(model: SeverityModel) -> dict:
         "beta_se": None
         if tl is None
         else [None if math.isnan(s) else float(s) for s in tl.standard_errors],
+        "converged": None if tl is None else bool(tl.converged),
         "gamma": None if prop is None else [float(c) for c in prop.coefficients],
         "sigma2": None if prop is None else float(prop.sigma2),
         "time_origin": model.time_origin.isoformat(),
@@ -369,7 +394,7 @@ def from_dict(doc: dict) -> SeverityModel:
             standard_errors=json_field(
                 doc, "beta_se", _vector(7, finite=False), np.full(7, math.nan)
             ),
-            converged=True,
+            converged=json_field(doc, "converged", json_bool),
             penalty=json_field(doc, "penalty", glm.PenaltySpec.from_dict, None),
             covariate_means=np.zeros(6),
             covariate_sds=np.ones(6),
@@ -392,6 +417,6 @@ def from_dict(doc: dict) -> SeverityModel:
         hl=json_field(doc, "hl", glm.HLResult.from_dict, None),
         n_total=json_field(doc, "n_total", int),
         n_partial=json_field(doc, "n_partial", int),
-        low_partial_warning=json_field(doc, "low_partial_warning", bool),
+        low_partial_warning=json_field(doc, "low_partial_warning", json_bool),
         zero_loss_skipped=json_field(doc, "zero_loss_skipped", int, 0),
     )

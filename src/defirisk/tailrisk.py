@@ -23,11 +23,21 @@ well.  The resampled law is therefore exact, and each resample costs
 O(m) instead of O(n) with m a little above n (1 - min level): the draws
 are tallied per order statistic, and a running count of the tallies
 gives each rank.
+
+``risk_report`` therefore keeps only the top m losses of each scenario.
+Each block drops its losses below the m-th largest merged so far, and the
+merge keeps a buffer of 2m plus one block, so memory is O(m) plus at most
+two blocks per worker in flight, and the top is byte-identical to the end
+of the full sorted sample.  The rare resample that needs the rest redraws
+the full sample from the same path stream, which gives the same losses.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import threading
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import date
@@ -64,6 +74,25 @@ def _resolve_inputs(portfolio, frequency_models, tvls):
     return np.array(probs), np.array(tvl_list)
 
 
+def _in_order(fn, count: int, workers: int):
+    """fn(0), ..., fn(count - 1) in that order, computed on ``workers`` threads.
+
+    At most two calls per worker are in flight or waiting to be consumed,
+    so the memory held by finished results does not depend on scheduling.
+    """
+    if workers <= 1:
+        yield from map(fn, range(count))
+        return
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        pending = deque()
+        for i in range(count):
+            pending.append(pool.submit(fn, i))
+            if len(pending) == 2 * workers:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+
+
 def simulate_aggregate(
     portfolio: Portfolio,
     frequency_models,
@@ -75,14 +104,21 @@ def simulate_aggregate(
     rng: RngStream,
     workers: int = 1,
     attack_probabilities=None,
+    top: int | None = None,
 ) -> np.ndarray:
-    """Sorted sample of the aggregate portfolio loss.
+    """Sorted sample of the aggregate portfolio loss, or only its ``top`` largest values.
 
     ``attack_probabilities`` (one per protocol, in portfolio order)
     bypasses the frequency models, e.g. to rerun published probabilities.
+    With ``top``, the result is byte-identical to the last ``top`` values
+    of the full sorted sample, and memory is O(top) plus two blocks per
+    worker: each block drops its values below the ``top``-th largest
+    merged so far.
     """
     if n_sims < 10_000:
         raise DomainError(f"n_sims must be at least 10^4, got {n_sims}")
+    if top is not None and not 1 <= top <= n_sims:
+        raise DomainError(f"top must lie in [1, {n_sims}], got {top}")
     if attack_probabilities is not None:
         probs = np.asarray(attack_probabilities, dtype=float)
         if probs.shape != (portfolio.dim,):
@@ -97,36 +133,59 @@ def simulate_aggregate(
         )
 
     d = portfolio.dim
-    chains = [proto.chain for proto in portfolio.protocols]
+    laws = [
+        sev.ratio_law(severity_model, proto.chain, tvl_arr[i], when)
+        for i, proto in enumerate(portfolio.protocols)
+    ]
+    floor = -math.inf  # the top-th largest value merged so far; it only rises
+    # Each thread reuses one (block, d) buffer of draws.  A fresh one each
+    # block can make malloc return it to the system and fault it in again:
+    # at 10^7 paths on 2 threads that was 250,000 page faults, not 8,000,
+    # and 0.8 s of system time.
+    scratch = threading.local()
 
     def run_block(block: int) -> np.ndarray:
         start = block * _BLOCK
         m = min(_BLOCK, n_sims - start)
         gen = rng.block_generator(block)
+        if not hasattr(scratch, "draws"):
+            scratch.draws = np.empty((min(_BLOCK, n_sims), d))
+        draws = scratch.draws[:m]
         if copula is not None:
-            events = mvn_sample(copula.chol, gen, size=m) > thresholds
+            events = mvn_sample(copula.chol, gen, size=m, out=draws) > thresholds
         else:
-            events = gen.random((m, d)) < probs
+            events = gen.random(out=draws) < probs
         s = np.zeros(m)
-        for i in range(d):
+        for i, law in enumerate(laws):
             idx = np.flatnonzero(events[:, i])
             if idx.size == 0:
                 continue
-            ratios = sev.sample_ratio(
-                severity_model, chains[i], tvl_arr[i], when, gen, size=idx.size
-            )
-            s[idx] += tvl_arr[i] * ratios
-        return s
+            s[idx] += tvl_arr[i] * law.draw(gen, idx.size)
+        # A stale floor is still a valid cut; >= keeps the ties at it.
+        return s if top is None else s[s >= floor]
 
-    n_blocks = (n_sims + _BLOCK - 1) // _BLOCK
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(run_block, range(n_blocks)))
-    else:
-        parts = [run_block(b) for b in range(n_blocks)]
-    sample = np.concatenate(parts) if parts else np.empty(0)
-    sample.sort()  # equal floats are indistinguishable, so any sort gives the same bytes
-    return sample
+    blocks = _in_order(run_block, (n_sims + _BLOCK - 1) // _BLOCK, workers)
+    if top is None:
+        sample = np.concatenate(list(blocks))
+        sample.sort()  # equal floats are indistinguishable, so any sort gives the same bytes
+        return sample
+
+    # Append the survivors; when the buffer is full, move its top values to
+    # the front and raise the floor to the smallest of them.  numpy's sort is
+    # vectorized and several times faster here than ndarray.partition.
+    buf = np.empty(min(n_sims, 2 * top + _BLOCK))
+    filled = 0
+    for part in blocks:
+        if filled + part.size > buf.size:
+            buf[:filled].sort()
+            floor = float(buf[filled - top])
+            buf[:top] = buf[filled - top : filled]
+            filled = top
+            part = part[part >= floor]
+        buf[filled : filled + part.size] = part
+        filled += part.size
+    buf[:filled].sort()
+    return buf[filled - top : filled].copy()  # a view would keep the buffer alive
 
 
 def _order_index(n: int, q: float) -> int:
@@ -147,21 +206,26 @@ def value_at_risk(sample: np.ndarray, q: float) -> float:
     return float(s[_order_index(s.size, q) - 1])
 
 
-def _tail(sample: np.ndarray, q: float) -> tuple[float, float, bool, bool]:
+def _tail(top: np.ndarray, q: float, n: int) -> tuple[float, float, bool, bool]:
     """VaR_q, CTE_q, whether no sample value lies above VaR_q (then CTE_q = VaR_q),
-    and whether VaR_q sits on an atom (more than one sample value equals it)."""
-    s = np.asarray(sample, dtype=float)
-    var_q = value_at_risk(s, q)
-    start = int(np.searchsorted(s, var_q, side="right"))
-    on_atom = start - int(np.searchsorted(s, var_q, side="left")) > 1
-    if start >= s.size:
+    and whether VaR_q sits on an atom (more than one sample value equals it).
+
+    ``top`` holds the largest values of a sorted n-sample: all of it, or at
+    least its top n - ceil(n q) + 2, so the value below VaR_q is kept.
+    """
+    var_q = float(top[_order_index(n, q) - 1 - (n - top.size)])
+    start = int(np.searchsorted(top, var_q, side="right"))
+    on_atom = start - int(np.searchsorted(top, var_q, side="left")) > 1
+    if start >= top.size:
         return var_q, var_q, True, on_atom
-    return var_q, float(s[start:].mean()), False, on_atom
+    return var_q, float(top[start:].mean()), False, on_atom
 
 
 def conditional_tail_expectation(sample: np.ndarray, q: float) -> float:
     """Mean of sample values strictly above VaR_q; VaR itself if none exceed it."""
-    return _tail(sample, q)[1]
+    s = np.asarray(sample, dtype=float)
+    value_at_risk(s, q)  # rejects a bad level or an empty sample
+    return _tail(s, q, s.size)[1]
 
 
 # Scenarios simulated for each ``dependence`` value, in report-column order.
@@ -228,8 +292,18 @@ def _tail_size(n: int, t: int) -> int:
     The count of draws landing in the top m is Binomial(n, m/n), with mean
     m and sd below sqrt(m), so it falls short of t only about 10 sd below
     its mean: the full-resample fallback is there for exactness, not speed.
+    m exceeds t unless it is n, so the top m also hold the value just
+    below the deepest VaR, which ``_tail`` needs.
     """
     return min(n, t + math.ceil(10.0 * math.sqrt(t)) + 10)
+
+
+def _tail_need(n: int, levels) -> tuple[list[int], int, int]:
+    """The 1-based ranks ceil(n q) of the levels, the number t of top order
+    statistics they reach, and the number m of them each resample draws from."""
+    ks = [_order_index(n, q) for q in levels]
+    t = n - min(ks) + 1
+    return ks, t, _tail_size(n, t)
 
 
 def _resample_counts(n: int, t: int, m: int, gen) -> tuple[np.ndarray, int]:
@@ -250,15 +324,16 @@ def _resample_counts(n: int, t: int, m: int, gen) -> tuple[np.ndarray, int]:
     return np.concatenate([np.bincount(gen.integers(0, n - m, n - c), minlength=n - m), top]), 0
 
 
-def _resample_tail(sample: np.ndarray, counts: np.ndarray, lo: int, ks) -> list[tuple]:
+def _resample_tail(top: np.ndarray, counts: np.ndarray, lo: int, ks, n: int) -> list[tuple]:
     """(VaR, CTE) at each 1-based rank in ``ks`` of a resample tallied by ``_resample_counts``.
 
-    CTE is the mean of the resample's values strictly above VaR, or VaR
-    when there are none.
+    ``top`` holds the largest values of the sorted n-sample, from the
+    (lo + 1)-th smallest on at least.  CTE is the mean of the resample's
+    values strictly above VaR, or VaR when there are none.
     """
-    values = sample[lo:]
+    values = top[lo - (n - top.size) :]
     rank = np.cumsum(counts)  # the resample's rank of the last draw of each value
-    rank += sample.size - rank[-1]
+    rank += n - rank[-1]
     out = []
     for k in ks:
         v = float(values[np.searchsorted(rank, k)])
@@ -269,15 +344,24 @@ def _resample_tail(sample: np.ndarray, counts: np.ndarray, lo: int, ks) -> list[
     return out
 
 
-def _bootstrap_ses(sample: np.ndarray, levels, resamples: int, gen) -> tuple[np.ndarray, np.ndarray]:
-    """Bootstrap SEs of (VaR, CTE) at each level, resampling the top of the sorted sample."""
-    n = sample.size
-    ks = [_order_index(n, q) for q in levels]
-    t = n - min(ks) + 1
-    m = _tail_size(n, t)
-    reps = np.array(
-        [_resample_tail(sample, *_resample_counts(n, t, m, gen), ks) for _ in range(resamples)]
-    )
+def _bootstrap_ses(
+    top: np.ndarray, levels, resamples: int, gen, n: int | None = None, redraw=None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Bootstrap SEs of (VaR, CTE) at each level of a sorted n-sample, resampling its top.
+
+    ``top`` holds the sample's largest values (all n by default), at least
+    the m that ``_tail_need`` names.  A resample that falls back to the
+    whole sample gets it from ``redraw()``, once.
+    """
+    n = top.size if n is None else n
+    ks, t, m = _tail_need(n, levels)
+    reps = []
+    for _ in range(resamples):
+        counts, lo = _resample_counts(n, t, m, gen)
+        if lo < n - top.size:
+            top = redraw()
+        reps.append(_resample_tail(top, counts, lo, ks, n))
+    reps = np.array(reps)
     # Deviations from the first replicate have the same SD, and an SD of
     # exactly 0 when every replicate agrees (a float mean of equal values
     # need not equal them).
@@ -322,16 +406,25 @@ def risk_report(
         attack_probabilities=attack_probabilities,
     )
 
+    _, _, m = _tail_need(n_sims, levels)
+
     def measure(scenario: str) -> list[tuple]:
-        """(VaR, CTE, no tail, on atom, SE VaR, SE CTE) per level; the sample is freed on return."""
+        """(VaR, CTE, no tail, on atom, SE VaR, SE CTE) per level, from the top of the sample.
+
+        The rare bootstrap fallback redraws the full sample from the same stream.
+        """
         with_copula, path_stream, boot_stream = _STREAMS[scenario]
-        sample = simulate_aggregate(
-            copula=copula if with_copula else None, rng=rng.child(path_stream), **common
+        simulate = functools.partial(
+            simulate_aggregate,
+            copula=copula if with_copula else None,
+            rng=rng.child(path_stream),
+            **common,
         )
+        top = simulate(top=m)
         se_var, se_cte = _bootstrap_ses(
-            sample, levels, bootstrap_resamples, rng.child(boot_stream).generator()
+            top, levels, bootstrap_resamples, rng.child(boot_stream).generator(), n_sims, simulate
         )
-        return [(*_tail(sample, q), se_var[j], se_cte[j]) for j, q in enumerate(levels)]
+        return [(*_tail(top, q, n_sims), se_var[j], se_cte[j]) for j, q in enumerate(levels)]
 
     scenarios = _SCENARIOS[dependence]
     measured = {scenario: measure(scenario) for scenario in scenarios}

@@ -276,12 +276,13 @@ class TestDeterminism:
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
     def test_simulate_workers_do_not_change_bytes(self, fitted_dir, tmp_path):
+        # 200,000 paths are four blocks, so 8 workers merge tops across threads.
         outs = []
         for workers in (1, 8):
             out = tmp_path / f"w{workers}"
             assert run(["simulate", "--tvl", TVL, "--portfolio", PORTFOLIO_PRICED,
                         "--models", fitted_dir, "--output", out, "--seed", 5,
-                        "--samples", 30000, "--bootstrap", 20, "--workers", workers]) == 0
+                        "--samples", 200_000, "--bootstrap", 20, "--workers", workers]) == 0
             outs.append(out)
         assert (outs[0] / "risk_report.csv").read_bytes() == (outs[1] / "risk_report.csv").read_bytes()
 
@@ -630,7 +631,8 @@ OVERRIDE_ENTRY_KEYS = ["attack_prob", "loss_pct", "tvl", "second_moment_pct"]
 
 # The keys of fitted frequency and severity model files.
 MODEL_KEYS = [
-    "alpha0", "alpha1", "beta", "beta_se", "cov_mean", "cov_sd", "covariate_dropped", "gamma",
+    "alpha0", "alpha1", "beta", "beta_se", "converged", "cov_mean", "cov_sd", "covariate_dropped",
+    "gamma",
     "hl", "low_partial_warning", "n_partial", "n_total", "penalty", "protocol_id", "se_alpha0",
     "se_alpha1", "sigma2", "time_origin", "total_loss_only", "window", "zero_loss_skipped",
 ]
@@ -790,6 +792,82 @@ class TestJsonInputs:
                 args = ["simulate", "--tvl", TVL, "--models", fitted_dir, "--samples", 10000,
                         "--bootstrap", 2, "--workers", 1]
             exits_cleanly(args + ["--portfolio", path, "--output", Path(tmp) / "out"])
+
+
+# Cell values that parse in one column and not in another, or that no
+# column takes, besides arbitrary text.
+CSV_CELLS = st.sampled_from([
+    "", " ", "0", "-1", "1e-300", "1e308", "1e400", "nan", "inf", "-0", "0x10", "1_000",
+    "2020-13", "2020-00", "0000-01", "9999-12", "10000-01", "-2020-01", "2020-1-1", "2022-02-30",
+    "ETH", "P1", '"', "a,b", "\x00", "\u00e9",
+]) | st.text(max_size=12) | st.floats().map(repr)
+
+
+@st.composite
+def corrupted_csv(draw, path: str) -> bytes:
+    """The fixture CSV at ``path`` with one row or cell replaced, cut short,
+    under a wrong header, or empty."""
+    raw = Path(path).read_bytes()
+    lines = raw.splitlines(keepends=True)
+    kind = draw(st.sampled_from(["cell", "row", "bytes", "truncate", "header", "empty"]))
+    if kind == "empty":
+        return b""
+    if kind == "truncate":
+        return raw[:draw(st.integers(0, len(raw) - 1))]
+    i = 0 if kind == "header" else draw(st.integers(1, len(lines) - 1))
+    if kind == "cell":
+        cells = lines[i].decode().rstrip("\n").split(",")
+        cells[draw(st.integers(0, len(cells) - 1))] = draw(CSV_CELLS)
+        lines[i] = (",".join(cells) + "\n").encode("utf-8", "surrogatepass")
+    elif kind == "bytes":
+        lines[i] = draw(st.binary(max_size=40)) + b"\n"
+    else:
+        lines[i] = (draw(st.text(max_size=40)) + "\n").encode("utf-8", "surrogatepass")
+    return b"".join(lines)
+
+
+def replace_row(path: str, index: int, row: bytes) -> bytes:
+    """The file at ``path`` with its line ``index`` replaced by ``row``."""
+    lines = Path(path).read_bytes().splitlines(keepends=True)
+    lines[index] = row + b"\n"
+    return b"".join(lines)
+
+
+class TestCsvInputs:
+    """Any corrupted incidents or TVL file exits 0 or 2 with at most one JSON error line."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(command=st.sampled_from(["summarize", "fit-frequency"]),
+           text=corrupted_csv(INCIDENTS))
+    @example(command="summarize", text=replace_row(INCIDENTS, 1, b"\x80"))
+    @example(command="fit-frequency",
+             text=replace_row(INCIDENTS, 5, b"P1,2022-01-01,ETH,x,1,\x00"))
+    def test_incidents_file(self, command, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "incidents.csv"
+            path.write_bytes(text)
+            args = [command, "--incidents", path]
+            if command == "fit-frequency":
+                args += ["--tvl", TVL, "--portfolio", PORTFOLIO]
+            exits_cleanly(args + ["--output", Path(tmp) / "out"])
+
+    @settings(max_examples=150, deadline=None)
+    @given(command=st.sampled_from(["fit-frequency", "simulate"]), text=corrupted_csv(TVL))
+    @example(command="simulate", text=replace_row(TVL, 1, b"\x80"))
+    @example(command="fit-frequency", text=replace_row(TVL, -1, b"P8,2023-12,0"))
+    @example(command="simulate", text=replace_row(TVL, -1, b"P8,2023-12,-0"))
+    @example(command="simulate", text=replace_row(TVL, -1, b"P8,9999-12,85361574.92"))
+    @example(command="fit-frequency", text=replace_row(TVL, -1, b"P8,0000-01,85361574.92"))
+    def test_tvl_file(self, fitted_dir, command, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "tvl.csv"
+            path.write_bytes(text)
+            if command == "fit-frequency":
+                args = ["fit-frequency", "--incidents", INCIDENTS, "--portfolio", PORTFOLIO]
+            else:
+                args = ["simulate", "--portfolio", PORTFOLIO_PRICED, "--models", fitted_dir,
+                        "--samples", 10000, "--bootstrap", 2, "--workers", 1]
+            exits_cleanly(args + ["--tvl", path, "--output", Path(tmp) / "out"])
 
 
 # Runs fit-frequency and gof in a fresh interpreter and prints the scipy

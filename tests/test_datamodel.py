@@ -54,7 +54,7 @@ class TestMonth:
         with pytest.raises(DomainError):
             Month(2022, 13)
 
-    @pytest.mark.parametrize("raw", ["2022-13", "2022-00"])
+    @pytest.mark.parametrize("raw", ["2022-13", "2022-00", "0000-01", "10000-01", "999999999-01"])
     def test_month_out_of_range_is_schema_error(self, raw):
         with pytest.raises(SchemaError):
             Month.parse(raw)
@@ -138,6 +138,13 @@ class TestLoadIncidents:
         with pytest.raises(OSError):
             load_incidents(tmp_path / "nope.csv")
 
+    @pytest.mark.parametrize("loader", [load_incidents, load_tvl])
+    def test_bytes_that_are_not_utf8_are_schema_error(self, tmp_path, loader):
+        path = tmp_path / "x.csv"
+        path.write_bytes(b"protocol_id,month,tvl_usd\nP1,2022-01,\xff100\n")
+        with pytest.raises(SchemaError, match="x.csv"):
+            loader(path)
+
 
 class TestLoadTvl:
     def test_roundtrip(self, tmp_path):
@@ -153,6 +160,19 @@ class TestLoadTvl:
             tmp_path, "t.csv", "protocol_id,month,tvl_usd\nP1,2022-01,100\nP1,2022-01,200\n"
         )
         with pytest.raises(DataError):
+            load_tvl(path)
+
+    def test_bad_month_names_file_and_line(self, tmp_path):
+        rows = "protocol_id,month,tvl_usd\nP1,2022-01,100\nP1,2022-13,100\n"
+        path = write(tmp_path, "t.csv", rows)
+        with pytest.raises(SchemaError, match="t.csv:3: month must be YYYY-MM"):
+            load_tvl(path)
+
+    @pytest.mark.parametrize("value", ["0", "-0", "0.00"])
+    def test_zero_tvl_rejected_with_line(self, tmp_path, value):
+        rows = f"protocol_id,month,tvl_usd\nP1,2022-01,100\nP1,2022-02,{value}\n"
+        path = write(tmp_path, "t.csv", rows)
+        with pytest.raises(SchemaError, match=f"t.csv:3: zero tvl_usd {value}"):
             load_tvl(path)
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from defirisk import frequency, glm
 from defirisk.datamodel import Month, MonthlyPanelRow
-from defirisk.errors import DomainError, InsufficientDataError, NoEventError
+from defirisk.errors import DomainError, InsufficientDataError, NoEventError, SchemaError
 
 from reference_values import FREQ_COEFS
 from synth import frequency_panel
@@ -161,6 +161,20 @@ class TestSerialization:
             assert frequency.predict_attack_probability(
                 back, tvl
             ) == frequency.predict_attack_probability(model, tvl)
+
+    def test_converged_flag_round_trips(self):
+        import dataclasses
+        import json
+
+        model = frequency.fit_frequency(frequency_panel((-2.8, 0.2), 350, seed=91))
+        for converged in (False, True):
+            fit = dataclasses.replace(model.fit, converged=converged)
+            doc = json.loads(json.dumps(frequency.to_dict(dataclasses.replace(model, fit=fit))))
+            assert doc["converged"] is converged
+            assert frequency.from_dict(doc).fit.converged is converged
+        for key in ("converged", "covariate_dropped"):
+            with pytest.raises(SchemaError, match=key):
+                frequency.from_dict({**doc, key: "false"})
 
     def test_round_trip_json_types(self):
         import json

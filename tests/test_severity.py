@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from defirisk import glm, severity
 from defirisk.datamodel import Chain, IncidentRecord, IssueType, Month
-from defirisk.errors import DomainError
+from defirisk.errors import DomainError, SchemaError
 from defirisk.numerics import RngStream
 
 from oracles import exact_ratio_moments, mc_ratio_moments
@@ -287,6 +287,21 @@ class TestSerialization:
             ) == severity.predict_total_loss_prob(model, chain, 1e7, when)
         assert back.sigma2 == model.sigma2
         assert back.training_window == model.training_window
+
+    def test_converged_flag_round_trips(self):
+        import dataclasses
+        import json
+
+        incidents = severity_incidents(800, 311, TOTAL_LOSS_COEFS, PROP_LOSS_COEFS, 2.0)
+        model = severity.fit_severity(severity.training_set(incidents))
+        for converged in (False, True):
+            fit = dataclasses.replace(model.total_loss_fit, converged=converged)
+            doc = severity.to_dict(dataclasses.replace(model, total_loss_fit=fit))
+            back = severity.from_dict(json.loads(json.dumps(doc)))
+            assert doc["converged"] is converged and back.total_loss_fit.converged is converged
+        for key in ("converged", "low_partial_warning"):
+            with pytest.raises(SchemaError, match=key):
+                severity.from_dict({**doc, key: "false"})
 
     def test_round_trip_total_loss_only(self):
         import json

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from datetime import date
 
 import numpy as np
@@ -186,6 +187,86 @@ class TestSimulateAggregate:
                 n_sims=5000,
                 rng=RngStream(6),
             )
+
+
+class TestStreamingTop:
+    @staticmethod
+    def total_loss_inputs():
+        """Three protocols whose losses are total: the sample takes eight values,
+        so many paths tie at any cut."""
+        portfolio = make_portfolio(3, similarity=[[1, 0.4, 0.2], [0.4, 1, 0.3], [0.2, 0.3, 1]])
+        freq = {f"P{i}": flat_frequency_model(0.004 + 0.003 * i, f"P{i}") for i in range(3)}
+        tvls = {"P0": 1e6, "P1": 2e6, "P2": 4e6}
+        return dict(portfolio=portfolio, frequency_models=freq,
+                    severity_model=total_loss_only_model(), tvls=tvls, when=WHEN)
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_top_is_the_top_of_the_full_sample(self, workers):
+        # q = 0.99 at n = 10^6 keeps m = 11,011 values, so the 2m + 65,536
+        # buffer is merged many times over the 16 blocks.
+        n = 1_000_000
+        m = tailrisk._tail_need(n, [0.99])[2]
+        inputs = self.total_loss_inputs()
+        for copula in (build_copula(inputs["portfolio"].similarity), None):
+            full = tailrisk.simulate_aggregate(
+                **inputs, copula=copula, n_sims=n, rng=RngStream(40, 1), workers=workers
+            )
+            top = tailrisk.simulate_aggregate(
+                **inputs, copula=copula, n_sims=n, rng=RngStream(40, 1), workers=workers, top=m
+            )
+            assert full[-m - 1] == full[-m]  # the cut falls inside an atom
+            assert top.tobytes() == full[-m:].tobytes()
+
+    def test_top_bounds_are_checked(self):
+        inputs = self.total_loss_inputs()
+        for top in (0, 10_001):
+            with pytest.raises(DomainError):
+                tailrisk.simulate_aggregate(
+                    **inputs, copula=None, n_sims=10_000, rng=RngStream(1), top=top
+                )
+
+    def test_forced_fallback_matches_the_full_sample_report(self, monkeypatch):
+        # With m = t + 1, the least that keeps the value below the deepest
+        # VaR, about half the resamples draw fewer than t values from the
+        # top and fall back to the whole sample, which the report must
+        # redraw from the path stream: every field must equal the report of
+        # the full sample.
+        monkeypatch.setattr(tailrisk, "_tail_size", lambda n, t: min(n, t + 1))
+        simulate = tailrisk.simulate_aggregate
+        calls = []
+
+        def counted(**kwargs):
+            calls.append(kwargs.get("top"))
+            return simulate(**kwargs)
+
+        def full_only(**kwargs):
+            kwargs.pop("top", None)
+            return simulate(**kwargs)
+
+        reports = []
+        for stand_in in (counted, full_only):
+            monkeypatch.setattr(tailrisk, "simulate_aggregate", stand_in)
+            reports.append(TestRiskReport.small_report(seed=17, n=40_000, bootstrap=20))
+        assert reports[0] == reports[1]
+        t = 40_000 - tailrisk._order_index(40_000, 0.90) + 1
+        assert calls == [t + 1, None, t + 1, None]  # one redraw per scenario
+
+    def test_risk_report_memory_follows_the_tail(self):
+        # Holding the sorted sample and the blocks it is concatenated from
+        # takes at least 16 bytes a path; the top at q = 0.9, its merge
+        # buffer and the bootstrap tallies take about 4.
+        n = 2_000_000
+        inputs = self.total_loss_inputs()
+        tracemalloc.start()
+        try:
+            tailrisk.risk_report(
+                **inputs, copula=build_copula(inputs["portfolio"].similarity), n_sims=n,
+                rng=RngStream(41, 0), bootstrap_resamples=5,
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n
 
 
 class TestRiskReport:
@@ -409,8 +490,8 @@ class TestTailOnlyBootstrap:
                 paths.add(lo)
                 below = np.full(n - int(counts.sum()), sample[lo - 1] if lo else 0.0)
                 resample = np.concatenate([below, np.repeat(sample[lo:], counts)])
-                for (v, cte), q in zip(tailrisk._resample_tail(sample, counts, lo, ks), levels):
-                    want_var, want_cte, *_ = tailrisk._tail(resample, q)
+                for (v, cte), q in zip(tailrisk._resample_tail(sample, counts, lo, ks, n), levels):
+                    want_var, want_cte, *_ = tailrisk._tail(resample, q, n)
                     assert v == want_var
                     assert cte == pytest.approx(want_cte, rel=1e-12)
         assert 0 in paths and len(paths) > 1
