@@ -11,10 +11,9 @@ from .datamodel import (
     IncidentRecord,
     IssueType,
     Month,
-    MonthlyPanelRow,
+    Panel,
     Portfolio,
     ProtocolSpec,
-    TvlObservation,
     build_monthly_panel,
     derive_loss_ratio,
     load_incidents,
@@ -60,7 +59,7 @@ __all__ = [
     "IncidentRecord",
     "IssueType",
     "Month",
-    "MonthlyPanelRow",
+    "Panel",
     "Portfolio",
     "PremiumQuote",
     "ProtocolSpec",
@@ -68,7 +67,6 @@ __all__ = [
     "RiskReport",
     "RngStream",
     "SeverityModel",
-    "TvlObservation",
     "build_copula",
     "build_monthly_panel",
     "cholesky",

@@ -191,20 +191,19 @@ def _emit_table(cfg: RunConfig, stem: str, header: list[str], rows: list[list]) 
 # shared data assembly
 
 
-def _by_protocol(items) -> dict[str, list]:
-    """TVL observations or incident records grouped by ``protocol_id``, in input order."""
+def _by_protocol(records) -> dict[str, list]:
+    """Incident records grouped by ``protocol_id``, in input order."""
     groups: dict[str, list] = {}
-    for item in items:
-        groups.setdefault(item.protocol_id, []).append(item)
+    for rec in records:
+        groups.setdefault(rec.protocol_id, []).append(rec)
     return groups
 
 
-def _latest_tvl(series, protocol_id: str) -> tuple[Month, float]:
-    """Latest (month, TVL) of one protocol's TVL observations."""
+def _latest_month(series: dict[Month, float], protocol_id: str) -> Month:
+    """Latest month of one protocol's TVL series."""
     if not series:
         raise ConfigError(f"no TVL observations for protocol {protocol_id!r}")
-    latest = max(series, key=lambda obs: obs.month)
-    return latest.month, latest.tvl_usd
+    return max(series)
 
 
 def _report_row(r: RejectedRow) -> dict:
@@ -225,16 +224,13 @@ def _ingest_report_payload(result: IngestResult) -> dict:
 def _prediction_point(cfg: RunConfig, series, protocol_id: str) -> tuple[float, Month]:
     """TVL snapshot feeding predictions and the month being predicted.
 
-    ``series`` holds the protocol's own TVL observations.
+    ``series`` maps the protocol's months to its TVL.  The snapshot is at
+    --window-end when the series has that month, else at its latest month.
     """
-    month, value = _latest_tvl(series, protocol_id)
-    if cfg.window_end is not None:
-        by_month = {obs.month: obs.tvl_usd for obs in series}
-        if cfg.window_end in by_month:
-            month, value = cfg.window_end, by_month[cfg.window_end]
+    month = cfg.window_end if cfg.window_end in series else _latest_month(series, protocol_id)
     if month == Month(9999, 12):
         raise DataError(f"protocol {protocol_id!r}: no calendar month after {month} to predict")
-    return value, month.plus(1)
+    return series[month], month.plus(1)
 
 
 # ---------------------------------------------------------------------------
@@ -244,13 +240,13 @@ def _prediction_point(cfg: RunConfig, series, protocol_id: str) -> tuple[float, 
 def cmd_fit_frequency(cfg: RunConfig) -> list[Path]:
     cfg.validate(needs=("incidents", "tvl", "portfolio"))
     ingest = load_incidents(cfg.incidents)
-    tvl_by = _by_protocol(load_tvl(cfg.tvl))
+    tvl = load_tvl(cfg.tvl)
     portfolio = load_portfolio(cfg.portfolio)
     incidents_by = _by_protocol(ingest.records)
     panels = {}
     for proto in portfolio.protocols:
-        series = tvl_by.get(proto.id, [])
-        window_end = cfg.window_end or _latest_tvl(series, proto.id)[0]
+        series = tvl.get(proto.id, {})
+        window_end = cfg.window_end or _latest_month(series, proto.id)
         panels[proto.id] = build_monthly_panel(
             incidents_by.get(proto.id, []), series, proto, window_end
         )
@@ -286,7 +282,7 @@ def cmd_fit_frequency(cfg: RunConfig) -> list[Path]:
     ]
     rows = []
     for proto in portfolio.protocols:
-        tvl_next, _ = _prediction_point(cfg, tvl_by.get(proto.id, []), proto.id)
+        tvl_next, _ = _prediction_point(cfg, tvl.get(proto.id, {}), proto.id)
         if proto.id in models:
             model = models[proto.id]
             path = cfg.output / f"freq_{proto.id}.json"
@@ -426,8 +422,8 @@ def cmd_price(cfg: RunConfig) -> list[Path]:
         return _price_from_override(cfg)
     cfg.validate(needs=("tvl", "portfolio"))
     portfolio = load_portfolio(cfg.portfolio)
-    tvl_by = _by_protocol(load_tvl(cfg.tvl))
-    points = [_prediction_point(cfg, tvl_by.get(p.id, []), p.id) for p in portfolio.protocols]
+    tvl = load_tvl(cfg.tvl)
+    points = [_prediction_point(cfg, tvl.get(p.id, {}), p.id) for p in portfolio.protocols]
     freq_models = _load_frequency_models(cfg, portfolio)
     sev_model = _load_severity_model(cfg, min(month for _, month in points).first_day())
     theta = cfg.theta if cfg.theta is not None else portfolio.loading_theta
@@ -523,8 +519,8 @@ def _price_from_override(cfg: RunConfig) -> list[Path]:
 def cmd_simulate(cfg: RunConfig) -> list[Path]:
     cfg.validate(needs=("tvl", "portfolio"))
     portfolio = load_portfolio(cfg.portfolio)
-    tvl_by = _by_protocol(load_tvl(cfg.tvl))
-    points = [_prediction_point(cfg, tvl_by.get(p.id, []), p.id) for p in portfolio.protocols]
+    tvl = load_tvl(cfg.tvl)
+    points = [_prediction_point(cfg, tvl.get(p.id, {}), p.id) for p in portfolio.protocols]
     tvls = {p.id: tvl_next for p, (tvl_next, _) in zip(portfolio.protocols, points)}
     when = max(month for _, month in points).first_day()
     freq_models = _load_frequency_models(cfg, portfolio)
@@ -600,10 +596,8 @@ def cmd_gof(cfg: RunConfig) -> list[Path]:
         if not matches:
             raise ConfigError(f"portfolio has no protocol {model.protocol_id!r}")
         ingest = load_incidents(cfg.incidents)
-        tvl_obs = load_tvl(cfg.tvl)
-        panel = build_monthly_panel(
-            ingest.records, tvl_obs, matches[0], model.training_window[1]
-        )
+        series = load_tvl(cfg.tvl).get(model.protocol_id, {})
+        panel = build_monthly_panel(ingest.records, series, matches[0], model.training_window[1])
         hl = glm.hosmer_lemeshow(model.fit, *frequency.panel_design(panel))
         payload = {
             "model": "frequency",
@@ -664,12 +658,15 @@ def cmd_summarize(cfg: RunConfig) -> list[Path]:
         )
 
     def _stats(values: list[float]) -> list[tuple[str, float | None]]:
-        arr = np.asarray(values, dtype=float)
-        sd = float(arr.std(ddof=1)) if arr.size > 1 else None
+        # Scaling by a power of two is exact, and it keeps the sums of
+        # losses near the float maximum finite.
+        k = math.frexp(max(map(abs, values)))[1]
+        arr = np.ldexp(np.asarray(values, dtype=float), -k)
+        sd = math.ldexp(float(arr.std(ddof=1)), k) if arr.size > 1 else None
         return [
             ("count", int(arr.size)),
-            ("median", float(np.median(arr))),
-            ("mean", float(arr.mean())),
+            ("median", math.ldexp(float(np.median(arr)), k)),
+            ("mean", math.ldexp(float(arr.mean()), k)),
             ("sd", sd),
         ]
 

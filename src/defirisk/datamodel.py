@@ -106,13 +106,6 @@ def parse_window(raw) -> tuple[Month, Month]:
     return start, end
 
 
-def month_range(start: Month, end: Month) -> list[Month]:
-    """All months from start to end inclusive."""
-    if end < start:
-        raise DomainError(f"month range end {end} precedes start {start}")
-    return [Month.from_index(i) for i in range(start.index, end.index + 1)]
-
-
 @dataclass(frozen=True, slots=True)
 class IncidentRecord:
     """One security event: where, when, how, and how much was lost."""
@@ -123,13 +116,6 @@ class IncidentRecord:
     issue_type: IssueType
     loss_usd: float
     tvl_usd: float | None  # snapshot one day before the attack; may be absent
-
-
-@dataclass(frozen=True, slots=True)
-class TvlObservation:
-    protocol_id: str
-    month: Month
-    tvl_usd: float
 
 
 @dataclass(frozen=True, slots=True)
@@ -168,12 +154,20 @@ class Portfolio:
         return len(self.protocols)
 
 
-@dataclass(frozen=True, slots=True)
-class MonthlyPanelRow:
+@dataclass(frozen=True)
+class Panel:
+    """One protocol's monthly panel, a float array entry per month from ``start``.
+
+    ``events`` is 1.0 for a month with at least one incident, else 0.0.
+    """
+
     protocol_id: str
-    month: Month
-    event: int  # 1 iff at least one incident that month
-    log_tvl: float
+    start: Month
+    events: np.ndarray
+    log_tvl: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.events)
 
 
 @dataclass(frozen=True, slots=True)
@@ -220,8 +214,9 @@ def _parse_amount(name: str, raw: str) -> tuple[float | None, str | None]:
 def _csv_rows(path, header: list[str], what: str):
     """(line, cells) of each non-blank row of a CSV file under ``header``.
 
-    An empty file, another header, or bytes that are not UTF-8 text are a
-    SchemaError naming the file.
+    ``line`` is the first physical line of the row, which a quoted newline
+    can make span several.  An empty file, another header, or bytes that
+    are not UTF-8 text are a SchemaError naming the file.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         try:
@@ -231,9 +226,11 @@ def _csv_rows(path, header: list[str], what: str):
                 raise SchemaError(f"{path}: empty {what} file")
             if [h.strip() for h in first] != header:
                 raise SchemaError(f"{path}: bad {what} header {first!r}, expected {header}")
-            for line, row in enumerate(reader, start=2):
+            line = reader.line_num + 1
+            for row in reader:
                 if row and any(cell.strip() for cell in row):
                     yield line, row
+                line = reader.line_num + 1
         except (UnicodeDecodeError, csv.Error) as exc:
             raise SchemaError(f"{path}: not a readable {what} CSV: {exc}") from exc
 
@@ -279,10 +276,12 @@ def load_incidents(path) -> IngestResult:
     return IngestResult(tuple(records), tuple(rejected), tuple(flagged))
 
 
-def load_tvl(path) -> tuple[TvlObservation, ...]:
-    """Parse a monthly TVL CSV; a zero TVL, or two for one (protocol, month), is an error."""
-    out: list[TvlObservation] = []
-    seen: set[tuple[str, Month]] = set()
+def load_tvl(path) -> dict[str, dict[Month, float]]:
+    """Parse a monthly TVL CSV into ``{protocol_id: {month: tvl_usd}}``.
+
+    A zero TVL, or two for one (protocol, month), is an error.
+    """
+    out: dict[str, dict[Month, float]] = {}
     for line, row in _csv_rows(path, TVL_HEADER, "tvl"):
         if len(row) != len(TVL_HEADER):
             raise SchemaError(f"{path}:{line}: wrong number of fields")
@@ -296,12 +295,11 @@ def load_tvl(path) -> tuple[TvlObservation, ...]:
             reason = f"zero tvl_usd {tvl_raw}: log TVL undefined"
         if reason is not None:
             raise SchemaError(f"{path}:{line}: {reason}")
-        key = (pid, month)
-        if key in seen:
+        series = out.setdefault(pid, {})
+        if month in series:
             raise DataError(f"{path}:{line}: duplicate TVL observation for {pid} {month}")
-        seen.add(key)
-        out.append(TvlObservation(pid, month, tvl))
-    return tuple(out)
+        series[month] = tvl
+    return out
 
 
 def read_json_object(path) -> dict:
@@ -349,43 +347,39 @@ def load_portfolio(path) -> Portfolio:
 
 def build_monthly_panel(
     incidents,
-    tvl,
+    series: dict[Month, float],
     protocol: ProtocolSpec,
     window_end: Month,
-) -> tuple[MonthlyPanelRow, ...]:
-    """One row per month from inception to window_end.
+) -> Panel:
+    """The protocol's panel from inception to window_end, from its TVL ``series``.
 
-    Multiple incidents inside one month collapse to a single event; a
-    missing or zero TVL month is an error, never interpolated.
+    Incidents of other protocols or outside the window are ignored, and
+    several inside one month collapse to a single event.  A missing or
+    zero TVL month is an error, never interpolated; the first in calendar
+    order is reported.
     """
     if window_end < protocol.inception:
         raise DataError(
             f"protocol {protocol.id!r}: window end {window_end} precedes inception "
             f"{protocol.inception}"
         )
-    months = month_range(protocol.inception, window_end)
-    tvl_by_month = {obs.month: obs.tvl_usd for obs in tvl if obs.protocol_id == protocol.id}
-    event_months = {
-        Month.of(rec.date)
-        for rec in incidents
-        if rec.protocol_id == protocol.id and protocol.inception <= Month.of(rec.date) <= window_end
-    }
-    rows = []
-    for m in months:
-        if m not in tvl_by_month:
-            raise TvlGapError(protocol.id, str(m))
-        value = tvl_by_month[m]
+    first = protocol.inception.index
+    n = window_end.index - first + 1
+    log_tvl = np.empty(n)
+    for k in range(n):
+        month = protocol.inception.plus(k)
+        value = series.get(month)
+        if value is None:
+            raise TvlGapError(protocol.id, str(month))
         if value <= 0.0:
-            raise DomainError(f"protocol {protocol.id!r}: TVL for {m} is zero; log undefined")
-        rows.append(
-            MonthlyPanelRow(
-                protocol_id=protocol.id,
-                month=m,
-                event=1 if m in event_months else 0,
-                log_tvl=math.log(value),
-            )
-        )
-    return tuple(rows)
+            raise DomainError(f"protocol {protocol.id!r}: TVL for {month} is zero; log undefined")
+        log_tvl[k] = math.log(value)
+    events = np.zeros(n)
+    for rec in incidents:
+        k = rec.date.year * 12 + rec.date.month - 1 - first
+        if rec.protocol_id == protocol.id and 0 <= k < n:
+            events[k] = 1.0
+    return Panel(protocol.id, protocol.inception, events, log_tvl)
 
 
 def derive_loss_ratio(incident: IncidentRecord) -> float:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import glm
-from .datamodel import Month, MonthlyPanelRow, parse_window
+from .datamodel import Month, Panel, parse_window
 from .errors import (
     DomainError,
     InsufficientDataError,
@@ -43,17 +43,16 @@ class FrequencyModel:
     covariate_dropped: bool = False
 
 
-def panel_design(panel) -> tuple[np.ndarray, np.ndarray]:
-    """Design (intercept, log TVL) and 0/1 event response of panel rows."""
-    x = np.array([row.log_tvl for row in panel], dtype=float)
-    y = np.array([row.event for row in panel], dtype=float)
+def panel_design(*panels: Panel) -> tuple[np.ndarray, np.ndarray]:
+    """Design (intercept, log TVL) and 0/1 event response of the panels' months."""
+    x = np.concatenate([panel.log_tvl for panel in panels])
+    y = np.concatenate([panel.events for panel in panels])
     return np.column_stack([np.ones(len(y)), x]), y
 
 
-def fit_frequency(panel, groups: int = 10) -> FrequencyModel:
+def fit_frequency(panel: Panel, groups: int = 10) -> FrequencyModel:
     """Fit event-on-log-TVL logistic regression over one protocol's panel."""
-    panel = list(panel)
-    if not panel:
+    if not len(panel):
         raise InsufficientDataError("empty monthly panel")
     if len(panel) < 2:
         raise InsufficientDataError("a single panel month cannot identify the model")
@@ -61,12 +60,11 @@ def fit_frequency(panel, groups: int = 10) -> FrequencyModel:
     x = design[:, 1]
     if y.sum() == 0:
         raise NoEventError(
-            f"protocol {panel[0].protocol_id!r} has no event months; "
+            f"protocol {panel.protocol_id!r} has no event months; "
             "use pooled_fit and peer_interval for an interval approximation"
         )
-    indices = [row.month.index for row in panel]
-    window = (Month.from_index(min(indices)), Month.from_index(max(indices)))
-    protocol_id = panel[0].protocol_id
+    window = (panel.start, panel.start.plus(len(panel) - 1))
+    protocol_id = panel.protocol_id
 
     if np.std(x, ddof=1) == 0.0:
         # Constant TVL: standardization is undefined, so drop the covariate
@@ -99,14 +97,13 @@ def predict_attack_probability(model: FrequencyModel, tvl_next: float) -> float:
 def pooled_fit(peer_panels) -> glm.LogisticFit:
     """One logistic fit over the pooled peer panels, for ``peer_interval``.
 
-    Raises InsufficientDataError without panel rows, NoEventError without
+    Raises InsufficientDataError without panel months, NoEventError without
     events, and DomainError when the fit falls back to the penalized path,
     which has no covariance for a Wald interval.
     """
-    rows: list[MonthlyPanelRow] = [row for panel in peer_panels for row in panel]
-    if not rows:
+    if not any(len(panel) for panel in peer_panels):
         raise InsufficientDataError("no peer panels supplied")
-    design, y = panel_design(rows)
+    design, y = panel_design(*peer_panels)
     if y.sum() == 0:
         raise NoEventError("pooled peer panels contain no events")
     fit = glm.fit_logistic(design, y, standardize=True)

@@ -106,18 +106,19 @@ def simulate_aggregate(
     attack_probabilities=None,
     top: int | None = None,
 ) -> np.ndarray:
-    """Sorted sample of the aggregate portfolio loss, or only its ``top`` largest values.
+    """The ``top`` largest values (default all) of the sorted sample of the
+    aggregate portfolio loss.
 
     ``attack_probabilities`` (one per protocol, in portfolio order)
     bypasses the frequency models, e.g. to rerun published probabilities.
-    With ``top``, the result is byte-identical to the last ``top`` values
-    of the full sorted sample, and memory is O(top) plus two blocks per
-    worker: each block drops its values below the ``top``-th largest
-    merged so far.
+    The result is byte-identical to the last ``top`` values of the full
+    sorted sample, and memory is O(top) plus two blocks per worker: each
+    block drops its values below the ``top``-th largest merged so far.
     """
     if n_sims < 10_000:
         raise DomainError(f"n_sims must be at least 10^4, got {n_sims}")
-    if top is not None and not 1 <= top <= n_sims:
+    top = n_sims if top is None else top
+    if not 1 <= top <= n_sims:
         raise DomainError(f"top must lie in [1, {n_sims}], got {top}")
     if attack_probabilities is not None:
         probs = np.asarray(attack_probabilities, dtype=float)
@@ -162,14 +163,9 @@ def simulate_aggregate(
                 continue
             s[idx] += tvl_arr[i] * law.draw(gen, idx.size)
         # A stale floor is still a valid cut; >= keeps the ties at it.
-        return s if top is None else s[s >= floor]
+        return s[s >= floor]
 
     blocks = _in_order(run_block, (n_sims + _BLOCK - 1) // _BLOCK, workers)
-    if top is None:
-        sample = np.concatenate(list(blocks))
-        sample.sort()  # equal floats are indistinguishable, so any sort gives the same bytes
-        return sample
-
     # Append the survivors; when the buffer is full, move its top values to
     # the front and raise the floor to the smallest of them.  numpy's sort is
     # vectorized and several times faster here than ndarray.partition.

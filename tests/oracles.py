@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 
+from defirisk.datamodel import Month
+from defirisk.errors import DataError, DomainError, TvlGapError
 from defirisk.glm import invlogit
 from defirisk.numerics import std_normal_cdf
 from defirisk.tailrisk import _order_index
@@ -105,3 +107,32 @@ def exact_ratio_moments(eta: float, sigma2: float, dps: int = 30):
 
             moments.append(float(mp.quad(f, [-mp.inf, *breaks, mp.inf])))
     return moments[0], moments[1]
+
+
+def monthly_panel_rows(incidents, series, protocol, window_end):
+    """Row-by-row reference for ``datamodel.build_monthly_panel``.
+
+    One ``(month, event, log TVL)`` per month from inception to
+    ``window_end``, built a month at a time from the ``{month: tvl_usd}``
+    ``series``, with the same errors for the first failing month.
+    """
+    if window_end < protocol.inception:
+        raise DataError(
+            f"protocol {protocol.id!r}: window end {window_end} precedes inception "
+            f"{protocol.inception}"
+        )
+    months = [Month.from_index(i) for i in range(protocol.inception.index, window_end.index + 1)]
+    event_months = {
+        Month.of(rec.date)
+        for rec in incidents
+        if rec.protocol_id == protocol.id and protocol.inception <= Month.of(rec.date) <= window_end
+    }
+    rows = []
+    for m in months:
+        if m not in series:
+            raise TvlGapError(protocol.id, str(m))
+        value = series[m]
+        if value <= 0.0:
+            raise DomainError(f"protocol {protocol.id!r}: TVL for {m} is zero; log undefined")
+        rows.append((m, 1 if m in event_months else 0, math.log(value)))
+    return rows

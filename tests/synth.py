@@ -5,17 +5,7 @@ from datetime import date, timedelta
 import numpy as np
 
 from defirisk import glm
-from defirisk.datamodel import Chain, IncidentRecord, IssueType, Month, MonthlyPanelRow
-
-
-_MONTH_CACHE: dict[tuple[int, int], list[Month]] = {}
-
-
-def _months(start: Month, n: int) -> list[Month]:
-    key = (start.index, n)
-    if key not in _MONTH_CACHE:
-        _MONTH_CACHE[key] = [Month.from_index(start.index + i) for i in range(n)]
-    return _MONTH_CACHE[key]
+from defirisk.datamodel import Chain, IncidentRecord, IssueType, Month, Panel
 
 
 def frequency_panel(coefs, n_months, seed, protocol_id="SYN", x_mu=16.0, x_sd=1.5):
@@ -24,17 +14,8 @@ def frequency_panel(coefs, n_months, seed, protocol_id="SYN", x_mu=16.0, x_sd=1.
     log_tvl = gen.normal(x_mu, x_sd, size=n_months)
     z = (log_tvl - log_tvl.mean()) / log_tvl.std(ddof=1)
     p = glm.invlogit(coefs[0] + coefs[1] * z)
-    events = (gen.random(n_months) < p).astype(int)
-    months = _months(Month(1980, 1), n_months)
-    return [
-        MonthlyPanelRow(
-            protocol_id=protocol_id,
-            month=months[i],
-            event=int(events[i]),
-            log_tvl=float(log_tvl[i]),
-        )
-        for i in range(n_months)
-    ]
+    events = (gen.random(n_months) < p).astype(float)
+    return Panel(protocol_id, Month(1980, 1), events, log_tvl)
 
 
 def severity_incidents(

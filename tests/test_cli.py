@@ -968,6 +968,21 @@ class TestSummarize:
         assert float(by[("severity_usd", "all", "mean")]) == 5000000.0
         assert by[("severity_usd", "all", "sd")] == ""
 
+    @pytest.mark.filterwarnings("error")
+    def test_losses_near_the_float_maximum_stay_finite(self, tmp_path):
+        path = tmp_path / "big.csv"
+        path.write_text(
+            "protocol_id,date,chain,issue_type,loss_usd,tvl_usd\n"
+            "P1,2022-07-15,ETH,oracle,1e308,\n"
+            "P2,2022-08-15,ETH,oracle,1e308,\n"
+        )
+        assert run(["summarize", "--incidents", path, "--output", tmp_path]) == 0
+        with open(tmp_path / "summary.csv", newline="") as fh:
+            by = {(r["section"], r["key"], r["metric"]): r["value"] for r in csv.DictReader(fh)}
+        assert float(by[("severity_usd", "all", "median")]) == 1e308
+        assert float(by[("severity_usd", "all", "mean")]) == 1e308
+        assert float(by[("severity_usd", "all", "sd")]) == 0.0
+
     def test_year_bucketing_across_boundaries(self, tmp_path):
         csv_text = (
             "protocol_id,date,chain,issue_type,loss_usd,tvl_usd\n"

@@ -3,7 +3,7 @@ from datetime import date
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from defirisk.datamodel import (
@@ -13,16 +13,16 @@ from defirisk.datamodel import (
     Month,
     Portfolio,
     ProtocolSpec,
-    TvlObservation,
     build_monthly_panel,
     derive_loss_ratio,
     effective_tvl,
     load_incidents,
     load_portfolio,
     load_tvl,
-    month_range,
 )
 from defirisk.errors import DataError, DomainError, SchemaError, TvlGapError
+
+from oracles import monthly_panel_rows
 
 
 def write(tmp_path, name, text):
@@ -45,7 +45,7 @@ class TestMonth:
         assert Month.from_index(Month(2022, 1).index) == Month(2022, 1)
 
     def test_range_inclusive(self):
-        months = month_range(Month(2020, 11), Month(2021, 2))
+        months = [Month(2020, 11).plus(i) for i in range(4)]
         assert [str(m) for m in months] == ["2020-11", "2020-12", "2021-01", "2021-02"]
 
     def test_bad_parse(self):
@@ -129,6 +129,12 @@ class TestLoadIncidents:
         assert len(result.records) == 2
         assert len(result.rejected) == 4
 
+    def test_rejected_line_is_the_physical_line(self, tmp_path):
+        body = 'P1,2022-01-01,ETH,"multi\nline",5,\nP2,bad-date,ETH,oracle,5,\n'
+        result = load_incidents(write(tmp_path, "i.csv", INCIDENTS_HEADER + body))
+        assert len(result.records) == 1
+        assert [r.line for r in result.rejected] == [4]
+
     def test_malformed_header(self, tmp_path):
         path = write(tmp_path, "i.csv", "a,b,c\n1,2,3\n")
         with pytest.raises(SchemaError):
@@ -151,9 +157,9 @@ class TestLoadTvl:
         path = write(
             tmp_path, "t.csv", "protocol_id,month,tvl_usd\nP1,2022-01,100\nP1,2022-02,200\n"
         )
-        obs = load_tvl(path)
-        assert obs[0] == TvlObservation("P1", Month(2022, 1), 100.0)
-        assert len(obs) == 2
+        tvl = load_tvl(path)
+        assert tvl["P1"][Month(2022, 1)] == 100.0
+        assert len(tvl["P1"]) == 2
 
     def test_duplicate_month_rejected(self, tmp_path):
         path = write(
@@ -166,6 +172,12 @@ class TestLoadTvl:
         rows = "protocol_id,month,tvl_usd\nP1,2022-01,100\nP1,2022-13,100\n"
         path = write(tmp_path, "t.csv", rows)
         with pytest.raises(SchemaError, match="t.csv:3: month must be YYYY-MM"):
+            load_tvl(path)
+
+    def test_error_names_the_physical_line(self, tmp_path):
+        rows = 'protocol_id,month,tvl_usd\n"P\n1",2022-01,100\nP1,2022-13,100\n'
+        path = write(tmp_path, "t.csv", rows)
+        with pytest.raises(SchemaError, match="t.csv:4: month must be YYYY-MM"):
             load_tvl(path)
 
     @pytest.mark.parametrize("value", ["0", "-0", "0.00"])
@@ -232,48 +244,46 @@ def incident(pid="P1", when=date(2021, 8, 5), loss=1000.0, tvl=None, chain=Chain
     return IncidentRecord(pid, when, chain, IssueType.OTHER, loss, tvl)
 
 
-def tvl_series(pid, start, values):
+def tvl_series(start, values):
     start = Month.parse(start)
-    return [
-        TvlObservation(pid, Month.from_index(start.index + i), v) for i, v in enumerate(values)
-    ]
+    return {start.plus(i): v for i, v in enumerate(values)}
 
 
 class TestBuildMonthlyPanel:
     def test_three_quiet_months(self):
         proto = ProtocolSpec("P1", Chain.ETH, Month(2020, 5))
         panel = build_monthly_panel(
-            [], tvl_series("P1", "2020-05", [10.0, 20.0, 30.0]), proto, Month(2020, 7)
+            [], tvl_series("2020-05", [10.0, 20.0, 30.0]), proto, Month(2020, 7)
         )
         assert len(panel) == 3
-        assert all(row.event == 0 for row in panel)
+        assert all(event == 0 for event in panel.events)
 
     def test_same_month_incidents_collapse_to_one_event(self):
         proto = ProtocolSpec("P1", Chain.ETH, Month(2021, 7))
         incidents = [incident(when=date(2021, 8, 3)), incident(when=date(2021, 8, 20))]
         panel = build_monthly_panel(
-            incidents, tvl_series("P1", "2021-07", [5.0, 5.0, 5.0]), proto, Month(2021, 9)
+            incidents, tvl_series("2021-07", [5.0, 5.0, 5.0]), proto, Month(2021, 9)
         )
-        events = {str(row.month): row.event for row in panel}
+        events = {str(panel.start.plus(k)): event for k, event in enumerate(panel.events)}
         assert events == {"2021-07": 0, "2021-08": 1, "2021-09": 0}
 
     def test_log_identity(self):
         proto = ProtocolSpec("P1", Chain.ETH, Month(2020, 1))
         panel = build_monthly_panel(
-            [], tvl_series("P1", "2020-01", [math.exp(10.0)]), proto, Month(2020, 1)
+            [], tvl_series("2020-01", [math.exp(10.0)]), proto, Month(2020, 1)
         )
-        assert panel[0].log_tvl == pytest.approx(10.0, abs=1e-12)
+        assert panel.log_tvl[0] == pytest.approx(10.0, abs=1e-12)
 
     def test_missing_month_is_gap_error_naming_month(self):
         proto = ProtocolSpec("P1", Chain.ETH, Month(2020, 1))
-        obs = [TvlObservation("P1", Month(2020, 1), 5.0), TvlObservation("P1", Month(2020, 3), 5.0)]
+        obs = {Month(2020, 1): 5.0, Month(2020, 3): 5.0}
         with pytest.raises(TvlGapError) as err:
             build_monthly_panel([], obs, proto, Month(2020, 3))
         assert err.value.month == "2020-02"
 
     def test_zero_tvl_is_domain_error(self):
         proto = ProtocolSpec("P1", Chain.ETH, Month(2020, 1))
-        obs = [TvlObservation("P1", Month(2020, 1), 0.0)]
+        obs = {Month(2020, 1): 0.0}
         with pytest.raises(DomainError):
             build_monthly_panel([], obs, proto, Month(2020, 1))
 
@@ -282,9 +292,54 @@ class TestBuildMonthlyPanel:
         proto = ProtocolSpec("P1", Chain.ETH, Month(2020, 1))
         values = [float(i + 1) for i in range(extra + 1)]
         panel = build_monthly_panel(
-            [], tvl_series("P1", "2020-01", values), proto, Month.from_index(Month(2020, 1).index + extra)
+            [], tvl_series("2020-01", values), proto, Month.from_index(Month(2020, 1).index + extra)
         )
         assert len(panel) == extra + 1
+
+
+# The TVL strategy covers 2019-10 .. 2023-09; windows start in 2020-01 ..
+# 2022-01 and may end before they start or after the TVL does.
+_TVL_FROM = Month(2019, 10)
+
+
+class TestBuildMonthlyPanelOracle:
+    @given(
+        inception=st.integers(0, 24),
+        length=st.integers(-2, 40),
+        values=st.lists(
+            st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+            min_size=48,
+            max_size=48,
+        ),
+        gaps=st.lists(st.integers(0, 47), max_size=2),
+        zeros=st.lists(st.integers(0, 47), max_size=2),
+        events=st.lists(
+            st.tuples(st.sampled_from(["P1", "P2"]), st.dates(date(2019, 6, 1), date(2024, 6, 30))),
+            max_size=20,
+        ),
+    )
+    # On some SIMD builds np.log(9170.0) differs from math.log(9170.0) in the
+    # last bit; the panel must keep math.log's value.
+    @example(inception=0, length=12, values=[9170.0] * 48, gaps=[], zeros=[], events=[])
+    def test_matches_the_row_by_row_builder(self, inception, length, values, gaps, zeros, events):
+        proto = ProtocolSpec("P1", Chain.ETH, Month(2020, 1).plus(inception))
+        window_end = proto.inception.plus(length - 1)
+        series = {_TVL_FROM.plus(k): v for k, v in enumerate(values) if k not in gaps}
+        series.update({_TVL_FROM.plus(k): 0.0 for k in zeros if k not in gaps})
+        incidents = [incident(pid=pid, when=when) for pid, when in events]
+        try:
+            rows = monthly_panel_rows(incidents, series, proto, window_end)
+        except (DataError, DomainError) as exc:
+            with pytest.raises(type(exc)) as err:
+                build_monthly_panel(incidents, series, proto, window_end)
+            assert type(err.value) is type(exc)
+            assert str(err.value) == str(exc)
+            return
+        panel = build_monthly_panel(incidents, series, proto, window_end)
+        assert panel.protocol_id == "P1"
+        assert [panel.start.plus(k) for k in range(len(panel))] == [m for m, _, _ in rows]
+        assert panel.events.tolist() == [event for _, event, _ in rows]
+        assert panel.log_tvl.tobytes() == np.array([x for _, _, x in rows]).tobytes()
 
 
 class TestDeriveLossRatio:

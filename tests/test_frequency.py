@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from defirisk import frequency, glm
-from defirisk.datamodel import Month, MonthlyPanelRow
+from defirisk.datamodel import Month, Panel
 from defirisk.errors import DomainError, InsufficientDataError, NoEventError, SchemaError
 
 from reference_values import FREQ_COEFS
@@ -12,11 +12,8 @@ from synth import frequency_panel
 
 
 def constant_tvl_panel(n, events, log_tvl=15.0):
-    start = Month(2019, 1)
-    return [
-        MonthlyPanelRow("P", Month.from_index(start.index + i), int(i in events), log_tvl)
-        for i in range(n)
-    ]
+    flags = np.array([float(i in events) for i in range(n)])
+    return Panel("P", Month(2019, 1), flags, np.full(n, log_tvl))
 
 
 class TestFitFrequency:
@@ -47,7 +44,7 @@ class TestFitFrequency:
 
     def test_empty_panel(self):
         with pytest.raises(InsufficientDataError):
-            frequency.fit_frequency([])
+            frequency.fit_frequency(constant_tvl_panel(0, events=set()))
 
     def test_constant_tvl_drops_covariate(self):
         events = {3, 10, 17, 24}
@@ -116,19 +113,10 @@ class TestPeerInterval:
         # Events independent of TVL at rate 0.03.
         gen = np.random.default_rng(97)
         panels = []
-        start = Month(2015, 1)
         for pid in range(4):
-            rows = []
-            for i in range(400):
-                rows.append(
-                    MonthlyPanelRow(
-                        f"P{pid}",
-                        Month.from_index(start.index + i),
-                        int(gen.random() < 0.03),
-                        float(gen.normal(16.0, 1.0)),
-                    )
-                )
-            panels.append(rows)
+            draws = [(gen.random() < 0.03, gen.normal(16.0, 1.0)) for _ in range(400)]
+            events, log_tvl = np.array(draws, dtype=float).T
+            panels.append(Panel(f"P{pid}", Month(2015, 1), events, log_tvl))
         lo, hi = frequency.peer_interval(frequency.pooled_fit(panels), 1e7)
         assert lo < 0.03 < hi
 
