@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """SHA-256 of every output file the six subcommands write on one data set.
 
-    PYTHONPATH=src python scripts/output_digest.py OUT_DIR [--data DIR] [--seed N]
+    PYTHONPATH=src python scripts/output_digest.py OUT_DIR [--data DIR] [--seed N] [--workers N]
 
 Runs fit-frequency, fit-severity, price, simulate, summarize and both kinds
 of gof (on ``severity_model.json`` and on the first priced protocol's
@@ -12,7 +12,9 @@ be empty because every file in it is listed; the gof runs write to
 ``OUT_DIR/gof_severity`` and ``OUT_DIR/gof_frequency`` so neither
 overwrites the other's ``gof.json``.  Prints one ``<sha256>  <path>`` line
 per output file, sorted by path, so two source trees are checked for
-byte-identical outputs with one diff of their listings.
+byte-identical outputs with one diff of their listings.  ``--workers``
+(default 1) is passed to ``simulate``; outputs must not depend on it, so
+the listings at two worker counts must not differ either.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ def run(args) -> None:
         sys.exit(f"{args[0]} exited {code}")
 
 
-def run_all(data: Path, out: Path, seed: int) -> None:
+def run_all(data: Path, out: Path, seed: int, workers: int) -> None:
     incidents, tvl = data / "incidents.csv", data / "tvl.csv"
     portfolio, priced = data / "portfolio.json", data / "portfolio_priced.json"
     first_priced = json.loads(priced.read_text(encoding="utf-8"))["protocols"][0]["id"]
@@ -46,7 +48,7 @@ def run_all(data: Path, out: Path, seed: int) -> None:
     run(["price", "--tvl", tvl, "--portfolio", priced, "--models", out, "--output", out,
          "--seed", seed])
     run(["simulate", "--tvl", tvl, "--portfolio", priced, "--models", out, "--output", out,
-         "--seed", seed])
+         "--seed", seed, "--workers", workers])
     run(["summarize", "--incidents", incidents, "--output", out])
     run(["gof", "--model", out / "severity_model.json", "--incidents", incidents,
          "--output", out / "gof_severity"])
@@ -59,9 +61,10 @@ def main_digest() -> None:
     parser.add_argument("out_dir", type=Path)
     parser.add_argument("--data", type=Path, default=ROOT / "tests" / "data")
     parser.add_argument("--seed", type=int, default=42)
+    parser.add_argument("--workers", type=int, default=1)
     args = parser.parse_args()
     with contextlib.redirect_stdout(io.StringIO()):  # keep the "wrote" lines out of the listing
-        run_all(args.data, args.out_dir, args.seed)
+        run_all(args.data, args.out_dir, args.seed, args.workers)
     for path in sorted(p for p in args.out_dir.rglob("*") if p.is_file()):
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         print(f"{digest}  {path.relative_to(args.out_dir).as_posix()}")

@@ -4,7 +4,9 @@ The exogenous similarity matrix plays the role of the copula correlation;
 it is validated (and repaired when indefinite) before factorization.  The
 event convention is N_i = 1 iff Z_i exceeds the (1 - pi_i) normal quantile,
 so positive similarity entries produce positively correlated attacks while
-each marginal stays Bernoulli(pi_i).
+each marginal stays Bernoulli(pi_i).  ``draw_events`` is the one sampler of
+the indicators, with or without the copula; it streams the normals through
+fixed panels, so only the boolean indicators are ever held for all paths.
 """
 
 from __future__ import annotations
@@ -20,12 +22,12 @@ from .numerics import (
     RngStream,
     check_similarity,
     cholesky,
-    mvn_sample,
     nearest_correlation,
     std_normal_quantile,
 )
 
 _CHUNK = 1 << 17
+_PANEL = 4096
 
 
 @dataclass(frozen=True)
@@ -50,21 +52,77 @@ def build_copula(similarity) -> CopulaSpec:
     return CopulaSpec(psi=psi, chol=cholesky(psi), repaired=shift > 0.0, frobenius_shift=shift)
 
 
-def event_thresholds(probabilities, dim: int) -> np.ndarray:
-    """Normal thresholds z_i = Phi^-1(1 - pi_i) of the events N_i = 1 iff Z_i > z_i.
-
-    pi = 0 maps to +inf (never attacked) and pi = 1 to -inf (always
-    attacked); probabilities outside [0, 1] are rejected.
-    """
+def check_probabilities(probabilities, dim: int) -> np.ndarray:
+    """``probabilities`` as a float array once it holds ``dim`` values in
+    [0, 1]; DomainError otherwise."""
     p = np.asarray(probabilities, dtype=float)
     if p.ndim != 1 or len(p) != dim:
         raise DomainError(f"expected {dim} probabilities, got shape {p.shape}")
     if not np.all((p >= 0.0) & (p <= 1.0)):
         raise DomainError("attack probabilities must lie in [0, 1]")
+    return p
+
+
+def event_thresholds(probabilities, dim: int) -> np.ndarray:
+    """Normal thresholds z_i = Phi^-1(1 - pi_i) of the events N_i = 1 iff Z_i > z_i.
+
+    pi = 0 maps to +inf (never attacked) and pi = 1 to -inf (always
+    attacked); probabilities outside [0, 1] are rejected.  The threshold is
+    computed as -Phi^-1(pi): 1 - pi would round away a tiny pi.
+    """
     return np.array([
-        math.inf if pi == 0.0 else -math.inf if pi == 1.0 else std_normal_quantile(1.0 - pi)
-        for pi in p
+        math.inf if pi == 0.0 else -math.inf if pi == 1.0 else -std_normal_quantile(pi)
+        for pi in check_probabilities(probabilities, dim)
     ])
+
+
+def draw_events(
+    gen: np.random.Generator,
+    size: int,
+    probs,
+    spec: CopulaSpec | None = None,
+    out: np.ndarray | None = None,
+    work: np.ndarray | None = None,
+) -> np.ndarray:
+    """Attack indicators of ``size`` paths as a protocol-major (d, size) bool mask.
+
+    With a copula, path j attacks protocol i iff Z_ij = (L u_j)_i exceeds
+    its ``event_thresholds`` value, u_j iid standard normal; without one,
+    iff a uniform u_ij falls below pi_i.  The paths are drawn in panels of
+    _PANEL: the same draws in the same order as one (size, d) array, so
+    ``gen`` ends where that draw would leave it, but no more than one panel
+    of u and of Z is held at a time.  The mask is written into ``out``, of
+    shape (d, >= size), when given, and the panels go through ``work``, a
+    float array of at least 2 * min(size, _PANEL) * d entries; a caller
+    that draws many times reuses the pair from ``event_buffers``.
+    """
+    if spec is None:
+        column = check_probabilities(probs, np.size(probs))[:, None]
+    else:
+        column = event_thresholds(probs, spec.dim)[:, None]
+    d = len(column)
+    mask = (np.empty((d, size), dtype=bool) if out is None else out)[:, :size]
+    panel = min(size, _PANEL) * d
+    if work is None:
+        work = np.empty(2 * panel)
+    for a in range(0, size, _PANEL):
+        k = min(_PANEL, size - a)
+        u = work[: k * d].reshape(k, d)
+        if spec is None:
+            gen.random(out=u)
+            np.less(u.T, column, out=mask[:, a : a + k])
+        else:
+            gen.standard_normal(out=u)
+            z = work[panel : panel + k * d].reshape(d, k)
+            np.matmul(spec.chol, u.T, out=z)
+            np.greater(z, column, out=mask[:, a : a + k])
+    return mask
+
+
+def event_buffers(dim: int, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """An ``out`` mask and a ``work`` array with which ``draw_events`` can
+    draw up to ``size`` paths of ``dim`` protocols, again and again."""
+    return np.empty((dim, size), dtype=bool), np.empty(2 * min(size, _PANEL) * dim)
 
 
 def sample_frequencies(
@@ -78,9 +136,10 @@ def sample_frequencies(
     Returns a length-d 0/1 vector, or a (size, d) matrix when ``size`` is
     given.
     """
-    thresholds = event_thresholds(probabilities, spec.dim)
-    z = mvn_sample(spec.chol, rng, size=size)
-    return (z > thresholds).astype(np.int8)
+    gen = rng.generator() if isinstance(rng, RngStream) else rng
+    events = draw_events(gen, 1 if size is None else int(size), probabilities, spec)
+    draws = events.T.astype(np.int8)
+    return draws[0] if size is None else draws
 
 
 def joint_cdf_estimate(
@@ -101,18 +160,15 @@ def joint_cdf_estimate(
     if n_samples < 1:
         raise DomainError("n_samples must be positive")
 
-    thresholds = event_thresholds(probabilities, spec.dim)
     gen = rng.generator() if isinstance(rng, RngStream) else rng
-    # Only coordinates with bound 0 constrain the event.
+    # Only coordinates with bound 0 constrain the event: inside it, none of
+    # them is attacked.
     active = np.flatnonzero(bounds == 0)
     hits = 0
-    remaining = int(n_samples)
-    while remaining > 0:
-        m = min(_CHUNK, remaining)
-        z = mvn_sample(spec.chol, gen, size=m)
-        inside = np.all(z[:, active] <= thresholds[active], axis=1)
-        hits += int(inside.sum())
-        remaining -= m
+    n_samples = int(n_samples)
+    for start in range(0, n_samples, _CHUNK):
+        events = draw_events(gen, min(_CHUNK, n_samples - start), probabilities, spec)
+        hits += int((~events[active].any(axis=0)).sum())
     p_hat = hits / n_samples
     se = float(np.sqrt(p_hat * (1.0 - p_hat) / n_samples))
     return (float(p_hat), se)

@@ -4,7 +4,10 @@ Aggregate monthly loss S is simulated replicate-by-replicate: draw the
 attack indicators (through the copula, or independently), then an
 independent severity ratio for each attacked protocol.  Replicates are
 organized in fixed-size blocks with per-block counter offsets, so the
-same seed yields byte-identical results for any worker count.
+same seed yields byte-identical results for any worker count.  A block's
+indicators are one protocol-major boolean mask, which
+``dependence.draw_events`` fills panel by panel, so the block's normals
+and copula draws are never held in full.
 
 VaR uses the ceil(n q)-th order statistic, the exact sample analogue of
 the generalized-inverse definition; CTE averages the strictly greater
@@ -26,9 +29,10 @@ gives each rank.
 
 ``risk_report`` therefore keeps only the top m losses of each scenario.
 Each block drops its losses below the m-th largest merged so far, and the
-merge keeps a buffer of 2m plus one block, so memory is O(m) plus at most
-two blocks per worker in flight, and the top is byte-identical to the end
-of the full sorted sample.  The rare resample that needs the rest redraws
+merge keeps a buffer of 2m plus one block, so memory is O(m) plus, per
+worker, one (d, block) event mask, two panels of draws and at most two
+blocks of losses in flight, and the top is byte-identical to the end of
+the full sorted sample.  The rare resample that needs the rest redraws
 the full sample from the same path stream, which gives the same losses.
 """
 
@@ -46,10 +50,10 @@ import numpy as np
 
 from . import severity as sev
 from .datamodel import Portfolio
-from .dependence import CopulaSpec, event_thresholds
+from .dependence import CopulaSpec, check_probabilities, draw_events, event_buffers
 from .errors import ConfigError, DomainError
 from .frequency import predict_attack_probability
-from .numerics import RngStream, mvn_sample
+from .numerics import RngStream
 
 _BLOCK = 1 << 16
 
@@ -112,8 +116,9 @@ def simulate_aggregate(
     ``attack_probabilities`` (one per protocol, in portfolio order)
     bypasses the frequency models, e.g. to rerun published probabilities.
     The result is byte-identical to the last ``top`` values of the full
-    sorted sample, and memory is O(top) plus two blocks per worker: each
-    block drops its values below the ``top``-th largest merged so far.
+    sorted sample, and memory is O(top) plus, per worker, a (d, block)
+    event mask, two panels of draws and two blocks of losses: each block
+    drops its values below the ``top``-th largest merged so far.
     """
     if n_sims < 10_000:
         raise DomainError(f"n_sims must be at least 10^4, got {n_sims}")
@@ -127,7 +132,7 @@ def simulate_aggregate(
         _, tvl_arr = _resolve_inputs(portfolio, None, tvls)
     else:
         probs, tvl_arr = _resolve_inputs(portfolio, frequency_models, tvls)
-    thresholds = event_thresholds(probs, portfolio.dim)
+    check_probabilities(probs, portfolio.dim)
     if copula is not None and copula.dim != portfolio.dim:
         raise ConfigError(
             f"copula dimension {copula.dim} does not match portfolio size {portfolio.dim}"
@@ -139,7 +144,8 @@ def simulate_aggregate(
         for i, proto in enumerate(portfolio.protocols)
     ]
     floor = -math.inf  # the top-th largest value merged so far; it only rises
-    # Each thread reuses one (block, d) buffer of draws.  A fresh one each
+    # Each thread reuses one (d, block) event mask and the two panels of
+    # normals and Z that ``draw_events`` streams through.  A fresh one each
     # block can make malloc return it to the system and fault it in again:
     # at 10^7 paths on 2 threads that was 250,000 page faults, not 8,000,
     # and 0.8 s of system time.
@@ -149,16 +155,12 @@ def simulate_aggregate(
         start = block * _BLOCK
         m = min(_BLOCK, n_sims - start)
         gen = rng.block_generator(block)
-        if not hasattr(scratch, "draws"):
-            scratch.draws = np.empty((min(_BLOCK, n_sims), d))
-        draws = scratch.draws[:m]
-        if copula is not None:
-            events = mvn_sample(copula.chol, gen, size=m, out=draws) > thresholds
-        else:
-            events = gen.random(out=draws) < probs
+        if not hasattr(scratch, "mask"):
+            scratch.mask, scratch.work = event_buffers(d, min(_BLOCK, n_sims))
+        events = draw_events(gen, m, probs, copula, out=scratch.mask, work=scratch.work)
         s = np.zeros(m)
         for i, law in enumerate(laws):
-            idx = np.flatnonzero(events[:, i])
+            idx = np.flatnonzero(events[i])
             if idx.size == 0:
                 continue
             s[idx] += tvl_arr[i] * law.draw(gen, idx.size)

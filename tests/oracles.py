@@ -5,9 +5,10 @@ import math
 import numpy as np
 
 from defirisk.datamodel import Month
+from defirisk.dependence import event_thresholds
 from defirisk.errors import DataError, DomainError, TvlGapError
 from defirisk.glm import invlogit
-from defirisk.numerics import std_normal_cdf
+from defirisk.numerics import mvn_sample, std_normal_cdf
 from defirisk.tailrisk import _order_index
 
 
@@ -45,6 +46,17 @@ def bivariate_upper_orthant(a: float, b: float, rho: float, n_nodes: int = 400) 
         tail = 1.0 - std_normal_cdf((b - rho * zi) / denom)
         total += wi * _phi(zi) * tail
     return half * total
+
+
+def whole_block_events(gen, size: int, probs, spec=None) -> np.ndarray:
+    """Attack indicators of ``size`` paths from one (size, d) draw, path-major.
+
+    The reference for ``dependence.draw_events``: all the normals (or
+    uniforms) of the block at once and, with a copula, all of Z.
+    """
+    if spec is None:
+        return gen.random((size, len(probs))) < np.asarray(probs)
+    return mvn_sample(spec.chol, gen, size=size) > event_thresholds(probs, spec.dim)
 
 
 def full_bootstrap_ses(sample: np.ndarray, levels, resamples: int, gen):

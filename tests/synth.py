@@ -68,3 +68,16 @@ def severity_incidents(
             )
         )
     return records
+
+
+def grouped_similarity(d, seed, groups=12):
+    """A d x d similarity matrix: 0.55 within random groups, 0.15 across,
+    plus symmetric U(-0.12, 0.12) noise, clipped to [0, 1].  It is
+    usually indefinite, so the copula repairs it."""
+    gen = np.random.default_rng(seed)
+    label = gen.integers(0, groups, d)
+    sim = np.where(label[:, None] == label[None, :], 0.55, 0.15)
+    noise = gen.uniform(-0.12, 0.12, (d, d))
+    sim = np.clip(sim + (noise + noise.T) / 2.0, 0.0, 1.0)
+    np.fill_diagonal(sim, 1.0)
+    return sim

@@ -3,12 +3,20 @@ import math
 import numpy as np
 import pytest
 
-from defirisk.dependence import build_copula, joint_cdf_estimate, sample_frequencies
+from defirisk.dependence import (
+    build_copula,
+    draw_events,
+    event_buffers,
+    event_thresholds,
+    joint_cdf_estimate,
+    sample_frequencies,
+)
 from defirisk.errors import DomainError
 from defirisk.numerics import RngStream, std_normal_cdf, std_normal_quantile
 
-from oracles import bivariate_upper_orthant
+from oracles import bivariate_upper_orthant, whole_block_events
 from reference_values import ATTACK_PROBS, PROTOCOL_IDS, SIMILARITY
+from synth import grouped_similarity
 
 
 def mc_se(p: float, n: int) -> float:
@@ -43,6 +51,63 @@ class TestBuildCopula:
             build_copula(np.array([[2.0, 0.3], [0.3, 1.0]]))  # diagonal
         with pytest.raises(DomainError):
             build_copula(np.array([[1.0, -0.3], [-0.3, 1.0]]))  # negative entry
+
+
+class TestEventThresholds:
+    def test_upper_tail_returns_the_probability(self):
+        # 1 - pi rounds to 1 below pi = 1.1e-16, so the threshold must come
+        # from pi itself.  The quantile's relative error grows with t^2 in
+        # the upper tail, which is t = 37 at 1e-300.
+        pi = np.geomspace(1e-300, 0.5, 601)
+        t = event_thresholds(pi, pi.size)
+        assert np.all(np.isfinite(t)) and np.all(np.diff(t) < 0.0)
+        tail = np.array([std_normal_cdf(-x) for x in t])
+        rel = np.abs(tail - pi) / pi
+        assert rel.max() <= 2e-12
+        assert rel[pi >= 1e-17].max() <= 1e-13
+
+    def test_tiny_probability_is_never_drawn(self):
+        spec = build_copula(np.eye(2))
+        draws = sample_frequencies([1e-17, 0.5], spec, RngStream(31), size=1000)
+        assert not draws[:, 0].any()
+        assert event_thresholds([1e-17, 0.0, 1.0], 3)[1:].tolist() == [math.inf, -math.inf]
+
+
+@pytest.fixture(scope="module")
+def wide_copula():
+    """A repaired 230-protocol copula, as wide as the generated book's."""
+    return build_copula(grouped_similarity(230, seed=3))
+
+
+class TestDrawEvents:
+    @pytest.mark.parametrize("size", [65_536, 34_464])  # a full and a partial block
+    @pytest.mark.parametrize("d", [7, 230])
+    @pytest.mark.parametrize("with_copula", [True, False])
+    def test_matches_the_whole_block_draw(self, size, d, with_copula, wide_copula):
+        spec = build_copula(SIMILARITY[:7, :7]) if d == 7 else wide_copula
+        probs = np.random.default_rng(d).uniform(0.0, 0.3, d)
+        probs[:3] = (0.0, 1.0, 1e-17)
+        stream = RngStream(51, 7)
+        gen, ref_gen = stream.block_generator(2), stream.block_generator(2)
+        copula = spec if with_copula else None
+        mask = draw_events(gen, size, probs, copula)
+        expected = whole_block_events(ref_gen, size, probs, copula)
+        assert mask.shape == (d, size)
+        assert np.array_equal(mask, expected.T)
+        # The severity draws continue on the same generator.
+        assert np.array_equal(gen.integers(0, 2**63, 4), ref_gen.integers(0, 2**63, 4))
+
+    def test_reused_buffers_give_the_same_mask(self):
+        spec = build_copula(SIMILARITY)
+        probs = [ATTACK_PROBS[p] for p in PROTOCOL_IDS]
+        out, work = event_buffers(8, 10_000)
+        out[:] = True
+        work[:] = np.nan
+        for size in (10_000, 5_000):
+            fresh = draw_events(RngStream(52).generator(), size, probs, spec)
+            reused = draw_events(RngStream(52).generator(), size, probs, spec, out=out, work=work)
+            assert np.array_equal(fresh, reused)
+            assert np.shares_memory(reused, out)
 
 
 class TestSampleFrequencies:

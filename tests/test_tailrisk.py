@@ -14,6 +14,7 @@ from defirisk.errors import ConfigError, DomainError
 from defirisk.numerics import RngStream
 
 from oracles import full_bootstrap_ses
+from synth import grouped_similarity
 from test_pricing import flat_frequency_model, flat_severity_model
 from test_severity import total_loss_only_model
 
@@ -107,6 +108,23 @@ class TestSimulateAggregate:
             n_sims=20_000,
             rng=RngStream(1, 0),
             attack_probabilities=[0.0, 0.0],
+        )
+        assert np.all(sample == 0.0)
+
+    def test_tiny_probabilities_give_zero_losses_with_the_copula(self):
+        # 1 - 1e-17 rounds to 1, whose normal quantile is undefined; the
+        # threshold must come from pi itself.
+        portfolio = make_portfolio(2, similarity=[[1.0, 0.5], [0.5, 1.0]])
+        sample = tailrisk.simulate_aggregate(
+            portfolio,
+            None,
+            total_loss_only_model(),
+            build_copula(portfolio.similarity),
+            {"P0": 1e6, "P1": 2e6},
+            WHEN,
+            n_sims=20_000,
+            rng=RngStream(1, 0),
+            attack_probabilities=[1e-17, 1e-300],
         )
         assert np.all(sample == 0.0)
 
@@ -267,6 +285,28 @@ class TestStreamingTop:
         finally:
             tracemalloc.stop()
         assert peak < 8 * n
+
+    @pytest.mark.parametrize("with_copula", [True, False])
+    def test_simulate_memory_follows_the_mask_not_the_normals(self, with_copula):
+        # A block's events are a (d, 65,536) boolean mask, one byte per
+        # entry, filled from two 4,096-path panels of normals and Z (another
+        # byte per entry between them).  Holding the whole block of normals
+        # and Z in float64 would take 16 bytes per entry, 9 without the copula.
+        d, n = 230, 131_072
+        portfolio = make_portfolio(d, similarity=grouped_similarity(d, seed=4))
+        copula = build_copula(portfolio.similarity) if with_copula else None
+        probs = np.random.default_rng(4).uniform(0.01, 0.2, d)
+        tracemalloc.start()
+        try:
+            tailrisk.simulate_aggregate(
+                portfolio, None, flat_severity_model(pi_s=0.3, mean_r=0.4), copula,
+                {f"P{i}": 1e7 for i in range(d)}, WHEN, n_sims=n, rng=RngStream(42),
+                attack_probabilities=probs,
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * tailrisk._BLOCK * d
 
 
 class TestRiskReport:
