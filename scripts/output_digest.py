@@ -14,7 +14,9 @@ overwrites the other's ``gof.json``.  Prints one ``<sha256>  <path>`` line
 per output file, sorted by path, so two source trees are checked for
 byte-identical outputs with one diff of their listings.  ``--workers``
 (default 1) is passed to ``simulate``; outputs must not depend on it, so
-the listings at two worker counts must not differ either.
+the listings at two worker counts must not differ either.  BLAS runs on one
+thread unless ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` or
+``MKL_NUM_THREADS`` says otherwise.
 """
 
 from __future__ import annotations
@@ -24,10 +26,17 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import sys
 from pathlib import Path
 
-from defirisk.cli import main
+# One BLAS thread, set before numpy loads: the last bits of some reductions
+# (the logit-scale OLS, the correlation repair) follow the BLAS thread
+# count, so listings from hosts with different core counts then compare.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+from defirisk.cli import main  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 

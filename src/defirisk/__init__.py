@@ -8,14 +8,13 @@ principles, and Monte Carlo VaR/CTE.  See the README for the CLI surface.
 
 from .datamodel import (
     Chain,
-    IncidentRecord,
+    Incidents,
     IssueType,
     Month,
     Panel,
     Portfolio,
     ProtocolSpec,
     build_monthly_panel,
-    derive_loss_ratio,
     load_incidents,
     load_portfolio,
     load_tvl,
@@ -56,7 +55,7 @@ __all__ = [
     "CopulaSpec",
     "CorrelationMatrix",
     "FrequencyModel",
-    "IncidentRecord",
+    "Incidents",
     "IssueType",
     "Month",
     "Panel",
@@ -71,7 +70,6 @@ __all__ = [
     "build_monthly_panel",
     "cholesky",
     "conditional_tail_expectation",
-    "derive_loss_ratio",
     "fit_frequency",
     "fit_severity",
     "joint_cdf_estimate",

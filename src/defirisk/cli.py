@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import itertools
 import json
 import math
 import sys
@@ -30,6 +31,7 @@ import numpy as np
 from . import frequency, glm, pricing, severity, tailrisk
 from .datamodel import (
     Chain,
+    Incidents,
     IngestResult,
     IssueType,
     Month,
@@ -191,12 +193,13 @@ def _emit_table(cfg: RunConfig, stem: str, header: list[str], rows: list[list]) 
 # shared data assembly
 
 
-def _by_protocol(records) -> dict[str, list]:
-    """Incident records grouped by ``protocol_id``, in input order."""
-    groups: dict[str, list] = {}
-    for rec in records:
-        groups.setdefault(rec.protocol_id, []).append(rec)
-    return groups
+def _by_protocol(incidents: Incidents, ids: list[str]) -> dict[str, Incidents]:
+    """The incidents of each protocol in ``ids``, in input order."""
+    position = {pid: k for k, pid in enumerate(ids)}
+    owner = np.fromiter(map(position.get, incidents.protocol_id, itertools.repeat(-1)), np.int64)
+    order = np.argsort(owner, kind="stable")
+    bounds = np.searchsorted(owner, np.arange(len(ids) + 1), sorter=order).tolist()
+    return {pid: incidents[order[bounds[k] : bounds[k + 1]]] for k, pid in enumerate(ids)}
 
 
 def _latest_month(series: dict[Month, float], protocol_id: str) -> Month:
@@ -242,14 +245,12 @@ def cmd_fit_frequency(cfg: RunConfig) -> list[Path]:
     ingest = load_incidents(cfg.incidents)
     tvl = load_tvl(cfg.tvl)
     portfolio = load_portfolio(cfg.portfolio)
-    incidents_by = _by_protocol(ingest.records)
+    incidents_by = _by_protocol(ingest.records, [p.id for p in portfolio.protocols])
     panels = {}
     for proto in portfolio.protocols:
         series = tvl.get(proto.id, {})
         window_end = cfg.window_end or _latest_month(series, proto.id)
-        panels[proto.id] = build_monthly_panel(
-            incidents_by.get(proto.id, []), series, proto, window_end
-        )
+        panels[proto.id] = build_monthly_panel(incidents_by[proto.id], series, proto, window_end)
 
     cfg.output.mkdir(parents=True, exist_ok=True)
     written = []
@@ -337,10 +338,9 @@ def cmd_fit_severity(cfg: RunConfig) -> list[Path]:
     written.append(model_path)
 
     # Plot-ready diagnostics are always CSV regardless of --format.
-    ratios_rows = [
-        [index, rec.protocol_id, rec.date.isoformat(), float(ratio)]
-        for index, (rec, ratio) in enumerate(zip(data.records, data.ratios))
-    ]
+    kept = data.incidents
+    days = np.datetime_as_string(kept.day).tolist()
+    ratios_rows = list(zip(range(len(kept)), kept.protocol_id.tolist(), days, data.ratios.tolist()))
     ratios_path = cfg.output / "loss_ratios.csv"
     _write_csv(ratios_path, ["index", "protocol_id", "date", "ratio"], ratios_rows)
     written.append(ratios_path)
@@ -631,37 +631,16 @@ def cmd_gof(cfg: RunConfig) -> list[Path]:
 
 def cmd_summarize(cfg: RunConfig) -> list[Path]:
     cfg.validate(needs=("incidents",))
-    ingest = load_incidents(cfg.incidents)
-    records = ingest.records
-    rows: list[list] = []
-    if not records:
-        rows.append(["notice", "", "empty", 0])
-        return [_emit_table(cfg, "summary", ["section", "key", "metric", "value"], rows)]
+    records = load_incidents(cfg.incidents).records
+    header = ["section", "key", "metric", "value"]
+    if not len(records):
+        return [_emit_table(cfg, "summary", header, [["notice", "", "empty", 0]])]
 
-    years = sorted({rec.date.year for rec in records})
-    for year in years:
-        rows.append(
-            ["events_by_year", str(year), "count", sum(1 for r in records if r.date.year == year)]
-        )
-    for issue in IssueType:
-        rows.append(
-            [
-                "events_by_issue_type",
-                issue.value,
-                "count",
-                sum(1 for r in records if r.issue_type is issue),
-            ]
-        )
-    for chain in Chain:
-        rows.append(
-            ["events_by_chain", chain.value, "count", sum(1 for r in records if r.chain is chain)]
-        )
-
-    def _stats(values: list[float]) -> list[tuple[str, float | None]]:
+    def _stats(values: np.ndarray) -> list[tuple[str, float | None]]:
         # Scaling by a power of two is exact, and it keeps the sums of
         # losses near the float maximum finite.
-        k = math.frexp(max(map(abs, values)))[1]
-        arr = np.ldexp(np.asarray(values, dtype=float), -k)
+        k = math.frexp(float(np.abs(values).max()))[1]
+        arr = np.ldexp(values, -k)
         sd = math.ldexp(float(arr.std(ddof=1)), k) if arr.size > 1 else None
         return [
             ("count", int(arr.size)),
@@ -670,23 +649,24 @@ def cmd_summarize(cfg: RunConfig) -> list[Path]:
             ("sd", sd),
         ]
 
-    losses = [rec.loss_usd for rec in records]
-    for metric, value in _stats(losses):
-        rows.append(["severity_usd", "all", metric, value])
-
-    positive = [rec for rec in records if rec.loss_usd > 0.0]
-    for chain in Chain:
-        vals = [math.log(rec.loss_usd) for rec in positive if rec.chain is chain]
-        if vals:
-            for metric, value in _stats(vals):
-                rows.append(["log_severity_by_chain", chain.value, metric, value])
-    for year in years:
-        vals = [math.log(rec.loss_usd) for rec in positive if rec.date.year == year]
-        if vals:
-            for metric, value in _stats(vals):
-                rows.append(["log_severity_by_year", str(year), metric, value])
-
-    return [_emit_table(cfg, "summary", ["section", "key", "metric", "value"], rows)]
+    year = records.day.astype("datetime64[Y]").astype(np.int64) + 1970
+    by_year = [(str(y), year == y) for y in np.unique(year).tolist()]
+    by_issue = [(issue.value, records.issue == issue) for issue in IssueType]
+    by_chain = [(chain.value, records.chain == chain) for chain in Chain]
+    rows: list[list] = []
+    for section, groups in zip(
+        ("events_by_year", "events_by_issue_type", "events_by_chain"), (by_year, by_issue, by_chain)
+    ):
+        rows += [[section, key, "count", int(np.count_nonzero(mask))] for key, mask in groups]
+    rows += [["severity_usd", "all", metric, value] for metric, value in _stats(records.loss_usd)]
+    positive = records.loss_usd > 0.0
+    log_loss = np.fromiter(map(math.log, records.loss_usd[positive].tolist()), float)
+    for section, groups in (("log_severity_by_chain", by_chain), ("log_severity_by_year", by_year)):
+        for key, mask in groups:
+            vals = log_loss[mask[positive]]
+            if vals.size:
+                rows += [[section, key, metric, value] for metric, value in _stats(vals)]
+    return [_emit_table(cfg, "summary", header, rows)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
-"""Domain types, file ingestion, monthly panel construction, loss ratios.
+"""Domain types, columnar file ingestion and monthly panel construction.
 
 All types are immutable values; ingestion is loss-free in the sense that
-every input row lands either in the accepted records or in the parse
+every input row lands either in the accepted incidents or in the parse
 report with a reason.
 """
 
@@ -10,9 +10,11 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, fields
 from datetime import date
 from enum import Enum
+from operator import itemgetter
 
 import numpy as np
 
@@ -44,11 +46,11 @@ class IssueType(Enum):
 
     @classmethod
     def parse(cls, raw: str) -> "IssueType":
-        key = raw.strip().lower()
-        for member in cls:
-            if member.value == key:
-                return member
-        return cls.OTHER
+        """Known issue types map to themselves, everything else to OTHER."""
+        try:
+            return cls(raw.strip().lower())
+        except ValueError:
+            return cls.OTHER
 
 
 @dataclass(frozen=True, order=True, slots=True)
@@ -74,10 +76,6 @@ class Month:
         if not 1 <= month.year <= 9999:
             raise SchemaError(f"month must be YYYY-MM with YYYY in 0001..9999, got {raw!r}")
         return month
-
-    @classmethod
-    def of(cls, d: date) -> "Month":
-        return cls(d.year, d.month)
 
     @classmethod
     def from_index(cls, index: int) -> "Month":
@@ -106,16 +104,32 @@ def parse_window(raw) -> tuple[Month, Month]:
     return start, end
 
 
-@dataclass(frozen=True, slots=True)
-class IncidentRecord:
-    """One security event: where, when, how, and how much was lost."""
+@dataclass(frozen=True)
+class Incidents:
+    """Security events as columns, one entry per event in input order.
 
-    protocol_id: str
-    date: date
-    chain: Chain
-    issue_type: IssueType
-    loss_usd: float
-    tvl_usd: float | None  # snapshot one day before the attack; may be absent
+    ``day`` holds the dates as ``datetime64[D]``, ``chain`` and ``issue``
+    ``Chain`` and ``IssueType`` members, and ``tvl_usd`` the snapshot one
+    day before the attack, NaN where absent.
+    """
+
+    protocol_id: np.ndarray  # object arrays: ids, chains and issue types
+    day: np.ndarray
+    chain: np.ndarray
+    issue: np.ndarray
+    loss_usd: np.ndarray
+    tvl_usd: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.loss_usd)
+
+    def __getitem__(self, index) -> "Incidents":
+        """The events a boolean mask or an index array selects."""
+        return Incidents(*(getattr(self, f.name)[index] for f in fields(self)))
+
+    def month_index(self) -> np.ndarray:
+        """``Month.index`` of each event's date."""
+        return self.day.astype("datetime64[M]").astype(np.int64) + 1970 * 12
 
 
 @dataclass(frozen=True, slots=True)
@@ -179,13 +193,13 @@ class RejectedRow:
 
 @dataclass(frozen=True)
 class IngestResult:
-    """Accepted records plus the full parse report.
+    """Accepted incidents plus the full parse report.
 
     ``flagged`` rows were accepted but carry a caveat (currently: zero-loss
     incidents, which count for frequency but have no severity observation).
     """
 
-    records: tuple[IncidentRecord, ...]
+    records: Incidents
     rejected: tuple[RejectedRow, ...]
     flagged: tuple[RejectedRow, ...]
 
@@ -211,12 +225,14 @@ def _parse_amount(name: str, raw: str) -> tuple[float | None, str | None]:
     return value, None
 
 
-def _csv_rows(path, header: list[str], what: str):
-    """(line, cells) of each non-blank row of a CSV file under ``header``.
+def _csv_rows(path, header: list[str], what: str) -> tuple[Sequence[int], list, list]:
+    """The line and the cells of each row of a CSV file under ``header``,
+    and the cells of each column, where a row of another width reads as blank.
 
-    ``line`` is the first physical line of the row, which a quoted newline
-    can make span several.  An empty file, another header, or bytes that
-    are not UTF-8 text are a SchemaError naming the file.
+    A row's line is its first physical line, which a quoted newline can
+    make span several.  Blank rows are included.  An empty file, another
+    header, or bytes that are not UTF-8 text are a SchemaError naming the
+    file.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         try:
@@ -226,79 +242,146 @@ def _csv_rows(path, header: list[str], what: str):
                 raise SchemaError(f"{path}: empty {what} file")
             if [h.strip() for h in first] != header:
                 raise SchemaError(f"{path}: bad {what} header {first!r}, expected {header}")
-            line = reader.line_num + 1
-            for row in reader:
-                if row and any(cell.strip() for cell in row):
-                    yield line, row
-                line = reader.line_num + 1
+            rows = list(map(tuple, reader))
+            lines: Sequence[int] = range(2, len(rows) + 2)
+            if reader.line_num != len(rows) + 1:  # a quoted newline: read the lines again
+                fh.seek(0)
+                reader = csv.reader(fh)
+                lines = [reader.line_num + 1 for _ in reader][:-1]
         except (UnicodeDecodeError, csv.Error) as exc:
             raise SchemaError(f"{path}: not a readable {what} CSV: {exc}") from exc
+    blank = ("",) * len(header)
+    padded = [row if len(row) == len(header) else blank for row in rows]
+    return lines, rows, [list(map(itemgetter(k), padded)) for k in range(len(header))]
+
+
+def _each_distinct(cells: list[str], parse, dtype, error=(), default=None) -> np.ndarray:
+    """``parse`` of each cell, called once per distinct cell; ``default``
+    where it raises ``error``."""
+    table = {}
+    for raw in set(cells):
+        try:
+            table[raw] = parse(raw)
+        except error:
+            table[raw] = default
+    return np.fromiter(map(table.__getitem__, cells), dtype, len(cells))
+
+
+def _amounts(cells: list[str]) -> np.ndarray:
+    """``float`` of each cell, NaN where it refuses the cell."""
+
+    def parse(text: str) -> float:
+        try:
+            return float(text) if text else math.nan  # an empty TVL costs no exception
+        except ValueError:
+            return math.nan
+
+    return np.fromiter(map(parse, cells), np.float64, len(cells))
+
+
+def _incident_row(row: Sequence[str]) -> tuple[tuple | None, str | None]:
+    """(protocol_id, date, chain, issue type, loss, tvl or NaN) of one
+    incidents row and None, or None and the reason the row is rejected."""
+    if len(row) != len(INCIDENTS_HEADER):
+        return None, "wrong number of fields"
+    pid, date_raw, chain_raw, issue_raw, loss_raw, tvl_raw = (c.strip() for c in row)
+    if not pid:
+        return None, "empty protocol_id"
+    try:
+        when = date.fromisoformat(date_raw)
+    except ValueError:
+        return None, f"bad date {date_raw!r}"
+    loss, reason = _parse_amount("loss_usd", loss_raw)
+    tvl = math.nan
+    if reason is None and tvl_raw:
+        tvl, reason = _parse_amount("tvl_usd", tvl_raw)
+    if reason is not None:
+        return None, reason
+    return (pid, when, Chain.parse(chain_raw), IssueType.parse(issue_raw), loss, tvl), None
 
 
 def load_incidents(path) -> IngestResult:
-    """Parse an incidents CSV; bad rows land in the report, never vanish."""
-    records: list[IncidentRecord] = []
+    """Parse an incidents CSV; bad rows land in the report, never vanish.
+
+    Each column is converted whole, and dates, chains and issue types once
+    per distinct cell.  A row that fails a column's test goes through
+    ``_incident_row``, which accepts it or gives the reason it is rejected.
+    """
+    lines, rows, columns = _csv_rows(path, INCIDENTS_HEADER, "incidents")
+    pid, date_raw, chain_raw, issue_raw, loss_raw, tvl_raw = columns
+    # Only the ids are stripped here: the parsers strip the other cells, and
+    # a cell ``float`` reads with its blanks it reads the same without them.
+    pid = np.fromiter(map(str.strip, pid), object, len(rows))
+    ordinal = _each_distinct(  # 0 where the date is refused
+        date_raw, lambda cell: date.fromisoformat(cell.strip()).toordinal(), np.int64, ValueError, 0
+    )
+    day = (ordinal - date(1970, 1, 1).toordinal()).astype("datetime64[D]")
+    chain = _each_distinct(chain_raw, Chain.parse, object)
+    issue = _each_distinct(issue_raw, IssueType.parse, object)
+    loss, tvl = _amounts(loss_raw), _amounts(tvl_raw)
+    accepted = (pid != "") & (ordinal > 0)
+    accepted &= (loss >= 0.0) & (loss < math.inf)
+    accepted &= (np.array(tvl_raw, dtype=object) == "") | ((tvl >= 0.0) & (tvl < math.inf))
     rejected: list[RejectedRow] = []
-    flagged: list[RejectedRow] = []
-    for line, row in _csv_rows(path, INCIDENTS_HEADER, "incidents"):
-        if len(row) != len(INCIDENTS_HEADER):
-            rejected.append(RejectedRow(line, tuple(row), "wrong number of fields"))
-            continue
-        pid, date_raw, chain_raw, issue_raw, loss_raw, tvl_raw = (c.strip() for c in row)
-        if not pid:
-            rejected.append(RejectedRow(line, tuple(row), "empty protocol_id"))
-            continue
-        try:
-            when = date.fromisoformat(date_raw)
-        except ValueError:
-            rejected.append(RejectedRow(line, tuple(row), f"bad date {date_raw!r}"))
-            continue
-        loss, reason = _parse_amount("loss_usd", loss_raw)
-        tvl = None
-        if reason is None and tvl_raw:
-            tvl, reason = _parse_amount("tvl_usd", tvl_raw)
+    for i in np.flatnonzero(~accepted).tolist():
+        if not "".join(rows[i]).strip():
+            continue  # a blank row, which has an empty protocol_id
+        values, reason = _incident_row(rows[i])
         if reason is not None:
-            rejected.append(RejectedRow(line, tuple(row), reason))
+            rejected.append(RejectedRow(lines[i], rows[i], reason))
             continue
-        record = IncidentRecord(
-            protocol_id=pid,
-            date=when,
-            chain=Chain.parse(chain_raw),
-            issue_type=IssueType.parse(issue_raw),
-            loss_usd=loss,
-            tvl_usd=tvl,
-        )
-        if loss == 0.0:
-            flagged.append(
-                RejectedRow(line, tuple(row), "zero loss: excluded from severity fitting")
-            )
-        records.append(record)
-    return IngestResult(tuple(records), tuple(rejected), tuple(flagged))
+        pid[i], day[i], chain[i], issue[i], loss[i], tvl[i] = values
+        accepted[i] = True
+    flagged = [
+        RejectedRow(lines[i], rows[i], "zero loss: excluded from severity fitting")
+        for i in np.flatnonzero(accepted & (loss == 0.0)).tolist()
+    ]
+    records = Incidents(pid, day, chain, issue, loss, tvl)[accepted]
+    return IngestResult(records, tuple(rejected), tuple(flagged))
+
+
+def _tvl_row(path, line: int, row: Sequence[str]) -> tuple[str, Month, float]:
+    """(protocol_id, month, tvl_usd) of one TVL row; a SchemaError naming
+    ``path`` and ``line`` when the row is malformed."""
+    try:
+        if len(row) != len(TVL_HEADER):
+            raise SchemaError("wrong number of fields")
+        pid, month_raw, tvl_raw = (c.strip() for c in row)
+        if not pid:
+            raise SchemaError("empty protocol_id")
+        month = Month.parse(month_raw)
+        tvl, reason = _parse_amount("tvl_usd", tvl_raw)
+        if reason is None and tvl == 0.0:
+            reason = f"zero tvl_usd {tvl_raw}: log TVL undefined"
+        if reason is not None:
+            raise SchemaError(reason)
+    except SchemaError as exc:
+        raise SchemaError(f"{path}:{line}: {exc}") from exc
+    return pid, month, tvl
 
 
 def load_tvl(path) -> dict[str, dict[Month, float]]:
     """Parse a monthly TVL CSV into ``{protocol_id: {month: tvl_usd}}``.
 
-    A zero TVL, or two for one (protocol, month), is an error.
+    An empty protocol_id, a zero TVL, or two for one (protocol, month),
+    is an error, and the first failing line in file order is reported.
+    Months are parsed once per distinct cell and amounts a column at a
+    time; a row that fails those goes through ``_tvl_row``, which raises.
     """
+    lines, rows, (pid, month_raw, tvl_raw) = _csv_rows(path, TVL_HEADER, "tvl")
+    months = _each_distinct(month_raw, Month.parse, object, SchemaError).tolist()
+    tvl = _amounts(tvl_raw)
+    fast = (np.isfinite(tvl) & (tvl > 0.0)).tolist()
     out: dict[str, dict[Month, float]] = {}
-    for line, row in _csv_rows(path, TVL_HEADER, "tvl"):
-        if len(row) != len(TVL_HEADER):
-            raise SchemaError(f"{path}:{line}: wrong number of fields")
-        pid, month_raw, tvl_raw = (c.strip() for c in row)
-        try:
-            month = Month.parse(month_raw)
-        except SchemaError as exc:
-            raise SchemaError(f"{path}:{line}: {exc}") from exc
-        tvl, reason = _parse_amount("tvl_usd", tvl_raw)
-        if reason is None and tvl == 0.0:
-            reason = f"zero tvl_usd {tvl_raw}: log TVL undefined"
-        if reason is not None:
-            raise SchemaError(f"{path}:{line}: {reason}")
-        series = out.setdefault(pid, {})
+    for i, (key, month, value) in enumerate(zip(map(str.strip, pid), months, tvl.tolist())):
+        if not (fast[i] and key and month is not None):
+            if not "".join(rows[i]).strip():
+                continue  # a blank row, which has an empty protocol_id
+            key, month, value = _tvl_row(path, lines[i], rows[i])
+        series = out.setdefault(key, {})
         if month in series:
-            raise DataError(f"{path}:{line}: duplicate TVL observation for {pid} {month}")
-        series[month] = tvl
+            raise DataError(f"{path}:{lines[i]}: duplicate TVL observation for {key} {month}")
+        series[month] = value
     return out
 
 
@@ -323,7 +406,7 @@ def load_portfolio(path) -> Portfolio:
     if not isinstance(doc["protocols"], list):
         raise SchemaError(f"{path}: protocols must be a list")
     protocols = []
-    for entry in doc["protocols"]:
+    for index, entry in enumerate(doc["protocols"]):
         try:
             protocols.append(
                 ProtocolSpec(
@@ -335,6 +418,8 @@ def load_portfolio(path) -> Portfolio:
             )
         except (KeyError, TypeError) as exc:
             raise SchemaError(f"{path}: bad protocol entry {entry!r}") from exc
+        if not protocols[-1].id.strip():
+            raise SchemaError(f"{path}: protocol entry {index} has an empty id")
     try:
         return Portfolio(
             protocols=tuple(protocols),
@@ -346,7 +431,7 @@ def load_portfolio(path) -> Portfolio:
 
 
 def build_monthly_panel(
-    incidents,
+    incidents: Incidents,
     series: dict[Month, float],
     protocol: ProtocolSpec,
     window_end: Month,
@@ -375,30 +460,7 @@ def build_monthly_panel(
             raise DomainError(f"protocol {protocol.id!r}: TVL for {month} is zero; log undefined")
         log_tvl[k] = math.log(value)
     events = np.zeros(n)
-    for rec in incidents:
-        k = rec.date.year * 12 + rec.date.month - 1 - first
-        if rec.protocol_id == protocol.id and 0 <= k < n:
-            events[k] = 1.0
+    k = incidents.month_index()[incidents.protocol_id == protocol.id] - first
+    events[k[(k >= 0) & (k < n)]] = 1.0
     return Panel(protocol.id, protocol.inception, events, log_tvl)
 
-
-def derive_loss_ratio(incident: IncidentRecord) -> float:
-    """Loss as a fraction of TVL, in (0, 1].
-
-    Missing or zero TVL means the lost funds stand in for the TVL, i.e. a
-    total loss; recorded losses above TVL clip to 1.
-    """
-    if incident.loss_usd <= 0.0:
-        raise DomainError(
-            f"incident {incident.protocol_id} {incident.date}: zero loss has no severity observation"
-        )
-    if incident.tvl_usd is None or incident.tvl_usd == 0.0:
-        return 1.0
-    return min(incident.loss_usd / incident.tvl_usd, 1.0)
-
-
-def effective_tvl(incident: IncidentRecord) -> float:
-    """TVL used as the severity covariate; the loss itself when TVL is absent."""
-    if incident.tvl_usd is None or incident.tvl_usd == 0.0:
-        return incident.loss_usd
-    return incident.tvl_usd

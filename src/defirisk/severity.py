@@ -17,14 +17,7 @@ from datetime import date
 import numpy as np
 
 from . import glm
-from .datamodel import (
-    Chain,
-    IncidentRecord,
-    Month,
-    derive_loss_ratio,
-    effective_tvl,
-    parse_window,
-)
+from .datamodel import Chain, Incidents, Month, parse_window
 from .errors import DomainError, InsufficientDataError, json_bool, json_field
 from .numerics import RngStream
 
@@ -94,30 +87,25 @@ class RatioMoments:
             )
 
 
-def years_since(origin: date, when: date) -> float:
-    return (when - origin).days / DAYS_PER_YEAR
-
-
-def _chain_dummies(chain: Chain) -> tuple[float, float]:
-    return (1.0 if chain is Chain.ETH else 0.0, 1.0 if chain is Chain.OTHER else 0.0)
-
-
-def total_loss_row(chain: Chain, log_tvl: float, t: float) -> list[float]:
-    d_eth, d_oth = _chain_dummies(chain)
-    return [1.0, d_eth, d_oth, log_tvl, t, d_eth * t, d_oth * t]
+def total_loss_design(chain: np.ndarray, log_tvl, t) -> np.ndarray:
+    """Rows (1, D_ETH, D_OTHER, log TVL, t, D_ETH t, D_OTHER t) for arrays of
+    ``Chain`` members, log TVLs and years since the time origin."""
+    d_eth = (chain == Chain.ETH).astype(float)
+    d_oth = (chain == Chain.OTHER).astype(float)
+    return np.column_stack([np.ones(len(chain)), d_eth, d_oth, log_tvl, t, d_eth * t, d_oth * t])
 
 
 @dataclass(frozen=True)
 class TrainingSet:
     """The incidents a severity model is fitted and diagnosed on.
 
-    ``records`` fall inside the training ``window`` and have a positive
+    ``incidents`` fall inside the training ``window`` and have a positive
     loss; ``ratios`` are their loss ratios and ``design`` their total-loss
-    design rows (``total_loss_row``, time counted from ``time_origin``).
-    ``zero_loss`` counts the in-window records skipped for a zero loss.
+    design rows (``total_loss_design``, time counted from ``time_origin``).
+    ``zero_loss`` counts the in-window incidents skipped for a zero loss.
     """
 
-    records: tuple[IncidentRecord, ...]
+    incidents: Incidents
     ratios: np.ndarray
     design: np.ndarray
     zero_loss: int
@@ -137,32 +125,27 @@ class TrainingSet:
 
 
 def training_set(
-    incidents,
+    incidents: Incidents,
     window: tuple[Month, Month] = DEFAULT_WINDOW,
     time_origin: date = DEFAULT_TIME_ORIGIN,
 ) -> TrainingSet:
     """Select and encode the severity training incidents.
 
-    Incidents with missing or zero TVL enter as total losses with the loss
-    standing in for TVL.
+    The loss ratio is loss over TVL, clipped to 1.  Incidents with missing
+    or zero TVL enter as total losses with the loss standing in for TVL.
     """
-    records: list[IncidentRecord] = []
-    zero_loss = 0
-    for rec in incidents:
-        m = Month.of(rec.date)
-        if not (window[0] <= m <= window[1]):
-            continue
-        if rec.loss_usd == 0.0:
-            zero_loss += 1
-            continue
-        records.append(rec)
-    ratios = np.array([derive_loss_ratio(rec) for rec in records], dtype=float)
-    rows = [
-        total_loss_row(rec.chain, math.log(effective_tvl(rec)), years_since(time_origin, rec.date))
-        for rec in records
-    ]
-    design = np.array(rows, dtype=float).reshape(len(records), 7)
-    return TrainingSet(tuple(records), ratios, design, zero_loss, window, time_origin)
+    month = incidents.month_index()
+    inside = (window[0].index <= month) & (month <= window[1].index)
+    zero = incidents.loss_usd == 0.0
+    kept = incidents[inside & ~zero]
+    loss, tvl = kept.loss_usd, kept.tvl_usd
+    known = tvl > 0.0  # False for an absent (NaN) or zero TVL
+    ratios = np.divide(loss, tvl, out=np.ones_like(loss), where=known & (loss < tvl))
+    # math.log, not np.log: the two differ in the last bit on some SIMD builds.
+    log_tvl = np.fromiter(map(math.log, np.where(known, tvl, loss).tolist()), float, len(kept))
+    t = (kept.day - np.datetime64(time_origin, "D")).astype(np.int64) / DAYS_PER_YEAR
+    design = total_loss_design(kept.chain, log_tvl, t)
+    return TrainingSet(kept, ratios, design, int((inside & zero).sum()), window, time_origin)
 
 
 def fit_severity(data: TrainingSet, groups: int = 10) -> SeverityModel:
@@ -170,11 +153,11 @@ def fit_severity(data: TrainingSet, groups: int = 10) -> SeverityModel:
 
     Zero-loss incidents are skipped (counted, not errored).
     """
-    if not data.records:
+    if not len(data.incidents):
         raise InsufficientDataError("no usable incidents inside the training window")
     total = data.total
     n_total = int(total.sum())
-    n_partial = len(data.records) - n_total
+    n_partial = len(data.incidents) - n_total
 
     if n_partial == 0:
         # Every training ratio was a full loss: nothing to fit on either
@@ -217,7 +200,8 @@ def predict_total_loss_prob(model: SeverityModel, chain: Chain, tvl: float, when
         raise DomainError(f"prediction date {when} precedes time origin {model.time_origin}")
     if model.total_loss_fit is None:
         return 1.0
-    row = total_loss_row(chain, math.log(tvl), years_since(model.time_origin, when))
+    t = (when - model.time_origin).days / DAYS_PER_YEAR
+    row = total_loss_design(np.array([chain]), [math.log(tvl)], [t])[0]
     return glm.predict_logistic(model.total_loss_fit, row[1:])
 
 

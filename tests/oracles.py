@@ -1,12 +1,15 @@
-"""Independent numerical oracles used to check stochastic components."""
+"""Independent numerical oracles used to check stochastic components,
+and row-by-row references for the columnar code paths."""
 
+import csv
 import math
+from datetime import date
 
 import numpy as np
 
-from defirisk.datamodel import Month
+from defirisk.datamodel import Chain, IssueType, Month
 from defirisk.dependence import event_thresholds
-from defirisk.errors import DataError, DomainError, TvlGapError
+from defirisk.errors import DataError, DomainError, SchemaError, TvlGapError
 from defirisk.glm import invlogit
 from defirisk.numerics import mvn_sample, std_normal_cdf
 from defirisk.tailrisk import _order_index
@@ -135,9 +138,9 @@ def monthly_panel_rows(incidents, series, protocol, window_end):
         )
     months = [Month.from_index(i) for i in range(protocol.inception.index, window_end.index + 1)]
     event_months = {
-        Month.of(rec.date)
-        for rec in incidents
-        if rec.protocol_id == protocol.id and protocol.inception <= Month.of(rec.date) <= window_end
+        Month(day.year, day.month)
+        for pid, day in zip(incidents.protocol_id.tolist(), incidents.day.tolist())
+        if pid == protocol.id and protocol.inception <= Month(day.year, day.month) <= window_end
     }
     rows = []
     for m in months:
@@ -148,3 +151,103 @@ def monthly_panel_rows(incidents, series, protocol, window_end):
             raise DomainError(f"protocol {protocol.id!r}: TVL for {m} is zero; log undefined")
         rows.append((m, 1 if m in event_months else 0, math.log(value)))
     return rows
+
+
+def _csv_rows(path, header, what):
+    """(line, cells) of each non-blank row, ``line`` its first physical line."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        try:
+            reader = csv.reader(fh)
+            first = next(reader, None)
+            if first is None:
+                raise SchemaError(f"{path}: empty {what} file")
+            if [h.strip() for h in first] != header:
+                raise SchemaError(f"{path}: bad {what} header {first!r}, expected {header}")
+            line = reader.line_num + 1
+            for row in reader:
+                if row and any(cell.strip() for cell in row):
+                    yield line, row
+                line = reader.line_num + 1
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise SchemaError(f"{path}: not a readable {what} CSV: {exc}") from exc
+
+
+def _parse_amount(name, raw):
+    try:
+        value = float(raw)
+    except ValueError:
+        return None, f"bad {name} {raw!r}"
+    if not math.isfinite(value):
+        return None, f"non-finite {name} {raw}"
+    if value < 0.0:
+        return None, f"negative {name} {raw}"
+    return value, None
+
+
+INCIDENTS_HEADER = ["protocol_id", "date", "chain", "issue_type", "loss_usd", "tvl_usd"]
+TVL_HEADER = ["protocol_id", "month", "tvl_usd"]
+
+
+def incident_file_rows(path):
+    """Row-by-row reference for ``datamodel.load_incidents``.
+
+    Returns (accepted, rejected, flagged): accepted rows as ``(protocol_id,
+    date, Chain, IssueType, loss_usd, tvl_usd or None)`` and the reports
+    as ``(line, raw cells, reason)``, each in file order.
+    """
+    accepted, rejected, flagged = [], [], []
+    for line, row in _csv_rows(path, INCIDENTS_HEADER, "incidents"):
+        if len(row) != len(INCIDENTS_HEADER):
+            rejected.append((line, tuple(row), "wrong number of fields"))
+            continue
+        pid, date_raw, chain_raw, issue_raw, loss_raw, tvl_raw = (c.strip() for c in row)
+        if not pid:
+            rejected.append((line, tuple(row), "empty protocol_id"))
+            continue
+        try:
+            when = date.fromisoformat(date_raw)
+        except ValueError:
+            rejected.append((line, tuple(row), f"bad date {date_raw!r}"))
+            continue
+        loss, reason = _parse_amount("loss_usd", loss_raw)
+        tvl = None
+        if reason is None and tvl_raw:
+            tvl, reason = _parse_amount("tvl_usd", tvl_raw)
+        if reason is not None:
+            rejected.append((line, tuple(row), reason))
+            continue
+        try:
+            chain = Chain[chain_raw.upper()]
+        except KeyError:
+            chain = Chain.OTHER
+        issue = next((m for m in IssueType if m.value == issue_raw.lower()), IssueType.OTHER)
+        if loss == 0.0:
+            flagged.append((line, tuple(row), "zero loss: excluded from severity fitting"))
+        accepted.append((pid, when, chain, issue, loss, tvl))
+    return accepted, rejected, flagged
+
+
+def tvl_file_series(path):
+    """Row-by-row reference for ``datamodel.load_tvl``: ``{protocol_id:
+    {month: tvl_usd}}``, or the error for the first failing line."""
+    out = {}
+    for line, row in _csv_rows(path, TVL_HEADER, "tvl"):
+        if len(row) != len(TVL_HEADER):
+            raise SchemaError(f"{path}:{line}: wrong number of fields")
+        pid, month_raw, tvl_raw = (c.strip() for c in row)
+        if not pid:
+            raise SchemaError(f"{path}:{line}: empty protocol_id")
+        try:
+            month = Month.parse(month_raw)
+        except SchemaError as exc:
+            raise SchemaError(f"{path}:{line}: {exc}") from exc
+        tvl, reason = _parse_amount("tvl_usd", tvl_raw)
+        if reason is None and tvl == 0.0:
+            reason = f"zero tvl_usd {tvl_raw}: log TVL undefined"
+        if reason is not None:
+            raise SchemaError(f"{path}:{line}: {reason}")
+        series = out.setdefault(pid, {})
+        if month in series:
+            raise DataError(f"{path}:{line}: duplicate TVL observation for {pid} {month}")
+        series[month] = tvl
+    return out

@@ -1,11 +1,41 @@
 """Synthetic data generators shared by the unit and acceptance tests."""
 
+import math
 from datetime import date, timedelta
 
 import numpy as np
 
 from defirisk import glm
-from defirisk.datamodel import Chain, IncidentRecord, IssueType, Month, Panel
+from defirisk.datamodel import Chain, Incidents, IssueType, Month, Panel
+
+
+def incident_table(rows):
+    """``Incidents`` from ``(protocol_id, date, chain, issue_type, loss_usd,
+    tvl_usd or None)`` rows, in order."""
+    rows = list(rows)
+    return Incidents(
+        protocol_id=np.array([r[0] for r in rows], dtype=object),
+        day=np.array([r[1] for r in rows], dtype="datetime64[D]"),
+        chain=np.array([r[2] for r in rows], dtype=object),
+        issue=np.array([r[3] for r in rows], dtype=object),
+        loss_usd=np.array([r[4] for r in rows], dtype=float),
+        tvl_usd=np.array([math.nan if r[5] is None else r[5] for r in rows], dtype=float),
+    )
+
+
+def incident_rows(incidents):
+    """The ``incident_table`` rows of ``incidents``: the inverse of that function."""
+    return [
+        (pid, day, chain, issue, loss, None if math.isnan(tvl) else tvl)
+        for pid, day, chain, issue, loss, tvl in zip(
+            incidents.protocol_id.tolist(),
+            incidents.day.tolist(),
+            incidents.chain.tolist(),
+            incidents.issue.tolist(),
+            incidents.loss_usd.tolist(),
+            incidents.tvl_usd.tolist(),
+        )
+    ]
 
 
 def frequency_panel(coefs, n_months, seed, protocol_id="SYN", x_mu=16.0, x_sd=1.5):
@@ -52,22 +82,16 @@ def severity_incidents(
     noise = gen.normal(0.0, np.sqrt(sigma2), size=n)
     partial_ratio = glm.invlogit(gammas[0] + gammas[1] * log_tvl + noise)
 
-    records = []
-    for i in range(n):
-        tvl = float(np.exp(log_tvl[i]))
-        when = origin + timedelta(days=float(t_years[i]) * 365.25)
-        loss = tvl if total[i] else float(partial_ratio[i]) * tvl
-        records.append(
-            IncidentRecord(
-                protocol_id=f"S{i}",
-                date=when,
-                chain=chain_enum[chains[i]],
-                issue_type=IssueType.OTHER,
-                loss_usd=loss,
-                tvl_usd=tvl,
-            )
-        )
-    return records
+    tvl = np.exp(log_tvl)
+    days = [timedelta(days=t * 365.25).days for t in t_years.tolist()]
+    return Incidents(
+        protocol_id=np.array([f"S{i}" for i in range(n)], dtype=object),
+        day=np.datetime64(origin, "D") + np.array(days, dtype=np.int64),
+        chain=np.array(chain_enum, dtype=object)[chains],
+        issue=np.full(n, IssueType.OTHER, dtype=object),
+        loss_usd=np.where(total, tvl, partial_ratio * tvl),
+        tvl_usd=tvl,
+    )
 
 
 def grouped_similarity(d, seed, groups=12):

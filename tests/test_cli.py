@@ -448,6 +448,27 @@ class TestErrorSurface:
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["code"] == 3
 
+    def test_empty_tvl_protocol_id_exits_2(self, tmp_path, capsys):
+        tvl = tmp_path / "tvl.csv"
+        tvl.write_text(Path(TVL).read_text(encoding="utf-8") + " ,2021-01,100\n", encoding="utf-8")
+        line = len(tvl.read_text(encoding="utf-8").splitlines())
+        code = run(["price", "--tvl", tvl, "--portfolio", PORTFOLIO_PRICED, "--models", tmp_path,
+                    "--output", tmp_path])
+        assert code == 2
+        (err,) = capsys.readouterr().err.splitlines()
+        assert json.loads(err)["error"]["message"] == f"{tvl}:{line}: empty protocol_id"
+
+    def test_empty_portfolio_id_exits_2(self, tmp_path, capsys):
+        doc = json.loads(Path(PORTFOLIO).read_text(encoding="utf-8"))
+        doc["protocols"][1]["id"] = "  "
+        portfolio = tmp_path / "portfolio.json"
+        portfolio.write_text(json.dumps(doc), encoding="utf-8")
+        code = run(["fit-frequency", "--incidents", INCIDENTS, "--tvl", TVL,
+                    "--portfolio", portfolio, "--output", tmp_path])
+        assert code == 2
+        (err,) = capsys.readouterr().err.splitlines()
+        assert json.loads(err)["error"]["message"] == f"{portfolio}: protocol entry 1 has an empty id"
+
     def test_invalid_model_json_exits_2(self, tmp_path, capsys):
         model = tmp_path / "model.json"
         model.write_text("{not json")

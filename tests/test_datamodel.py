@@ -1,28 +1,29 @@
+import csv
+import io
 import math
 from datetime import date
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from defirisk import severity
 from defirisk.datamodel import (
     Chain,
-    IncidentRecord,
     IssueType,
     Month,
     Portfolio,
     ProtocolSpec,
     build_monthly_panel,
-    derive_loss_ratio,
-    effective_tvl,
     load_incidents,
     load_portfolio,
     load_tvl,
 )
 from defirisk.errors import DataError, DomainError, SchemaError, TvlGapError
 
-from oracles import monthly_panel_rows
+from oracles import incident_file_rows, monthly_panel_rows, tvl_file_series
+from synth import incident_rows, incident_table
 
 
 def write(tmp_path, name, text):
@@ -65,20 +66,20 @@ class TestLoadIncidents:
         path = write(tmp_path, "i.csv", INCIDENTS_HEADER + "P1,2022-03-29,ETH,other,600000000,\n")
         result = load_incidents(path)
         assert len(result.records) == 1
-        rec = result.records[0]
-        assert rec.tvl_usd is None
-        assert rec.loss_usd == 600000000.0
-        assert rec.chain is Chain.ETH
-        assert rec.issue_type is IssueType.OTHER
+        rec = result.records
+        assert math.isnan(rec.tvl_usd[0])
+        assert rec.loss_usd[0] == 600000000.0
+        assert rec.chain[0] is Chain.ETH
+        assert rec.issue[0] is IssueType.OTHER
 
     def test_unknown_chain_maps_to_other(self, tmp_path):
         path = write(tmp_path, "i.csv", INCIDENTS_HEADER + "P1,2022-01-01,SOLANA,phishing,5,\n")
         result = load_incidents(path)
-        assert result.records[0].chain is Chain.OTHER
+        assert result.records.chain[0] is Chain.OTHER
 
     def test_unknown_issue_maps_to_other(self, tmp_path):
         path = write(tmp_path, "i.csv", INCIDENTS_HEADER + "P1,2022-01-01,BSC,rugpull,5,\n")
-        assert load_incidents(path).records[0].issue_type is IssueType.OTHER
+        assert load_incidents(path).records.issue[0] is IssueType.OTHER
 
     def test_negative_loss_rejected_with_reason(self, tmp_path):
         path = write(tmp_path, "i.csv", INCIDENTS_HEADER + "P1,2022-01-01,ETH,oracle,-5,\n")
@@ -241,7 +242,10 @@ class TestLoadPortfolio:
 
 
 def incident(pid="P1", when=date(2021, 8, 5), loss=1000.0, tvl=None, chain=Chain.ETH):
-    return IncidentRecord(pid, when, chain, IssueType.OTHER, loss, tvl)
+    return (pid, when, chain, IssueType.OTHER, loss, tvl)
+
+
+NO_INCIDENTS = incident_table([])
 
 
 def tvl_series(start, values):
@@ -253,14 +257,14 @@ class TestBuildMonthlyPanel:
     def test_three_quiet_months(self):
         proto = ProtocolSpec("P1", Chain.ETH, Month(2020, 5))
         panel = build_monthly_panel(
-            [], tvl_series("2020-05", [10.0, 20.0, 30.0]), proto, Month(2020, 7)
+            NO_INCIDENTS, tvl_series("2020-05", [10.0, 20.0, 30.0]), proto, Month(2020, 7)
         )
         assert len(panel) == 3
         assert all(event == 0 for event in panel.events)
 
     def test_same_month_incidents_collapse_to_one_event(self):
         proto = ProtocolSpec("P1", Chain.ETH, Month(2021, 7))
-        incidents = [incident(when=date(2021, 8, 3)), incident(when=date(2021, 8, 20))]
+        incidents = incident_table([incident(when=date(2021, 8, d)) for d in (3, 20)])
         panel = build_monthly_panel(
             incidents, tvl_series("2021-07", [5.0, 5.0, 5.0]), proto, Month(2021, 9)
         )
@@ -270,7 +274,7 @@ class TestBuildMonthlyPanel:
     def test_log_identity(self):
         proto = ProtocolSpec("P1", Chain.ETH, Month(2020, 1))
         panel = build_monthly_panel(
-            [], tvl_series("2020-01", [math.exp(10.0)]), proto, Month(2020, 1)
+            NO_INCIDENTS, tvl_series("2020-01", [math.exp(10.0)]), proto, Month(2020, 1)
         )
         assert panel.log_tvl[0] == pytest.approx(10.0, abs=1e-12)
 
@@ -278,21 +282,24 @@ class TestBuildMonthlyPanel:
         proto = ProtocolSpec("P1", Chain.ETH, Month(2020, 1))
         obs = {Month(2020, 1): 5.0, Month(2020, 3): 5.0}
         with pytest.raises(TvlGapError) as err:
-            build_monthly_panel([], obs, proto, Month(2020, 3))
+            build_monthly_panel(NO_INCIDENTS, obs, proto, Month(2020, 3))
         assert err.value.month == "2020-02"
 
     def test_zero_tvl_is_domain_error(self):
         proto = ProtocolSpec("P1", Chain.ETH, Month(2020, 1))
         obs = {Month(2020, 1): 0.0}
         with pytest.raises(DomainError):
-            build_monthly_panel([], obs, proto, Month(2020, 1))
+            build_monthly_panel(NO_INCIDENTS, obs, proto, Month(2020, 1))
 
     @given(st.integers(min_value=0, max_value=48))
     def test_row_count_equals_window_length(self, extra):
         proto = ProtocolSpec("P1", Chain.ETH, Month(2020, 1))
         values = [float(i + 1) for i in range(extra + 1)]
         panel = build_monthly_panel(
-            [], tvl_series("2020-01", values), proto, Month.from_index(Month(2020, 1).index + extra)
+            NO_INCIDENTS,
+            tvl_series("2020-01", values),
+            proto,
+            Month.from_index(Month(2020, 1).index + extra),
         )
         assert len(panel) == extra + 1
 
@@ -326,7 +333,7 @@ class TestBuildMonthlyPanelOracle:
         window_end = proto.inception.plus(length - 1)
         series = {_TVL_FROM.plus(k): v for k, v in enumerate(values) if k not in gaps}
         series.update({_TVL_FROM.plus(k): 0.0 for k in zeros if k not in gaps})
-        incidents = [incident(pid=pid, when=when) for pid, when in events]
+        incidents = incident_table(incident(pid=pid, when=when) for pid, when in events)
         try:
             rows = monthly_panel_rows(incidents, series, proto, window_end)
         except (DataError, DomainError) as exc:
@@ -342,35 +349,165 @@ class TestBuildMonthlyPanelOracle:
         assert panel.log_tvl.tobytes() == np.array([x for _, _, x in rows]).tobytes()
 
 
+def loss_ratio(rec) -> float:
+    """The severity training ratio of one incident."""
+    return float(severity.training_set(incident_table([rec])).ratios[0])
+
+
 class TestDeriveLossRatio:
     def test_missing_tvl_means_total_loss(self):
-        assert derive_loss_ratio(incident(loss=5e6, tvl=None)) == 1.0
+        assert loss_ratio(incident(loss=5e6, tvl=None)) == 1.0
 
     def test_zero_tvl_means_total_loss(self):
-        assert derive_loss_ratio(incident(loss=5e6, tvl=0.0)) == 1.0
+        assert loss_ratio(incident(loss=5e6, tvl=0.0)) == 1.0
 
     def test_simple_division(self):
-        assert derive_loss_ratio(incident(loss=2e6, tvl=8e6)) == 0.25
+        assert loss_ratio(incident(loss=2e6, tvl=8e6)) == 0.25
 
     def test_loss_above_tvl_clips_to_one(self):
         # Keeps the ratio inside the two-part model's (0, 1] domain.
-        assert derive_loss_ratio(incident(loss=9e6, tvl=8e6)) == 1.0
+        assert loss_ratio(incident(loss=9e6, tvl=8e6)) == 1.0
 
-    def test_zero_loss_is_domain_error(self):
-        with pytest.raises(DomainError):
-            derive_loss_ratio(incident(loss=0.0, tvl=5.0))
+    def test_zero_loss_has_no_ratio(self):
+        data = severity.training_set(incident_table([incident(loss=0.0, tvl=5.0)]))
+        assert len(data.ratios) == 0
+        assert data.zero_loss == 1
 
     @given(
         st.floats(min_value=1e-6, max_value=1e12),
         st.one_of(st.none(), st.floats(min_value=0.0, max_value=1e12)),
     )
     def test_ratio_always_in_unit_interval(self, loss, tvl):
-        r = derive_loss_ratio(incident(loss=loss, tvl=tvl))
+        r = loss_ratio(incident(loss=loss, tvl=tvl))
         assert 0.0 < r <= 1.0
         if tvl is None or tvl == 0.0 or loss >= tvl:
             assert r == 1.0
 
     def test_effective_tvl_substitutes_loss(self):
-        assert effective_tvl(incident(loss=7.0, tvl=None)) == 7.0
-        assert effective_tvl(incident(loss=7.0, tvl=0.0)) == 7.0
-        assert effective_tvl(incident(loss=7.0, tvl=9.0)) == 9.0
+        rows = [incident(loss=7.0, tvl=tvl) for tvl in (None, 0.0, 9.0)]
+        data = severity.training_set(incident_table(rows))
+        assert data.design[:, 3].tolist() == [math.log(7.0), math.log(7.0), math.log(9.0)]
+
+
+# Cells the columnar loaders must read exactly as the row-by-row ones do.
+_IDS = ["P1", "P2", " P3 ", "", "  ", "a\nb", "P1\x00"]
+_DATES = [
+    "2022-01-05", "2020-02-29", "2021-02-29", "2022-13-01", "0001-01-01", "9999-12-31",
+    " 2022-03-04 ", "20190102", "2019-W01-1", "2019-01-02T00:00", "0000-01-01", "2019-01",
+    "\uff12\uff10\uff11\uff19-01-02", "2022-01-05\x00", "2022-01-5", "",
+]
+_AMOUNTS = [
+    "1000", "2.5e6", "0", "-0", "0.00", " 7 ", "1_0", "\uff11\uff12", "1.5\xa0", "1.5\x1c",
+    "nan", "inf", "-5", "1e400", "n/a", "0x10", ".5", "5\x00", "",
+]
+_CHAINS = ["ETH", "eth", " BSC ", "Polygon", "", "OTHER"]
+_ISSUES = ["oracle", "FLASH_LOAN", " phishing ", "rugpull", ""]
+_MONTHS = [
+    "2022-01", "2022-02", "2022-1", " 2022-03 ", "2022-13", "0000-01", "2022/01", "2022-01-01", "",
+]
+
+
+def _csv_text(header, rows, blank_lines):
+    """The CSV text of ``rows`` under ``header``, quoted as needed, with a
+    blank line before each row whose index is in ``blank_lines``."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    for k, row in enumerate(rows):
+        if k in blank_lines:
+            out.write("\n")
+        writer.writerow(row)
+    return out.getvalue()
+
+
+def _cells(pools):
+    """A row of one cell from each pool, with a cell dropped or one added at times."""
+    row = st.tuples(*(st.sampled_from(pool) for pool in pools)).map(list)
+    return st.one_of(
+        row,
+        row.map(lambda cells: cells[:-1]),
+        row.map(lambda cells: cells + ["extra"]),
+        st.just(["", " "] + [""] * (len(pools) - 2)),
+    )
+
+
+def _same_incidents(path):
+    accepted, rejected, flagged = incident_file_rows(path)
+    result = load_incidents(path)
+    assert [repr(r) for r in incident_rows(result.records)] == [repr(r) for r in accepted]
+    assert [(r.line, r.raw, r.reason) for r in result.rejected] == rejected
+    assert [(r.line, r.raw, r.reason) for r in result.flagged] == flagged
+    assert result.total_rows == len(accepted) + len(rejected)
+
+
+def _same_tvl(path):
+    try:
+        expected = tvl_file_series(path)
+    except (SchemaError, DataError) as exc:
+        with pytest.raises(type(exc)) as err:
+            load_tvl(path)
+        assert type(err.value) is type(exc) and str(err.value) == str(exc)
+        return
+    got = load_tvl(path)
+    assert {p: {m: repr(v) for m, v in s.items()} for p, s in got.items()} == {
+        p: {m: repr(v) for m, v in s.items()} for p, s in expected.items()
+    }
+
+
+class TestLoaderOracle:
+    @settings(max_examples=300)
+    @given(
+        rows=st.lists(_cells([_IDS, _DATES, _CHAINS, _ISSUES, _AMOUNTS, _AMOUNTS]), max_size=30),
+        blank_lines=st.sets(st.integers(0, 30), max_size=3),
+    )
+    def test_incidents_match_the_row_by_row_loader(self, tmp_path_factory, rows, blank_lines):
+        path = tmp_path_factory.mktemp("inc") / "i.csv"
+        path.write_text(_csv_text(INCIDENTS_HEADER.strip().split(","), rows, blank_lines), "utf-8")
+        _same_incidents(path)
+
+    @settings(max_examples=300)
+    @given(
+        rows=st.lists(_cells([_IDS, _MONTHS, _AMOUNTS]), max_size=30),
+        blank_lines=st.sets(st.integers(0, 30), max_size=3),
+    )
+    def test_tvl_matches_the_row_by_row_loader(self, tmp_path_factory, rows, blank_lines):
+        path = tmp_path_factory.mktemp("tvl") / "t.csv"
+        path.write_text(_csv_text(["protocol_id", "month", "tvl_usd"], rows, blank_lines), "utf-8")
+        _same_tvl(path)
+
+    @pytest.mark.parametrize(
+        "cell",
+        [
+            "20190102", "2019-W01-1", "2019-01-02T00:00", "0000-01-01", "2019-01",
+            "2021-02-29", "2020-02-29", "2022-04-31", "2022-13-01", "2022-00-10", "2022-01-00",
+        ],
+    )
+    def test_date_cell_read_as_fromisoformat_reads_it(self, tmp_path, cell):
+        path = write(tmp_path, "i.csv", INCIDENTS_HEADER + f"P1,{cell},ETH,oracle,5,\n")
+        _same_incidents(path)
+        try:
+            expected = [np.datetime64(date.fromisoformat(cell), "D")]
+        except ValueError:
+            expected = []
+        assert load_incidents(path).records.day.tolist() == [d.item() for d in expected]
+
+    @pytest.mark.parametrize("column", ["loss_usd", "tvl_usd"])
+    @pytest.mark.parametrize("cell", ["1_0", "\uff11\uff12", "1.5\xa0", "nan", "inf", "-0", ""])
+    def test_amount_cell_read_as_float_reads_it(self, tmp_path, column, cell):
+        loss, tvl = (cell, "5") if column == "loss_usd" else ("5", cell)
+        row = f"P1,2022-01-05,ETH,oracle,{loss},{tvl}\n"
+        path = write(tmp_path, "i.csv", INCIDENTS_HEADER + row)
+        _same_incidents(path)
+        records = load_incidents(path).records
+        if column == "tvl_usd" and cell == "":
+            assert math.isnan(records.tvl_usd[0])  # an empty tvl_usd is an absent snapshot
+            return
+        try:
+            value = float(cell)
+        except ValueError:
+            value = math.nan
+        accepted = math.isfinite(value) and value >= 0.0
+        assert len(records) == int(accepted)
+        if accepted:
+            got = getattr(records, column)[0]
+            assert repr(float(got)) == repr(value)

@@ -7,13 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from defirisk import glm, severity
-from defirisk.datamodel import Chain, IncidentRecord, IssueType, Month
+from defirisk.datamodel import Chain, IssueType, Month
 from defirisk.errors import DomainError, SchemaError
 from defirisk.numerics import RngStream
 
 from oracles import exact_ratio_moments, mc_ratio_moments
 from reference_values import PROP_LOSS_COEFS, TOTAL_LOSS_COEFS
-from synth import severity_incidents
+from synth import incident_rows, incident_table, severity_incidents
 
 SIGMA2_TRUTH = 4.0
 
@@ -75,28 +75,21 @@ class TestFitSeverity:
         # All BSC incidents are total losses, all ETH lose exactly half:
         # the chain dummy separates the total-loss response, so the
         # penalized fallback must fire; the proportional part sees only ETH.
-        incidents = []
+        rows = []
         for i in range(60):
             tvl = 1e6 * (1.0 + i)
-            incidents.append(
-                IncidentRecord(f"B{i}", date(2021, 3, 1), Chain.BSC, IssueType.OTHER, tvl, tvl)
-            )
-            incidents.append(
-                IncidentRecord(
-                    f"E{i}", date(2021, 3, 1), Chain.ETH, IssueType.OTHER, tvl / 2, tvl
-                )
-            )
-        model = severity.fit_severity(severity.training_set(incidents))
+            rows.append((f"B{i}", date(2021, 3, 1), Chain.BSC, IssueType.OTHER, tvl, tvl))
+            rows.append((f"E{i}", date(2021, 3, 1), Chain.ETH, IssueType.OTHER, tvl / 2, tvl))
+        model = severity.fit_severity(severity.training_set(incident_table(rows)))
         assert model.total_loss_fit.penalty is not None
         assert np.all(np.isfinite(model.total_loss_fit.coefficients))
         assert model.n_partial == 60
         assert model.n_total == 60
 
     def test_all_total_losses_flags_pi_s_only(self):
-        incidents = [
-            IncidentRecord(f"P{i}", date(2022, 1, 1), Chain.ETH, IssueType.OTHER, 1e6, None)
-            for i in range(40)
-        ]
+        incidents = incident_table(
+            (f"P{i}", date(2022, 1, 1), Chain.ETH, IssueType.OTHER, 1e6, None) for i in range(40)
+        )
         model = severity.fit_severity(severity.training_set(incidents))
         assert model.total_loss_only
         assert severity.predict_total_loss_prob(model, Chain.ETH, 1e6, date(2023, 1, 1)) == 1.0
@@ -104,10 +97,11 @@ class TestFitSeverity:
     def test_window_filter_and_zero_loss_skip(self):
         inside = severity_incidents(50, 303, TOTAL_LOSS_COEFS, PROP_LOSS_COEFS, 1.0)
         outside = [
-            IncidentRecord("OLD", date(2019, 6, 1), Chain.ETH, IssueType.OTHER, 1e6, 1e7),
-            IncidentRecord("ZERO", date(2021, 6, 1), Chain.ETH, IssueType.OTHER, 0.0, 1e7),
+            ("OLD", date(2019, 6, 1), Chain.ETH, IssueType.OTHER, 1e6, 1e7),
+            ("ZERO", date(2021, 6, 1), Chain.ETH, IssueType.OTHER, 0.0, 1e7),
         ]
-        model = severity.fit_severity(severity.training_set(inside + outside))
+        incidents = incident_table(incident_rows(inside) + outside)
+        model = severity.fit_severity(severity.training_set(incidents))
         assert model.n_total + model.n_partial == 50
         assert model.zero_loss_skipped == 1
 
