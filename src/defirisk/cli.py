@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import itertools
 import json
 import math
 import sys
@@ -196,7 +195,7 @@ def _emit_table(cfg: RunConfig, stem: str, header: list[str], rows: list[list]) 
 def _by_protocol(incidents: Incidents, ids: list[str]) -> dict[str, Incidents]:
     """The incidents of each protocol in ``ids``, in input order."""
     position = {pid: k for k, pid in enumerate(ids)}
-    owner = np.fromiter(map(position.get, incidents.protocol_id, itertools.repeat(-1)), np.int64)
+    owner = np.array([position.get(pid, -1) for pid in incidents.protocol_id.tolist()], np.int64)
     order = np.argsort(owner, kind="stable")
     bounds = np.searchsorted(owner, np.arange(len(ids) + 1), sorter=order).tolist()
     return {pid: incidents[order[bounds[k] : bounds[k + 1]]] for k, pid in enumerate(ids)}

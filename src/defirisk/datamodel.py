@@ -10,7 +10,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from datetime import date
 from enum import Enum
@@ -212,20 +211,20 @@ INCIDENTS_HEADER = ["protocol_id", "date", "chain", "issue_type", "loss_usd", "t
 TVL_HEADER = ["protocol_id", "month", "tvl_usd"]
 
 
-def _parse_amount(name: str, raw: str) -> tuple[float | None, str | None]:
-    """(value, None) for a finite nonnegative USD amount, else (None, reason)."""
+def _parse_amount(name: str, raw: str) -> float:
+    """A finite nonnegative USD amount; a SchemaError giving the reason otherwise."""
     try:
         value = float(raw)
     except ValueError:
-        return None, f"bad {name} {raw!r}"
+        raise SchemaError(f"bad {name} {raw!r}") from None
     if not math.isfinite(value):
-        return None, f"non-finite {name} {raw}"
+        raise SchemaError(f"non-finite {name} {raw}")
     if value < 0.0:
-        return None, f"negative {name} {raw}"
-    return value, None
+        raise SchemaError(f"negative {name} {raw}")
+    return value
 
 
-def _csv_rows(path, header: list[str], what: str) -> tuple[Sequence[int], list, list]:
+def _csv_rows(path, header: list[str], what: str) -> tuple[list[int], list, list]:
     """The line and the cells of each row of a CSV file under ``header``,
     and the cells of each column, where a row of another width reads as blank.
 
@@ -234,6 +233,8 @@ def _csv_rows(path, header: list[str], what: str) -> tuple[Sequence[int], list, 
     header, or bytes that are not UTF-8 text are a SchemaError naming the
     file.
     """
+    lines: list[int] = []
+    rows: list[tuple[str, ...]] = []
     with open(path, newline="", encoding="utf-8") as fh:
         try:
             reader = csv.reader(fh)
@@ -242,12 +243,11 @@ def _csv_rows(path, header: list[str], what: str) -> tuple[Sequence[int], list, 
                 raise SchemaError(f"{path}: empty {what} file")
             if [h.strip() for h in first] != header:
                 raise SchemaError(f"{path}: bad {what} header {first!r}, expected {header}")
-            rows = list(map(tuple, reader))
-            lines: Sequence[int] = range(2, len(rows) + 2)
-            if reader.line_num != len(rows) + 1:  # a quoted newline: read the lines again
-                fh.seek(0)
-                reader = csv.reader(fh)
-                lines = [reader.line_num + 1 for _ in reader][:-1]
+            line = reader.line_num + 1
+            for row in reader:
+                lines.append(line)
+                rows.append(tuple(row))
+                line = reader.line_num + 1
         except (UnicodeDecodeError, csv.Error) as exc:
             raise SchemaError(f"{path}: not a readable {what} CSV: {exc}") from exc
     blank = ("",) * len(header)
@@ -279,25 +279,21 @@ def _amounts(cells: list[str]) -> np.ndarray:
     return np.fromiter(map(parse, cells), np.float64, len(cells))
 
 
-def _incident_row(row: Sequence[str]) -> tuple[tuple | None, str | None]:
+def _incident_row(row: tuple[str, ...]) -> tuple:
     """(protocol_id, date, chain, issue type, loss, tvl or NaN) of one
-    incidents row and None, or None and the reason the row is rejected."""
+    incidents row; a SchemaError giving the reason it is rejected."""
     if len(row) != len(INCIDENTS_HEADER):
-        return None, "wrong number of fields"
+        raise SchemaError("wrong number of fields")
     pid, date_raw, chain_raw, issue_raw, loss_raw, tvl_raw = (c.strip() for c in row)
     if not pid:
-        return None, "empty protocol_id"
+        raise SchemaError("empty protocol_id")
     try:
         when = date.fromisoformat(date_raw)
     except ValueError:
-        return None, f"bad date {date_raw!r}"
-    loss, reason = _parse_amount("loss_usd", loss_raw)
-    tvl = math.nan
-    if reason is None and tvl_raw:
-        tvl, reason = _parse_amount("tvl_usd", tvl_raw)
-    if reason is not None:
-        return None, reason
-    return (pid, when, Chain.parse(chain_raw), IssueType.parse(issue_raw), loss, tvl), None
+        raise SchemaError(f"bad date {date_raw!r}") from None
+    loss = _parse_amount("loss_usd", loss_raw)
+    tvl = _parse_amount("tvl_usd", tvl_raw) if tvl_raw else math.nan
+    return pid, when, Chain.parse(chain_raw), IssueType.parse(issue_raw), loss, tvl
 
 
 def load_incidents(path) -> IngestResult:
@@ -319,19 +315,17 @@ def load_incidents(path) -> IngestResult:
     chain = _each_distinct(chain_raw, Chain.parse, object)
     issue = _each_distinct(issue_raw, IssueType.parse, object)
     loss, tvl = _amounts(loss_raw), _amounts(tvl_raw)
-    accepted = (pid != "") & (ordinal > 0)
-    accepted &= (loss >= 0.0) & (loss < math.inf)
-    accepted &= (np.array(tvl_raw, dtype=object) == "") | ((tvl >= 0.0) & (tvl < math.inf))
+    tvl_ok = (np.array(tvl_raw, dtype=object) == "") | ((tvl >= 0.0) & (tvl < math.inf))
+    accepted = (pid != "") & (ordinal > 0) & (loss >= 0.0) & (loss < math.inf) & tvl_ok
     rejected: list[RejectedRow] = []
     for i in np.flatnonzero(~accepted).tolist():
         if not "".join(rows[i]).strip():
             continue  # a blank row, which has an empty protocol_id
-        values, reason = _incident_row(rows[i])
-        if reason is not None:
-            rejected.append(RejectedRow(lines[i], rows[i], reason))
-            continue
-        pid[i], day[i], chain[i], issue[i], loss[i], tvl[i] = values
-        accepted[i] = True
+        try:
+            pid[i], day[i], chain[i], issue[i], loss[i], tvl[i] = _incident_row(rows[i])
+            accepted[i] = True
+        except SchemaError as exc:
+            rejected.append(RejectedRow(lines[i], rows[i], str(exc)))
     flagged = [
         RejectedRow(lines[i], rows[i], "zero loss: excluded from severity fitting")
         for i in np.flatnonzero(accepted & (loss == 0.0)).tolist()
@@ -340,7 +334,7 @@ def load_incidents(path) -> IngestResult:
     return IngestResult(records, tuple(rejected), tuple(flagged))
 
 
-def _tvl_row(path, line: int, row: Sequence[str]) -> tuple[str, Month, float]:
+def _tvl_row(path, line: int, row: tuple[str, ...]) -> tuple[str, Month, float]:
     """(protocol_id, month, tvl_usd) of one TVL row; a SchemaError naming
     ``path`` and ``line`` when the row is malformed."""
     try:
@@ -349,12 +343,9 @@ def _tvl_row(path, line: int, row: Sequence[str]) -> tuple[str, Month, float]:
         pid, month_raw, tvl_raw = (c.strip() for c in row)
         if not pid:
             raise SchemaError("empty protocol_id")
-        month = Month.parse(month_raw)
-        tvl, reason = _parse_amount("tvl_usd", tvl_raw)
-        if reason is None and tvl == 0.0:
-            reason = f"zero tvl_usd {tvl_raw}: log TVL undefined"
-        if reason is not None:
-            raise SchemaError(reason)
+        month, tvl = Month.parse(month_raw), _parse_amount("tvl_usd", tvl_raw)
+        if tvl == 0.0:
+            raise SchemaError(f"zero tvl_usd {tvl_raw}: log TVL undefined")
     except SchemaError as exc:
         raise SchemaError(f"{path}:{line}: {exc}") from exc
     return pid, month, tvl

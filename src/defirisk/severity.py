@@ -159,26 +159,11 @@ def fit_severity(data: TrainingSet, groups: int = 10) -> SeverityModel:
     n_total = int(total.sum())
     n_partial = len(data.incidents) - n_total
 
-    if n_partial == 0:
-        # Every training ratio was a full loss: nothing to fit on either
-        # part, and every prediction is a certain total loss.
-        return SeverityModel(
-            total_loss_fit=None,
-            proportional_fit=None,
-            time_origin=data.time_origin,
-            training_window=data.window,
-            hl=None,
-            n_total=n_total,
-            n_partial=0,
-            low_partial_warning=True,
-            zero_loss_skipped=data.zero_loss,
-        )
-
-    total_fit = glm.fit_logistic(data.design, total.astype(float), standardize=False)
-    hl = glm.hosmer_lemeshow(total_fit, data.design, total.astype(float), groups=groups)
-
-    proportional_fit = glm.fit_linear_on_logit(*data.partial())
-
+    total_fit = proportional_fit = hl = None
+    if n_partial:  # else every training ratio is a total loss, and so is every prediction
+        total_fit = glm.fit_logistic(data.design, total.astype(float), standardize=False)
+        hl = glm.hosmer_lemeshow(total_fit, data.design, total.astype(float), groups=groups)
+        proportional_fit = glm.fit_linear_on_logit(*data.partial())
     return SeverityModel(
         total_loss_fit=total_fit,
         proportional_fit=proportional_fit,
