@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from contextlib import closing
 from dataclasses import dataclass, fields
 from datetime import date
 from enum import Enum
@@ -224,17 +225,25 @@ def _parse_amount(name: str, raw: str) -> float:
     return value
 
 
-def _csv_rows(path, header: list[str], what: str) -> tuple[list[int], list, list]:
-    """The line and the cells of each row of a CSV file under ``header``,
-    and the cells of each column, where a row of another width reads as blank.
+_CSV_BLOCK = 2048  # rows held at once while a CSV file is read
+
+
+def _csv_rows(path, header: list[str], what: str):
+    """Blocks of at most _CSV_BLOCK rows of a CSV file under ``header``: the
+    line and the cells of each row, and the cells of each column, where a
+    row of another width reads as blank.  The last block may be empty.
 
     A row's line is its first physical line, which a quoted newline can
     make span several.  Blank rows are included.  An empty file, another
     header, or bytes that are not UTF-8 text are a SchemaError naming the
-    file.
+    file, raised when the reader reaches them.
     """
-    lines: list[int] = []
-    rows: list[tuple[str, ...]] = []
+    blank = ("",) * len(header)
+
+    def block(lines, rows):
+        padded = [row if len(row) == len(header) else blank for row in rows]
+        return lines, rows, [list(map(itemgetter(k), padded)) for k in range(len(header))]
+
     with open(path, newline="", encoding="utf-8") as fh:
         try:
             reader = csv.reader(fh)
@@ -243,23 +252,27 @@ def _csv_rows(path, header: list[str], what: str) -> tuple[list[int], list, list
                 raise SchemaError(f"{path}: empty {what} file")
             if [h.strip() for h in first] != header:
                 raise SchemaError(f"{path}: bad {what} header {first!r}, expected {header}")
+            lines: list[int] = []
+            rows: list[tuple[str, ...]] = []
             line = reader.line_num + 1
             for row in reader:
                 lines.append(line)
                 rows.append(tuple(row))
                 line = reader.line_num + 1
+                if len(rows) == _CSV_BLOCK:
+                    yield block(lines, rows)
+                    lines, rows = [], []
         except (UnicodeDecodeError, csv.Error) as exc:
             raise SchemaError(f"{path}: not a readable {what} CSV: {exc}") from exc
-    blank = ("",) * len(header)
-    padded = [row if len(row) == len(header) else blank for row in rows]
-    return lines, rows, [list(map(itemgetter(k), padded)) for k in range(len(header))]
+    yield block(lines, rows)
 
 
-def _each_distinct(cells: list[str], parse, dtype, error=(), default=None) -> np.ndarray:
-    """``parse`` of each cell, called once per distinct cell; ``default``
-    where it raises ``error``."""
-    table = {}
-    for raw in set(cells):
+def _each_distinct(
+    table: dict, cells: list[str], parse, dtype, error=(), default=None
+) -> np.ndarray:
+    """``parse`` of each cell, called once per distinct cell not yet in
+    ``table``, which keeps the results; ``default`` where it raises ``error``."""
+    for raw in set(cells).difference(table):
         try:
             table[raw] = parse(raw)
         except error:
@@ -299,38 +312,47 @@ def _incident_row(row: tuple[str, ...]) -> tuple:
 def load_incidents(path) -> IngestResult:
     """Parse an incidents CSV; bad rows land in the report, never vanish.
 
-    Each column is converted whole, and dates, chains and issue types once
-    per distinct cell.  A row that fails a column's test goes through
-    ``_incident_row``, which accepts it or gives the reason it is rejected.
+    The file is read a block of rows at a time.  Each column of a block is
+    converted whole, and dates, chains and issue types once per distinct
+    cell.  A row that fails a column's test goes through ``_incident_row``,
+    which accepts it or gives the reason it is rejected.
     """
-    lines, rows, columns = _csv_rows(path, INCIDENTS_HEADER, "incidents")
-    pid, date_raw, chain_raw, issue_raw, loss_raw, tvl_raw = columns
-    # Only the ids are stripped here: the parsers strip the other cells, and
-    # a cell ``float`` reads with its blanks it reads the same without them.
-    pid = np.fromiter(map(str.strip, pid), object, len(rows))
-    ordinal = _each_distinct(  # 0 where the date is refused
-        date_raw, lambda cell: date.fromisoformat(cell.strip()).toordinal(), np.int64, ValueError, 0
-    )
-    day = (ordinal - date(1970, 1, 1).toordinal()).astype("datetime64[D]")
-    chain = _each_distinct(chain_raw, Chain.parse, object)
-    issue = _each_distinct(issue_raw, IssueType.parse, object)
-    loss, tvl = _amounts(loss_raw), _amounts(tvl_raw)
-    tvl_ok = (np.array(tvl_raw, dtype=object) == "") | ((tvl >= 0.0) & (tvl < math.inf))
-    accepted = (pid != "") & (ordinal > 0) & (loss >= 0.0) & (loss < math.inf) & tvl_ok
+    dates: dict = {}
+    chains: dict = {}
+    issues: dict = {}
+    parts: list[Incidents] = []
     rejected: list[RejectedRow] = []
-    for i in np.flatnonzero(~accepted).tolist():
-        if not "".join(rows[i]).strip():
-            continue  # a blank row, which has an empty protocol_id
-        try:
-            pid[i], day[i], chain[i], issue[i], loss[i], tvl[i] = _incident_row(rows[i])
-            accepted[i] = True
-        except SchemaError as exc:
-            rejected.append(RejectedRow(lines[i], rows[i], str(exc)))
-    flagged = [
-        RejectedRow(lines[i], rows[i], "zero loss: excluded from severity fitting")
-        for i in np.flatnonzero(accepted & (loss == 0.0)).tolist()
-    ]
-    records = Incidents(pid, day, chain, issue, loss, tvl)[accepted]
+    flagged: list[RejectedRow] = []
+    for lines, rows, columns in _csv_rows(path, INCIDENTS_HEADER, "incidents"):
+        pid, date_raw, chain_raw, issue_raw, loss_raw, tvl_raw = columns
+        # Only the ids are stripped here: the parsers strip the other cells,
+        # and a cell ``float`` reads with its blanks it reads the same without.
+        pid = np.fromiter(map(str.strip, pid), object, len(rows))
+        ordinal = _each_distinct(  # 0 where the date is refused
+            dates, date_raw, lambda cell: date.fromisoformat(cell.strip()).toordinal(), np.int64,
+            ValueError, 0,
+        )
+        day = (ordinal - date(1970, 1, 1).toordinal()).astype("datetime64[D]")
+        chain = _each_distinct(chains, chain_raw, Chain.parse, object)
+        issue = _each_distinct(issues, issue_raw, IssueType.parse, object)
+        loss, tvl = _amounts(loss_raw), _amounts(tvl_raw)
+        tvl_ok = (np.array(tvl_raw, dtype=object) == "") | ((tvl >= 0.0) & (tvl < math.inf))
+        accepted = (pid != "") & (ordinal > 0) & (loss >= 0.0) & (loss < math.inf) & tvl_ok
+        for i in np.flatnonzero(~accepted).tolist():
+            if not "".join(rows[i]).strip():
+                continue  # a blank row, which has an empty protocol_id
+            try:
+                pid[i], day[i], chain[i], issue[i], loss[i], tvl[i] = _incident_row(rows[i])
+                accepted[i] = True
+            except SchemaError as exc:
+                rejected.append(RejectedRow(lines[i], rows[i], str(exc)))
+        flagged.extend(
+            RejectedRow(lines[i], rows[i], "zero loss: excluded from severity fitting")
+            for i in np.flatnonzero(accepted & (loss == 0.0)).tolist()
+        )
+        parts.append(Incidents(pid, day, chain, issue, loss, tvl)[accepted])
+    columns = zip(*([getattr(part, f.name) for f in fields(Incidents)] for part in parts))
+    records = Incidents(*map(np.concatenate, columns))
     return IngestResult(records, tuple(rejected), tuple(flagged))
 
 
@@ -356,23 +378,29 @@ def load_tvl(path) -> dict[str, dict[Month, float]]:
 
     An empty protocol_id, a zero TVL, or two for one (protocol, month),
     is an error, and the first failing line in file order is reported.
-    Months are parsed once per distinct cell and amounts a column at a
-    time; a row that fails those goes through ``_tvl_row``, which raises.
+    The file is read a block of rows at a time; months are parsed once per
+    distinct cell and amounts a column at a time; a row that fails those
+    goes through ``_tvl_row``, which raises.
     """
-    lines, rows, (pid, month_raw, tvl_raw) = _csv_rows(path, TVL_HEADER, "tvl")
-    months = _each_distinct(month_raw, Month.parse, object, SchemaError).tolist()
-    tvl = _amounts(tvl_raw)
-    fast = (np.isfinite(tvl) & (tvl > 0.0)).tolist()
+    parsed: dict = {}
     out: dict[str, dict[Month, float]] = {}
-    for i, (key, month, value) in enumerate(zip(map(str.strip, pid), months, tvl.tolist())):
-        if not (fast[i] and key and month is not None):
-            if not "".join(rows[i]).strip():
-                continue  # a blank row, which has an empty protocol_id
-            key, month, value = _tvl_row(path, lines[i], rows[i])
-        series = out.setdefault(key, {})
-        if month in series:
-            raise DataError(f"{path}:{lines[i]}: duplicate TVL observation for {key} {month}")
-        series[month] = value
+    # closing: a bad row ends the loop early, and the file closes with it.
+    with closing(_csv_rows(path, TVL_HEADER, "tvl")) as blocks:
+        for lines, rows, (pid, month_raw, tvl_raw) in blocks:
+            months = _each_distinct(parsed, month_raw, Month.parse, object, SchemaError).tolist()
+            tvl = _amounts(tvl_raw)
+            fast = (np.isfinite(tvl) & (tvl > 0.0)).tolist()
+            for i, (key, month, value) in enumerate(zip(map(str.strip, pid), months, tvl.tolist())):
+                if not (fast[i] and key and month is not None):
+                    if not "".join(rows[i]).strip():
+                        continue  # a blank row, which has an empty protocol_id
+                    key, month, value = _tvl_row(path, lines[i], rows[i])
+                series = out.setdefault(key, {})
+                if month in series:
+                    raise DataError(
+                        f"{path}:{lines[i]}: duplicate TVL observation for {key} {month}"
+                    )
+                series[month] = value
     return out
 
 

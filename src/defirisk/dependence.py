@@ -6,7 +6,9 @@ event convention is N_i = 1 iff Z_i exceeds the (1 - pi_i) normal quantile,
 so positive similarity entries produce positively correlated attacks while
 each marginal stays Bernoulli(pi_i).  ``draw_events`` is the one sampler of
 the indicators, with or without the copula; it streams the normals through
-fixed panels, so only the boolean indicators are ever held for all paths.
+fixed panels, so only the indicators are ever held for all paths, packed
+eight to a byte.  Per worker that is about 44 KB per protocol at 65,536
+paths plus a 1 MB panel of Z (see ``draw_events``).
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ from .numerics import (
 )
 
 _CHUNK = 1 << 17
-_PANEL = 4096
+_PANEL = 4096  # a multiple of 8, so each panel starts on a mask byte
+_ROWS = 32
 
 
 @dataclass(frozen=True)
@@ -82,47 +85,69 @@ def draw_events(
     probs,
     spec: CopulaSpec | None = None,
     out: np.ndarray | None = None,
-    work: np.ndarray | None = None,
+    work=None,
 ) -> np.ndarray:
-    """Attack indicators of ``size`` paths as a protocol-major (d, size) bool mask.
+    """Attack indicators of ``size`` paths as a bit-packed protocol-major mask.
 
-    With a copula, path j attacks protocol i iff Z_ij = (L u_j)_i exceeds
-    its ``event_thresholds`` value, u_j iid standard normal; without one,
-    iff a uniform u_ij falls below pi_i.  The paths are drawn in panels of
-    _PANEL: the same draws in the same order as one (size, d) array, so
-    ``gen`` ends where that draw would leave it, but no more than one panel
-    of u and of Z is held at a time.  The mask is written into ``out``, of
-    shape (d, >= size), when given, and the panels go through ``work``, a
-    float array of at least 2 * min(size, _PANEL) * d entries; a caller
-    that draws many times reuses the pair from ``event_buffers``.
+    Bit j of row i (``np.unpackbits(mask[i], count=size)``) is set iff path
+    j attacks protocol i.  With a copula that is iff Z_ij = (L u_j)_i
+    exceeds its ``event_thresholds`` value, u_j iid standard normal;
+    without one, iff a uniform u_ij falls below pi_i.  The paths are drawn
+    in panels of _PANEL: the same draws in the same order as one (size, d)
+    array, so ``gen`` ends where that draw would leave it.  A panel's
+    indicators go through a (d, _PANEL) bool scratch and are packed into
+    the mask.  Z is formed _ROWS rows at a time, from the nonzero part of
+    the triangular L; without a copula, Z's scratch holds the indicators
+    path-major.  The mask, of shape (d, >= ceil(size / 8)) uint8, is
+    ``out`` when given, and then ``work`` holds the u, Z and indicator
+    scratches of ``event_buffers``.  For a 65,536-path block they take
+    about 44 KB per protocol (8 KB of mask, 32 KB of u, 4 KB of
+    indicators) plus a 1 MB Z panel.
     """
     if spec is None:
         column = check_probabilities(probs, np.size(probs))[:, None]
     else:
         column = event_thresholds(probs, spec.dim)[:, None]
     d = len(column)
-    mask = (np.empty((d, size), dtype=bool) if out is None else out)[:, :size]
-    panel = min(size, _PANEL) * d
-    if work is None:
-        work = np.empty(2 * panel)
+    if out is None:
+        out, *work = event_buffers(d, size)
+    mask = out[:, : (size + 7) // 8]
+    u_work, z_work, hit_work = work
     for a in range(0, size, _PANEL):
         k = min(_PANEL, size - a)
-        u = work[: k * d].reshape(k, d)
+        u, hit = u_work[:k], hit_work[:, :k]
         if spec is None:
             gen.random(out=u)
-            np.less(u.T, column, out=mask[:, a : a + k])
+            # Compared path-major, then transposed: reading u.T is several
+            # times slower once a row of u spans many cache lines.
+            by_path = z_work[: k * d].view(bool).reshape(k, d)
+            np.less(u, column.T, out=by_path)
+            hit[...] = by_path.T
         else:
             gen.standard_normal(out=u)
-            z = work[panel : panel + k * d].reshape(d, k)
-            np.matmul(spec.chol, u.T, out=z)
-            np.greater(z, column, out=mask[:, a : a + k])
+            for r0 in range(0, d, _ROWS):
+                r1 = min(r0 + _ROWS, d)
+                z = z_work[: (r1 - r0) * k * 8].view(np.float64).reshape(r1 - r0, k)
+                np.matmul(spec.chol[r0:r1, :r1], u[:, :r1].T, out=z)
+                np.greater(z, column[r0:r1], out=hit[r0:r1])
+        mask[:, a // 8 : (a + k + 7) // 8] = np.packbits(hit, axis=1)
     return mask
 
 
-def event_buffers(dim: int, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """An ``out`` mask and a ``work`` array with which ``draw_events`` can
-    draw up to ``size`` paths of ``dim`` protocols, again and again."""
-    return np.empty((dim, size), dtype=bool), np.empty(2 * min(size, _PANEL) * dim)
+def event_buffers(dim: int, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """A packed ``out`` mask and the u, Z and indicator scratches with
+    which ``draw_events`` can draw up to ``size`` paths of ``dim``
+    protocols, again and again (pass the last three as ``work``)."""
+    panel = min(size, _PANEL)
+    return (
+        np.empty((dim, (size + 7) // 8), dtype=np.uint8),
+        np.empty((panel, dim)),
+        # Z's rows with a copula, the path-major indicators without one.
+        np.empty(max(8 * min(_ROWS, dim), dim) * panel, dtype=np.uint8),
+        # One spare column: numpy compares Z with the thresholds about 4x
+        # faster into a strided view than into a contiguous (d, panel) array.
+        np.empty((dim, panel + 1), dtype=bool),
+    )
 
 
 def sample_frequencies(
@@ -137,7 +162,8 @@ def sample_frequencies(
     given.
     """
     gen = rng.generator() if isinstance(rng, RngStream) else rng
-    events = draw_events(gen, 1 if size is None else int(size), probabilities, spec)
+    n = 1 if size is None else int(size)
+    events = np.unpackbits(draw_events(gen, n, probabilities, spec), axis=1, count=n)
     draws = events.T.astype(np.int8)
     return draws[0] if size is None else draws
 
@@ -167,7 +193,8 @@ def joint_cdf_estimate(
     hits = 0
     n_samples = int(n_samples)
     for start in range(0, n_samples, _CHUNK):
-        events = draw_events(gen, min(_CHUNK, n_samples - start), probabilities, spec)
+        n = min(_CHUNK, n_samples - start)
+        events = np.unpackbits(draw_events(gen, n, probabilities, spec), axis=1, count=n).view(bool)
         hits += int((~events[active].any(axis=0)).sum())
     p_hat = hits / n_samples
     se = float(np.sqrt(p_hat * (1.0 - p_hat) / n_samples))

@@ -39,7 +39,8 @@ _COND_LIMIT = 1e10
 def invlogit(eta):
     """Numerically stable inverse logit, strictly inside (0, 1)."""
     eta = np.clip(eta, -_ETA_CLIP, _ETA_CLIP)
-    out = np.where(eta >= 0, 1.0 / (1.0 + np.exp(-eta)), np.exp(eta) / (1.0 + np.exp(eta)))
+    e = np.exp(-np.abs(eta))  # exp(-eta) where eta >= 0, exp(eta) elsewhere
+    out = np.where(eta >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     if np.ndim(eta) == 0:
         return float(out)
     return out

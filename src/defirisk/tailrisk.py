@@ -5,7 +5,7 @@ attack indicators (through the copula, or independently), then an
 independent severity ratio for each attacked protocol.  Replicates are
 organized in fixed-size blocks with per-block counter offsets, so the
 same seed yields byte-identical results for any worker count.  A block's
-indicators are one protocol-major boolean mask, which
+indicators are one protocol-major bit-packed mask, which
 ``dependence.draw_events`` fills panel by panel, so the block's normals
 and copula draws are never held in full.
 
@@ -29,10 +29,11 @@ gives each rank.
 
 ``risk_report`` therefore keeps only the top m losses of each scenario.
 Each block drops its losses below the m-th largest merged so far, and the
-merge keeps a buffer of 2m plus one block, so memory is O(m) plus, per
-worker, one (d, block) event mask, two panels of draws and at most two
-blocks of losses in flight, and the top is byte-identical to the end of
-the full sorted sample.  The rare resample that needs the rest redraws
+merge keeps a buffer of 2m plus one block.  So memory is O(m) plus, per
+worker, about 44 KB per protocol (8 KB of packed event mask, 32 KB of
+normals and 4 KB of unpacked indicators), a 1 MB panel of Z and at most
+two blocks of losses in flight, and the top is byte-identical to the end
+of the full sorted sample.  The rare resample that needs the rest redraws
 the full sample from the same path stream, which gives the same losses.
 """
 
@@ -116,9 +117,10 @@ def simulate_aggregate(
     ``attack_probabilities`` (one per protocol, in portfolio order)
     bypasses the frequency models, e.g. to rerun published probabilities.
     The result is byte-identical to the last ``top`` values of the full
-    sorted sample, and memory is O(top) plus, per worker, a (d, block)
-    event mask, two panels of draws and two blocks of losses: each block
-    drops its values below the ``top``-th largest merged so far.
+    sorted sample, and memory is O(top) plus, per worker, about 44 KB per
+    protocol of packed event mask and panel scratch, a 1 MB Z panel and two
+    blocks of losses: each block drops its values below the ``top``-th
+    largest merged so far.
     """
     if n_sims < 10_000:
         raise DomainError(f"n_sims must be at least 10^4, got {n_sims}")
@@ -144,8 +146,10 @@ def simulate_aggregate(
         for i, proto in enumerate(portfolio.protocols)
     ]
     floor = -math.inf  # the top-th largest value merged so far; it only rises
-    # Each thread reuses one (d, block) event mask and the two panels of
-    # normals and Z that ``draw_events`` streams through.  A fresh one each
+    # Each thread reuses one packed (d, block / 8) event mask and the
+    # scratches ``draw_events`` streams through: a (4,096, d) panel of
+    # normals, a (32, 4,096) panel of Z and a (d, 4,096) bool panel: about
+    # 44 KB per protocol plus 1 MB.  A fresh one each
     # block can make malloc return it to the system and fault it in again:
     # at 10^7 paths on 2 threads that was 250,000 page faults, not 8,000,
     # and 0.8 s of system time.
@@ -156,11 +160,12 @@ def simulate_aggregate(
         m = min(_BLOCK, n_sims - start)
         gen = rng.block_generator(block)
         if not hasattr(scratch, "mask"):
-            scratch.mask, scratch.work = event_buffers(d, min(_BLOCK, n_sims))
+            scratch.mask, *scratch.work = event_buffers(d, min(_BLOCK, n_sims))
         events = draw_events(gen, m, probs, copula, out=scratch.mask, work=scratch.work)
         s = np.zeros(m)
         for i, law in enumerate(laws):
-            idx = np.flatnonzero(events[i])
+            # flatnonzero is about 3x faster on a bool view than on uint8.
+            idx = np.flatnonzero(np.unpackbits(events[i], count=m).view(bool))
             if idx.size == 0:
                 continue
             s[idx] += tvl_arr[i] * law.draw(gen, idx.size)

@@ -2,13 +2,14 @@ import csv
 import io
 import math
 from datetime import date
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from defirisk import severity
+from defirisk import datamodel, severity
 from defirisk.datamodel import (
     Chain,
     IssueType,
@@ -474,6 +475,41 @@ class TestLoaderOracle:
         path = tmp_path_factory.mktemp("tvl") / "t.csv"
         path.write_text(_csv_text(["protocol_id", "month", "tvl_usd"], rows, blank_lines), "utf-8")
         _same_tvl(path)
+
+    # Blocks of 3 rows put block edges inside these files, between a row
+    # and its duplicate, a blank line or a rejected row.
+    @settings(max_examples=200)
+    @given(
+        rows=st.lists(_cells([_IDS, _DATES, _CHAINS, _ISSUES, _AMOUNTS, _AMOUNTS]), max_size=30),
+        blank_lines=st.sets(st.integers(0, 30), max_size=3),
+    )
+    def test_incidents_read_in_small_blocks_match(self, tmp_path_factory, rows, blank_lines):
+        path = tmp_path_factory.mktemp("inc") / "i.csv"
+        path.write_text(_csv_text(INCIDENTS_HEADER.strip().split(","), rows, blank_lines), "utf-8")
+        with mock.patch.object(datamodel, "_CSV_BLOCK", 3):
+            _same_incidents(path)
+
+    @settings(max_examples=200)
+    @given(
+        rows=st.lists(_cells([_IDS, _MONTHS, _AMOUNTS]), max_size=30),
+        blank_lines=st.sets(st.integers(0, 30), max_size=3),
+    )
+    def test_tvl_read_in_small_blocks_matches(self, tmp_path_factory, rows, blank_lines):
+        path = tmp_path_factory.mktemp("tvl") / "t.csv"
+        path.write_text(_csv_text(["protocol_id", "month", "tvl_usd"], rows, blank_lines), "utf-8")
+        with mock.patch.object(datamodel, "_CSV_BLOCK", 3):
+            _same_tvl(path)
+
+    def test_tvl_blocks_share_the_series_and_the_duplicate_check(self, tmp_path):
+        rows = [f"P{k % 3},2022-{k // 3 + 1:02d},{1000 + k}" for k in range(12)]
+        header = "protocol_id,month,tvl_usd\n"
+        whole = write(tmp_path, "t.csv", header + "\n".join(rows) + "\n")
+        duplicated = write(tmp_path, "d.csv", header + "\n".join(rows + ["P1,2022-02,5"]) + "\n")
+        with mock.patch.object(datamodel, "_CSV_BLOCK", 3):
+            _same_tvl(whole)
+            assert sum(map(len, load_tvl(whole).values())) == 12
+            with pytest.raises(DataError, match=r"d\.csv:14: duplicate TVL observation for P1"):
+                load_tvl(duplicated)
 
     @pytest.mark.parametrize(
         "cell",

@@ -80,7 +80,9 @@ def wide_copula():
 
 
 class TestDrawEvents:
-    @pytest.mark.parametrize("size", [65_536, 34_464])  # a full and a partial block
+    # A full and a partial block, one whose last mask byte is padded, and
+    # one whose last panel holds a single path.
+    @pytest.mark.parametrize("size", [65_536, 34_464, 10_001, 4_097])
     @pytest.mark.parametrize("d", [7, 230])
     @pytest.mark.parametrize("with_copula", [True, False])
     def test_matches_the_whole_block_draw(self, size, d, with_copula, wide_copula):
@@ -92,21 +94,26 @@ class TestDrawEvents:
         copula = spec if with_copula else None
         mask = draw_events(gen, size, probs, copula)
         expected = whole_block_events(ref_gen, size, probs, copula)
-        assert mask.shape == (d, size)
-        assert np.array_equal(mask, expected.T)
+        assert mask.shape == (d, (size + 7) // 8)
+        bits = np.unpackbits(mask, axis=1)
+        assert np.array_equal(bits[:, :size], expected.T)
+        assert not bits[:, size:].any()  # the padding of the last byte
         # The severity draws continue on the same generator.
         assert np.array_equal(gen.integers(0, 2**63, 4), ref_gen.integers(0, 2**63, 4))
 
     def test_reused_buffers_give_the_same_mask(self):
         spec = build_copula(SIMILARITY)
         probs = [ATTACK_PROBS[p] for p in PROTOCOL_IDS]
-        out, work = event_buffers(8, 10_000)
-        out[:] = True
-        work[:] = np.nan
+        out, *work = event_buffers(8, 10_000)
+        out[:] = 255
+        for scratch in work:
+            scratch[:] = np.nan if scratch.dtype == float else True
         for size in (10_000, 5_000):
             fresh = draw_events(RngStream(52).generator(), size, probs, spec)
             reused = draw_events(RngStream(52).generator(), size, probs, spec, out=out, work=work)
-            assert np.array_equal(fresh, reused)
+            assert np.array_equal(
+                np.unpackbits(fresh, axis=1, count=size), np.unpackbits(reused, axis=1, count=size)
+            )
             assert np.shares_memory(reused, out)
 
 

@@ -28,6 +28,26 @@ def simulate_logistic(coefs, n, seed, x_sd=1.0):
     return np.column_stack([np.ones(n), x]), y
 
 
+class TestInvlogit:
+    @staticmethod
+    def three_exp_form(eta):
+        """The former ``glm.invlogit``, which took three ``exp`` per entry."""
+        eta = np.clip(eta, -36.0, 36.0)
+        out = np.where(eta >= 0, 1.0 / (1.0 + np.exp(-eta)), np.exp(eta) / (1.0 + np.exp(eta)))
+        return float(out) if np.ndim(eta) == 0 else out
+
+    def test_one_exp_matches_the_three_exp_form_bit_for_bit(self):
+        edges = np.array([0.0, -0.0, 36.0, -36.0, 37.0, -37.0, 1e-300, -1e-300])
+        wide = np.random.default_rng(61).normal(0.0, 20.0, 100_000)
+        for eta in (edges, wide):
+            new, old = glm.invlogit(eta), self.three_exp_form(eta)
+            assert np.array_equal(new.view(np.uint64), old.view(np.uint64))
+        for x in edges.tolist():
+            new, old = glm.invlogit(x), self.three_exp_form(x)
+            assert isinstance(new, float)
+            assert np.float64(new).view(np.uint64) == np.float64(old).view(np.uint64)
+
+
 class TestFitLogistic:
     def test_balanced_intercept_only(self):
         y = np.array([0.0, 1.0] * 50)

@@ -286,12 +286,9 @@ class TestStreamingTop:
             tracemalloc.stop()
         assert peak < 8 * n
 
-    @pytest.mark.parametrize("with_copula", [True, False])
-    def test_simulate_memory_follows_the_mask_not_the_normals(self, with_copula):
-        # A block's events are a (d, 65,536) boolean mask, one byte per
-        # entry, filled from two 4,096-path panels of normals and Z (another
-        # byte per entry between them).  Holding the whole block of normals
-        # and Z in float64 would take 16 bytes per entry, 9 without the copula.
+    @staticmethod
+    def simulate_peak(with_copula: bool) -> tuple[int, int]:
+        """Traced peak of ``simulate_aggregate`` over two blocks at d = 230, and d."""
         d, n = 230, 131_072
         portfolio = make_portfolio(d, similarity=grouped_similarity(d, seed=4))
         copula = build_copula(portfolio.similarity) if with_copula else None
@@ -306,7 +303,24 @@ class TestStreamingTop:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        return peak, d
+
+    @pytest.mark.parametrize("with_copula", [True, False])
+    def test_simulate_memory_follows_the_mask_not_the_normals(self, with_copula):
+        # Holding the whole block of normals and Z in float64 would take 16
+        # bytes per (protocol, path) entry, 9 without the copula.
+        peak, d = self.simulate_peak(with_copula)
         assert peak < 4 * tailrisk._BLOCK * d
+
+    @pytest.mark.parametrize("with_copula", [True, False])
+    def test_simulate_memory_is_packed(self, with_copula):
+        # A block's events are a bit-packed (d, 65,536) mask, 1/8 byte per
+        # entry, filled from a 4,096-path panel of normals (1/2 byte per
+        # entry of the block), a bool panel (1/16) and a 32-row Z panel.
+        # A one-byte-per-entry mask and two full (d, 4,096) float panels
+        # take over twice the block's entries.
+        peak, d = self.simulate_peak(with_copula)
+        assert peak < 1.5 * tailrisk._BLOCK * d
 
 
 class TestRiskReport:
