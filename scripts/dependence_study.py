@@ -41,7 +41,7 @@ def reference_severity() -> severity.SeverityModel:
             covariate_sds=np.ones(6),
         ),
         proportional_fit=glm.LinearLogitFit(
-            coefficients=PROP_LOSS_COEFS, sigma2=2.0, residuals=np.empty(0), xtx_inverse=None
+            coefficients=PROP_LOSS_COEFS, sigma2=2.0, xtx_inverse=None
         ),
         time_origin=date(2020, 1, 1),
         training_window=(Month(2020, 1), Month(2023, 12)),
@@ -74,14 +74,17 @@ def main(n_sims: int = 1_000_000, seed: int = 7) -> None:
     print(f"paths per scenario: {report.n_sims:,}; total insured TVL: {report.total_tvl:,.0f}\n")
     head = f"{'level':>6} {'VaR dep':>15} {'VaR indep':>15} {'gap/se':>8}  {'CTE dep':>15} {'CTE indep':>15} {'gap/se':>8}"
     print(head)
-    for row in report.rows:
-        var_se = max(np.hypot(row.se_var_dep, row.se_var_indep), 1e-9)
-        cte_se = max(np.hypot(row.se_cte_dep, row.se_cte_indep), 1e-9)
+    table = report.table
+    for j, level in enumerate(table["level"]):
+        var_dep, var_indep = table["var_dep"][j], table["var_indep"][j]
+        cte_dep, cte_indep = table["cte_dep"][j], table["cte_indep"][j]
+        var_se = max(np.hypot(table["se_var_dep"][j], table["se_var_indep"][j]), 1e-9)
+        cte_se = max(np.hypot(table["se_cte_dep"][j], table["se_cte_indep"][j]), 1e-9)
         print(
-            f"{row.level:>6g} {row.var_dep:>15,.0f} {row.var_indep:>15,.0f} "
-            f"{(row.var_dep - row.var_indep) / var_se:>8.1f}  "
-            f"{row.cte_dep:>15,.0f} {row.cte_indep:>15,.0f} "
-            f"{(row.cte_dep - row.cte_indep) / cte_se:>8.1f}"
+            f"{level:>6g} {var_dep:>15,.0f} {var_indep:>15,.0f} "
+            f"{(var_dep - var_indep) / var_se:>8.1f}  "
+            f"{cte_dep:>15,.0f} {cte_indep:>15,.0f} "
+            f"{(cte_dep - cte_indep) / cte_se:>8.1f}"
         )
 
 

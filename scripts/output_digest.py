@@ -2,6 +2,7 @@
 """SHA-256 of every output file the six subcommands write on one data set.
 
     PYTHONPATH=src python scripts/output_digest.py OUT_DIR [--data DIR] [--seed N] [--workers N]
+        [--format {csv,json}]
 
 Runs fit-frequency, fit-severity, price, simulate, summarize and both kinds
 of gof (on ``severity_model.json`` and on the first priced protocol's
@@ -14,7 +15,9 @@ overwrites the other's ``gof.json``.  Prints one ``<sha256>  <path>`` line
 per output file, sorted by path, so two source trees are checked for
 byte-identical outputs with one diff of their listings.  ``--workers``
 (default 1) is passed to ``simulate``; outputs must not depend on it, so
-the listings at two worker counts must not differ either.  BLAS runs on one
+the listings at two worker counts must not differ either.  ``--format``
+(default csv) is passed to every command, so the JSON form of each report
+table is checked the same way.  BLAS runs on one
 thread unless ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` or
 ``MKL_NUM_THREADS`` says otherwise.
 """
@@ -41,28 +44,28 @@ from defirisk.cli import main  # noqa: E402
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run(args) -> None:
-    code = main([str(a) for a in args])
+def run(args, fmt: str) -> None:
+    code = main([str(a) for a in args] + ["--format", fmt])
     if code != 0:
         sys.exit(f"{args[0]} exited {code}")
 
 
-def run_all(data: Path, out: Path, seed: int, workers: int) -> None:
+def run_all(data: Path, out: Path, seed: int, workers: int, fmt: str) -> None:
     incidents, tvl = data / "incidents.csv", data / "tvl.csv"
     portfolio, priced = data / "portfolio.json", data / "portfolio_priced.json"
     first_priced = json.loads(priced.read_text(encoding="utf-8"))["protocols"][0]["id"]
     run(["fit-frequency", "--incidents", incidents, "--tvl", tvl, "--portfolio", portfolio,
-         "--output", out])
-    run(["fit-severity", "--incidents", incidents, "--output", out])
+         "--output", out], fmt)
+    run(["fit-severity", "--incidents", incidents, "--output", out], fmt)
     run(["price", "--tvl", tvl, "--portfolio", priced, "--models", out, "--output", out,
-         "--seed", seed])
+         "--seed", seed], fmt)
     run(["simulate", "--tvl", tvl, "--portfolio", priced, "--models", out, "--output", out,
-         "--seed", seed, "--workers", workers])
-    run(["summarize", "--incidents", incidents, "--output", out])
+         "--seed", seed, "--workers", workers], fmt)
+    run(["summarize", "--incidents", incidents, "--output", out], fmt)
     run(["gof", "--model", out / "severity_model.json", "--incidents", incidents,
-         "--output", out / "gof_severity"])
+         "--output", out / "gof_severity"], fmt)
     run(["gof", "--model", out / f"freq_{first_priced}.json", "--incidents", incidents,
-         "--tvl", tvl, "--portfolio", portfolio, "--output", out / "gof_frequency"])
+         "--tvl", tvl, "--portfolio", portfolio, "--output", out / "gof_frequency"], fmt)
 
 
 def main_digest() -> None:
@@ -71,9 +74,10 @@ def main_digest() -> None:
     parser.add_argument("--data", type=Path, default=ROOT / "tests" / "data")
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--workers", type=int, default=1)
+    parser.add_argument("--format", choices=("csv", "json"), default="csv")
     args = parser.parse_args()
     with contextlib.redirect_stdout(io.StringIO()):  # keep the "wrote" lines out of the listing
-        run_all(args.data, args.out_dir, args.seed, args.workers)
+        run_all(args.data, args.out_dir, args.seed, args.workers, args.format)
     for path in sorted(p for p in args.out_dir.rglob("*") if p.is_file()):
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         print(f"{digest}  {path.relative_to(args.out_dir).as_posix()}")

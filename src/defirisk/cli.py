@@ -9,6 +9,11 @@ Only simulate draws random numbers, from stream 1000 of --seed and its
 children.  price is deterministic: its quotes depend on neither --seed nor
 --samples nor a protocol's position in the portfolio.
 
+Every report is a table, ``{column name: values}`` in column order, and
+one writer writes it as CSV or as JSON, a list of one object per row.
+Flag values and config-file values take the same casts (``_SETTINGS``)
+and the same checks (``RunConfig.validate``).
+
 Exit codes: 0 success, 2 configuration/schema error, 3 numerical failure;
 errors are emitted as a JSON object on stderr.
 """
@@ -111,6 +116,20 @@ def _parse_levels(raw) -> tuple[float, ...]:
         raise ConfigError(f"bad levels {raw!r}") from exc
 
 
+def _integer(raw) -> int:
+    """An integer setting: a JSON integer or a flag's text, never a float or a bool."""
+    if isinstance(raw, (bool, float)):
+        raise TypeError(f"expected an integer, got {raw!r}")
+    return int(raw)
+
+
+def _real(raw) -> float:
+    """A float setting: a JSON number or a flag's text, never a bool."""
+    if isinstance(raw, bool):
+        raise TypeError(f"expected a number, got {raw!r}")
+    return float(raw)
+
+
 # Each setting a config-file key and the flag of the same name can give:
 # key -> (RunConfig field, conversion of the raw value).
 _SETTINGS = {
@@ -121,14 +140,14 @@ _SETTINGS = {
     "output": ("output", Path),
     "override": ("override", Path),
     "model": ("model", Path),
-    "seed": ("seed", int),
-    "samples": ("n_samples", int),
-    "theta": ("theta", float),
+    "seed": ("seed", _integer),
+    "samples": ("n_samples", _integer),
+    "theta": ("theta", _real),
     "levels": ("levels", _parse_levels),
     "format": ("output_format", str),
-    "workers": ("workers", int),
+    "workers": ("workers", _integer),
     "dependence": ("dependence", str),
-    "bootstrap": ("bootstrap", int),
+    "bootstrap": ("bootstrap", _integer),
     "window_end": ("window_end", lambda raw: Month.parse(str(raw))),
 }
 
@@ -151,20 +170,19 @@ def build_config(args: argparse.Namespace) -> RunConfig:
 # deterministic writers
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(float(value))  # shortest round-trip form, numpy scalars included
-    return str(value)
+def _cells(column) -> list[str]:
+    """CSV text of one column: None as "", a float as its shortest round-trip repr, else str."""
+    if isinstance(column, np.ndarray) and column.dtype == np.float64:
+        return list(map(repr, column.tolist()))
+    return ["" if v is None else repr(float(v)) if isinstance(v, float) else str(v) for v in column]
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+def _write_csv(path: Path, table: dict) -> None:
+    """Write a table, ``{column name: values}`` in column order, as CSV."""
     with open(path, "w", newline="\n", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerow(table)
+        writer.writerows(zip(*map(_cells, table.values())))
 
 
 def _write_json(path: Path, payload) -> None:
@@ -173,19 +191,21 @@ def _write_json(path: Path, payload) -> None:
         fh.write("\n")
 
 
-def _rows_to_json(header: list[str], rows: list[list]) -> list[dict]:
-    return [dict(zip(header, row)) for row in rows]
-
-
-def _emit_table(cfg: RunConfig, stem: str, header: list[str], rows: list[list]) -> Path:
+def _emit_table(cfg: RunConfig, stem: str, table: dict) -> Path:
+    """Write a table in --format: CSV, or JSON as a list of one object per row."""
     cfg.output.mkdir(parents=True, exist_ok=True)
     if cfg.output_format == "csv":
         path = cfg.output / f"{stem}.csv"
-        _write_csv(path, header, rows)
+        _write_csv(path, table)
     else:
         path = cfg.output / f"{stem}.json"
-        _write_json(path, _rows_to_json(header, rows))
+        _write_json(path, [dict(zip(table, row)) for row in zip(*table.values())])
     return path
+
+
+def _row_table(header: list[str], rows: list[list]) -> dict[str, tuple]:
+    """The table of ``rows``, each holding its cells in ``header`` order."""
+    return dict(zip(header, zip(*rows))) if rows else dict.fromkeys(header, ())
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +337,7 @@ def cmd_fit_frequency(cfg: RunConfig) -> list[Path]:
                 [proto.id, None, None, None, None, None, None, tvl_next, None, lo, hi, note]
             )
 
-    written.append(_emit_table(cfg, "frequency_report", header, rows))
+    written.append(_emit_table(cfg, "frequency_report", _row_table(header, rows)))
     report_path = cfg.output / "ingest_report.json"
     _write_json(report_path, _ingest_report_payload(ingest))
     written.append(report_path)
@@ -338,10 +358,14 @@ def cmd_fit_severity(cfg: RunConfig) -> list[Path]:
 
     # Plot-ready diagnostics are always CSV regardless of --format.
     kept = data.incidents
-    days = np.datetime_as_string(kept.day).tolist()
-    ratios_rows = list(zip(range(len(kept)), kept.protocol_id.tolist(), days, data.ratios.tolist()))
     ratios_path = cfg.output / "loss_ratios.csv"
-    _write_csv(ratios_path, ["index", "protocol_id", "date", "ratio"], ratios_rows)
+    ratios = {
+        "index": range(len(kept)),
+        "protocol_id": kept.protocol_id.tolist(),
+        "date": np.datetime_as_string(kept.day).tolist(),
+        "ratio": data.ratios,
+    }
+    _write_csv(ratios_path, ratios)
     written.append(ratios_path)
 
     qq_path = _write_qq_table(cfg.output / "quantile_residuals.csv", model, data)
@@ -402,18 +426,20 @@ def _load_severity_model(cfg: RunConfig, earliest: date) -> severity.SeverityMod
     return model
 
 
-_QUOTE_HEADER = [
-    "protocol_id",
-    "attack_prob",
-    "loss_pct",
-    "expectation_usd",
-    "expectation_pct",
-    "sd_usd",
-    "sd_pct",
-    "theta",
-    "n_samples",
-    "seed",
-]
+def _quote_table(quotes: list[pricing.PremiumQuote], seed: int) -> dict[str, list]:
+    """The quotes table: one row per quote, each with the run's seed."""
+    return {
+        "protocol_id": [q.protocol_id for q in quotes],
+        "attack_prob": [q.attack_prob for q in quotes],
+        "loss_pct": [q.loss_pct for q in quotes],
+        "expectation_usd": [q.expectation_premium_usd for q in quotes],
+        "expectation_pct": [q.expectation_premium_pct for q in quotes],
+        "sd_usd": [q.sd_premium_usd for q in quotes],
+        "sd_pct": [q.sd_premium_pct for q in quotes],
+        "theta": [q.theta for q in quotes],
+        "n_samples": [q.n_samples for q in quotes],
+        "seed": [seed] * len(quotes),
+    }
 
 
 def cmd_price(cfg: RunConfig) -> list[Path]:
@@ -427,26 +453,13 @@ def cmd_price(cfg: RunConfig) -> list[Path]:
     sev_model = _load_severity_model(cfg, min(month for _, month in points).first_day())
     theta = cfg.theta if cfg.theta is not None else portfolio.loading_theta
 
-    rows = []
-    for proto, (tvl_next, pred_month) in zip(portfolio.protocols, points):
-        quote = pricing.price(
+    quotes = [
+        pricing.price(
             proto, tvl_next, pred_month.first_day(), freq_models[proto.id], sev_model, theta=theta
         )
-        rows.append(
-            [
-                quote.protocol_id,
-                quote.attack_prob,
-                quote.loss_pct,
-                quote.expectation_premium_usd,
-                quote.expectation_premium_pct,
-                quote.sd_premium_usd,
-                quote.sd_premium_pct,
-                quote.theta,
-                quote.n_samples,
-                cfg.seed,
-            ]
-        )
-    return [_emit_table(cfg, "quotes", _QUOTE_HEADER, rows)]
+        for proto, (tvl_next, pred_month) in zip(portfolio.protocols, points)
+    ]
+    return [_emit_table(cfg, "quotes", _quote_table(quotes, cfg.seed))]
 
 
 def _price_from_override(cfg: RunConfig) -> list[Path]:
@@ -467,7 +480,7 @@ def _price_from_override(cfg: RunConfig) -> list[Path]:
     else:
         order = list(doc.keys())
 
-    rows = []
+    quotes = []
     for pid in order:
         if pid not in doc:
             raise ConfigError(f"override file has no entry for protocol {pid!r}")
@@ -498,21 +511,21 @@ def _price_from_override(cfg: RunConfig) -> list[Path]:
             raise ConfigError(f"override entry for {pid!r} gives a premium that is not finite")
         if second is None:
             sd_usd = None  # no second moment supplied: the SD premium is undefined
-        rows.append(
-            [
-                pid,
-                attack_prob,
-                loss_pct,
-                expectation_usd,
-                expectation_usd / tvl,
-                sd_usd,
-                None if sd_usd is None else sd_usd / tvl,
-                theta,
-                0,
-                cfg.seed,
-            ]
+        quotes.append(
+            pricing.PremiumQuote(
+                protocol_id=pid,
+                attack_prob=attack_prob,
+                loss_pct=loss_pct,
+                tvl=tvl,
+                theta=theta,
+                expectation_premium_usd=expectation_usd,
+                sd_premium_usd=sd_usd,
+                expectation_premium_pct=expectation_usd / tvl,
+                sd_premium_pct=None if sd_usd is None else sd_usd / tvl,
+                n_samples=0,
+            )
         )
-    return [_emit_table(cfg, "quotes", _QUOTE_HEADER, rows)]
+    return [_emit_table(cfg, "quotes", _quote_table(quotes, cfg.seed))]
 
 
 def cmd_simulate(cfg: RunConfig) -> list[Path]:
@@ -540,9 +553,7 @@ def cmd_simulate(cfg: RunConfig) -> list[Path]:
         bootstrap_resamples=cfg.bootstrap,
         dependence=cfg.dependence,
     )
-    header = ["level", *report.columns]
-    rows = [[getattr(row, c) for c in header] for row in report.rows]
-    paths = [_emit_table(cfg, "risk_report", header, rows)]
+    paths = [_emit_table(cfg, "risk_report", report.table)]
     meta_path = cfg.output / "risk_report_meta.json"
     _write_json(
         meta_path,
@@ -577,8 +588,12 @@ def _write_qq_table(
         return None
     resid = np.sort(glm.quantile_residuals(fit, design, ratios), kind="stable")
     n = len(resid)
-    rows = [[k, std_normal_quantile((k + 0.5) / n), float(resid[k])] for k in range(n)]
-    _write_csv(path, ["index", "theoretical_quantile", "sample_quantile"], rows)
+    table = {
+        "index": range(n),
+        "theoretical_quantile": [std_normal_quantile((k + 0.5) / n) for k in range(n)],
+        "sample_quantile": resid,
+    }
+    _write_csv(path, table)
     return path
 
 
@@ -633,7 +648,7 @@ def cmd_summarize(cfg: RunConfig) -> list[Path]:
     records = load_incidents(cfg.incidents).records
     header = ["section", "key", "metric", "value"]
     if not len(records):
-        return [_emit_table(cfg, "summary", header, [["notice", "", "empty", 0]])]
+        return [_emit_table(cfg, "summary", _row_table(header, [["notice", "", "empty", 0]]))]
 
     def _stats(values: np.ndarray) -> list[tuple[str, float | None]]:
         # Scaling by a power of two is exact, and it keeps the sums of
@@ -665,7 +680,7 @@ def cmd_summarize(cfg: RunConfig) -> list[Path]:
             vals = log_loss[mask[positive]]
             if vals.size:
                 rows += [[section, key, metric, value] for metric, value in _stats(vals)]
-    return [_emit_table(cfg, "summary", header, rows)]
+    return [_emit_table(cfg, "summary", _row_table(header, rows))]
 
 
 # ---------------------------------------------------------------------------
@@ -674,12 +689,12 @@ def cmd_summarize(cfg: RunConfig) -> list[Path]:
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON config file; flags override it")
-    parser.add_argument("--seed", type=int, help="base RNG seed (u64)")
-    parser.add_argument("--samples", type=int, help="simulation paths")
-    parser.add_argument("--theta", type=float, help="premium loading")
+    parser.add_argument("--seed", help="base RNG seed (u64)")
+    parser.add_argument("--samples", help="simulation paths")
+    parser.add_argument("--theta", help="premium loading")
     parser.add_argument("--levels", help="comma-separated confidence levels")
-    parser.add_argument("--format", choices=("csv", "json"), help="report format")
-    parser.add_argument("--workers", type=int, help="simulation worker threads")
+    parser.add_argument("--format", help="report format: csv or json")
+    parser.add_argument("--workers", help="simulation worker threads")
     parser.add_argument("--output", help="output directory")
     parser.add_argument("--incidents", help="incidents CSV path")
     parser.add_argument("--tvl", help="monthly TVL CSV path")
@@ -711,8 +726,8 @@ def make_parser() -> argparse.ArgumentParser:
         if name == "price":
             p.add_argument("--override", help="JSON of (attack_prob, loss_pct) pairs to price")
         if name == "simulate":
-            p.add_argument("--dependence", choices=("on", "off", "both"))
-            p.add_argument("--bootstrap", type=int, help="bootstrap resamples for SEs")
+            p.add_argument("--dependence", help="scenarios to simulate: on, off or both")
+            p.add_argument("--bootstrap", help="bootstrap resamples for SEs")
         if name == "gof":
             p.add_argument("--model", help="fitted model JSON to diagnose")
     return parser

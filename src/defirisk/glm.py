@@ -348,7 +348,6 @@ class LinearLogitFit:
 
     coefficients: np.ndarray
     sigma2: float
-    residuals: np.ndarray
     xtx_inverse: np.ndarray | None = None
 
     @property
@@ -383,7 +382,7 @@ def fit_linear_on_logit(design, response) -> LinearLogitFit:
     rss = float(resid @ resid)
     sigma2 = rss / (n - p)
     xtx_inv = np.linalg.inv(x.T @ x)
-    return LinearLogitFit(coefficients=coefs, sigma2=sigma2, residuals=resid, xtx_inverse=xtx_inv)
+    return LinearLogitFit(coefficients=coefs, sigma2=sigma2, xtx_inverse=xtx_inv)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,11 @@ DEFAULT_THETA = 0.5
 
 @dataclass(frozen=True)
 class PremiumQuote:
-    """One protocol's premiums; ``n_samples`` is from ``severity.loss_moments``."""
+    """One protocol's premiums; ``n_samples`` is from ``severity.loss_moments``.
+
+    A quote priced from supplied (attack_prob, loss_pct) pairs has
+    ``n_samples`` 0, and no SD premium (None) without a second moment.
+    """
 
     protocol_id: str
     attack_prob: float
@@ -27,9 +31,9 @@ class PremiumQuote:
     tvl: float
     theta: float
     expectation_premium_usd: float
-    sd_premium_usd: float
+    sd_premium_usd: float | None
     expectation_premium_pct: float
-    sd_premium_pct: float
+    sd_premium_pct: float | None
     n_samples: int
 
 

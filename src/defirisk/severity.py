@@ -375,7 +375,6 @@ def from_dict(doc: dict) -> SeverityModel:
         prop = glm.LinearLogitFit(
             coefficients=gamma,
             sigma2=json_field(doc, "sigma2", _variance),
-            residuals=np.empty(0),
             xtx_inverse=None,
         )
     return SeverityModel(

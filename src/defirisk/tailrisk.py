@@ -13,7 +13,9 @@ VaR uses the ceil(n q)-th order statistic, the exact sample analogue of
 the generalized-inverse definition; CTE averages the strictly greater
 tail and falls back to VaR (flagged) when the sample puts an atom at the
 top.  A VaR that more than one sample value equals sits on an atom of the
-sample and is flagged too.
+sample and is flagged too.  ``risk_report`` returns the measures as one
+table, ``{column name: one value per level}``, which the CLI writes as it
+is.
 
 Bootstrap standard errors resample only the top of the sorted sample
 (Efron & Tibshirani, *An Introduction to the Bootstrap*, 1993).  In a
@@ -246,31 +248,17 @@ _MEASURES = ("var_{}", "cte_{}", "var_{}_pct", "cte_{}_pct", "se_var_{}", "se_ct
 
 
 @dataclass(frozen=True)
-class RiskRow:
-    """All measures for one confidence level (USD and share of assets).
+class RiskReport:
+    """VaR and CTE at each confidence level, in USD and as a share of the total TVL.
 
-    The measures of a scenario the report did not simulate are None.
+    ``table`` maps each report column to its values, one per level: first
+    ``level``, then for each of ``_MEASURES`` its column of each simulated
+    scenario (``dep`` before ``indep``).  A scenario not simulated has no
+    columns.  The flags name ``<measure>_<scenario>@<level>``, levels outer
+    and scenarios inner.
     """
 
-    level: float
-    var_dep: float | None = None
-    var_indep: float | None = None
-    cte_dep: float | None = None
-    cte_indep: float | None = None
-    var_dep_pct: float | None = None
-    var_indep_pct: float | None = None
-    cte_dep_pct: float | None = None
-    cte_indep_pct: float | None = None
-    se_var_dep: float | None = None
-    se_var_indep: float | None = None
-    se_cte_dep: float | None = None
-    se_cte_indep: float | None = None
-
-
-@dataclass(frozen=True)
-class RiskReport:
-    rows: tuple[RiskRow, ...]
-    scenarios: tuple[str, ...]
+    table: dict[str, tuple[float, ...]]
     total_tvl: float
     n_sims: int
     seed: int
@@ -278,15 +266,6 @@ class RiskReport:
     bootstrap_resamples: int
     degenerate_tail: tuple[str, ...]
     var_on_atom: tuple[str, ...]
-
-    @property
-    def levels(self) -> tuple[float, ...]:
-        return tuple(row.level for row in self.rows)
-
-    @property
-    def columns(self) -> tuple[str, ...]:
-        """Names of the measures the rows carry, in report-column order."""
-        return tuple(m.format(s) for m in _MEASURES for s in self.scenarios)
 
 
 def _tail_size(n: int, t: int) -> int:
@@ -409,12 +388,16 @@ def risk_report(
         attack_probabilities=attack_probabilities,
     )
 
+    _, tvl_arr = _resolve_inputs(portfolio, None, tvls)
+    total_tvl = float(tvl_arr.sum())
     _, _, m = _tail_need(n_sims, levels)
 
-    def measure(scenario: str) -> list[tuple]:
-        """(VaR, CTE, no tail, on atom, SE VaR, SE CTE) per level, from the top of the sample.
+    def measure(scenario: str) -> tuple[list[tuple[float, ...]], np.ndarray, np.ndarray]:
+        """The scenario's columns in ``_MEASURES`` order, one value per level, and per
+        level whether no sample value lies above VaR and whether VaR sits on an atom.
 
-        The rare bootstrap fallback redraws the full sample from the same stream.
+        The values come from the top of the sample; the rare bootstrap
+        fallback redraws the full sample from the same stream.
         """
         with_copula, path_stream, boot_stream = _STREAMS[scenario]
         simulate = functools.partial(
@@ -427,36 +410,33 @@ def risk_report(
         se_var, se_cte = _bootstrap_ses(
             top, levels, bootstrap_resamples, rng.child(boot_stream).generator(), n_sims, simulate
         )
-        return [(*_tail(top, q, n_sims), se_var[j], se_cte[j]) for j, q in enumerate(levels)]
+        tails = [_tail(top, q, n_sims) for q in levels]
+        var_q, cte_q, no_tail, on_atom = map(np.array, zip(*tails))
+        columns = (var_q, cte_q, var_q / total_tvl, cte_q / total_tvl, se_var, se_cte)
+        return [tuple(c.tolist()) for c in columns], no_tail, on_atom
 
     scenarios = _SCENARIOS[dependence]
     measured = {scenario: measure(scenario) for scenario in scenarios}
+    table = {"level": levels}
+    for k, name in enumerate(_MEASURES):
+        table.update((name.format(s), measured[s][0][k]) for s in scenarios)
 
-    _, tvl_arr = _resolve_inputs(portfolio, None, tvls)
-    total_tvl = float(tvl_arr.sum())
-    rows = []
-    degenerate = []
-    on_atom = []
-    for j, q in enumerate(levels):
-        values = {}
-        for scenario in scenarios:
-            var_q, cte_q, no_tail, atom, se_var, se_cte = measured[scenario][j]
-            if no_tail:
-                degenerate.append(f"cte_{scenario}@{q:g}")
-            if atom:
-                on_atom.append(f"var_{scenario}@{q:g}")
-            names = (m.format(scenario) for m in _MEASURES)
-            measures = (var_q, cte_q, var_q / total_tvl, cte_q / total_tvl, se_var, se_cte)
-            values.update(zip(names, map(float, measures)))
-        rows.append(RiskRow(level=q, **values))
+    def flagged(name: str, k: int) -> tuple[str, ...]:
+        """``<name>_<scenario>@<level>`` where the k-th flag of ``measure`` is set, levels outer."""
+        return tuple(
+            f"{name}_{s}@{q:g}"
+            for j, q in enumerate(levels)
+            for s in scenarios
+            if measured[s][k][j]
+        )
+
     return RiskReport(
-        rows=tuple(rows),
-        scenarios=scenarios,
+        table=table,
         total_tvl=total_tvl,
         n_sims=n_sims,
         seed=rng.seed,
         base_stream=rng.stream_id,
         bootstrap_resamples=bootstrap_resamples,
-        degenerate_tail=tuple(degenerate),
-        var_on_atom=tuple(on_atom),
+        degenerate_tail=flagged("cte", 1),
+        var_on_atom=flagged("var", 2),
     )

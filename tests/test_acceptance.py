@@ -234,7 +234,7 @@ def test_criterion_6_dependence_raises_extreme_tail():
             covariate_sds=np.ones(6),
         ),
         proportional_fit=glm.LinearLogitFit(
-            coefficients=PROP_LOSS_COEFS, sigma2=2.0, residuals=np.empty(0), xtx_inverse=None
+            coefficients=PROP_LOSS_COEFS, sigma2=2.0, xtx_inverse=None
         ),
         time_origin=date(2020, 1, 1),
         training_window=(Month(2020, 1), Month(2023, 12)),
@@ -246,11 +246,11 @@ def test_criterion_6_dependence_raises_extreme_tail():
         levels=(0.99,), n_sims=10_000_000, rng=RngStream(2024, 0),
         workers=4, bootstrap_resamples=200, attack_probabilities=pi,
     )
-    row = rep.rows[0]
-    var_gap = row.var_dep - row.var_indep
-    var_se = math.hypot(row.se_var_dep, row.se_var_indep)
-    cte_gap = row.cte_dep - row.cte_indep
-    cte_se = math.hypot(row.se_cte_dep, row.se_cte_indep)
+    row = {column: values[0] for column, values in rep.table.items()}
+    var_gap = row["var_dep"] - row["var_indep"]
+    var_se = math.hypot(row["se_var_dep"], row["se_var_indep"])
+    cte_gap = row["cte_dep"] - row["cte_indep"]
+    cte_se = math.hypot(row["se_cte_dep"], row["se_cte_indep"])
     passed = var_gap > 2.0 * var_se and cte_gap > 2.0 * cte_se
     report(
         6,

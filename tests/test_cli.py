@@ -321,22 +321,52 @@ class TestDeterminism:
             assert line.endswith(",1") and other_seed[pid] == line[:-1] + "2"
 
 
-class TestFormats:
-    def test_json_and_csv_quotes_agree(self, fitted_dir, tmp_path):
-        import csv as csv_mod
+def table_run(case: str, models: Path, tmp_path: Path) -> list:
+    """A run on the fixture that writes the report table of ``case``."""
+    if case == "quotes-override":
+        override = tmp_path / "override.json"
+        override.write_text(json.dumps({
+            "A": {"attack_prob": 0.02, "loss_pct": 0.3},
+            "B": {"attack_prob": 0.1, "loss_pct": 0.2, "second_moment_pct": 0.1, "tvl": 3e6},
+        }))
+        return ["price", "--override", override, "--seed", 3]
+    return {
+        "frequency_report": ["fit-frequency", "--incidents", INCIDENTS, "--tvl", TVL,
+                             "--portfolio", PORTFOLIO],
+        "quotes": ["price", "--tvl", TVL, "--portfolio", PORTFOLIO_PRICED, "--models", models,
+                   "--seed", 7],
+        "risk_report": ["simulate", "--tvl", TVL, "--portfolio", PORTFOLIO_PRICED,
+                        "--models", models, "--samples", 20000, "--bootstrap", 10],
+        "summary": ["summarize", "--incidents", INCIDENTS],
+    }[case]
 
+
+def cell_agrees(text: str, value) -> bool:
+    """A CSV cell and a JSON value agree: "" and null, floats bit for bit, else as text."""
+    if value is None:
+        return text == ""
+    if isinstance(value, float):
+        return float(text).hex() == value.hex()
+    return text == str(value)
+
+
+class TestFormats:
+    @pytest.mark.parametrize(
+        "case", ["frequency_report", "quotes", "quotes-override", "risk_report", "summary"]
+    )
+    def test_json_and_csv_tables_agree(self, fitted_dir, tmp_path, case):
+        args = table_run(case, fitted_dir, tmp_path)
         for fmt in ("csv", "json"):
-            assert run(["price", "--tvl", TVL, "--portfolio", PORTFOLIO_PRICED,
-                        "--models", fitted_dir, "--output", tmp_path / fmt,
-                        "--seed", 7, "--samples", 10000, "--format", fmt]) == 0
-        with open(tmp_path / "csv" / "quotes.csv", newline="") as fh:
-            csv_rows = list(csv_mod.DictReader(fh))
-        json_rows = json.loads((tmp_path / "json" / "quotes.json").read_text())
-        assert len(csv_rows) == len(json_rows)
-        for c, j in zip(csv_rows, json_rows):
-            assert c["protocol_id"] == j["protocol_id"]
-            assert float(c["expectation_usd"]) == j["expectation_usd"]
-            assert float(c["sd_usd"]) == j["sd_usd"]
+            assert run(args + ["--output", tmp_path / fmt, "--format", fmt]) == 0
+        stem = case.split("-")[0]
+        with open(tmp_path / "csv" / f"{stem}.csv", newline="") as fh:
+            header, *csv_rows = csv.reader(fh)
+        json_rows = json.loads((tmp_path / "json" / f"{stem}.json").read_text())
+        assert len(csv_rows) == len(json_rows) > 0
+        for cells, row in zip(csv_rows, json_rows):
+            assert list(row) == header
+            for name, text in zip(header, cells):
+                assert cell_agrees(text, row[name]), (name, text, row[name])
 
     def test_dependence_column_filter(self, fitted_dir, tmp_path):
         assert run(["simulate", "--tvl", TVL, "--portfolio", PORTFOLIO_PRICED,
@@ -685,6 +715,42 @@ def command_args(command: str, models: Path, override: Path) -> list:
         "simulate": ["simulate", "--tvl", TVL, "--portfolio", PORTFOLIO_PRICED,
                      "--models", models, "--samples", 10000, "--bootstrap", 2, "--workers", 1],
     }[command]
+
+
+# Malformed setting values, given as a flag (text) or in a config file
+# (JSON): each takes the one validation path and exits 2.
+BAD_SETTINGS = [
+    ("simulate", "samples", "abc"),
+    ("simulate", "format", "xml"),
+    ("simulate", "dependence", "maybe"),
+    ("simulate", "seed", "1.5"),
+    ("simulate", "workers", "two"),
+    ("simulate", "bootstrap", "2.0"),
+    ("price", "theta", "x"),
+    ("simulate", "seed", 7.9),
+    ("simulate", "workers", True),
+    ("simulate", "bootstrap", 2.9),
+    ("price", "theta", True),
+]
+
+
+class TestSettingValues:
+    @pytest.mark.parametrize("command, key, value", BAD_SETTINGS)
+    def test_bad_value_exits_2_with_one_json_error_line(
+        self, fitted_dir, override_file, tmp_path, capsys, command, key, value
+    ):
+        args = command_args(command, fitted_dir, override_file) + ["--output", tmp_path / "out"]
+        if isinstance(value, str):
+            args += [f"--{key}", value]
+        else:
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({key: value}))
+            args += ["--config", config]
+        assert run(args) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])["error"]
+        assert error["type"] == "ConfigError" and key in error["message"]
 
 
 class TestJsonInputs:

@@ -31,7 +31,7 @@ def reference_model(betas=None, gammas=None, sigma2=1.0):
         covariate_sds=np.ones(len(betas) - 1),
     )
     prop = glm.LinearLogitFit(
-        coefficients=gammas, sigma2=sigma2, residuals=np.empty(0), xtx_inverse=None
+        coefficients=gammas, sigma2=sigma2, xtx_inverse=None
     )
     return severity.SeverityModel(
         total_loss_fit=total,

@@ -323,6 +323,11 @@ class TestStreamingTop:
         assert peak < 1.5 * tailrisk._BLOCK * d
 
 
+def report_rows(report) -> list[dict]:
+    """The rows of a report's table, one dict per level."""
+    return [dict(zip(report.table, cells)) for cells in zip(*report.table.values())]
+
+
 class TestRiskReport:
     @staticmethod
     def small_report(seed=9, n=50_000, bootstrap=40):
@@ -345,15 +350,15 @@ class TestRiskReport:
 
     def test_shape_and_invariants(self):
         report = self.small_report()
-        assert report.levels == (0.90, 0.95, 0.99)
+        assert report.table["level"] == (0.90, 0.95, 0.99)
         assert report.total_tvl == 3e7
-        for row in report.rows:
-            assert row.cte_dep >= row.var_dep
-            assert row.cte_indep >= row.var_indep
-            assert row.var_dep_pct == pytest.approx(row.var_dep / report.total_tvl)
-            assert row.se_var_dep >= 0.0
-        var_dep = [row.var_dep for row in report.rows]
-        var_indep = [row.var_indep for row in report.rows]
+        for row in report_rows(report):
+            assert row["cte_dep"] >= row["var_dep"]
+            assert row["cte_indep"] >= row["var_indep"]
+            assert row["var_dep_pct"] == pytest.approx(row["var_dep"] / report.total_tvl)
+            assert row["se_var_dep"] >= 0.0
+        var_dep = list(report.table["var_dep"])
+        var_indep = list(report.table["var_indep"])
         assert var_dep == sorted(var_dep)
         assert var_indep == sorted(var_indep)
 
@@ -377,8 +382,9 @@ class TestRiskReport:
             bootstrap_resamples=10,
             attack_probabilities=[0.0, 0.0],
         )
-        for row in report.rows:
-            assert (row.var_dep, row.var_indep, row.cte_dep, row.cte_indep) == (0, 0, 0, 0)
+        for row in report_rows(report):
+            measures = (row["var_dep"], row["var_indep"], row["cte_dep"], row["cte_indep"])
+            assert measures == (0, 0, 0, 0)
         assert set(report.degenerate_tail) == {
             "cte_dep@0.9",
             "cte_indep@0.9",
@@ -439,12 +445,11 @@ class TestRiskReport:
             bootstrap_resamples=10,
             dependence="off",
         )
-        assert report.scenarios == ("indep",)
-        assert report.columns == (
-            "var_indep", "cte_indep", "var_indep_pct", "cte_indep_pct",
+        assert tuple(report.table) == (
+            "level", "var_indep", "cte_indep", "var_indep_pct", "cte_indep_pct",
             "se_var_indep", "se_cte_indep",
         )
-        assert report.rows[0].var_dep is None and report.rows[0].var_indep > 0.0
+        assert "var_dep" not in report.table and report.table["var_indep"][0] > 0.0
         with pytest.raises(ConfigError):
             tailrisk.risk_report(
                 make_portfolio(1),
