@@ -2,7 +2,7 @@
 """SHA-256 of every output file the six subcommands write on one data set.
 
     PYTHONPATH=src python scripts/output_digest.py OUT_DIR [--data DIR] [--seed N] [--workers N]
-        [--format {csv,json}]
+        [--samples N] [--format {csv,json}]
 
 Runs fit-frequency, fit-severity, price, simulate, summarize and both kinds
 of gof (on ``severity_model.json`` and on the first priced protocol's
@@ -15,7 +15,10 @@ overwrites the other's ``gof.json``.  Prints one ``<sha256>  <path>`` line
 per output file, sorted by path, so two source trees are checked for
 byte-identical outputs with one diff of their listings.  ``--workers``
 (default 1) is passed to ``simulate``; outputs must not depend on it, so
-the listings at two worker counts must not differ either.  ``--format``
+the listings at two worker counts must not differ either.  ``--samples``
+(default: the config's, 10^5) is passed to ``simulate`` too: the merge
+of the retained tail compacts, and the bootstrap's CTE sums split, only
+at larger path counts (10^6 does both at the default levels).  ``--format``
 (default csv) is passed to every command, so the JSON form of each report
 table is checked the same way.  BLAS runs on one
 thread unless ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` or
@@ -50,7 +53,7 @@ def run(args, fmt: str) -> None:
         sys.exit(f"{args[0]} exited {code}")
 
 
-def run_all(data: Path, out: Path, seed: int, workers: int, fmt: str) -> None:
+def run_all(data: Path, out: Path, seed: int, workers: int, samples: int | None, fmt: str) -> None:
     incidents, tvl = data / "incidents.csv", data / "tvl.csv"
     portfolio, priced = data / "portfolio.json", data / "portfolio_priced.json"
     first_priced = json.loads(priced.read_text(encoding="utf-8"))["protocols"][0]["id"]
@@ -60,7 +63,7 @@ def run_all(data: Path, out: Path, seed: int, workers: int, fmt: str) -> None:
     run(["price", "--tvl", tvl, "--portfolio", priced, "--models", out, "--output", out,
          "--seed", seed], fmt)
     run(["simulate", "--tvl", tvl, "--portfolio", priced, "--models", out, "--output", out,
-         "--seed", seed, "--workers", workers], fmt)
+         "--seed", seed, "--workers", workers] + (["--samples", samples] if samples else []), fmt)
     run(["summarize", "--incidents", incidents, "--output", out], fmt)
     run(["gof", "--model", out / "severity_model.json", "--incidents", incidents,
          "--output", out / "gof_severity"], fmt)
@@ -74,10 +77,11 @@ def main_digest() -> None:
     parser.add_argument("--data", type=Path, default=ROOT / "tests" / "data")
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--workers", type=int, default=1)
+    parser.add_argument("--samples", type=int, default=None)
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     args = parser.parse_args()
     with contextlib.redirect_stdout(io.StringIO()):  # keep the "wrote" lines out of the listing
-        run_all(args.data, args.out_dir, args.seed, args.workers, args.format)
+        run_all(args.data, args.out_dir, args.seed, args.workers, args.samples, args.format)
     for path in sorted(p for p in args.out_dir.rglob("*") if p.is_file()):
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         print(f"{digest}  {path.relative_to(args.out_dir).as_posix()}")

@@ -712,8 +712,13 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a rejected flag exits 2 with a JSON error; subparsers inherit it
+        raise ConfigError(message)
+
+
 def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="defirisk",
         description="Frequency-severity pricing and tail-risk engine for protocol portfolios",
     )
@@ -734,21 +739,18 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = make_parser().parse_args(argv)
     try:
+        args = make_parser().parse_args(argv)
         cfg = build_config(args)
         written = _COMMANDS[args.command](cfg)
         for path in written:
             print(f"wrote {path}")
         return 0
-    except EngineError as exc:
-        payload = {"error": {"type": type(exc).__name__, "message": str(exc), "code": exc.code}}
+    except (EngineError, OSError) as exc:
+        code = exc.code if isinstance(exc, EngineError) else 2
+        payload = {"error": {"type": type(exc).__name__, "message": str(exc), "code": code}}
         print(json.dumps(payload), file=sys.stderr)
-        return exc.code
-    except OSError as exc:
-        payload = {"error": {"type": type(exc).__name__, "message": str(exc), "code": 2}}
-        print(json.dumps(payload), file=sys.stderr)
-        return 2
+        return code
 
 
 if __name__ == "__main__":

@@ -228,24 +228,3 @@ class RngStream:
     def child(self, offset: int) -> "RngStream":
         """Derived stream at ``stream_id + offset`` (caller keeps offsets disjoint)."""
         return RngStream(self.seed, self.stream_id + int(offset))
-
-
-def mvn_sample(chol: np.ndarray, rng, size: int | None = None) -> np.ndarray:
-    """Multivariate normal draw(s) Z = L u with u iid standard normal.
-
-    ``rng`` may be an RngStream (a fresh generator is materialized, so the
-    same stream always yields the same draws) or a live numpy Generator to
-    continue an existing sequence.  With ``size=None`` returns one vector
-    of length d, otherwise an array of shape (size, d).  The attack
-    indicators do not go through here: ``dependence.draw_events`` streams
-    the same draws through fixed panels.
-    """
-    low = np.asarray(chol, dtype=float)
-    gen = rng.generator() if isinstance(rng, RngStream) else rng
-    d = low.shape[0]
-    if size is None:
-        return low @ gen.standard_normal(d)
-    # A C-contiguous L^T keeps the rounding independent of how the factor is
-    # stored: BLAS rounds a product with a transposed view differently for
-    # some shapes.
-    return np.matmul(gen.standard_normal((int(size), d)), np.ascontiguousarray(low.T))

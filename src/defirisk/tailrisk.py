@@ -26,17 +26,16 @@ the deepest rank any level needs falls among the top c, the top c draws
 alone fix every VaR and CTE; otherwise the other n - c draws are made as
 well.  The resampled law is therefore exact, and each resample costs
 O(m) instead of O(n) with m a little above n (1 - min level): the draws
-are tallied per order statistic, and a running count of the tallies
-gives each rank.
+are counted into one int32 tally of the top m, reused by every resample.
 
 ``risk_report`` therefore keeps only the top m losses of each scenario.
-Each block drops its losses below the m-th largest merged so far, and the
-merge keeps a buffer of 2m plus one block.  So memory is O(m) plus, per
-worker, about 44 KB per protocol (8 KB of packed event mask, 32 KB of
-normals and 4 KB of unpacked indicators), a 1 MB panel of Z and at most
-two blocks of losses in flight, and the top is byte-identical to the end
-of the full sorted sample.  The rare resample that needs the rest redraws
-the full sample from the same path stream, which gives the same losses.
+Each block drops its losses below the m-th largest merged so far into a
+buffer of 1.25m (at least m plus one block), sorted when full and
+shrunk in place to the sorted top, byte-identical to the end of the full
+sorted sample.  So memory is the top, its slack, the tally and, per
+worker, about 44 KB per protocol (packed event mask and panel scratch),
+a 1 MB panel of Z and at most two blocks of losses in flight.  The rare
+resample that needs the rest redraws the same losses from the same stream.
 """
 
 from __future__ import annotations
@@ -119,10 +118,10 @@ def simulate_aggregate(
     ``attack_probabilities`` (one per protocol, in portfolio order)
     bypasses the frequency models, e.g. to rerun published probabilities.
     The result is byte-identical to the last ``top`` values of the full
-    sorted sample, and memory is O(top) plus, per worker, about 44 KB per
-    protocol of packed event mask and panel scratch, a 1 MB Z panel and two
-    blocks of losses: each block drops its values below the ``top``-th
-    largest merged so far.
+    sorted sample.  Memory is a buffer of top + max(65,536, top/4) values,
+    shrunk in place to the result, plus, per worker, about 44 KB per
+    protocol of event mask and panel scratch, a 1 MB Z panel and two blocks
+    of losses: each drops its values below the ``top``-th largest so far.
     """
     if n_sims < 10_000:
         raise DomainError(f"n_sims must be at least 10^4, got {n_sims}")
@@ -171,26 +170,32 @@ def simulate_aggregate(
             if idx.size == 0:
                 continue
             s[idx] += tvl_arr[i] * law.draw(gen, idx.size)
-        # A stale floor is still a valid cut; >= keeps the ties at it.
-        return s[s >= floor]
+        # A stale floor is still a valid cut.  A value equal to it cannot
+        # change the top, which already holds ``top`` values at or above it.
+        return s[s > floor]
 
     blocks = _in_order(run_block, (n_sims + _BLOCK - 1) // _BLOCK, workers)
-    # Append the survivors; when the buffer is full, move its top values to
-    # the front and raise the floor to the smallest of them.  numpy's sort is
-    # vectorized and several times faster here than ndarray.partition.
-    buf = np.empty(min(n_sims, 2 * top + _BLOCK))
+    # A full buffer is compacted and the floor raised.  Less slack than top/4
+    # compacts more often; numpy's vectorized sort is faster here than
+    # ndarray.partition (13 against 20 ms on 1.26M fixture losses, 2 vCPUs).
+    buf = np.empty(min(n_sims, top + max(_BLOCK, top // 4)))
     filled = 0
+
+    def compact() -> float:  # the sorted top to buf[:top]; the smallest of it
+        buf[:filled].sort()
+        buf[:top] = buf[filled - top : filled]  # a forward 1-D copy: no temporary when they overlap
+        return float(buf[0])
+
     for part in blocks:
         if filled + part.size > buf.size:
-            buf[:filled].sort()
-            floor = float(buf[filled - top])
-            buf[:top] = buf[filled - top : filled]
+            floor = compact()
             filled = top
-            part = part[part >= floor]
+            part = part[part > floor]
         buf[filled : filled + part.size] = part
         filled += part.size
-    buf[:filled].sort()
-    return buf[filled - top : filled].copy()  # a view would keep the buffer alive
+    compact()
+    buf.resize(top, refcheck=False)  # shrinks in place: no second copy of the top
+    return buf
 
 
 def _order_index(n: int, q: float) -> int:
@@ -288,7 +293,14 @@ def _tail_need(n: int, levels) -> tuple[list[int], int, int]:
     return ks, t, _tail_size(n, t)
 
 
-def _resample_counts(n: int, t: int, m: int, gen) -> tuple[np.ndarray, int]:
+def _tally(counts: np.ndarray, gen, draws: int) -> None:
+    """Count ``draws`` uniform indices into ``counts``, drawn as one call draws them."""
+    one = counts.dtype.type(1)  # np.add.at with a Python 1 is about 40 times slower
+    for done in range(0, draws, _BLOCK):  # a named block would stay alive through the next draw
+        np.add.at(counts, gen.integers(0, counts.size, min(_BLOCK, draws - done)), one)
+
+
+def _resample_counts(n: int, t: int, m: int, gen, tally: np.ndarray) -> tuple[np.ndarray, int]:
     """How often one multinomial resample of a sorted n-sample draws each order statistic it needs.
 
     Returns ``(counts, lo)``: ``counts[i]`` is the number of draws of the
@@ -297,13 +309,25 @@ def _resample_counts(n: int, t: int, m: int, gen) -> tuple[np.ndarray, int]:
     resample are among them.  The count c of draws in the top ``m`` >= ``t``
     order statistics is drawn first; if c >= t only those c draws are made,
     else the other n - c draws from the rest of the sample too, so the law
-    is exact for any such ``m``.
+    is exact for any such ``m``.  ``tally`` (m integers) is zeroed and counts the top ``m``.
     """
     c = int(gen.binomial(n, m / n))
-    top = np.bincount(gen.integers(0, m, c), minlength=m)
+    tally.fill(0)
+    _tally(tally, gen, c)
     if c >= t:
-        return top, n - m
-    return np.concatenate([np.bincount(gen.integers(0, n - m, n - c), minlength=n - m), top]), 0
+        return tally, n - m
+    counts = np.concatenate([np.zeros(n - m, tally.dtype), tally])
+    _tally(counts[: n - m], gen, n - c)
+    return counts, 0
+
+
+def _pairwise_weighted_sum(weight: np.ndarray, values: np.ndarray) -> float:
+    """``(weight * values).sum()`` bit for bit, split where numpy's pairwise sum splits."""
+    half = values.size // 2 - values.size // 2 % 8
+    if values.size <= _BLOCK:  # a leaf; the product is formed only here
+        return float((weight * values).sum())
+    pairs = (weight[:half], values[:half]), (weight[half:], values[half:])
+    return _pairwise_weighted_sum(*pairs[0]) + _pairwise_weighted_sum(*pairs[1])
 
 
 def _resample_tail(top: np.ndarray, counts: np.ndarray, lo: int, ks, n: int) -> list[tuple]:
@@ -314,15 +338,19 @@ def _resample_tail(top: np.ndarray, counts: np.ndarray, lo: int, ks, n: int) -> 
     values strictly above VaR, or VaR when there are none.
     """
     values = top[lo - (n - top.size) :]
-    rank = np.cumsum(counts)  # the resample's rank of the last draw of each value
-    rank += n - rank[-1]
+    width = 1024
+    ends = np.cumsum(np.add.reduceat(counts, np.arange(0, counts.size, width), dtype=counts.dtype))
+    ends += n - ends[-1]  # the rank of each block's last draw; no running count of all m
     out = []
     for k in ks:
-        v = float(values[np.searchsorted(rank, k)])
+        b = int(np.searchsorted(ends, k))
+        block = counts[b * width : (b + 1) * width]
+        i = b * width + int(np.searchsorted(np.cumsum(block), k - (ends[b] - block.sum())))
+        v = float(values[i])
         above = int(np.searchsorted(values, v, side="right"))
         weight = counts[above:]
         drawn = int(weight.sum())
-        out.append((v, float((weight * values[above:]).sum()) / drawn if drawn else v))
+        out.append((v, _pairwise_weighted_sum(weight, values[above:]) / drawn if drawn else v))
     return out
 
 
@@ -333,13 +361,14 @@ def _bootstrap_ses(
 
     ``top`` holds the sample's largest values (all n by default), at least
     the m that ``_tail_need`` names.  A resample that falls back to the
-    whole sample gets it from ``redraw()``, once.
+    whole sample gets it from ``redraw()``, once.  Every resample reuses one tally.
     """
     n = top.size if n is None else n
     ks, t, m = _tail_need(n, levels)
+    tally = np.empty(m, np.int32 if n < 2**31 else np.int64)
     reps = []
     for _ in range(resamples):
-        counts, lo = _resample_counts(n, t, m, gen)
+        counts, lo = _resample_counts(n, t, m, gen, tally)
         if lo < n - top.size:
             top = redraw()
         reps.append(_resample_tail(top, counts, lo, ks, n))

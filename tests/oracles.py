@@ -11,7 +11,7 @@ from defirisk.datamodel import Chain, IssueType, Month
 from defirisk.dependence import event_thresholds
 from defirisk.errors import DataError, DomainError, SchemaError, TvlGapError
 from defirisk.glm import invlogit
-from defirisk.numerics import mvn_sample, std_normal_cdf
+from defirisk.numerics import RngStream, std_normal_cdf
 from defirisk.tailrisk import _order_index
 
 
@@ -49,6 +49,27 @@ def bivariate_upper_orthant(a: float, b: float, rho: float, n_nodes: int = 400) 
         tail = 1.0 - std_normal_cdf((b - rho * zi) / denom)
         total += wi * _phi(zi) * tail
     return half * total
+
+
+def mvn_sample(chol: np.ndarray, rng, size: int | None = None) -> np.ndarray:
+    """Multivariate normal draw(s) Z = L u with u iid standard normal.
+
+    ``rng`` may be an RngStream (a fresh generator is materialized, so the
+    same stream always yields the same draws) or a live numpy Generator to
+    continue an existing sequence.  With ``size=None`` returns one vector
+    of length d, otherwise an array of shape (size, d).  The attack
+    indicators do not go through here: ``dependence.draw_events`` streams
+    the same draws through fixed panels.
+    """
+    low = np.asarray(chol, dtype=float)
+    gen = rng.generator() if isinstance(rng, RngStream) else rng
+    d = low.shape[0]
+    if size is None:
+        return low @ gen.standard_normal(d)
+    # A C-contiguous L^T keeps the rounding independent of how the factor is
+    # stored: BLAS rounds a product with a transposed view differently for
+    # some shapes.
+    return np.matmul(gen.standard_normal((int(size), d)), np.ascontiguousarray(low.T))
 
 
 def whole_block_events(gen, size: int, probs, spec=None) -> np.ndarray:

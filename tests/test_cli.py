@@ -466,6 +466,26 @@ class TestErrorSurface:
         assert code == 2
         assert "error" in json.loads(capsys.readouterr().err)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["summarize", "--bogus", "1"], ["summarize", "--seed"], [], ["no-such-command"]],
+        ids=["unknown-flag", "flag-without-value", "no-command", "unknown-command"],
+    )
+    def test_flag_argparse_rejects_exits_2_with_one_json_error_line(self, argv, capsys):
+        code = run(argv)
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert code == 2
+        assert len(lines) == 1 and "usage:" not in captured.out + captured.err
+        err = json.loads(lines[0])["error"]
+        assert err["type"] == "ConfigError" and err["code"] == 2
+
+    def test_help_still_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            run(["summarize", "--help"])
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: defirisk summarize")
+
     def test_numerical_failure_exits_3(self, tmp_path, capsys):
         # No usable incidents inside the severity window.
         stale = tmp_path / "stale.csv"

@@ -12,12 +12,12 @@ from defirisk.numerics import (
     CorrelationMatrix,
     RngStream,
     cholesky,
-    mvn_sample,
     nearest_correlation,
     std_normal_cdf,
     std_normal_quantile,
 )
 
+from oracles import mvn_sample
 from reference_values import SIMILARITY
 
 mpmath.mp.dps = 40

@@ -218,12 +218,22 @@ class TestStreamingTop:
         return dict(portfolio=portfolio, frequency_models=freq,
                     severity_model=total_loss_only_model(), tvls=tvls, when=WHEN)
 
-    @pytest.mark.parametrize("workers", [1, 3])
-    def test_top_is_the_top_of_the_full_sample(self, workers):
-        # q = 0.99 at n = 10^6 keeps m = 11,011 values, so the 2m + 65,536
-        # buffer is merged many times over the 16 blocks.
-        n = 1_000_000
-        m = tailrisk._tail_need(n, [0.99])[2]
+    @pytest.mark.parametrize(
+        "workers, n, q",
+        [(1, 10**6, 0.99), (3, 10**6, 0.99), (1, 10**6, 0.90), (3, 10**6, 0.90),
+         (1, 10**5, 0.99), (3, 10**5, 0.99)],
+        ids=["1", "3", "1-q0.90", "3-q0.90", "1-n1e5", "3-n1e5"],
+    )
+    def test_top_is_the_top_of_the_full_sample(self, workers, n, q):
+        # The merge buffer holds m + max(65,536, m/4) values and is
+        # compacted whenever it fills.  q = 0.99 at n = 10^6 keeps
+        # m = 11,011: the first compaction has more values to drop than to
+        # keep, so the top moves to the front from apart, and the later
+        # ones fewer, so it moves onto itself.  At q = 0.90 the cut falls
+        # in the zero atom, so the floor stays at 0 and every later zero,
+        # a tie with it, is dropped; at n = 10^5 the last compaction comes
+        # after the last block.
+        m = tailrisk._tail_need(n, [q])[2]
         inputs = self.total_loss_inputs()
         for copula in (build_copula(inputs["portfolio"].similarity), None):
             full = tailrisk.simulate_aggregate(
@@ -271,8 +281,9 @@ class TestStreamingTop:
 
     def test_risk_report_memory_follows_the_tail(self):
         # Holding the sorted sample and the blocks it is concatenated from
-        # takes at least 16 bytes a path; the top at q = 0.9, its merge
-        # buffer and the bootstrap tallies take about 4.
+        # takes at least 16 bytes a path.  At q = 0.9 the top is m = 0.1n
+        # values, 0.8n bytes, its merge buffer 1.25 times that and the
+        # bootstrap tally 0.4n, beside two blocks in flight per worker.
         n = 2_000_000
         inputs = self.total_loss_inputs()
         tracemalloc.start()
@@ -284,7 +295,7 @@ class TestStreamingTop:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 8 * n
+        assert peak < 3 * n
 
     @staticmethod
     def simulate_peak(with_copula: bool) -> tuple[int, int]:
@@ -518,8 +529,9 @@ class TestTailOnlyBootstrap:
         ranks = (8, 10)
         seen = np.empty((draws, len(ranks)))
         fallbacks = 0
+        tally = np.empty(t, np.int32)
         for r in range(draws):
-            counts, lo = tailrisk._resample_counts(n, t, t, gen)
+            counts, lo = tailrisk._resample_counts(n, t, t, gen, tally)
             fallbacks += lo == 0
             drawn = np.repeat(np.arange(lo + 1, n + 1), counts)  # the counted x_j, ascending
             seen[r] = [drawn[k - 1 - (n - drawn.size)] for k in ranks]
@@ -536,24 +548,27 @@ class TestTailOnlyBootstrap:
         # Expand each tally into the resample it stands for (the draws not
         # tallied lie below index lo) and recompute VaR and CTE from it,
         # on the tail path (m from _tail_size) and on the fallback (m = t).
-        sample = self.atoms_sample(2_000)
-        n = sample.size
-        levels = (0.89, 0.95, 0.97, 0.99)
-        ks = [tailrisk._order_index(n, q) for q in levels]
-        t = n - min(ks) + 1
-        gen = RngStream(32, 0).generator()
-        paths = set()
-        for m in (tailrisk._tail_size(n, t), t):
-            for _ in range(40):
-                counts, lo = tailrisk._resample_counts(n, t, m, gen)
-                paths.add(lo)
-                below = np.full(n - int(counts.sum()), sample[lo - 1] if lo else 0.0)
-                resample = np.concatenate([below, np.repeat(sample[lo:], counts)])
-                for (v, cte), q in zip(tailrisk._resample_tail(sample, counts, lo, ks, n), levels):
-                    want_var, want_cte, *_ = tailrisk._tail(resample, q, n)
-                    assert v == want_var
-                    assert cte == pytest.approx(want_cte, rel=1e-12)
-        assert 0 in paths and len(paths) > 1
+        # At n = 20,000 the ranks are found across several 1,024-count blocks.
+        for n in (2_000, 20_000):
+            sample = self.atoms_sample(n)
+            levels = (0.89, 0.95, 0.97, 0.99)
+            ks = [tailrisk._order_index(n, q) for q in levels]
+            t = n - min(ks) + 1
+            gen = RngStream(32, 0).generator()
+            paths = set()
+            for m in (tailrisk._tail_size(n, t), t):
+                tally = np.empty(m, np.int32)
+                for _ in range(40):
+                    counts, lo = tailrisk._resample_counts(n, t, m, gen, tally)
+                    paths.add(lo)
+                    below = np.full(n - int(counts.sum()), sample[lo - 1] if lo else 0.0)
+                    resample = np.concatenate([below, np.repeat(sample[lo:], counts)])
+                    tails = tailrisk._resample_tail(sample, counts, lo, ks, n)
+                    for (v, cte), q in zip(tails, levels):
+                        want_var, want_cte, *_ = tailrisk._tail(resample, q, n)
+                        assert v == want_var
+                        assert cte == pytest.approx(want_cte, rel=1e-12)
+            assert 0 in paths and len(paths) > 1
 
     def test_var_on_an_atom_in_every_resample_has_zero_se(self):
         # 20% of the sample on one total loss: VaR at 0.9, 0.95 and 0.99
@@ -565,3 +580,62 @@ class TestTailOnlyBootstrap:
         levels = (0.90, 0.95, 0.99)
         se_var, se_cte = tailrisk._bootstrap_ses(sample, levels, 200, RngStream(31, 1).generator())
         assert np.all(se_var == 0.0) and np.all(se_cte == 0.0)
+
+    @pytest.mark.parametrize("m", [7, 65_537, 2**31 - 1, 2**32, 2**33 + 7])
+    def test_chunked_draws_equal_one_call(self, m):
+        # The tally draws its indices a block at a time; chunks of any size,
+        # odd ones too, must give the draws of one call and leave the
+        # generator where that call leaves it.
+        c = 150_001
+        whole, chunked = RngStream(33, 0).generator(), RngStream(33, 0).generator()
+        want = whole.integers(0, m, c)
+        sizes = [65_536, 4_095, 7, 1]
+        parts, done = [], 0
+        while done < c:
+            k = min(sizes[len(parts) % len(sizes)], c - done)
+            parts.append(chunked.integers(0, m, k))
+            done += k
+        assert np.array_equal(np.concatenate(parts), want)
+        assert chunked.random(4).tobytes() == whole.random(4).tobytes()
+
+    @pytest.mark.parametrize("block", [tailrisk._BLOCK, 1_001])
+    def test_tally_equals_the_bincount_of_one_call(self, block, monkeypatch):
+        monkeypatch.setattr(tailrisk, "_BLOCK", block)
+        m, c = 50_003, 210_007
+        ours, ref = RngStream(34, 0).generator(), RngStream(34, 0).generator()
+        tally = np.zeros(m, np.int32)
+        tailrisk._tally(tally, ours, c)
+        assert np.array_equal(tally, np.bincount(ref.integers(0, m, c), minlength=m))
+        assert ours.random() == ref.random()
+
+    def test_pairwise_weighted_sum_is_bit_for_bit(self):
+        # numpy sums a contiguous float64 array pairwise, splitting n at
+        # n // 2 rounded down to a multiple of 8; the split sum must keep
+        # every bit around the 65,536-value leaf and the split points.
+        gen = np.random.default_rng(35)
+        leaf = tailrisk._BLOCK
+        lengths = [1, 9, leaf - 1, leaf, leaf + 1, leaf + 7, 2 * leaf - 8, 2 * leaf + 1,
+                   2 * leaf + 8, 2 * leaf + 15, 2 * leaf + 17, 4 * leaf + 24, 1_000_003, 3_000_000]
+        for n in lengths:
+            values = np.sort(gen.lognormal(15.0, 3.0, n))
+            weight = gen.integers(0, 4, n).astype(np.int32)
+            want = float((weight * values).sum())
+            assert tailrisk._pairwise_weighted_sum(weight, values) == want, n
+            assert tailrisk._pairwise_weighted_sum(weight.astype(np.int64), values) == want, n
+
+    def test_bootstrap_memory_follows_the_tally(self):
+        # One int32 tally of the top m is 4m bytes, reused by every
+        # resample; the draws, the rank search and the CTE sums hold
+        # 65,536-value blocks.  An int64 bincount of the draws, the draws
+        # themselves and a running count of them take 24m.
+        n = 10_000_000
+        ks, t, m = tailrisk._tail_need(n, [0.90, 0.99])
+        top = np.sort(RngStream(36, 0).generator().lognormal(15.0, 2.0, m))
+        gen = RngStream(36, 1).generator()
+        tracemalloc.start()
+        try:
+            tailrisk._bootstrap_ses(top, [0.90, 0.99], 3, gen, n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * m
