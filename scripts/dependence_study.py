@@ -71,7 +71,7 @@ def main(n_sims: int = 1_000_000, seed: int = 7) -> None:
         bootstrap_resamples=100,
         attack_probabilities=[ATTACK_PROBS[p] for p in PROTOCOL_IDS],
     )
-    print(f"paths per scenario: {report.n_sims:,}; total insured TVL: {report.total_tvl:,.0f}\n")
+    print(f"paths per scenario: {n_sims:,}; total insured TVL: {report.total_tvl:,.0f}\n")
     head = f"{'level':>6} {'VaR dep':>15} {'VaR indep':>15} {'gap/se':>8}  {'CTE dep':>15} {'CTE indep':>15} {'gap/se':>8}"
     print(head)
     table = report.table

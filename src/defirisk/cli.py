@@ -11,8 +11,9 @@ children.  price is deterministic: its quotes depend on neither --seed nor
 
 Every report is a table, ``{column name: values}`` in column order, and
 one writer writes it as CSV or as JSON, a list of one object per row.
-Flag values and config-file values take the same casts (``_SETTINGS``)
-and the same checks (``RunConfig.validate``).
+Each setting is declared once, in ``_SETTINGS``: its cast, its flag help
+and the command that takes its flag.  Flag values and config-file values
+take the same casts and the same checks (``RunConfig.validate``).
 
 Exit codes: 0 success, 2 configuration/schema error, 3 numerical failure;
 errors are emitted as a JSON object on stderr.
@@ -63,10 +64,10 @@ class RunConfig:
     models: Path | None = None
     output: Path = Path("out")
     seed: int = 0
-    n_samples: int = 100_000
+    samples: int = 100_000
     theta: float | None = None
     levels: tuple[float, ...] = (0.90, 0.95, 0.99)
-    output_format: str = "csv"
+    format: str = "csv"
     workers: int = 1
     dependence: str = "both"
     window_end: Month | None = None
@@ -77,14 +78,14 @@ class RunConfig:
     def validate(self, needs: tuple[str, ...]) -> None:
         if not 0 <= self.seed < 2**64:
             raise ConfigError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
-        if self.n_samples < 10_000:
-            raise ConfigError(f"samples must be at least 10^4, got {self.n_samples}")
+        if self.samples < 10_000:
+            raise ConfigError(f"samples must be at least 10^4, got {self.samples}")
         if self.theta is not None and not 0.0 < self.theta < math.inf:
             raise ConfigError(f"theta must be positive and finite, got {self.theta}")
         if not self.levels or any(not (0.0 < q < 1.0) for q in self.levels):
             raise ConfigError(f"levels must be one or more in (0, 1), got {self.levels}")
-        if self.output_format not in ("csv", "json"):
-            raise ConfigError(f"format must be csv or json, got {self.output_format}")
+        if self.format not in ("csv", "json"):
+            raise ConfigError(f"format must be csv or json, got {self.format}")
         if self.dependence not in ("on", "off", "both"):
             raise ConfigError(f"dependence must be on/off/both, got {self.dependence}")
         if self.workers < 1:
@@ -94,17 +95,9 @@ class RunConfig:
         for name in needs:
             value = getattr(self, name)
             if value is None:
-                raise ConfigError(f"missing required path --{name.replace('_', '-')}")
+                raise ConfigError(f"missing required path --{name}")
             if not Path(value).exists():
                 raise ConfigError(f"{name} path does not exist: {value}")
-
-
-def _load_config_file(path: Path) -> dict:
-    doc = read_json_object(path)
-    unknown = set(doc) - set(_SETTINGS)
-    if unknown:
-        raise ConfigError(f"{path}: unknown config keys {sorted(unknown)}")
-    return doc
 
 
 def _parse_levels(raw) -> tuple[float, ...]:
@@ -130,37 +123,49 @@ def _real(raw) -> float:
     return float(raw)
 
 
-# Each setting a config-file key and the flag of the same name can give:
-# key -> (RunConfig field, conversion of the raw value).
+def _month(raw) -> Month:
+    """The window_end setting: YYYY-MM, else a ConfigError with the month parser's reason."""
+    try:
+        return Month.parse(str(raw))
+    except SchemaError as exc:
+        raise ConfigError(f"bad window_end: {exc}") from exc
+
+
+# Each setting, keyed by its config-file key and RunConfig field:
+# (conversion of the raw value, flag help, the one command taking the flag or None for all).
+# The flag is the key with "-" for "_".
 _SETTINGS = {
-    "incidents": ("incidents", Path),
-    "tvl": ("tvl", Path),
-    "portfolio": ("portfolio", Path),
-    "models": ("models", Path),
-    "output": ("output", Path),
-    "override": ("override", Path),
-    "model": ("model", Path),
-    "seed": ("seed", _integer),
-    "samples": ("n_samples", _integer),
-    "theta": ("theta", _real),
-    "levels": ("levels", _parse_levels),
-    "format": ("output_format", str),
-    "workers": ("workers", _integer),
-    "dependence": ("dependence", str),
-    "bootstrap": ("bootstrap", _integer),
-    "window_end": ("window_end", lambda raw: Month.parse(str(raw))),
+    "incidents": (Path, "incidents CSV path", None),
+    "tvl": (Path, "monthly TVL CSV path", None),
+    "portfolio": (Path, "portfolio JSON path", None),
+    "models": (Path, "directory holding fitted model files", None),
+    "output": (Path, "output directory", None),
+    "seed": (_integer, "base RNG seed (u64)", None),
+    "samples": (_integer, "simulation paths", None),
+    "theta": (_real, "premium loading", None),
+    "levels": (_parse_levels, "comma-separated confidence levels", None),
+    "format": (str, "report format: csv or json", None),
+    "workers": (_integer, "simulation worker threads", None),
+    "window_end": (_month, "training window end YYYY-MM", "fit-frequency"),
+    "override": (Path, "JSON of (attack_prob, loss_pct) pairs to price", "price"),
+    "dependence": (str, "scenarios to simulate: on, off or both", "simulate"),
+    "bootstrap": (_integer, "bootstrap resamples for SEs", "simulate"),
+    "model": (Path, "fitted model JSON to diagnose", "gof"),
 }
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
     """Defaults, overridden by the config file, overridden by the flags given."""
     cfg = RunConfig()
-    doc = _load_config_file(Path(args.config)) if args.config else {}
+    doc = read_json_object(Path(args.config)) if args.config else {}
+    unknown = sorted(set(doc) - set(_SETTINGS))
+    if unknown:
+        raise ConfigError(f"{Path(args.config)}: unknown config keys {unknown}")
     for source in (doc, vars(args)):
-        for key, (attr, cast) in _SETTINGS.items():
+        for key, (cast, _, _) in _SETTINGS.items():
             if source.get(key) is not None:
                 try:
-                    setattr(cfg, attr, cast(source[key]))
+                    setattr(cfg, key, cast(source[key]))
                 except (TypeError, ValueError, OverflowError) as exc:
                     raise ConfigError(f"bad {key} {source[key]!r:.60}") from exc
     return cfg
@@ -194,7 +199,7 @@ def _write_json(path: Path, payload) -> None:
 def _emit_table(cfg: RunConfig, stem: str, table: dict) -> Path:
     """Write a table in --format: CSV, or JSON as a list of one object per row."""
     cfg.output.mkdir(parents=True, exist_ok=True)
-    if cfg.output_format == "csv":
+    if cfg.format == "csv":
         path = cfg.output / f"{stem}.csv"
         _write_csv(path, table)
     else:
@@ -400,30 +405,23 @@ def _rebuild_model(path: Path, doc: dict, from_dict):
         raise SchemaError(f"{path}: {exc}") from exc
 
 
-def _load_model(cfg: RunConfig, name: str, what: str, from_dict):
-    path = Path(cfg.models or cfg.output) / name
-    return _rebuild_model(path, _read_model(path, what), from_dict)
+def _fitted_models(cfg: RunConfig, portfolio: Portfolio, earliest: date):
+    """The frequency model of each protocol and the severity model, from --models else --output;
+    the severity model must start by ``earliest``, its first prediction date."""
+    models = Path(cfg.models or cfg.output)
 
+    def load(name: str, what: str, from_dict):
+        return _rebuild_model(models / name, _read_model(models / name, what), from_dict)
 
-def _load_frequency_models(cfg: RunConfig, portfolio: Portfolio):
-    return {
-        proto.id: _load_model(
-            cfg,
-            f"freq_{proto.id}.json",
-            f"frequency model for protocol {proto.id!r}",
-            frequency.from_dict,
-        )
-        for proto in portfolio.protocols
-    }
-
-
-def _load_severity_model(cfg: RunConfig, earliest: date) -> severity.SeverityModel:
-    """The severity model, which must start by ``earliest``, its first prediction date."""
-    model = _load_model(cfg, "severity_model.json", "severity model file", severity.from_dict)
-    if model.time_origin > earliest:
-        path = Path(cfg.models or cfg.output) / "severity_model.json"
+    freq_models = {}
+    for p in portfolio.protocols:
+        what = f"frequency model for protocol {p.id!r}"
+        freq_models[p.id] = load(f"freq_{p.id}.json", what, frequency.from_dict)
+    sev_model = load("severity_model.json", "severity model file", severity.from_dict)
+    if sev_model.time_origin > earliest:
+        path = models / "severity_model.json"
         raise SchemaError(f"{path}: 'time_origin' is after the prediction date {earliest}")
-    return model
+    return freq_models, sev_model
 
 
 def _quote_table(quotes: list[pricing.PremiumQuote], seed: int) -> dict[str, list]:
@@ -449,8 +447,8 @@ def cmd_price(cfg: RunConfig) -> list[Path]:
     portfolio = load_portfolio(cfg.portfolio)
     tvl = load_tvl(cfg.tvl)
     points = [_prediction_point(cfg, tvl.get(p.id, {}), p.id) for p in portfolio.protocols]
-    freq_models = _load_frequency_models(cfg, portfolio)
-    sev_model = _load_severity_model(cfg, min(month for _, month in points).first_day())
+    earliest = min(month for _, month in points).first_day()
+    freq_models, sev_model = _fitted_models(cfg, portfolio, earliest)
     theta = cfg.theta if cfg.theta is not None else portfolio.loading_theta
 
     quotes = [
@@ -505,26 +503,10 @@ def _price_from_override(cfg: RunConfig) -> list[Path]:
                 f"override entry for {pid!r} needs second_moment_pct in [loss_pct^2, loss_pct] "
                 f"= [{loss_pct * loss_pct!r}, {loss_pct!r}], got {second!r}"
             )
-        e_y2 = math.nan if second is None else tvl * tvl * second
-        expectation_usd, sd_usd = pricing.premiums(attack_prob, tvl * loss_pct, e_y2, theta)
-        if not math.isfinite(expectation_usd) or (second is not None and not math.isfinite(sd_usd)):
+        q = pricing.quote(pid, attack_prob, tvl, loss_pct, second, theta, n_samples=0)
+        if not all(math.isfinite(v or 0.0) for v in (q.expectation_premium_usd, q.sd_premium_usd)):
             raise ConfigError(f"override entry for {pid!r} gives a premium that is not finite")
-        if second is None:
-            sd_usd = None  # no second moment supplied: the SD premium is undefined
-        quotes.append(
-            pricing.PremiumQuote(
-                protocol_id=pid,
-                attack_prob=attack_prob,
-                loss_pct=loss_pct,
-                tvl=tvl,
-                theta=theta,
-                expectation_premium_usd=expectation_usd,
-                sd_premium_usd=sd_usd,
-                expectation_premium_pct=expectation_usd / tvl,
-                sd_premium_pct=None if sd_usd is None else sd_usd / tvl,
-                n_samples=0,
-            )
-        )
+        quotes.append(q)
     return [_emit_table(cfg, "quotes", _quote_table(quotes, cfg.seed))]
 
 
@@ -535,8 +517,7 @@ def cmd_simulate(cfg: RunConfig) -> list[Path]:
     points = [_prediction_point(cfg, tvl.get(p.id, {}), p.id) for p in portfolio.protocols]
     tvls = {p.id: tvl_next for p, (tvl_next, _) in zip(portfolio.protocols, points)}
     when = max(month for _, month in points).first_day()
-    freq_models = _load_frequency_models(cfg, portfolio)
-    sev_model = _load_severity_model(cfg, when)
+    freq_models, sev_model = _fitted_models(cfg, portfolio, when)
     copula = build_copula(portfolio.similarity)
 
     report = tailrisk.risk_report(
@@ -547,7 +528,7 @@ def cmd_simulate(cfg: RunConfig) -> list[Path]:
         tvls,
         when,
         levels=cfg.levels,
-        n_sims=cfg.n_samples,
+        n_sims=cfg.samples,
         rng=RngStream(cfg.seed, _SIMULATE_STREAM),
         workers=cfg.workers,
         bootstrap_resamples=cfg.bootstrap,
@@ -558,9 +539,9 @@ def cmd_simulate(cfg: RunConfig) -> list[Path]:
     _write_json(
         meta_path,
         {
-            "n_sims": report.n_sims,
-            "seed": report.seed,
-            "base_stream": report.base_stream,
+            "n_sims": cfg.samples,
+            "seed": cfg.seed,
+            "base_stream": _SIMULATE_STREAM,
             "bootstrap_resamples": report.bootstrap_resamples,
             "total_tvl": report.total_tvl,
             "repaired_similarity": copula.repaired,
@@ -687,21 +668,6 @@ def cmd_summarize(cfg: RunConfig) -> list[Path]:
 # entry point
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="JSON config file; flags override it")
-    parser.add_argument("--seed", help="base RNG seed (u64)")
-    parser.add_argument("--samples", help="simulation paths")
-    parser.add_argument("--theta", help="premium loading")
-    parser.add_argument("--levels", help="comma-separated confidence levels")
-    parser.add_argument("--format", help="report format: csv or json")
-    parser.add_argument("--workers", help="simulation worker threads")
-    parser.add_argument("--output", help="output directory")
-    parser.add_argument("--incidents", help="incidents CSV path")
-    parser.add_argument("--tvl", help="monthly TVL CSV path")
-    parser.add_argument("--portfolio", help="portfolio JSON path")
-    parser.add_argument("--models", help="directory holding fitted model files")
-
-
 _COMMANDS = {
     "fit-frequency": cmd_fit_frequency,
     "fit-severity": cmd_fit_severity,
@@ -725,16 +691,10 @@ def make_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
         p = sub.add_parser(name)
-        _add_common_flags(p)
-        if name == "fit-frequency":
-            p.add_argument("--window-end", dest="window_end", help="training window end YYYY-MM")
-        if name == "price":
-            p.add_argument("--override", help="JSON of (attack_prob, loss_pct) pairs to price")
-        if name == "simulate":
-            p.add_argument("--dependence", help="scenarios to simulate: on, off or both")
-            p.add_argument("--bootstrap", help="bootstrap resamples for SEs")
-        if name == "gof":
-            p.add_argument("--model", help="fitted model JSON to diagnose")
+        p.add_argument("--config", help="JSON config file; flags override it")
+        for key, (_, help_text, command) in _SETTINGS.items():
+            if command in (None, name):
+                p.add_argument("--" + key.replace("_", "-"), dest=key, help=help_text)
     return parser
 
 

@@ -50,7 +50,7 @@ def panel_design(*panels: Panel) -> tuple[np.ndarray, np.ndarray]:
     return np.column_stack([np.ones(len(y)), x]), y
 
 
-def fit_frequency(panel: Panel, groups: int = 10) -> FrequencyModel:
+def fit_frequency(panel: Panel) -> FrequencyModel:
     """Fit event-on-log-TVL logistic regression over one protocol's panel."""
     if not len(panel):
         raise InsufficientDataError("empty monthly panel")
@@ -83,7 +83,7 @@ def fit_frequency(panel: Panel, groups: int = 10) -> FrequencyModel:
         return FrequencyModel(protocol_id, fit, window, hl=None, covariate_dropped=True)
 
     fit = glm.fit_logistic(design, y, standardize=True)
-    hl = glm.hosmer_lemeshow(fit, design, y, groups=groups)
+    hl = glm.hosmer_lemeshow(fit, design, y)
     return FrequencyModel(protocol_id, fit, window, hl=hl)
 
 

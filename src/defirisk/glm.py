@@ -35,6 +35,11 @@ _ETA_CLIP = 36.0
 _BLOWUP_LIMIT = 15.0
 _COND_LIMIT = 1e10
 
+# IRLS (see fit_logistic) and FISTA stop at a gradient infinity norm of _TOL.
+_TOL = 1e-8
+_IRLS_MAX_ITER = 100
+_FISTA_MAX_ITER = 20000
+
 
 def invlogit(eta):
     """Numerically stable inverse logit, strictly inside (0, 1)."""
@@ -154,7 +159,7 @@ def _equivalent_standardized_coefs(beta, col_means, col_sds):
     return out
 
 
-def _fit_elastic_net(x, y, penalty: PenaltySpec, tol: float = 1e-8, max_iter: int = 20000):
+def _fit_elastic_net(x, y, penalty: PenaltySpec):
     """FISTA proximal-gradient solver for the elastic-net logistic objective."""
     n, p = x.shape
     lam1 = penalty.lam * penalty.alpha_mix
@@ -183,7 +188,7 @@ def _fit_elastic_net(x, y, penalty: PenaltySpec, tol: float = 1e-8, max_iter: in
     t_acc = 1.0
     f_prev = smooth_val(beta)
     converged = False
-    for _ in range(max_iter):
+    for _ in range(_FISTA_MAX_ITER):
         g = smooth_grad(z)
         beta_new = prox(z - step * g, step)
         # FISTA momentum with restart on objective increase
@@ -198,36 +203,28 @@ def _fit_elastic_net(x, y, penalty: PenaltySpec, tol: float = 1e-8, max_iter: in
         z = beta_new + ((t_acc - 1.0) / t_next) * (beta_new - beta)
         mapping = np.max(np.abs(beta_new - prox(beta_new - step * smooth_grad(beta_new), step))) / step
         beta, f_prev, t_acc = beta_new, f_new, t_next
-        if mapping <= tol:
+        if mapping <= _TOL:
             converged = True
             break
     return beta, converged
 
 
-def fit_logistic(
-    design,
-    response,
-    *,
-    max_iter: int = 100,
-    tol: float = 1e-8,
-    standardize: bool = True,
-    fallback_penalty: PenaltySpec | None = None,
-    force_penalty: bool = False,
-) -> LogisticFit:
+def fit_logistic(design, response, *, standardize: bool = True) -> LogisticFit:
     """Maximum-likelihood logistic regression with a penalized fallback.
 
     IRLS runs until the infinity norm of the mean-log-likelihood gradient
-    drops below ``tol``; on divergence, coefficient blow-up, a singular or
-    ill-conditioned information matrix, or detected separation, the fit is
-    redone with the elastic-net penalty and flagged.  ``design`` carries
-    the intercept column; non-intercept columns are standardized
-    internally unless ``standardize=False``.  The coefficients are
-    determined only to that gradient tolerance, so their last ulps depend
-    on the BLAS kernels and SIMD ``exp``/``log`` of the numpy build in use.
+    drops to ``_TOL``; every other way out of it (no convergence within
+    ``_IRLS_MAX_ITER`` steps, coefficient blow-up, a singular or
+    ill-conditioned information matrix, or no step that lowers the
+    objective) redoes the fit with the default elastic-net penalty and
+    flags it.  ``design`` carries the intercept column; non-intercept
+    columns are standardized internally unless ``standardize=False``.  The
+    coefficients are determined only to that gradient tolerance, so their
+    last ulps depend on the BLAS kernels and SIMD ``exp``/``log`` of the
+    numpy build in use.
     """
     x_raw, y = _check_design(design, response)
     n, p = x_raw.shape
-    penalty = fallback_penalty or PenaltySpec()
 
     raw_means = x_raw[:, 1:].mean(axis=0) if p > 1 else np.empty(0)
     raw_sds = x_raw[:, 1:].std(axis=0, ddof=1) if p > 1 else np.empty(0)
@@ -243,61 +240,49 @@ def fit_logistic(
     col_means = x[:, 1:].mean(axis=0) if p > 1 else np.empty(0)
     col_sds = x[:, 1:].std(axis=0, ddof=1) if p > 1 else np.empty(0)
 
-    needs_penalty = force_penalty
     beta = np.zeros(p)
-    trace: list[float] = []
+    nll = _nll(x, y, beta)
+    trace = [nll]
     converged = False
-
-    if not needs_penalty:
-        nll = _nll(x, y, beta)
-        trace.append(nll)
-        for _ in range(max_iter):
-            eta = np.clip(x @ beta, -_ETA_CLIP, _ETA_CLIP)
-            mu = invlogit(eta)
-            grad = x.T @ (y - mu)
-            w = np.maximum(mu * (1.0 - mu), 1e-12)
-            hessian = (x * w[:, None]).T @ x  # at convergence, the information for the SEs
-            # Scale-free criterion: gradient of the mean log-likelihood.
-            if np.max(np.abs(grad)) / n <= tol:
-                converged = True
+    for _ in range(_IRLS_MAX_ITER):
+        eta = np.clip(x @ beta, -_ETA_CLIP, _ETA_CLIP)
+        mu = invlogit(eta)
+        grad = x.T @ (y - mu)
+        w = np.maximum(mu * (1.0 - mu), 1e-12)
+        hessian = (x * w[:, None]).T @ x  # at convergence, the information for the SEs
+        # Scale-free criterion: gradient of the mean log-likelihood.
+        if np.max(np.abs(grad)) / n <= _TOL:
+            converged = True
+            break
+        try:
+            if np.linalg.cond(hessian) > _COND_LIMIT:
                 break
-            try:
-                if np.linalg.cond(hessian) > _COND_LIMIT:
-                    needs_penalty = True
-                    break
-                step = np.linalg.solve(hessian, grad)
-            except np.linalg.LinAlgError:
-                needs_penalty = True
+            step = np.linalg.solve(hessian, grad)
+        except np.linalg.LinAlgError:
+            break
+        # Step halving keeps the objective monotone (up to float noise
+        # in the deviance sum near the optimum).
+        slack = 1e-10 * max(1.0, abs(nll))
+        scale_f = 1.0
+        for _ in range(30):
+            cand = beta + scale_f * step
+            cand_nll = _nll(x, y, cand)
+            if cand_nll <= nll + slack:
                 break
-            # Step halving keeps the objective monotone (up to float noise
-            # in the deviance sum near the optimum).
-            slack = 1e-10 * max(1.0, abs(nll))
-            scale_f = 1.0
-            accepted = False
-            for _ in range(30):
-                cand = beta + scale_f * step
-                cand_nll = _nll(x, y, cand)
-                if cand_nll <= nll + slack:
-                    beta, nll = cand, cand_nll
-                    accepted = True
-                    break
-                scale_f *= 0.5
-            if not accepted:
-                needs_penalty = True
-                break
-            trace.append(nll)
-            if np.max(np.abs(_equivalent_standardized_coefs(beta, col_means, col_sds))) > _BLOWUP_LIMIT:
-                needs_penalty = True
-                break
+            scale_f *= 0.5
         else:
-            needs_penalty = True  # max_iter exhausted without convergence
+            break  # no halved step lowers the objective
+        beta, nll = cand, cand_nll
+        trace.append(nll)
+        if np.max(np.abs(_equivalent_standardized_coefs(beta, col_means, col_sds))) > _BLOWUP_LIMIT:
+            break
 
-    if needs_penalty or not converged:
-        beta, converged = _fit_elastic_net(x, y, penalty, tol=tol)
-        ses = np.full(p, np.nan)
+    if not converged:
+        penalty = PenaltySpec()
+        beta, converged = _fit_elastic_net(x, y, penalty)
         return LogisticFit(
             coefficients=beta,
-            standard_errors=ses,
+            standard_errors=np.full(p, np.nan),
             converged=converged,
             penalty=penalty,
             covariate_means=means,

@@ -27,6 +27,8 @@ _SQRT2 = math.sqrt(2.0)
 # adjustment cannot push the spectrum back under the floor.
 EIGENVALUE_FLOOR = 1e-8
 _CLIP_FLOOR = 2.0 * EIGENVALUE_FLOOR
+_REPAIR_TOL = 1e-10
+_REPAIR_MAX_ITER = 500
 
 
 def std_normal_cdf(x: float) -> float:
@@ -151,15 +153,16 @@ def cholesky(m) -> np.ndarray:
     return low
 
 
-def nearest_correlation(m, tol: float = 1e-10, max_iter: int = 500) -> CorrelationMatrix:
+def nearest_correlation(m) -> CorrelationMatrix:
     """Nearest correlation matrix by alternating projections.
 
     Projects onto the PSD cone (eigenvalues clipped just above
     EIGENVALUE_FLOOR) and the unit-diagonal affine set with Dykstra's
-    correction until the two projections agree to ``tol`` in Frobenius
-    norm.  Matrices already satisfying the eigenvalue floor pass through
-    with their entries unchanged, which makes the operation exactly
-    idempotent and lets a caller tell a repair by comparing entries.
+    correction until the two projections agree to ``_REPAIR_TOL`` (relative,
+    Frobenius norm), a DomainError after ``_REPAIR_MAX_ITER`` rounds.
+    Matrices already satisfying the eigenvalue floor pass through with
+    their entries unchanged, which makes the operation exactly idempotent
+    and lets a caller tell a repair by comparing entries.
     """
     a = check_unit_symmetric(m)
     if np.linalg.eigvalsh(a).min() >= EIGENVALUE_FLOOR:
@@ -167,8 +170,8 @@ def nearest_correlation(m, tol: float = 1e-10, max_iter: int = 500) -> Correlati
 
     y = a.copy()
     correction = np.zeros_like(a)
-    scale = max(1.0, float(np.linalg.norm(a)))
-    for _ in range(max_iter):
+    tol = _REPAIR_TOL * max(1.0, float(np.linalg.norm(a)))
+    for _ in range(_REPAIR_MAX_ITER):
         r = y - correction
         w, v = np.linalg.eigh(r)
         x = (v * np.clip(w, _CLIP_FLOOR, None)) @ v.T
@@ -176,7 +179,7 @@ def nearest_correlation(m, tol: float = 1e-10, max_iter: int = 500) -> Correlati
         correction = x - r
         y = x.copy()
         np.fill_diagonal(y, 1.0)
-        if np.linalg.norm(x - y) <= tol * scale and np.linalg.eigvalsh(y).min() >= EIGENVALUE_FLOOR:
+        if np.linalg.norm(x - y) <= tol and np.linalg.eigvalsh(y).min() >= EIGENVALUE_FLOOR:
             break
     else:
         raise DomainError("nearest_correlation did not converge")

@@ -51,6 +51,30 @@ def premiums(pi_f: float, e_y: float, e_y2: float, theta: float) -> tuple[float,
     return (1.0 + theta) * e_l, e_l + theta * math.sqrt(variance)
 
 
+def quote(
+    protocol_id: str, attack_prob: float, tvl: float, loss_pct: float,
+    second_pct: float | None, theta: float, n_samples: int,
+) -> PremiumQuote:
+    """The quote for loss Y = tvl R, with E(R) ``loss_pct`` and E(R^2) ``second_pct``;
+    without ``second_pct`` the SD premium is None."""
+    e_y2 = math.nan if second_pct is None else tvl * tvl * second_pct
+    expectation_usd, sd_usd = premiums(attack_prob, tvl * loss_pct, e_y2, theta)
+    if second_pct is None:
+        sd_usd = None
+    return PremiumQuote(
+        protocol_id=protocol_id,
+        attack_prob=attack_prob,
+        loss_pct=loss_pct,
+        tvl=tvl,
+        theta=theta,
+        expectation_premium_usd=expectation_usd,
+        sd_premium_usd=sd_usd,
+        expectation_premium_pct=expectation_usd / tvl,
+        sd_premium_pct=None if sd_usd is None else sd_usd / tvl,
+        n_samples=n_samples,
+    )
+
+
 def price(
     protocol: ProtocolSpec,
     tvl: float,
@@ -62,23 +86,11 @@ def price(
     """Quote one protocol under both premium principles.
 
     The severity moments come from ``severity.loss_moments`` and the
-    premiums from ``premiums``; nothing is drawn, so a quote depends only
-    on its inputs.
+    quote from ``quote``; nothing is drawn, so a quote depends only on its
+    inputs.
     """
     if not theta > 0.0:
         raise DomainError(f"theta must be positive, got {theta}")
     pi_f = predict_attack_probability(frequency_model, tvl)
     loss_pct, second_r, n_points = sev.loss_moments(severity_model, protocol.chain, tvl, when)
-    expectation_usd, sd_usd = premiums(pi_f, tvl * loss_pct, tvl * tvl * second_r, theta)
-    return PremiumQuote(
-        protocol_id=protocol.id,
-        attack_prob=pi_f,
-        loss_pct=loss_pct,
-        tvl=tvl,
-        theta=theta,
-        expectation_premium_usd=expectation_usd,
-        sd_premium_usd=sd_usd,
-        expectation_premium_pct=expectation_usd / tvl,
-        sd_premium_pct=sd_usd / tvl,
-        n_samples=n_points,
-    )
+    return quote(protocol.id, pi_f, tvl, loss_pct, second_r, theta, n_points)

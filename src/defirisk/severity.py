@@ -148,7 +148,7 @@ def training_set(
     return TrainingSet(kept, ratios, design, int((inside & zero).sum()), window, time_origin)
 
 
-def fit_severity(data: TrainingSet, groups: int = 10) -> SeverityModel:
+def fit_severity(data: TrainingSet) -> SeverityModel:
     """Fit both parts of the severity model on a ``training_set``.
 
     Zero-loss incidents are skipped (counted, not errored).
@@ -162,7 +162,7 @@ def fit_severity(data: TrainingSet, groups: int = 10) -> SeverityModel:
     total_fit = proportional_fit = hl = None
     if n_partial:  # else every training ratio is a total loss, and so is every prediction
         total_fit = glm.fit_logistic(data.design, total.astype(float), standardize=False)
-        hl = glm.hosmer_lemeshow(total_fit, data.design, total.astype(float), groups=groups)
+        hl = glm.hosmer_lemeshow(total_fit, data.design, total.astype(float))
         proportional_fit = glm.fit_linear_on_logit(*data.partial())
     return SeverityModel(
         total_loss_fit=total_fit,

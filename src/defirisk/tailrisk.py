@@ -265,9 +265,6 @@ class RiskReport:
 
     table: dict[str, tuple[float, ...]]
     total_tvl: float
-    n_sims: int
-    seed: int
-    base_stream: int
     bootstrap_resamples: int
     degenerate_tail: tuple[str, ...]
     var_on_atom: tuple[str, ...]
@@ -462,9 +459,6 @@ def risk_report(
     return RiskReport(
         table=table,
         total_tvl=total_tvl,
-        n_sims=n_sims,
-        seed=rng.seed,
-        base_stream=rng.stream_id,
         bootstrap_resamples=bootstrap_resamples,
         degenerate_tail=flagged("cte", 1),
         var_on_atom=flagged("var", 2),

@@ -1,5 +1,7 @@
+import argparse
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -16,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import defirisk
-from defirisk.cli import _SETTINGS, main
+from defirisk.cli import _SETTINGS, RunConfig, main, make_parser
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -402,6 +404,14 @@ class TestFormats:
         lines = (tmp_path / "risk_report.csv").read_text().splitlines()
         assert [line.split(",")[0] for line in lines[1:]] == ["0.5", "0.8"]
 
+    def test_meta_records_the_run_settings(self, fitted_dir, tmp_path):
+        assert run(["simulate", "--tvl", TVL, "--portfolio", PORTFOLIO_PRICED,
+                    "--models", fitted_dir, "--output", tmp_path, "--seed", 7,
+                    "--samples", 20000, "--bootstrap", 3]) == 0
+        meta = json.loads((tmp_path / "risk_report_meta.json").read_text())
+        expected = {"n_sims": 20000, "seed": 7, "base_stream": 1000, "bootstrap_resamples": 3}
+        assert {key: meta[key] for key in expected} == expected
+
 
 class TestOverridePricing:
     def test_override_quotes_match_direct_arithmetic(self, tmp_path):
@@ -730,6 +740,8 @@ def override_file(tmp_path_factory):
 def command_args(command: str, models: Path, override: Path) -> list:
     """A run of ``command`` on the fixture that exits 0 as it stands."""
     return {
+        "fit-frequency": ["fit-frequency", "--incidents", INCIDENTS, "--tvl", TVL,
+                          "--portfolio", PORTFOLIO],
         "summarize": ["summarize", "--incidents", INCIDENTS],
         "price": ["price", "--override", override],
         "simulate": ["simulate", "--tvl", TVL, "--portfolio", PORTFOLIO_PRICED,
@@ -751,6 +763,8 @@ BAD_SETTINGS = [
     ("simulate", "workers", True),
     ("simulate", "bootstrap", 2.9),
     ("price", "theta", True),
+    ("fit-frequency", "window_end", "2023-13"),
+    ("fit-frequency", "window_end", 5),
 ]
 
 
@@ -761,7 +775,7 @@ class TestSettingValues:
     ):
         args = command_args(command, fitted_dir, override_file) + ["--output", tmp_path / "out"]
         if isinstance(value, str):
-            args += [f"--{key}", value]
+            args += [f"--{key.replace('_', '-')}", value]
         else:
             config = tmp_path / "config.json"
             config.write_text(json.dumps({key: value}))
@@ -771,6 +785,39 @@ class TestSettingValues:
         assert len(lines) == 1
         error = json.loads(lines[0])["error"]
         assert error["type"] == "ConfigError" and key in error["message"]
+
+    def test_bad_window_end_keeps_the_month_parsers_reason(self, tmp_path, capsys):
+        args = command_args("fit-frequency", tmp_path, tmp_path)
+        assert run(args + ["--output", tmp_path / "out", "--window-end", "2023-13"]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == {
+            "type": "ConfigError",
+            "message": "bad window_end: month must be YYYY-MM with MM in 01..12, got '2023-13'",
+            "code": 2,
+        }
+
+
+# The option strings each subcommand accepted before its flags were built
+# from _SETTINGS: the common ones, and those of one command only.
+COMMON_OPTIONS = {"-h", "--help", "--config", "--seed", "--samples", "--theta", "--levels",
+                  "--format", "--workers", "--output", "--incidents", "--tvl", "--portfolio",
+                  "--models"}
+COMMAND_OPTIONS = {"fit-frequency": {"--window-end"}, "fit-severity": set(),
+                   "price": {"--override"}, "simulate": {"--dependence", "--bootstrap"},
+                   "gof": {"--model"}, "summarize": set()}
+
+
+class TestParser:
+    def test_each_command_takes_the_same_flags(self):
+        [commands] = [a for a in make_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction)]
+        options = {name: {s for a in sub._actions for s in a.option_strings}
+                   for name, sub in commands.choices.items()}
+        assert options == {name: COMMON_OPTIONS | own for name, own in COMMAND_OPTIONS.items()}
+        for sub in commands.choices.values():  # each flag sets the setting of its name
+            assert {a.dest for a in sub._actions} - {"help", "config"} <= set(_SETTINGS)
+
+    def test_every_setting_is_a_run_config_field(self):
+        assert set(_SETTINGS) == {f.name for f in dataclasses.fields(RunConfig)}
 
 
 class TestJsonInputs:

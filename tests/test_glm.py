@@ -122,10 +122,14 @@ class TestFitLogistic:
             p_pre = glm.predict_logistic(fit_pre, [(xv - m) / s])
             assert p_raw == pytest.approx(p_pre, abs=1e-10)
 
-    def test_forced_penalty_flagged(self):
+    def test_iteration_budget_exhausted_falls_back(self, monkeypatch):
         design, y = simulate_logistic((-1.0, 0.2), 500, seed=17)
-        fit = glm.fit_logistic(design, y, force_penalty=True)
+        assert glm.fit_logistic(design, y).penalty is None
+        monkeypatch.setattr(glm, "_IRLS_MAX_ITER", 1)
+        fit = glm.fit_logistic(design, y)
         assert fit.penalty is not None
+        assert len(fit.nll_trace) == 2  # the start and the one step the budget allows
+        assert np.all(np.isnan(fit.standard_errors)) and fit.covariance is None
 
     def test_intercept_shape_checks(self):
         with pytest.raises(DomainError):
