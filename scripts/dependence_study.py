@@ -19,7 +19,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 from reference_values import ATTACK_PROBS, PROP_LOSS_COEFS, PROTOCOL_IDS, SIMILARITY, TOTAL_LOSS_COEFS
 
 from defirisk import glm, severity, tailrisk
-from defirisk.datamodel import Chain, Month, Portfolio, ProtocolSpec
+from defirisk.datamodel import Chain, Month
 from defirisk.dependence import build_copula
 from defirisk.numerics import RngStream
 
@@ -53,23 +53,22 @@ def reference_severity() -> severity.SeverityModel:
 
 
 def main(n_sims: int = 1_000_000, seed: int = 7) -> None:
-    protocols = tuple(
-        ProtocolSpec(pid, Chain.parse(CHAINS[pid]), Month(2020, 1)) for pid in PROTOCOL_IDS
-    )
-    portfolio = Portfolio(protocols=protocols, similarity=SIMILARITY, loading_theta=0.5)
+    model = reference_severity()
+    tvls = [TVLS[pid] for pid in PROTOCOL_IDS]
+    laws = [
+        severity.ratio_law(model, Chain.parse(CHAINS[pid]), tvl, date(2024, 1, 1))
+        for pid, tvl in zip(PROTOCOL_IDS, tvls)
+    ]
     report = tailrisk.risk_report(
-        portfolio,
-        None,
-        reference_severity(),
+        [ATTACK_PROBS[pid] for pid in PROTOCOL_IDS],
+        tvls,
+        laws,
         build_copula(SIMILARITY),
-        TVLS,
-        date(2024, 1, 1),
         levels=(0.90, 0.95, 0.99, 0.995, 0.999),
         n_sims=n_sims,
         rng=RngStream(seed, 0),
         workers=4,
         bootstrap_resamples=100,
-        attack_probabilities=[ATTACK_PROBS[p] for p in PROTOCOL_IDS],
     )
     print(f"paths per scenario: {n_sims:,}; total insured TVL: {report.total_tvl:,.0f}\n")
     head = f"{'level':>6} {'VaR dep':>15} {'VaR indep':>15} {'gap/se':>8}  {'CTE dep':>15} {'CTE indep':>15} {'gap/se':>8}"

@@ -515,18 +515,19 @@ def cmd_simulate(cfg: RunConfig) -> list[Path]:
     portfolio = load_portfolio(cfg.portfolio)
     tvl = load_tvl(cfg.tvl)
     points = [_prediction_point(cfg, tvl.get(p.id, {}), p.id) for p in portfolio.protocols]
-    tvls = {p.id: tvl_next for p, (tvl_next, _) in zip(portfolio.protocols, points)}
+    tvls = [float(tvl_next) for tvl_next, _ in points]
     when = max(month for _, month in points).first_day()
     freq_models, sev_model = _fitted_models(cfg, portfolio, when)
     copula = build_copula(portfolio.similarity)
+    pairs = list(zip(portfolio.protocols, tvls))
+    probs = [frequency.predict_attack_probability(freq_models[p.id], v) for p, v in pairs]
+    laws = [severity.ratio_law(sev_model, p.chain, v, when) for p, v in pairs]
 
     report = tailrisk.risk_report(
-        portfolio,
-        freq_models,
-        sev_model,
-        copula,
+        probs,
         tvls,
-        when,
+        laws,
+        copula,
         levels=cfg.levels,
         n_sims=cfg.samples,
         rng=RngStream(cfg.seed, _SIMULATE_STREAM),

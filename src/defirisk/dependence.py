@@ -7,8 +7,7 @@ so positive similarity entries produce positively correlated attacks while
 each marginal stays Bernoulli(pi_i).  ``draw_events`` is the one sampler of
 the indicators, with or without the copula; it streams the normals through
 fixed panels, so only the indicators are ever held for all paths, packed
-eight to a byte.  Per worker that is about 44 KB per protocol at 65,536
-paths plus a 1 MB panel of Z (see ``draw_events``).
+eight to a byte.
 """
 
 from __future__ import annotations
@@ -21,14 +20,12 @@ import numpy as np
 from .errors import DomainError
 from .numerics import (
     CorrelationMatrix,
-    RngStream,
     check_similarity,
     cholesky,
     nearest_correlation,
     std_normal_quantile,
 )
 
-_CHUNK = 1 << 17
 _PANEL = 4096  # a multiple of 8, so each panel starts on a mask byte
 _ROWS = 32
 
@@ -148,54 +145,3 @@ def event_buffers(dim: int, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
         # faster into a strided view than into a contiguous (d, panel) array.
         np.empty((dim, panel + 1), dtype=bool),
     )
-
-
-def sample_frequencies(
-    probabilities,
-    spec: CopulaSpec,
-    rng: RngStream | np.random.Generator,
-    size: int | None = None,
-) -> np.ndarray:
-    """Correlated Bernoulli attack indicators with the given marginals.
-
-    Returns a length-d 0/1 vector, or a (size, d) matrix when ``size`` is
-    given.
-    """
-    gen = rng.generator() if isinstance(rng, RngStream) else rng
-    n = 1 if size is None else int(size)
-    events = np.unpackbits(draw_events(gen, n, probabilities, spec), axis=1, count=n)
-    draws = events.T.astype(np.int8)
-    return draws[0] if size is None else draws
-
-
-def joint_cdf_estimate(
-    probabilities,
-    spec: CopulaSpec,
-    indicator_bounds,
-    n_samples: int = 1_000_000,
-    rng: RngStream | np.random.Generator = RngStream(0),
-) -> tuple[float, float]:
-    """Monte Carlo estimate of P(N_1 <= n_1, ..., N_d <= n_d) with its SE."""
-    bounds = np.asarray(indicator_bounds, dtype=int)
-    if bounds.shape != (spec.dim,):
-        raise DomainError(f"expected {spec.dim} indicator bounds, got shape {bounds.shape}")
-    if np.any((bounds != 0) & (bounds != 1)):
-        raise DomainError("indicator bounds must be 0 or 1")
-    if np.all(bounds == 1):
-        return (1.0, 0.0)  # every indicator is <= 1 by construction
-    if n_samples < 1:
-        raise DomainError("n_samples must be positive")
-
-    gen = rng.generator() if isinstance(rng, RngStream) else rng
-    # Only coordinates with bound 0 constrain the event: inside it, none of
-    # them is attacked.
-    active = np.flatnonzero(bounds == 0)
-    hits = 0
-    n_samples = int(n_samples)
-    for start in range(0, n_samples, _CHUNK):
-        n = min(_CHUNK, n_samples - start)
-        events = np.unpackbits(draw_events(gen, n, probabilities, spec), axis=1, count=n).view(bool)
-        hits += int((~events[active].any(axis=0)).sum())
-    p_hat = hits / n_samples
-    se = float(np.sqrt(p_hat * (1.0 - p_hat) / n_samples))
-    return (float(p_hat), se)

@@ -305,18 +305,6 @@ def fit_logistic(design, response, *, standardize: bool = True) -> LogisticFit:
     )
 
 
-def fitted_probabilities(fit: LogisticFit, design) -> np.ndarray:
-    """Event probabilities for a raw design matrix (intercept included)."""
-    x = np.asarray(design, dtype=float)
-    if x.ndim != 2 or x.shape[1] != fit.n_coefficients:
-        raise DomainError(
-            f"design has {x.shape[1] if x.ndim == 2 else '?'} columns, "
-            f"fit expects {fit.n_coefficients}"
-        )
-    xs = _standardized_design(x, fit.covariate_means, fit.covariate_sds)
-    return invlogit(xs @ fit.coefficients)
-
-
 def predict_logistic(fit: LogisticFit, covariates) -> float:
     """Probability for one raw covariate vector (no intercept entry)."""
     v = np.atleast_1d(np.asarray(covariates, dtype=float))
@@ -431,7 +419,8 @@ def hosmer_lemeshow(fit: LogisticFit, design, response, groups: int = 10) -> HLR
     if groups < 3:
         raise DomainError(f"need at least 3 groups, got {groups}")
     y = np.asarray(response, dtype=float)
-    probs = fitted_probabilities(fit, design)
+    xs = _standardized_design(design, fit.covariate_means, fit.covariate_sds)
+    probs = invlogit(xs @ fit.coefficients)
     order = np.argsort(probs, kind="stable")
     p_sorted = probs[order]
     y_sorted = y[order]

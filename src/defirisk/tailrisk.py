@@ -28,13 +28,8 @@ well.  The resampled law is therefore exact, and each resample costs
 O(m) instead of O(n) with m a little above n (1 - min level): the draws
 are counted into one int32 tally of the top m, reused by every resample.
 
-``risk_report`` therefore keeps only the top m losses of each scenario.
-Each block drops its losses below the m-th largest merged so far into a
-buffer of 1.25m (at least m plus one block), sorted when full and
-shrunk in place to the sorted top, byte-identical to the end of the full
-sorted sample.  So memory is the top, its slack, the tally and, per
-worker, about 44 KB per protocol (packed event mask and panel scratch),
-a 1 MB panel of Z and at most two blocks of losses in flight.  The rare
+``risk_report`` therefore keeps only the top m losses of each scenario
+(``simulate_aggregate`` says what that holds in memory).  The rare
 resample that needs the rest redraws the same losses from the same stream.
 """
 
@@ -46,38 +41,15 @@ import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from datetime import date
 
 import numpy as np
 
-from . import severity as sev
-from .datamodel import Portfolio
 from .dependence import CopulaSpec, check_probabilities, draw_events, event_buffers
 from .errors import ConfigError, DomainError
-from .frequency import predict_attack_probability
 from .numerics import RngStream
+from .severity import RatioLaw
 
 _BLOCK = 1 << 16
-
-# Stream offsets within a risk-report base stream.
-_STREAM_DEP = 1
-_STREAM_INDEP = 2
-_STREAM_BOOT_DEP = 3
-_STREAM_BOOT_INDEP = 4
-
-
-def _resolve_inputs(portfolio, frequency_models, tvls):
-    probs = []
-    tvl_list = []
-    for proto in portfolio.protocols:
-        if proto.id not in tvls:
-            raise ConfigError(f"no prediction TVL for protocol {proto.id!r}")
-        tvl_list.append(float(tvls[proto.id]))
-        if frequency_models is not None:
-            if proto.id not in frequency_models:
-                raise ConfigError(f"no frequency model for protocol {proto.id!r}")
-            probs.append(predict_attack_probability(frequency_models[proto.id], tvl_list[-1]))
-    return np.array(probs), np.array(tvl_list)
 
 
 def _in_order(fn, count: int, workers: int):
@@ -100,57 +72,41 @@ def _in_order(fn, count: int, workers: int):
 
 
 def simulate_aggregate(
-    portfolio: Portfolio,
-    frequency_models,
-    severity_model: sev.SeverityModel,
-    copula: CopulaSpec | None,
+    probs,
     tvls,
-    when: date,
+    laws: list[RatioLaw],
+    copula: CopulaSpec | None,
     n_sims: int,
     rng: RngStream,
     workers: int = 1,
-    attack_probabilities=None,
     top: int | None = None,
 ) -> np.ndarray:
     """The ``top`` largest values (default all) of the sorted sample of the
     aggregate portfolio loss.
 
-    ``attack_probabilities`` (one per protocol, in portfolio order)
-    bypasses the frequency models, e.g. to rerun published probabilities.
-    The result is byte-identical to the last ``top`` values of the full
-    sorted sample.  Memory is a buffer of top + max(65,536, top/4) values,
-    shrunk in place to the result, plus, per worker, about 44 KB per
-    protocol of event mask and panel scratch, a 1 MB Z panel and two blocks
-    of losses: each drops its values below the ``top``-th largest so far.
+    Protocol i is attacked with probability ``probs[i]`` and then loses
+    ``tvls[i]`` times a ratio drawn from ``laws[i]``.  The result is
+    byte-identical to the last ``top`` values of the full sorted sample.
+    Memory is a merge buffer of top + max(65,536, top/4) values (1.25 top
+    once top passes 262,144), shrunk in place to the result, plus, per
+    worker, the ``draw_events`` buffers and two blocks of losses: each
+    drops its values below the ``top``-th largest so far.
     """
     if n_sims < 10_000:
         raise DomainError(f"n_sims must be at least 10^4, got {n_sims}")
     top = n_sims if top is None else top
     if not 1 <= top <= n_sims:
         raise DomainError(f"top must lie in [1, {n_sims}], got {top}")
-    if attack_probabilities is not None:
-        probs = np.asarray(attack_probabilities, dtype=float)
-        if probs.shape != (portfolio.dim,):
-            raise ConfigError(f"expected {portfolio.dim} attack probabilities")
-        _, tvl_arr = _resolve_inputs(portfolio, None, tvls)
-    else:
-        probs, tvl_arr = _resolve_inputs(portfolio, frequency_models, tvls)
-    check_probabilities(probs, portfolio.dim)
-    if copula is not None and copula.dim != portfolio.dim:
-        raise ConfigError(
-            f"copula dimension {copula.dim} does not match portfolio size {portfolio.dim}"
-        )
+    tvls = np.asarray(tvls, dtype=float)
+    d = tvls.size
+    probs = check_probabilities(probs, d)
+    if len(laws) != d:
+        raise ConfigError(f"expected {d} ratio laws, got {len(laws)}")
+    if copula is not None and copula.dim != d:
+        raise ConfigError(f"copula dimension {copula.dim} does not match portfolio size {d}")
 
-    d = portfolio.dim
-    laws = [
-        sev.ratio_law(severity_model, proto.chain, tvl_arr[i], when)
-        for i, proto in enumerate(portfolio.protocols)
-    ]
     floor = -math.inf  # the top-th largest value merged so far; it only rises
-    # Each thread reuses one packed (d, block / 8) event mask and the
-    # scratches ``draw_events`` streams through: a (4,096, d) panel of
-    # normals, a (32, 4,096) panel of Z and a (d, 4,096) bool panel: about
-    # 44 KB per protocol plus 1 MB.  A fresh one each
+    # Each thread reuses one set of ``event_buffers``.  A fresh one each
     # block can make malloc return it to the system and fault it in again:
     # at 10^7 paths on 2 threads that was 250,000 page faults, not 8,000,
     # and 0.8 s of system time.
@@ -169,7 +125,7 @@ def simulate_aggregate(
             idx = np.flatnonzero(np.unpackbits(events[i], count=m).view(bool))
             if idx.size == 0:
                 continue
-            s[idx] += tvl_arr[i] * law.draw(gen, idx.size)
+            s[idx] += tvls[i] * law.draw(gen, idx.size)
         # A stale floor is still a valid cut.  A value equal to it cannot
         # change the top, which already holds ``top`` values at or above it.
         return s[s > floor]
@@ -244,8 +200,8 @@ _SCENARIOS = {"on": ("dep",), "off": ("indep",), "both": ("dep", "indep")}
 # Per scenario: whether paths draw through the copula, the path stream and
 # the bootstrap stream (offsets within the report's base stream).
 _STREAMS = {
-    "dep": (True, _STREAM_DEP, _STREAM_BOOT_DEP),
-    "indep": (False, _STREAM_INDEP, _STREAM_BOOT_INDEP),
+    "dep": (True, 1, 3),
+    "indep": (False, 2, 4),
 }
 
 # Measures of one scenario at one level, in report-column order.
@@ -378,22 +334,20 @@ def _bootstrap_ses(
 
 
 def risk_report(
-    portfolio: Portfolio,
-    frequency_models,
-    severity_model: sev.SeverityModel,
-    copula: CopulaSpec,
+    probs,
     tvls,
-    when: date,
+    laws: list[RatioLaw],
+    copula: CopulaSpec,
     levels=(0.90, 0.95, 0.99),
     n_sims: int = 1_000_000,
     rng: RngStream = RngStream(0),
     workers: int = 1,
     bootstrap_resamples: int = 200,
-    attack_probabilities=None,
     dependence: str = "both",
 ) -> RiskReport:
     """VaR and CTE with frequency dependence, without it, or both, plus bootstrap SEs.
 
+    ``probs``, ``tvls`` and ``laws`` are as in ``simulate_aggregate``.
     ``dependence`` is "on" (copula paths only), "off" (independent paths
     only) or "both".  Each scenario draws from its own streams, so its
     measures do not depend on whether the other one ran.
@@ -403,19 +357,7 @@ def risk_report(
         raise DomainError("confidence levels must lie in (0, 1)")
     if dependence not in _SCENARIOS:
         raise ConfigError(f"dependence must be on/off/both, got {dependence!r}")
-    common = dict(
-        portfolio=portfolio,
-        frequency_models=frequency_models,
-        severity_model=severity_model,
-        tvls=tvls,
-        when=when,
-        n_sims=n_sims,
-        workers=workers,
-        attack_probabilities=attack_probabilities,
-    )
-
-    _, tvl_arr = _resolve_inputs(portfolio, None, tvls)
-    total_tvl = float(tvl_arr.sum())
+    total_tvl = float(np.asarray(tvls, dtype=float).sum())
     _, _, m = _tail_need(n_sims, levels)
 
     def measure(scenario: str) -> tuple[list[tuple[float, ...]], np.ndarray, np.ndarray]:
@@ -428,9 +370,13 @@ def risk_report(
         with_copula, path_stream, boot_stream = _STREAMS[scenario]
         simulate = functools.partial(
             simulate_aggregate,
+            probs=probs,
+            tvls=tvls,
+            laws=laws,
             copula=copula if with_copula else None,
+            n_sims=n_sims,
             rng=rng.child(path_stream),
-            **common,
+            workers=workers,
         )
         top = simulate(top=m)
         se_var, se_cte = _bootstrap_ses(

@@ -8,7 +8,7 @@ from datetime import date
 import numpy as np
 
 from defirisk.datamodel import Chain, IssueType, Month
-from defirisk.dependence import event_thresholds
+from defirisk.dependence import CopulaSpec, draw_events, event_thresholds
 from defirisk.errors import DataError, DomainError, SchemaError, TvlGapError
 from defirisk.glm import invlogit
 from defirisk.numerics import RngStream, std_normal_cdf
@@ -70,6 +70,60 @@ def mvn_sample(chol: np.ndarray, rng, size: int | None = None) -> np.ndarray:
     # stored: BLAS rounds a product with a transposed view differently for
     # some shapes.
     return np.matmul(gen.standard_normal((int(size), d)), np.ascontiguousarray(low.T))
+
+
+_CHUNK = 1 << 17
+
+
+def sample_frequencies(
+    probabilities,
+    spec: CopulaSpec,
+    rng: RngStream | np.random.Generator,
+    size: int | None = None,
+) -> np.ndarray:
+    """Correlated Bernoulli attack indicators with the given marginals.
+
+    Returns a length-d 0/1 vector, or a (size, d) matrix when ``size`` is
+    given.
+    """
+    gen = rng.generator() if isinstance(rng, RngStream) else rng
+    n = 1 if size is None else int(size)
+    events = np.unpackbits(draw_events(gen, n, probabilities, spec), axis=1, count=n)
+    draws = events.T.astype(np.int8)
+    return draws[0] if size is None else draws
+
+
+def joint_cdf_estimate(
+    probabilities,
+    spec: CopulaSpec,
+    indicator_bounds,
+    n_samples: int = 1_000_000,
+    rng: RngStream | np.random.Generator = RngStream(0),
+) -> tuple[float, float]:
+    """Monte Carlo estimate of P(N_1 <= n_1, ..., N_d <= n_d) with its SE."""
+    bounds = np.asarray(indicator_bounds, dtype=int)
+    if bounds.shape != (spec.dim,):
+        raise DomainError(f"expected {spec.dim} indicator bounds, got shape {bounds.shape}")
+    if np.any((bounds != 0) & (bounds != 1)):
+        raise DomainError("indicator bounds must be 0 or 1")
+    if np.all(bounds == 1):
+        return (1.0, 0.0)  # every indicator is <= 1 by construction
+    if n_samples < 1:
+        raise DomainError("n_samples must be positive")
+
+    gen = rng.generator() if isinstance(rng, RngStream) else rng
+    # Only coordinates with bound 0 constrain the event: inside it, none of
+    # them is attacked.
+    active = np.flatnonzero(bounds == 0)
+    hits = 0
+    n_samples = int(n_samples)
+    for start in range(0, n_samples, _CHUNK):
+        n = min(_CHUNK, n_samples - start)
+        events = np.unpackbits(draw_events(gen, n, probabilities, spec), axis=1, count=n).view(bool)
+        hits += int((~events[active].any(axis=0)).sum())
+    p_hat = hits / n_samples
+    se = float(np.sqrt(p_hat * (1.0 - p_hat) / n_samples))
+    return (float(p_hat), se)
 
 
 def whole_block_events(gen, size: int, probs, spec=None) -> np.ndarray:

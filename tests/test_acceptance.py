@@ -15,8 +15,8 @@ import pytest
 
 from defirisk import frequency, glm, severity, tailrisk
 from defirisk.cli import main as cli_main
-from defirisk.datamodel import Chain, Month, Portfolio, ProtocolSpec
-from defirisk.dependence import build_copula, joint_cdf_estimate, sample_frequencies
+from defirisk.datamodel import Chain, Month
+from defirisk.dependence import build_copula
 from defirisk.numerics import (
     RngStream,
     cholesky,
@@ -25,7 +25,7 @@ from defirisk.numerics import (
     std_normal_quantile,
 )
 
-from oracles import bivariate_upper_orthant
+from oracles import bivariate_upper_orthant, joint_cdf_estimate, sample_frequencies
 from reference_values import (
     ATTACK_PROBS,
     EXPECTATION_PREMIUM_PCT,
@@ -176,11 +176,6 @@ def test_criterion_5_tail_measures_exact_bernoulli():
 
     # Raw Monte Carlo counterpart: the atom mass stays within multinomial
     # fluctuation of 5%, so the 0.9 quantile still sits on the zero atom.
-    portfolio = Portfolio(
-        protocols=(ProtocolSpec("P0", Chain.ETH, Month(2020, 1)),),
-        similarity=np.eye(1),
-        loading_theta=0.5,
-    )
     freq_fit = glm.LogisticFit(
         coefficients=np.array([glm.logit(0.05), 0.0]),
         standard_errors=np.array([np.nan, np.nan]),
@@ -196,8 +191,9 @@ def test_criterion_5_tail_measures_exact_bernoulli():
         n_total=1, n_partial=0, low_partial_warning=True,
     )
     mc = tailrisk.simulate_aggregate(
-        portfolio, {"P0": freq_model}, sev_model, None, {"P0": tvl},
-        date(2024, 1, 1), n_sims=n, rng=RngStream(55, 0),
+        [frequency.predict_attack_probability(freq_model, tvl)], [tvl],
+        [severity.ratio_law(sev_model, Chain.ETH, tvl, date(2024, 1, 1))], None,
+        n_sims=n, rng=RngStream(55, 0),
     )
     atom = float((mc == tvl).mean())
     fluct = 3.0 * math.sqrt(0.05 * 0.95 / n)
@@ -218,8 +214,6 @@ def test_criterion_6_dependence_raises_extreme_tail():
         "A": Chain.ETH, "B": Chain.ETH, "C": Chain.ETH, "D": Chain.ETH,
         "E": Chain.ETH, "F": Chain.ETH, "G": Chain.BSC, "H": Chain.OTHER,
     }
-    protocols = tuple(ProtocolSpec(pid, chains[pid], Month(2020, 1)) for pid in PROTOCOL_IDS)
-    portfolio = Portfolio(protocols=protocols, similarity=SIMILARITY, loading_theta=THETA)
     tvls = {
         "A": 2.0e8, "B": 3.5e8, "C": 1.5e8, "D": 2.5e8,
         "E": 1.0e8, "F": 4.0e8, "G": 1.2e8, "H": 8.0e7,
@@ -241,10 +235,11 @@ def test_criterion_6_dependence_raises_extreme_tail():
         hl=None, n_total=300, n_partial=240, low_partial_warning=False,
     )
     pi = [ATTACK_PROBS[p] for p in PROTOCOL_IDS]
+    laws = [severity.ratio_law(sev_model, chains[p], tvls[p], date(2024, 1, 1)) for p in PROTOCOL_IDS]
     rep = tailrisk.risk_report(
-        portfolio, None, sev_model, build_copula(SIMILARITY), tvls, date(2024, 1, 1),
+        pi, [tvls[p] for p in PROTOCOL_IDS], laws, build_copula(SIMILARITY),
         levels=(0.99,), n_sims=10_000_000, rng=RngStream(2024, 0),
-        workers=4, bootstrap_resamples=200, attack_probabilities=pi,
+        workers=4, bootstrap_resamples=200,
     )
     row = {column: values[0] for column, values in rep.table.items()}
     var_gap = row["var_dep"] - row["var_indep"]

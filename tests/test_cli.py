@@ -586,6 +586,20 @@ class TestErrorSurface:
         assert error["type"] == "SchemaError"
         assert str(path) in error["message"] and "'time_origin'" in error["message"]
 
+    def test_simulate_without_a_frequency_model_exits_2(self, fitted_dir, tmp_path, capsys):
+        models = tmp_path / "models"
+        shutil.copytree(fitted_dir, models)
+        (models / "freq_P1.json").unlink()
+        args = ["simulate", "--tvl", TVL, "--portfolio", PORTFOLIO_PRICED, "--models", models,
+                "--output", tmp_path / "out", "--samples", 10000, "--bootstrap", 2]
+        assert run(args) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])["error"]
+        assert error["type"] == "ConfigError" and error["code"] == 2
+        assert "'P1'" in error["message"]
+        assert not (tmp_path / "out" / "risk_report.csv").exists()
+
     def test_empty_incidents_routes_all_to_no_event_notice(self, tmp_path):
         empty = tmp_path / "empty.csv"
         empty.write_text("protocol_id,date,chain,issue_type,loss_usd,tvl_usd\n")

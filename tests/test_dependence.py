@@ -8,13 +8,16 @@ from defirisk.dependence import (
     draw_events,
     event_buffers,
     event_thresholds,
-    joint_cdf_estimate,
-    sample_frequencies,
 )
 from defirisk.errors import DomainError
 from defirisk.numerics import RngStream, std_normal_cdf, std_normal_quantile
 
-from oracles import bivariate_upper_orthant, whole_block_events
+from oracles import (
+    bivariate_upper_orthant,
+    joint_cdf_estimate,
+    sample_frequencies,
+    whole_block_events,
+)
 from reference_values import ATTACK_PROBS, PROTOCOL_IDS, SIMILARITY
 from synth import grouped_similarity
 

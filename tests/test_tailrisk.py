@@ -1,32 +1,34 @@
+import importlib.util
 import math
 import tracemalloc
 from datetime import date
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from defirisk import tailrisk
-from defirisk.datamodel import Chain, Month, Portfolio, ProtocolSpec
+from defirisk import severity, tailrisk
+from defirisk.datamodel import Chain
 from defirisk.dependence import build_copula
 from defirisk.errors import ConfigError, DomainError
 from defirisk.numerics import RngStream
 
 from oracles import full_bootstrap_ses
 from synth import grouped_similarity
-from test_pricing import flat_frequency_model, flat_severity_model
+from test_pricing import flat_severity_model
 from test_severity import total_loss_only_model
 
 WHEN = date(2024, 1, 1)
 
 
-def make_portfolio(n, similarity=None):
-    protocols = tuple(
-        ProtocolSpec(f"P{i}", Chain.ETH, Month(2020, 1), "") for i in range(n)
-    )
-    sim = np.eye(n) if similarity is None else np.asarray(similarity, dtype=float)
-    return Portfolio(protocols=protocols, similarity=sim, loading_theta=0.5)
+def inputs(probs, tvls, sev_model=None) -> dict:
+    """``simulate_aggregate``'s per-protocol inputs: the ratio laws of
+    ``sev_model`` (total loss only by default) at each TVL, on ETH at WHEN."""
+    sev_model = total_loss_only_model() if sev_model is None else sev_model
+    laws = [severity.ratio_law(sev_model, Chain.ETH, tvl, WHEN) for tvl in tvls]
+    return dict(probs=list(probs), tvls=list(tvls), laws=laws)
 
 
 samples = st.lists(
@@ -97,67 +99,43 @@ class TestValueAtRisk:
 
 class TestSimulateAggregate:
     def test_zero_probabilities_give_zero_losses(self):
-        portfolio = make_portfolio(2)
         sample = tailrisk.simulate_aggregate(
-            portfolio,
-            None,
-            total_loss_only_model(),
-            None,
-            {"P0": 1e6, "P1": 2e6},
-            WHEN,
-            n_sims=20_000,
-            rng=RngStream(1, 0),
-            attack_probabilities=[0.0, 0.0],
+            **inputs([0.0, 0.0], [1e6, 2e6]), copula=None, n_sims=20_000, rng=RngStream(1, 0)
         )
         assert np.all(sample == 0.0)
 
     def test_tiny_probabilities_give_zero_losses_with_the_copula(self):
         # 1 - 1e-17 rounds to 1, whose normal quantile is undefined; the
         # threshold must come from pi itself.
-        portfolio = make_portfolio(2, similarity=[[1.0, 0.5], [0.5, 1.0]])
         sample = tailrisk.simulate_aggregate(
-            portfolio,
-            None,
-            total_loss_only_model(),
-            build_copula(portfolio.similarity),
-            {"P0": 1e6, "P1": 2e6},
-            WHEN,
+            **inputs([1e-17, 1e-300], [1e6, 2e6]),
+            copula=build_copula([[1.0, 0.5], [0.5, 1.0]]),
             n_sims=20_000,
             rng=RngStream(1, 0),
-            attack_probabilities=[1e-17, 1e-300],
         )
         assert np.all(sample == 0.0)
 
     def test_single_protocol_bernoulli_total_loss(self):
-        portfolio = make_portfolio(1)
         tvl = 100.0
         n = 100_000
         sample = tailrisk.simulate_aggregate(
-            portfolio,
-            {"P0": flat_frequency_model(0.05, "P0")},
-            total_loss_only_model(),
-            None,
-            {"P0": tvl},
-            WHEN,
-            n_sims=n,
-            rng=RngStream(2, 0),
+            **inputs([0.05], [tvl]), copula=None, n_sims=n, rng=RngStream(2, 0)
         )
         hit = float((sample == tvl).mean())
         assert abs(hit - 0.05) <= 3.0 * math.sqrt(0.05 * 0.95 / n)
         assert set(np.unique(sample)) <= {0.0, tvl}
 
     def test_identity_copula_matches_independent_law(self):
-        portfolio = make_portfolio(3)
-        freq = {f"P{i}": flat_frequency_model(0.1 + 0.05 * i, f"P{i}") for i in range(3)}
-        sev_model = flat_severity_model(pi_s=0.3, mean_r=0.4)
-        tvls = {f"P{i}": 1e6 * (i + 1) for i in range(3)}
+        args = inputs(
+            [0.1 + 0.05 * i for i in range(3)],
+            [1e6 * (i + 1) for i in range(3)],
+            flat_severity_model(pi_s=0.3, mean_r=0.4),
+        )
         n = 200_000
         with_copula = tailrisk.simulate_aggregate(
-            portfolio, freq, sev_model, build_copula(np.eye(3)), tvls, WHEN, n, RngStream(3, 1)
+            **args, copula=build_copula(np.eye(3)), n_sims=n, rng=RngStream(3, 1)
         )
-        without = tailrisk.simulate_aggregate(
-            portfolio, freq, sev_model, None, tvls, WHEN, n, RngStream(3, 2)
-        )
+        without = tailrisk.simulate_aggregate(**args, copula=None, n_sims=n, rng=RngStream(3, 2))
         se = math.hypot(
             float(with_copula.std(ddof=1)) / math.sqrt(n),
             float(without.std(ddof=1)) / math.sqrt(n),
@@ -165,58 +143,47 @@ class TestSimulateAggregate:
         assert abs(float(with_copula.mean()) - float(without.mean())) <= 4.0 * se
 
     def test_worker_count_does_not_change_output(self):
-        portfolio = make_portfolio(2, similarity=[[1.0, 0.5], [0.5, 1.0]])
-        freq = {f"P{i}": flat_frequency_model(0.2, f"P{i}") for i in range(2)}
-        sev_model = flat_severity_model(pi_s=0.3, mean_r=0.4)
-        tvls = {"P0": 1e6, "P1": 3e6}
-        copula = build_copula(portfolio.similarity)
+        args = inputs([0.2, 0.2], [1e6, 3e6], flat_severity_model(pi_s=0.3, mean_r=0.4))
+        copula = build_copula([[1.0, 0.5], [0.5, 1.0]])
         runs = [
             tailrisk.simulate_aggregate(
-                portfolio, freq, sev_model, copula, tvls, WHEN, 150_000, RngStream(4, 7), workers=w
+                **args, copula=copula, n_sims=150_000, rng=RngStream(4, 7), workers=w
             )
             for w in (1, 4)
         ]
         assert np.array_equal(runs[0], runs[1])
 
-    def test_missing_model_is_config_error(self):
-        portfolio = make_portfolio(2)
-        with pytest.raises(ConfigError):
+    def test_mismatched_inputs_are_rejected(self):
+        # One probability, TVL and ratio law per protocol, and a copula of
+        # that dimension: a mismatch is rejected before any path is drawn.
+        args = inputs([0.1, 0.1], [1e6, 1e6])
+        for bad, error, message in (
+            (dict(args, probs=[0.1]), DomainError, "expected 2 probabilities"),
+            (dict(args, tvls=[1e6, 1e6, 1e6]), DomainError, "expected 3 probabilities"),
+            (dict(args, laws=args["laws"][:1]), ConfigError, "expected 2 ratio laws"),
+        ):
+            with pytest.raises(error, match=message):
+                tailrisk.simulate_aggregate(**bad, copula=None, n_sims=10_000, rng=RngStream(5))
+        with pytest.raises(ConfigError, match="copula dimension 3"):
             tailrisk.simulate_aggregate(
-                portfolio,
-                {"P0": flat_frequency_model(0.1, "P0")},
-                total_loss_only_model(),
-                None,
-                {"P0": 1e6, "P1": 1e6},
-                WHEN,
-                n_sims=10_000,
-                rng=RngStream(5),
+                **args, copula=build_copula(np.eye(3)), n_sims=10_000, rng=RngStream(5)
             )
 
     def test_minimum_path_count_enforced(self):
-        portfolio = make_portfolio(1)
         with pytest.raises(DomainError):
             tailrisk.simulate_aggregate(
-                portfolio,
-                {"P0": flat_frequency_model(0.1, "P0")},
-                total_loss_only_model(),
-                None,
-                {"P0": 1e6},
-                WHEN,
-                n_sims=5000,
-                rng=RngStream(6),
+                **inputs([0.1], [1e6]), copula=None, n_sims=5000, rng=RngStream(6)
             )
 
 
 class TestStreamingTop:
+    SIMILARITY = [[1, 0.4, 0.2], [0.4, 1, 0.3], [0.2, 0.3, 1]]
+
     @staticmethod
     def total_loss_inputs():
         """Three protocols whose losses are total: the sample takes eight values,
         so many paths tie at any cut."""
-        portfolio = make_portfolio(3, similarity=[[1, 0.4, 0.2], [0.4, 1, 0.3], [0.2, 0.3, 1]])
-        freq = {f"P{i}": flat_frequency_model(0.004 + 0.003 * i, f"P{i}") for i in range(3)}
-        tvls = {"P0": 1e6, "P1": 2e6, "P2": 4e6}
-        return dict(portfolio=portfolio, frequency_models=freq,
-                    severity_model=total_loss_only_model(), tvls=tvls, when=WHEN)
+        return inputs([0.004 + 0.003 * i for i in range(3)], [1e6, 2e6, 4e6])
 
     @pytest.mark.parametrize(
         "workers, n, q",
@@ -234,23 +201,23 @@ class TestStreamingTop:
         # a tie with it, is dropped; at n = 10^5 the last compaction comes
         # after the last block.
         m = tailrisk._tail_need(n, [q])[2]
-        inputs = self.total_loss_inputs()
-        for copula in (build_copula(inputs["portfolio"].similarity), None):
+        args = self.total_loss_inputs()
+        for copula in (build_copula(self.SIMILARITY), None):
             full = tailrisk.simulate_aggregate(
-                **inputs, copula=copula, n_sims=n, rng=RngStream(40, 1), workers=workers
+                **args, copula=copula, n_sims=n, rng=RngStream(40, 1), workers=workers
             )
             top = tailrisk.simulate_aggregate(
-                **inputs, copula=copula, n_sims=n, rng=RngStream(40, 1), workers=workers, top=m
+                **args, copula=copula, n_sims=n, rng=RngStream(40, 1), workers=workers, top=m
             )
             assert full[-m - 1] == full[-m]  # the cut falls inside an atom
             assert top.tobytes() == full[-m:].tobytes()
 
     def test_top_bounds_are_checked(self):
-        inputs = self.total_loss_inputs()
+        args = self.total_loss_inputs()
         for top in (0, 10_001):
             with pytest.raises(DomainError):
                 tailrisk.simulate_aggregate(
-                    **inputs, copula=None, n_sims=10_000, rng=RngStream(1), top=top
+                    **args, copula=None, n_sims=10_000, rng=RngStream(1), top=top
                 )
 
     def test_forced_fallback_matches_the_full_sample_report(self, monkeypatch):
@@ -285,11 +252,10 @@ class TestStreamingTop:
         # values, 0.8n bytes, its merge buffer 1.25 times that and the
         # bootstrap tally 0.4n, beside two blocks in flight per worker.
         n = 2_000_000
-        inputs = self.total_loss_inputs()
         tracemalloc.start()
         try:
             tailrisk.risk_report(
-                **inputs, copula=build_copula(inputs["portfolio"].similarity), n_sims=n,
+                **self.total_loss_inputs(), copula=build_copula(self.SIMILARITY), n_sims=n,
                 rng=RngStream(41, 0), bootstrap_resamples=5,
             )
             _, peak = tracemalloc.get_traced_memory()
@@ -301,16 +267,12 @@ class TestStreamingTop:
     def simulate_peak(with_copula: bool) -> tuple[int, int]:
         """Traced peak of ``simulate_aggregate`` over two blocks at d = 230, and d."""
         d, n = 230, 131_072
-        portfolio = make_portfolio(d, similarity=grouped_similarity(d, seed=4))
-        copula = build_copula(portfolio.similarity) if with_copula else None
+        copula = build_copula(grouped_similarity(d, seed=4)) if with_copula else None
         probs = np.random.default_rng(4).uniform(0.01, 0.2, d)
+        args = inputs(probs, [1e7] * d, flat_severity_model(pi_s=0.3, mean_r=0.4))
         tracemalloc.start()
         try:
-            tailrisk.simulate_aggregate(
-                portfolio, None, flat_severity_model(pi_s=0.3, mean_r=0.4), copula,
-                {f"P{i}": 1e7 for i in range(d)}, WHEN, n_sims=n, rng=RngStream(42),
-                attack_probabilities=probs,
-            )
+            tailrisk.simulate_aggregate(**args, copula=copula, n_sims=n, rng=RngStream(42))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -342,17 +304,14 @@ def report_rows(report) -> list[dict]:
 class TestRiskReport:
     @staticmethod
     def small_report(seed=9, n=50_000, bootstrap=40):
-        portfolio = make_portfolio(3, similarity=[[1, 0.5, 0.3], [0.5, 1, 0.2], [0.3, 0.2, 1]])
-        freq = {f"P{i}": flat_frequency_model(0.05 + 0.03 * i, f"P{i}") for i in range(3)}
-        sev_model = flat_severity_model(pi_s=0.4, mean_r=0.5)
-        tvls = {f"P{i}": 1e7 for i in range(3)}
+        similarity = [[1, 0.5, 0.3], [0.5, 1, 0.2], [0.3, 0.2, 1]]
         return tailrisk.risk_report(
-            portfolio,
-            freq,
-            sev_model,
-            build_copula(portfolio.similarity),
-            tvls,
-            WHEN,
+            **inputs(
+                [0.05 + 0.03 * i for i in range(3)],
+                [1e7] * 3,
+                flat_severity_model(pi_s=0.4, mean_r=0.5),
+            ),
+            copula=build_copula(similarity),
             levels=(0.90, 0.95, 0.99),
             n_sims=n,
             rng=RngStream(seed, 100),
@@ -379,19 +338,13 @@ class TestRiskReport:
         assert a == b
 
     def test_zero_probability_portfolio_reports_zeros(self):
-        portfolio = make_portfolio(2)
         report = tailrisk.risk_report(
-            portfolio,
-            None,
-            total_loss_only_model(),
-            build_copula(np.eye(2)),
-            {"P0": 1e6, "P1": 1e6},
-            WHEN,
+            **inputs([0.0, 0.0], [1e6, 1e6]),
+            copula=build_copula(np.eye(2)),
             levels=(0.9, 0.99),
             n_sims=20_000,
             rng=RngStream(3, 50),
             bootstrap_resamples=10,
-            attack_probabilities=[0.0, 0.0],
         )
         for row in report_rows(report):
             measures = (row["var_dep"], row["var_indep"], row["cte_dep"], row["cte_indep"])
@@ -428,28 +381,19 @@ class TestRiskReport:
         ):
             monkeypatch.setattr(tailrisk, "simulate_aggregate", lambda **_: sample)
             report = tailrisk.risk_report(
-                make_portfolio(1),
-                None,
-                total_loss_only_model(),
-                build_copula(np.eye(1)),
-                {"P0": 100.0},
-                WHEN,
+                **inputs([0.05], [100.0]),
+                copula=build_copula(np.eye(1)),
                 levels=(0.90, 0.96),
                 n_sims=n,
                 rng=RngStream(4, 0),
                 bootstrap_resamples=10,
-                attack_probabilities=[0.05],
             )
             assert report.var_on_atom == flagged
 
     def test_single_scenario_report_carries_only_its_columns(self):
         report = tailrisk.risk_report(
-            make_portfolio(2),
-            {f"P{i}": flat_frequency_model(0.1, f"P{i}") for i in range(2)},
-            total_loss_only_model(),
-            build_copula(np.eye(2)),
-            {"P0": 1e6, "P1": 2e6},
-            WHEN,
+            **inputs([0.1, 0.1], [1e6, 2e6]),
+            copula=build_copula(np.eye(2)),
             levels=(0.9,),
             n_sims=20_000,
             rng=RngStream(3, 50),
@@ -463,27 +407,18 @@ class TestRiskReport:
         assert "var_dep" not in report.table and report.table["var_indep"][0] > 0.0
         with pytest.raises(ConfigError):
             tailrisk.risk_report(
-                make_portfolio(1),
-                {"P0": flat_frequency_model(0.1, "P0")},
-                total_loss_only_model(),
-                None,
-                {"P0": 1e6},
-                WHEN,
+                **inputs([0.1], [1e6]),
+                copula=None,
                 n_sims=10_000,
                 rng=RngStream(1),
                 dependence="sometimes",
             )
 
     def test_bad_levels_rejected(self):
-        portfolio = make_portfolio(1)
         with pytest.raises(DomainError):
             tailrisk.risk_report(
-                portfolio,
-                {"P0": flat_frequency_model(0.1, "P0")},
-                total_loss_only_model(),
-                build_copula(np.eye(1)),
-                {"P0": 1e6},
-                WHEN,
+                **inputs([0.1], [1e6]),
+                copula=build_copula(np.eye(1)),
                 levels=(0.9, 1.0),
                 n_sims=10_000,
                 rng=RngStream(1),
@@ -639,3 +574,22 @@ class TestTailOnlyBootstrap:
         finally:
             tracemalloc.stop()
         assert peak < 6 * m
+
+
+def test_dependence_study_prints_a_row_per_level(capsys):
+    # The study script calls ``risk_report`` itself; a change of its
+    # signature must not leave the script broken.
+    path = Path(__file__).resolve().parent.parent / "scripts" / "dependence_study.py"
+    spec = importlib.util.spec_from_file_location("dependence_study", path)
+    study = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(study)
+    study.main(n_sims=20_000)
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("paths per scenario: 20,000; total insured TVL: 1,650,000,000")
+    assert lines[1] == ""
+    assert lines[2].split() == [
+        "level", "VaR", "dep", "VaR", "indep", "gap/se", "CTE", "dep", "CTE", "indep", "gap/se"
+    ]
+    rows = [line.split() for line in lines[3:]]
+    assert [row[0] for row in rows] == ["0.9", "0.95", "0.99", "0.995", "0.999"]
+    assert all(len(row) == 7 for row in rows)
