@@ -5,9 +5,10 @@ it is validated (and repaired when indefinite) before factorization.  The
 event convention is N_i = 1 iff Z_i exceeds the (1 - pi_i) normal quantile,
 so positive similarity entries produce positively correlated attacks while
 each marginal stays Bernoulli(pi_i).  ``draw_events`` is the one sampler of
-the indicators, with or without the copula; it streams the normals through
-fixed panels, so only the indicators are ever held for all paths, packed
-eight to a byte.
+the coupled indicators; it streams the normals through fixed panels, so
+only the indicators are ever held for all paths, packed eight to a byte.
+Without the copula, ``attacked_paths`` draws a protocol's attacked paths
+as a Binomial count and a uniform subset: nothing per (protocol, path).
 """
 
 from __future__ import annotations
@@ -80,31 +81,25 @@ def draw_events(
     gen: np.random.Generator,
     size: int,
     probs,
-    spec: CopulaSpec | None = None,
+    spec: CopulaSpec,
     out: np.ndarray | None = None,
     work=None,
 ) -> np.ndarray:
-    """Attack indicators of ``size`` paths as a bit-packed protocol-major mask.
+    """Copula attack indicators of ``size`` paths as a bit-packed protocol-major mask.
 
     Bit j of row i (``np.unpackbits(mask[i], count=size)``) is set iff path
-    j attacks protocol i.  With a copula that is iff Z_ij = (L u_j)_i
-    exceeds its ``event_thresholds`` value, u_j iid standard normal;
-    without one, iff a uniform u_ij falls below pi_i.  The paths are drawn
-    in panels of _PANEL: the same draws in the same order as one (size, d)
-    array, so ``gen`` ends where that draw would leave it.  A panel's
-    indicators go through a (d, _PANEL) bool scratch and are packed into
-    the mask.  Z is formed _ROWS rows at a time, from the nonzero part of
-    the triangular L; without a copula, Z's scratch holds the indicators
-    path-major.  The mask, of shape (d, >= ceil(size / 8)) uint8, is
-    ``out`` when given, and then ``work`` holds the u, Z and indicator
-    scratches of ``event_buffers``.  For a 65,536-path block they take
-    about 44 KB per protocol (8 KB of mask, 32 KB of u, 4 KB of
-    indicators) plus a 1 MB Z panel.
+    j attacks protocol i: iff Z_ij = (L u_j)_i exceeds its ``event_thresholds``
+    value, u_j iid standard normal.  The paths are drawn in panels of
+    _PANEL: the same normals in the same order as one (size, d) array, so
+    ``gen`` ends where that draw would leave it.  A panel's indicators go
+    through a (d, _PANEL) bool scratch and are packed into the mask.  Z is
+    formed _ROWS rows at a time, from the nonzero part of the triangular L.
+    The mask, of shape (d, >= ceil(size / 8)) uint8, is ``out`` when given,
+    and then ``work`` holds the u, Z and indicator scratches of
+    ``event_buffers``.  For a 65,536-path block they take about 44 KB per
+    protocol (8 KB of mask, 32 KB of u, 4 KB of indicators) plus a 1 MB Z panel.
     """
-    if spec is None:
-        column = check_probabilities(probs, np.size(probs))[:, None]
-    else:
-        column = event_thresholds(probs, spec.dim)[:, None]
+    column = event_thresholds(probs, spec.dim)[:, None]
     d = len(column)
     if out is None:
         out, *work = event_buffers(d, size)
@@ -113,20 +108,12 @@ def draw_events(
     for a in range(0, size, _PANEL):
         k = min(_PANEL, size - a)
         u, hit = u_work[:k], hit_work[:, :k]
-        if spec is None:
-            gen.random(out=u)
-            # Compared path-major, then transposed: reading u.T is several
-            # times slower once a row of u spans many cache lines.
-            by_path = z_work[: k * d].view(bool).reshape(k, d)
-            np.less(u, column.T, out=by_path)
-            hit[...] = by_path.T
-        else:
-            gen.standard_normal(out=u)
-            for r0 in range(0, d, _ROWS):
-                r1 = min(r0 + _ROWS, d)
-                z = z_work[: (r1 - r0) * k * 8].view(np.float64).reshape(r1 - r0, k)
-                np.matmul(spec.chol[r0:r1, :r1], u[:, :r1].T, out=z)
-                np.greater(z, column[r0:r1], out=hit[r0:r1])
+        gen.standard_normal(out=u)
+        for r0 in range(0, d, _ROWS):
+            r1 = min(r0 + _ROWS, d)
+            z = z_work[: (r1 - r0) * k].reshape(r1 - r0, k)
+            np.matmul(spec.chol[r0:r1, :r1], u[:, :r1].T, out=z)
+            np.greater(z, column[r0:r1], out=hit[r0:r1])
         mask[:, a // 8 : (a + k + 7) // 8] = np.packbits(hit, axis=1)
     return mask
 
@@ -139,9 +126,16 @@ def event_buffers(dim: int, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return (
         np.empty((dim, (size + 7) // 8), dtype=np.uint8),
         np.empty((panel, dim)),
-        # Z's rows with a copula, the path-major indicators without one.
-        np.empty(max(8 * min(_ROWS, dim), dim) * panel, dtype=np.uint8),
+        np.empty(min(_ROWS, dim) * panel),
         # One spare column: numpy compares Z with the thresholds about 4x
         # faster into a strided view than into a contiguous (d, panel) array.
         np.empty((dim, panel + 1), dtype=bool),
     )
+
+
+def attacked_paths(gen: np.random.Generator, size: int, pi: float) -> np.ndarray:
+    """The distinct paths, of ``size``, on which a protocol attacked with
+    probability ``pi`` independently of the others is attacked, in no set
+    order: a Binomial(size, pi) count, then a uniform subset of that many
+    (Devroye 1986, *Non-Uniform Random Variate Generation*), from ``gen``."""
+    return gen.choice(size, gen.binomial(size, pi), replace=False, shuffle=False)

@@ -1,13 +1,13 @@
 """Portfolio aggregate-loss simulation and tail measures.
 
-Aggregate monthly loss S is simulated replicate-by-replicate: draw the
-attack indicators (through the copula, or independently), then an
-independent severity ratio for each attacked protocol.  Replicates are
-organized in fixed-size blocks with per-block counter offsets, so the
-same seed yields byte-identical results for any worker count.  A block's
-indicators are one protocol-major bit-packed mask, which
-``dependence.draw_events`` fills panel by panel, so the block's normals
-and copula draws are never held in full.
+Aggregate monthly loss S is simulated replicate-by-replicate: draw which
+protocols each path attacks, then an independent severity ratio for each
+attacked protocol.  Replicates are organized in fixed-size blocks with
+per-block counter offsets, so the same seed yields byte-identical results
+for any worker count.  ``dependence`` draws the attacks: through the
+copula as a block's bit-packed mask, filled panel by panel, and without
+it as each protocol's attacked paths.  So no block holds its normals in
+full, and the independent scenario holds nothing per (protocol, path).
 
 VaR uses the ceil(n q)-th order statistic, the exact sample analogue of
 the generalized-inverse definition; CTE averages the strictly greater
@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dependence import CopulaSpec, check_probabilities, draw_events, event_buffers
+from .dependence import CopulaSpec, attacked_paths, check_probabilities, draw_events, event_buffers
 from .errors import ConfigError, DomainError
 from .numerics import RngStream
 from .severity import RatioLaw
@@ -85,12 +85,15 @@ def simulate_aggregate(
     aggregate portfolio loss.
 
     Protocol i is attacked with probability ``probs[i]`` and then loses
-    ``tvls[i]`` times a ratio drawn from ``laws[i]``.  The result is
-    byte-identical to the last ``top`` values of the full sorted sample.
-    Memory is a merge buffer of top + max(65,536, top/4) values (1.25 top
-    once top passes 262,144), shrunk in place to the result, plus, per
-    worker, the ``draw_events`` buffers and two blocks of losses: each
-    drops its values below the ``top``-th largest so far.
+    ``tvls[i]`` times a ratio drawn from ``laws[i]``.  With a copula, a
+    block's generator draws the ``draw_events`` mask, then each protocol's
+    ratios in turn; without one, each protocol's ``attacked_paths`` and
+    then their ratios, one protocol after another.  The result is byte-identical
+    to the last ``top`` values of the full sorted sample.  Memory is a
+    merge buffer of top + max(65,536, top/4) values (1.25 top once top
+    passes 262,144), shrunk in place to the result, plus, per worker, the
+    copula's ``draw_events`` buffers and two blocks of losses: each drops
+    its values below the ``top``-th largest so far.
     """
     if n_sims < 10_000:
         raise DomainError(f"n_sims must be at least 10^4, got {n_sims}")
@@ -116,16 +119,19 @@ def simulate_aggregate(
         start = block * _BLOCK
         m = min(_BLOCK, n_sims - start)
         gen = rng.block_generator(block)
-        if not hasattr(scratch, "mask"):
-            scratch.mask, *scratch.work = event_buffers(d, min(_BLOCK, n_sims))
-        events = draw_events(gen, m, probs, copula, out=scratch.mask, work=scratch.work)
-        s = np.zeros(m)
-        for i, law in enumerate(laws):
+        if copula is None:
+            # Lazy: protocol i's paths are drawn after protocol i - 1's ratios.
+            attacked = (attacked_paths(gen, m, pi) for pi in probs)
+        else:
+            if not hasattr(scratch, "mask"):
+                scratch.mask, *scratch.work = event_buffers(d, min(_BLOCK, n_sims))
+            events = draw_events(gen, m, probs, copula, out=scratch.mask, work=scratch.work)
             # flatnonzero is about 3x faster on a bool view than on uint8.
-            idx = np.flatnonzero(np.unpackbits(events[i], count=m).view(bool))
-            if idx.size == 0:
-                continue
-            s[idx] += tvls[i] * law.draw(gen, idx.size)
+            attacked = (np.flatnonzero(np.unpackbits(row, count=m).view(bool)) for row in events)
+        s = np.zeros(m)
+        for idx, tvl, law in zip(attacked, tvls, laws):
+            if idx.size:  # distinct paths, so += adds each ratio once
+                s[idx] += tvl * law.draw(gen, idx.size)
         # A stale floor is still a valid cut.  A value equal to it cannot
         # change the top, which already holds ``top`` values at or above it.
         return s[s > floor]

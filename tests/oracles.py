@@ -2,6 +2,7 @@
 and row-by-row references for the columnar code paths."""
 
 import csv
+import itertools
 import math
 from datetime import date
 
@@ -127,14 +128,119 @@ def joint_cdf_estimate(
 
 
 def whole_block_events(gen, size: int, probs, spec=None) -> np.ndarray:
-    """Attack indicators of ``size`` paths from one (size, d) draw, path-major.
+    """Attack indicators of ``size`` paths, path-major, from whole-block draws.
 
-    The reference for ``dependence.draw_events``: all the normals (or
-    uniforms) of the block at once and, with a copula, all of Z.
+    With a copula, the reference for ``dependence.draw_events``: all the
+    normals of the block at once, and all of Z.  Without one, the reference
+    for ``dependence.attacked_paths`` called protocol by protocol: each
+    protocol's Binomial count of attacked paths, then that many distinct
+    paths, marked in a (size, d) array.
     """
-    if spec is None:
-        return gen.random((size, len(probs))) < np.asarray(probs)
-    return mvn_sample(spec.chol, gen, size=size) > event_thresholds(probs, spec.dim)
+    if spec is not None:
+        return mvn_sample(spec.chol, gen, size=size) > event_thresholds(probs, spec.dim)
+    hit = np.zeros((size, len(probs)), dtype=bool)
+    for i, pi in enumerate(probs):
+        hit[gen.choice(size, gen.binomial(size, pi), replace=False, shuffle=False), i] = True
+    return hit
+
+
+def independent_tail_law(probs, tvls, laws, levels, grid: int = 1 << 18) -> list[tuple]:
+    """The exact VaR_q and CTE_q of the independent scenario, bracketed.
+
+    S = sum_i tvl_i N_i R_i with independent N_i ~ Bernoulli(pi_i) and R_i
+    from ``laws[i]``.  Term i has an atom at 0 (mass 1 - pi_i), an atom at
+    tvl_i (mass pi_i pi_S, or pi_i for a total-loss-only law) and, for a
+    logit-normal law, the rest spread over (0, tvl_i).  Each term is put on
+    the lattice h Z twice, rounded down and rounded up, and the terms are
+    convolved with ``numpy.fft`` (Embrechts & Frei 2009, "Panjer recursion
+    versus FFT for compound distributions"), so S^- <= S <= S^+ path by
+    path and VaR_q(S^-) <= VaR_q(S) <= VaR_q(S^+).  The atoms of S, the
+    subset sums of the tvl_i, are kept exactly (summed in portfolio order,
+    as ``simulate_aggregate`` sums them); so it is decided whether VaR_q
+    sits on one, and then VaR_q is that atom.  CTE_q = E[S | S > VaR_q]
+    grows with VaR_q, and at a fixed v it is v + E[(S - v)^+] / P(S > v),
+    bounded by the lattice sums.
+
+    Returns ``(var_lo, var_hi, cte_lo, cte_hi, on_atom)`` per level; an
+    AssertionError when the lattice is too coarse to decide ``on_atom``.
+    """
+    from scipy.special import logit, ndtr
+
+    tvls = np.asarray(tvls, dtype=float)
+    d = tvls.size
+    h = float(tvls.sum()) / (grid - d - 1)  # the sum of the rounded-up terms stays on the grid
+    down, up = np.floor(tvls / h).astype(int), np.ceil(tvls / h).astype(int)
+    spectra = np.ones((2, grid // 2 + 1), dtype=complex)  # rounded down, rounded up
+    atom_mass = []  # per term: the mass at 0 and the mass at tvl_i
+    for pi, tvl, law, k_up in zip(probs, tvls, laws, up):
+        total = pi if law.eta is None else pi * law.pi_s
+
+        def cdf(y, strict):  # P(L < y) if strict, else P(L <= y)
+            inside = (y > 0.0) & (y < tvl)
+            partial = 0.0
+            if law.eta is not None:
+                partial = ndtr((logit(np.where(inside, y / tvl, 0.5)) - law.eta) / law.sigma)
+            partial = (pi - total) * np.where(inside, partial, y >= tvl)
+            if strict:
+                return (1.0 - pi) * (y > 0.0) + partial + total * (y > tvl)
+            return (1.0 - pi) * (y >= 0.0) + partial + total * (y >= tvl)
+
+        y = h * np.arange(-1, k_up + 2)
+        below, at_most = cdf(y, True), cdf(y, False)
+        spectra[0] *= np.fft.rfft(below[2:] - below[1:-1], grid)  # P(kh <= L < (k + 1)h)
+        spectra[1] *= np.fft.rfft(at_most[1:-1] - at_most[:-2], grid)  # P((k - 1)h < L <= kh)
+        atom_mass.append((1.0 - pi, total))
+    pmf = [np.fft.irfft(f, grid) for f in spectra]
+    cdfs = [np.maximum.accumulate(np.cumsum(p)) for p in pmf]
+    lattice = h * np.arange(grid)
+    tol = 1e-9  # far above the FFT's rounding in a CDF
+
+    def at(c, k):  # the lattice CDF at index k, 0 below the lattice
+        return float(c[k]) if k >= 0 else 0.0
+
+    atoms = {}  # value -> [(mass, rounded-down index, rounded-up index)]
+    for pattern in itertools.product((False, True), repeat=d):
+        x, mass = 0.0, 1.0
+        for i, attacked in enumerate(pattern):
+            mass *= atom_mass[i][attacked]
+            if attacked:
+                x += float(tvls[i])
+        if mass > 0.0:
+            atoms.setdefault(x, []).append(
+                (mass, int(down[list(pattern)].sum()), int(up[list(pattern)].sum()))
+            )
+
+    def bounds(x):
+        """Lower and upper bounds of P(S < x) and of P(S <= x)."""
+        below_k, upto_k = math.ceil(x / h) - 1, math.floor(x / h)
+        here = atoms.get(x, [])
+        # S^- < x holds on an atom at x rounded below x, S^+ > x on one rounded above.
+        lt_hi = at(cdfs[0], below_k) - sum(m for m, j, _ in here if j <= below_k)
+        le_lo = at(cdfs[1], upto_k) + sum(m for m, _, k in here if k > upto_k)
+        return at(cdfs[1], below_k), lt_hi, le_lo, at(cdfs[0], upto_k)
+
+    def excess(p, v):  # E[(X - v)^+] of a lattice law
+        return float(np.dot(p, np.maximum(lattice - v, 0.0)))
+
+    out = []
+    for q in levels:
+        on, undecided = [], []
+        for x in atoms:
+            lt_lo, lt_hi, le_lo, le_hi = bounds(x)
+            if lt_hi + tol < q <= le_lo - tol:
+                on.append(x)
+            elif not (le_hi + tol < q or lt_lo - tol >= q):
+                undecided.append(x)
+        assert not undecided, f"lattice too coarse to place VaR_{q} against atoms {undecided}"
+        if on:
+            (var_lo,) = (var_hi,) = on
+        else:
+            var_lo = float(lattice[np.searchsorted(cdfs[0], q - tol)])
+            var_hi = float(lattice[np.searchsorted(cdfs[1], q + tol)])
+        cte_lo = var_lo + excess(pmf[0], var_lo) / (1.0 - bounds(var_lo)[2] + tol)
+        cte_hi = var_hi + excess(pmf[1], var_hi) / (1.0 - bounds(var_hi)[3] - tol)
+        out.append((var_lo, var_hi, cte_lo, cte_hi, bool(on)))
+    return out
 
 
 def full_bootstrap_ses(sample: np.ndarray, levels, resamples: int, gen):

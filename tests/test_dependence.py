@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from defirisk.dependence import (
+    attacked_paths,
     build_copula,
     draw_events,
     event_buffers,
@@ -84,7 +85,8 @@ def wide_copula():
 
 class TestDrawEvents:
     # A full and a partial block, one whose last mask byte is padded, and
-    # one whose last panel holds a single path.
+    # one whose last panel holds a single path.  Without the copula the
+    # block is drawn protocol by protocol with ``attacked_paths``.
     @pytest.mark.parametrize("size", [65_536, 34_464, 10_001, 4_097])
     @pytest.mark.parametrize("d", [7, 230])
     @pytest.mark.parametrize("with_copula", [True, False])
@@ -95,12 +97,21 @@ class TestDrawEvents:
         stream = RngStream(51, 7)
         gen, ref_gen = stream.block_generator(2), stream.block_generator(2)
         copula = spec if with_copula else None
-        mask = draw_events(gen, size, probs, copula)
-        expected = whole_block_events(ref_gen, size, probs, copula)
-        assert mask.shape == (d, (size + 7) // 8)
-        bits = np.unpackbits(mask, axis=1)
-        assert np.array_equal(bits[:, :size], expected.T)
-        assert not bits[:, size:].any()  # the padding of the last byte
+        if with_copula:
+            mask = draw_events(gen, size, probs, copula)
+            assert mask.shape == (d, (size + 7) // 8)
+            bits = np.unpackbits(mask, axis=1)
+            assert not bits[:, size:].any()  # the padding of the last byte
+            hit = bits[:, :size].astype(bool)
+        else:
+            hit = np.zeros((d, size), dtype=bool)
+            for i, pi in enumerate(probs):
+                paths = attacked_paths(gen, size, pi)
+                hit[i, paths] = True
+                assert hit[i].sum() == paths.size  # distinct paths
+        assert np.array_equal(hit, whole_block_events(ref_gen, size, probs, copula).T)
+        # pi = 0 and 1e-17 attack no path, pi = 1 every path.
+        assert not hit[0].any() and hit[1].all() and not hit[2].any()
         # The severity draws continue on the same generator.
         assert np.array_equal(gen.integers(0, 2**63, 4), ref_gen.integers(0, 2**63, 4))
 
@@ -118,6 +129,35 @@ class TestDrawEvents:
                 np.unpackbits(fresh, axis=1, count=size), np.unpackbits(reused, axis=1, count=size)
             )
             assert np.shares_memory(reused, out)
+
+
+class TestAttackedPaths:
+    @pytest.mark.parametrize("size", [65_536, 4_097])
+    @pytest.mark.parametrize("pi", [0.02, 0.1, 0.5])
+    def test_counts_are_binomial_and_paths_uniform(self, pi, size):
+        # numpy draws a small subset by Floyd's algorithm and a large one
+        # (over 1/20 of more than 10,000 paths) by a partial shuffle; 0.02
+        # and 0.1 of 65,536 paths take one each.  Over 1,000 blocks the
+        # counts' mean and variance match Binomial(size, pi) within 4 SEs,
+        # and the paths, distinct in each block, fill 64 buckets of
+        # size / 64 paths uniformly (chi-square p above 1e-4).
+        from scipy.stats import chi2
+
+        blocks = 1_000
+        stream = RngStream(53, 0)
+        counts = np.empty(blocks)
+        buckets = np.zeros(64)
+        for b in range(blocks):
+            paths = attacked_paths(stream.block_generator(b), size, pi)
+            per_path = np.bincount(paths, minlength=size)  # rejects a negative path
+            assert per_path.size == size and per_path.max() <= 1
+            counts[b] = paths.size
+            buckets += np.bincount(paths * 64 // size, minlength=64)
+        mean, var = size * pi, size * pi * (1.0 - pi)
+        assert abs(counts.mean() - mean) <= 4.0 * math.sqrt(var / blocks)
+        assert abs(counts.var(ddof=1) - var) <= 4.0 * var * math.sqrt(2.0 / (blocks - 1))
+        expected = counts.sum() * np.bincount(np.arange(size) * 64 // size) / size
+        assert chi2.sf(float(((buckets - expected) ** 2 / expected).sum()), 63) > 1e-4
 
 
 class TestSampleFrequencies:

@@ -15,8 +15,9 @@ from defirisk.dependence import build_copula
 from defirisk.errors import ConfigError, DomainError
 from defirisk.numerics import RngStream
 
-from oracles import full_bootstrap_ses
+from oracles import full_bootstrap_ses, independent_tail_law
 from synth import grouped_similarity
+from test_cli import PORTFOLIO_PRICED, TVL, fit_models, run
 from test_pricing import flat_severity_model
 from test_severity import total_loss_only_model
 
@@ -144,14 +145,14 @@ class TestSimulateAggregate:
 
     def test_worker_count_does_not_change_output(self):
         args = inputs([0.2, 0.2], [1e6, 3e6], flat_severity_model(pi_s=0.3, mean_r=0.4))
-        copula = build_copula([[1.0, 0.5], [0.5, 1.0]])
-        runs = [
-            tailrisk.simulate_aggregate(
-                **args, copula=copula, n_sims=150_000, rng=RngStream(4, 7), workers=w
-            )
-            for w in (1, 4)
-        ]
-        assert np.array_equal(runs[0], runs[1])
+        for copula in (build_copula([[1.0, 0.5], [0.5, 1.0]]), None):
+            runs = [
+                tailrisk.simulate_aggregate(
+                    **args, copula=copula, n_sims=150_000, rng=RngStream(4, 7), workers=w
+                )
+                for w in (1, 4)
+            ]
+            assert np.array_equal(runs[0], runs[1])
 
     def test_mismatched_inputs_are_rejected(self):
         # One probability, TVL and ratio law per protocol, and a copula of
@@ -264,9 +265,9 @@ class TestStreamingTop:
         assert peak < 3 * n
 
     @staticmethod
-    def simulate_peak(with_copula: bool) -> tuple[int, int]:
-        """Traced peak of ``simulate_aggregate`` over two blocks at d = 230, and d."""
-        d, n = 230, 131_072
+    def simulate_peak(with_copula: bool, d: int = 230) -> tuple[int, int]:
+        """Traced peak of ``simulate_aggregate`` over two blocks at d protocols, and d."""
+        n = 131_072
         copula = build_copula(grouped_similarity(d, seed=4)) if with_copula else None
         probs = np.random.default_rng(4).uniform(0.01, 0.2, d)
         args = inputs(probs, [1e7] * d, flat_severity_model(pi_s=0.3, mean_r=0.4))
@@ -294,6 +295,14 @@ class TestStreamingTop:
         # take over twice the block's entries.
         peak, d = self.simulate_peak(with_copula)
         assert peak < 1.5 * tailrisk._BLOCK * d
+
+    def test_independent_memory_does_not_follow_the_portfolio(self):
+        # Without the copula a block holds its losses and one protocol's
+        # attacked paths and ratios at a time, nothing per (protocol, path):
+        # 230 protocols peak within 1.25 times the peak of 7.
+        narrow, _ = self.simulate_peak(False, d=7)
+        wide, _ = self.simulate_peak(False, d=230)
+        assert wide <= 1.25 * narrow
 
 
 def report_rows(report) -> list[dict]:
@@ -423,6 +432,66 @@ class TestRiskReport:
                 n_sims=10_000,
                 rng=RngStream(1),
             )
+
+
+@pytest.fixture(scope="module")
+def fixture_simulate(tmp_path_factory):
+    """The per-protocol inputs that ``simulate`` passes to ``risk_report`` on
+    the fixture, and its report, in the golden run (seed 7, 50,000 paths,
+    40 resamples)."""
+    out = tmp_path_factory.mktemp("simulate")
+    fit_models(str(out))
+    seen = []
+    real = tailrisk.risk_report
+
+    def spy(*args, **kwargs):
+        seen.append((dict(zip(("probs", "tvls", "laws"), args[:3])), real(*args, **kwargs)))
+        return seen[-1][1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tailrisk, "risk_report", spy)
+        assert run(["simulate", "--tvl", TVL, "--portfolio", PORTFOLIO_PRICED, "--models", out,
+                    "--output", out, "--seed", 7, "--samples", 50_000, "--bootstrap", 40]) == 0
+    (args, report), = seen
+    return args, report
+
+
+class TestExactIndependentLaw:
+    """The independent scenario against its exact law, bracketed on a lattice."""
+
+    LEVELS = (0.90, 0.95, 0.99)
+
+    def test_bracket_of_a_bernoulli_total_loss(self):
+        # Criterion 5's law, attack probability 0.05 and a total loss of 100:
+        # VaR sits on the zero atom at 0.90 and on the loss at 0.96, and CTE
+        # is the loss at both.
+        (var_lo, var_hi, cte_lo, cte_hi, on_atom), top = independent_tail_law(
+            **inputs([0.05], [100.0]), levels=(0.90, 0.96), grid=1 << 10
+        )
+        assert (var_lo, var_hi, on_atom) == (0.0, 0.0, True)
+        assert cte_lo <= 100.0 <= cte_hi and cte_hi - cte_lo < 1e-5
+        assert top == (100.0, 100.0, 100.0, 100.0, True)
+
+    @pytest.mark.parametrize("paths", ["golden", "1e6"])
+    def test_fixture_report_lies_in_the_bracket(self, fixture_simulate, paths):
+        # The golden run, and 10^6 paths on their own streams.  Each VaR and
+        # CTE lies within 4 of its bootstrap SEs of the exact bracket (an SE
+        # of 0 asks for the bracket itself), and ``var_on_atom`` is set
+        # exactly where the exact law puts VaR on an atom: on a total loss
+        # at 0.95 and 0.99, in the continuous part at 0.90.
+        args, report = fixture_simulate
+        if paths == "1e6":
+            report = tailrisk.risk_report(
+                **args, copula=None, levels=self.LEVELS, n_sims=1_000_000, rng=RngStream(11, 0),
+                bootstrap_resamples=100, dependence="off",
+            )
+        exact = independent_tail_law(**args, levels=self.LEVELS)
+        assert [on_atom for *_, on_atom in exact] == [False, True, True]
+        for j, (q, (var_lo, var_hi, cte_lo, cte_hi, on_atom)) in enumerate(zip(self.LEVELS, exact)):
+            for name, lo, hi in (("var", var_lo, var_hi), ("cte", cte_lo, cte_hi)):
+                value, se = report.table[f"{name}_indep"][j], report.table[f"se_{name}_indep"][j]
+                assert lo - 4.0 * se <= value <= hi + 4.0 * se, (name, q, value, se, lo, hi)
+            assert (f"var_indep@{q:g}" in report.var_on_atom) == on_atom
 
 
 class TestTailOnlyBootstrap:
