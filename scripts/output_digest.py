@@ -1,19 +1,22 @@
 #!/usr/bin/env python3
 """SHA-256 of every output file the six subcommands write on one data set.
 
-    PYTHONPATH=src python scripts/output_digest.py OUT_DIR [--data DIR] [--seed N] [--workers N]
-        [--samples N] [--format {csv,json}]
+    PYTHONPATH=src python scripts/output_digest.py OUT_DIR [--data DIR | --book SEED] [--seed N]
+        [--workers N] [--samples N] [--format {csv,json}]
 
 Runs fit-frequency, fit-severity, price, simulate, summarize and both kinds
 of gof (on ``severity_model.json`` and on the first priced protocol's
 ``freq_<id>.json``) on ``DIR`` (default ``tests/data``), which holds
 ``incidents.csv``, ``tvl.csv``, ``portfolio.json`` and
-``portfolio_priced.json``.  Everything goes under ``OUT_DIR``, which should
-be empty because every file in it is listed; the gof runs write to
-``OUT_DIR/gof_severity`` and ``OUT_DIR/gof_frequency`` so neither
-overwrites the other's ``gof.json``.  Prints one ``<sha256>  <path>`` line
-per output file, sorted by path, so two source trees are checked for
-byte-identical outputs with one diff of their listings.  ``--workers``
+``portfolio_priced.json``; ``--book SEED`` instead runs on the book that
+``perfbench/book.py`` generates for SEED, written to a temporary directory
+outside ``OUT_DIR`` and deleted afterwards (``--seed`` stays the run's
+seed).  Everything goes under ``OUT_DIR``, which should be empty because
+every file in it is listed; the gof runs write to ``OUT_DIR/gof_severity``
+and ``OUT_DIR/gof_frequency`` so neither overwrites the other's
+``gof.json``.  Prints one ``<sha256>  <path>`` line per output file,
+sorted by path, so two source trees are checked for byte-identical
+outputs with one diff of their listings.  ``--workers``
 (default 1) is passed to ``simulate``; outputs must not depend on it, so
 the listings at two worker counts must not differ either.  ``--samples``
 (default: the config's, 10^5) is passed to ``simulate`` too: the merge
@@ -34,6 +37,7 @@ import io
 import json
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 # One BLAS thread, set before numpy loads: the last bits of some reductions
@@ -74,14 +78,24 @@ def run_all(data: Path, out: Path, seed: int, workers: int, samples: int | None,
 def main_digest() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("out_dir", type=Path)
-    parser.add_argument("--data", type=Path, default=ROOT / "tests" / "data")
+    source = parser.add_mutually_exclusive_group()
+    source.add_argument("--data", type=Path, default=ROOT / "tests" / "data")
+    source.add_argument("--book", type=int, metavar="SEED")
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--samples", type=int, default=None)
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     args = parser.parse_args()
-    with contextlib.redirect_stdout(io.StringIO()):  # keep the "wrote" lines out of the listing
-        run_all(args.data, args.out_dir, args.seed, args.workers, args.samples, args.format)
+    with contextlib.ExitStack() as stack:
+        data = args.data
+        if args.book is not None:
+            sys.path.insert(0, str(ROOT / "perfbench"))
+            from book import make_book
+
+            data = Path(stack.enter_context(tempfile.TemporaryDirectory()))
+            make_book(args.book, data)
+        with contextlib.redirect_stdout(io.StringIO()):  # keep the "wrote" lines out of the listing
+            run_all(data, args.out_dir, args.seed, args.workers, args.samples, args.format)
     for path in sorted(p for p in args.out_dir.rglob("*") if p.is_file()):
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         print(f"{digest}  {path.relative_to(args.out_dir).as_posix()}")

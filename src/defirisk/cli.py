@@ -40,7 +40,6 @@ from .datamodel import (
     IngestResult,
     IssueType,
     Month,
-    Portfolio,
     RejectedRow,
     build_monthly_panel,
     load_incidents,
@@ -248,8 +247,8 @@ def _ingest_report_payload(result: IngestResult) -> dict:
     }
 
 
-def _prediction_point(cfg: RunConfig, series, protocol_id: str) -> tuple[float, Month]:
-    """TVL snapshot feeding predictions and the month being predicted.
+def _prediction_point(cfg: RunConfig, series, protocol_id: str) -> tuple[float, date]:
+    """TVL snapshot feeding predictions and the first day of the month being predicted.
 
     ``series`` maps the protocol's months to its TVL.  The snapshot is at
     --window-end when the series has that month, else at its latest month.
@@ -257,7 +256,7 @@ def _prediction_point(cfg: RunConfig, series, protocol_id: str) -> tuple[float, 
     month = cfg.window_end if cfg.window_end in series else _latest_month(series, protocol_id)
     if month == Month(9999, 12):
         raise DataError(f"protocol {protocol_id!r}: no calendar month after {month} to predict")
-    return series[month], month.plus(1)
+    return series[month], month.plus(1).first_day()
 
 
 # ---------------------------------------------------------------------------
@@ -405,9 +404,16 @@ def _rebuild_model(path: Path, doc: dict, from_dict):
         raise SchemaError(f"{path}: {exc}") from exc
 
 
-def _fitted_models(cfg: RunConfig, portfolio: Portfolio, earliest: date):
-    """The frequency model of each protocol and the severity model, from --models else --output;
-    the severity model must start by ``earliest``, its first prediction date."""
+def _predictions(cfg: RunConfig):
+    """What ``price`` and ``simulate`` predict from: the portfolio, each protocol's
+    ``_prediction_point``, the frequency model of each protocol and the
+    severity model, the models from --models else --output.  The severity
+    model must start by the earliest prediction date."""
+    cfg.validate(needs=("tvl", "portfolio"))
+    portfolio = load_portfolio(cfg.portfolio)
+    tvl = load_tvl(cfg.tvl)
+    points = [_prediction_point(cfg, tvl.get(p.id, {}), p.id) for p in portfolio.protocols]
+    earliest = min(when for _, when in points)
     models = Path(cfg.models or cfg.output)
 
     def load(name: str, what: str, from_dict):
@@ -421,7 +427,7 @@ def _fitted_models(cfg: RunConfig, portfolio: Portfolio, earliest: date):
     if sev_model.time_origin > earliest:
         path = models / "severity_model.json"
         raise SchemaError(f"{path}: 'time_origin' is after the prediction date {earliest}")
-    return freq_models, sev_model
+    return portfolio, points, freq_models, sev_model
 
 
 def _quote_table(quotes: list[pricing.PremiumQuote], seed: int) -> dict[str, list]:
@@ -443,19 +449,11 @@ def _quote_table(quotes: list[pricing.PremiumQuote], seed: int) -> dict[str, lis
 def cmd_price(cfg: RunConfig) -> list[Path]:
     if cfg.override is not None:
         return _price_from_override(cfg)
-    cfg.validate(needs=("tvl", "portfolio"))
-    portfolio = load_portfolio(cfg.portfolio)
-    tvl = load_tvl(cfg.tvl)
-    points = [_prediction_point(cfg, tvl.get(p.id, {}), p.id) for p in portfolio.protocols]
-    earliest = min(month for _, month in points).first_day()
-    freq_models, sev_model = _fitted_models(cfg, portfolio, earliest)
+    portfolio, points, freq_models, sev_model = _predictions(cfg)
     theta = cfg.theta if cfg.theta is not None else portfolio.loading_theta
-
     quotes = [
-        pricing.price(
-            proto, tvl_next, pred_month.first_day(), freq_models[proto.id], sev_model, theta=theta
-        )
-        for proto, (tvl_next, pred_month) in zip(portfolio.protocols, points)
+        pricing.price(proto, tvl_next, when, freq_models[proto.id], sev_model, theta=theta)
+        for proto, (tvl_next, when) in zip(portfolio.protocols, points)
     ]
     return [_emit_table(cfg, "quotes", _quote_table(quotes, cfg.seed))]
 
@@ -511,17 +509,13 @@ def _price_from_override(cfg: RunConfig) -> list[Path]:
 
 
 def cmd_simulate(cfg: RunConfig) -> list[Path]:
-    cfg.validate(needs=("tvl", "portfolio"))
-    portfolio = load_portfolio(cfg.portfolio)
-    tvl = load_tvl(cfg.tvl)
-    points = [_prediction_point(cfg, tvl.get(p.id, {}), p.id) for p in portfolio.protocols]
+    portfolio, points, freq_models, sev_model = _predictions(cfg)
     tvls = [float(tvl_next) for tvl_next, _ in points]
-    when = max(month for _, month in points).first_day()
-    freq_models, sev_model = _fitted_models(cfg, portfolio, when)
     copula = build_copula(portfolio.similarity)
-    pairs = list(zip(portfolio.protocols, tvls))
-    probs = [frequency.predict_attack_probability(freq_models[p.id], v) for p, v in pairs]
-    laws = [severity.ratio_law(sev_model, p.chain, v, when) for p, v in pairs]
+    probs, laws = [], []
+    for p, (tvl_next, when) in zip(portfolio.protocols, points):
+        probs.append(frequency.predict_attack_probability(freq_models[p.id], tvl_next))
+        laws.append(severity.ratio_law(sev_model, p.chain, tvl_next, when))
 
     report = tailrisk.risk_report(
         probs,

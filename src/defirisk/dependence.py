@@ -4,11 +4,12 @@ The exogenous similarity matrix plays the role of the copula correlation;
 it is validated (and repaired when indefinite) before factorization.  The
 event convention is N_i = 1 iff Z_i exceeds the (1 - pi_i) normal quantile,
 so positive similarity entries produce positively correlated attacks while
-each marginal stays Bernoulli(pi_i).  ``draw_events`` is the one sampler of
-the coupled indicators; it streams the normals through fixed panels, so
-only the indicators are ever held for all paths, packed eight to a byte.
-Without the copula, ``attacked_paths`` draws a protocol's attacked paths
-as a Binomial count and a uniform subset: nothing per (protocol, path).
+each marginal stays Bernoulli(pi_i).  ``EventSampler`` is the one sampler
+of the coupled indicators; it streams the normals through panels capped in
+bytes, so only the indicators are ever held for all paths, packed eight to
+a byte (its docstring gives the footprint).  Without the copula,
+``attacked_paths`` draws a protocol's attacked paths as a Binomial count
+and a uniform subset: nothing per (protocol, path).
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ from .numerics import (
     std_normal_quantile,
 )
 
-_PANEL = 4096  # a multiple of 8, so each panel starts on a mask byte
+_PANEL = 4096  # paths
+_PANEL_VALUES = 1 << 17  # normals (1 MB), whatever the number of protocols
 _ROWS = 32
 
 
@@ -77,60 +79,50 @@ def event_thresholds(probabilities, dim: int) -> np.ndarray:
     ])
 
 
-def draw_events(
-    gen: np.random.Generator,
-    size: int,
-    probs,
-    spec: CopulaSpec,
-    out: np.ndarray | None = None,
-    work=None,
-) -> np.ndarray:
-    """Copula attack indicators of ``size`` paths as a bit-packed protocol-major mask.
+class EventSampler:
+    """Copula attack indicators of up to ``size`` paths a draw, from thresholds
+    worked out once and buffers allocated once.
 
-    Bit j of row i (``np.unpackbits(mask[i], count=size)``) is set iff path
-    j attacks protocol i: iff Z_ij = (L u_j)_i exceeds its ``event_thresholds``
-    value, u_j iid standard normal.  The paths are drawn in panels of
-    _PANEL: the same normals in the same order as one (size, d) array, so
-    ``gen`` ends where that draw would leave it.  A panel's indicators go
-    through a (d, _PANEL) bool scratch and are packed into the mask.  Z is
-    formed _ROWS rows at a time, from the nonzero part of the triangular L.
-    The mask, of shape (d, >= ceil(size / 8)) uint8, is ``out`` when given,
-    and then ``work`` holds the u, Z and indicator scratches of
-    ``event_buffers``.  For a 65,536-path block they take about 44 KB per
-    protocol (8 KB of mask, 32 KB of u, 4 KB of indicators) plus a 1 MB Z panel.
+    ``draw(gen, m)`` returns a bit-packed protocol-major mask: bit j of row
+    i (``np.unpackbits(mask[i], count=m)``) is set iff Z_ij = (L u_j)_i
+    exceeds protocol i's ``event_thresholds`` value, u_j iid standard
+    normal.  The normals are drawn panel by panel in the order of one (m, d)
+    array, so ``gen`` ends where that draw would leave it.  A panel is at
+    most _PANEL paths and _PANEL_VALUES normals, a multiple of 8 so that it
+    starts on a mask byte.  Z is formed _ROWS rows at a time, from the
+    nonzero part of the triangular L, and compared into a bool panel.  So a
+    sampler holds 8 KB of mask per protocol for a 65,536-path block and at
+    most about 2.2 MB of panels (1.3 MB at d = 230).
     """
-    column = event_thresholds(probs, spec.dim)[:, None]
-    d = len(column)
-    if out is None:
-        out, *work = event_buffers(d, size)
-    mask = out[:, : (size + 7) // 8]
-    u_work, z_work, hit_work = work
-    for a in range(0, size, _PANEL):
-        k = min(_PANEL, size - a)
-        u, hit = u_work[:k], hit_work[:, :k]
-        gen.standard_normal(out=u)
-        for r0 in range(0, d, _ROWS):
-            r1 = min(r0 + _ROWS, d)
-            z = z_work[: (r1 - r0) * k].reshape(r1 - r0, k)
-            np.matmul(spec.chol[r0:r1, :r1], u[:, :r1].T, out=z)
-            np.greater(z, column[r0:r1], out=hit[r0:r1])
-        mask[:, a // 8 : (a + k + 7) // 8] = np.packbits(hit, axis=1)
-    return mask
 
-
-def event_buffers(dim: int, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """A packed ``out`` mask and the u, Z and indicator scratches with
-    which ``draw_events`` can draw up to ``size`` paths of ``dim``
-    protocols, again and again (pass the last three as ``work``)."""
-    panel = min(size, _PANEL)
-    return (
-        np.empty((dim, (size + 7) // 8), dtype=np.uint8),
-        np.empty((panel, dim)),
-        np.empty(min(_ROWS, dim) * panel),
+    def __init__(self, spec: CopulaSpec, probs, size: int):
+        d = spec.dim
+        self.chol = spec.chol
+        self.column = event_thresholds(probs, d)[:, None]
+        self.panel = max(8, min(size, _PANEL, _PANEL_VALUES // d) // 8 * 8)
+        self.mask = np.empty((d, (size + 7) // 8), dtype=np.uint8)
+        self.u = np.empty((self.panel, d))
+        self.z = np.empty(min(_ROWS, d) * self.panel)
         # One spare column: numpy compares Z with the thresholds about 4x
         # faster into a strided view than into a contiguous (d, panel) array.
-        np.empty((dim, panel + 1), dtype=bool),
-    )
+        self.hit = np.empty((d, self.panel + 1), dtype=bool)
+
+    def draw(self, gen: np.random.Generator, m: int) -> np.ndarray:
+        """The (d, ceil(m / 8)) uint8 mask of m <= ``size`` paths, a view of the
+        sampler's own mask that the next draw overwrites."""
+        d = len(self.column)
+        mask = self.mask[:, : (m + 7) // 8]
+        for a in range(0, m, self.panel):
+            k = min(self.panel, m - a)
+            u, hit = self.u[:k], self.hit[:, :k]
+            gen.standard_normal(out=u)
+            for r0 in range(0, d, _ROWS):
+                r1 = min(r0 + _ROWS, d)
+                z = self.z[: (r1 - r0) * k].reshape(r1 - r0, k)
+                np.matmul(self.chol[r0:r1, :r1], u[:, :r1].T, out=z)
+                np.greater(z, self.column[r0:r1], out=hit[r0:r1])
+            mask[:, a // 8 : (a + k + 7) // 8] = np.packbits(hit, axis=1)
+        return mask
 
 
 def attacked_paths(gen: np.random.Generator, size: int, pi: float) -> np.ndarray:

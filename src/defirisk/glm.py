@@ -41,14 +41,17 @@ _IRLS_MAX_ITER = 100
 _FISTA_MAX_ITER = 20000
 
 
-def invlogit(eta):
-    """Numerically stable inverse logit, strictly inside (0, 1)."""
-    eta = np.clip(eta, -_ETA_CLIP, _ETA_CLIP)
-    e = np.exp(-np.abs(eta))  # exp(-eta) where eta >= 0, exp(eta) elsewhere
-    out = np.where(eta >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-    if np.ndim(eta) == 0:
-        return float(out)
-    return out
+def invlogit(eta, out=None):
+    """Numerically stable inverse logit, strictly inside (0, 1); written to ``out``
+    when given, a float array of eta's shape that may be eta itself."""
+    x = np.empty(np.shape(eta)) if out is None else out
+    np.clip(eta, -_ETA_CLIP, _ETA_CLIP, out=x)
+    upper = x >= 0
+    np.exp(-np.abs(x, out=x), out=x)  # e: exp(-eta) where eta >= 0, exp(eta) elsewhere
+    denominator = 1.0 + x
+    np.putmask(x, upper, 1.0)  # numerator: 1 where eta >= 0, e elsewhere
+    np.divide(x, denominator, out=x)
+    return float(x) if x.ndim == 0 else x
 
 
 def logit(p):

@@ -256,9 +256,13 @@ class RatioLaw:
         """
         if self.eta is None:
             return np.ones(k)
-        u = gen.random(k)
-        z = gen.standard_normal(k)
-        return np.where(u < self.pi_s, 1.0, glm.invlogit(self.eta + self.sigma * z))
+        total = gen.random(k) < self.pi_s
+        ratios = gen.standard_normal(k)
+        ratios *= self.sigma
+        ratios += self.eta
+        glm.invlogit(ratios, out=ratios)
+        np.putmask(ratios, total, 1.0)
+        return ratios
 
 
 def ratio_law(model: SeverityModel, chain: Chain, tvl: float, when: date) -> RatioLaw:

@@ -5,9 +5,10 @@ protocols each path attacks, then an independent severity ratio for each
 attacked protocol.  Replicates are organized in fixed-size blocks with
 per-block counter offsets, so the same seed yields byte-identical results
 for any worker count.  ``dependence`` draws the attacks: through the
-copula as a block's bit-packed mask, filled panel by panel, and without
-it as each protocol's attacked paths.  So no block holds its normals in
-full, and the independent scenario holds nothing per (protocol, path).
+copula as a block's bit-packed mask, from one ``EventSampler`` per worker
+that fills it panel by panel, and without it as each protocol's attacked
+paths.  So no block holds its normals in full, and the independent
+scenario holds nothing per (protocol, path).
 
 VaR uses the ceil(n q)-th order statistic, the exact sample analogue of
 the generalized-inverse definition; CTE averages the strictly greater
@@ -44,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dependence import CopulaSpec, attacked_paths, check_probabilities, draw_events, event_buffers
+from .dependence import CopulaSpec, EventSampler, attacked_paths, check_probabilities
 from .errors import ConfigError, DomainError
 from .numerics import RngStream
 from .severity import RatioLaw
@@ -86,13 +87,13 @@ def simulate_aggregate(
 
     Protocol i is attacked with probability ``probs[i]`` and then loses
     ``tvls[i]`` times a ratio drawn from ``laws[i]``.  With a copula, a
-    block's generator draws the ``draw_events`` mask, then each protocol's
+    block's generator draws the ``EventSampler`` mask, then each protocol's
     ratios in turn; without one, each protocol's ``attacked_paths`` and
     then their ratios, one protocol after another.  The result is byte-identical
     to the last ``top`` values of the full sorted sample.  Memory is a
     merge buffer of top + max(65,536, top/4) values (1.25 top once top
-    passes 262,144), shrunk in place to the result, plus, per worker, the
-    copula's ``draw_events`` buffers and two blocks of losses: each drops
+    passes 262,144), shrunk in place to the result, plus, per worker, one
+    ``EventSampler`` (copula only) and two blocks of losses: each drops
     its values below the ``top``-th largest so far.
     """
     if n_sims < 10_000:
@@ -109,8 +110,8 @@ def simulate_aggregate(
         raise ConfigError(f"copula dimension {copula.dim} does not match portfolio size {d}")
 
     floor = -math.inf  # the top-th largest value merged so far; it only rises
-    # Each thread reuses one set of ``event_buffers``.  A fresh one each
-    # block can make malloc return it to the system and fault it in again:
+    # Each thread reuses one ``EventSampler``.  Fresh buffers each block
+    # can make malloc return them to the system and fault them in again:
     # at 10^7 paths on 2 threads that was 250,000 page faults, not 8,000,
     # and 0.8 s of system time.
     scratch = threading.local()
@@ -123,9 +124,9 @@ def simulate_aggregate(
             # Lazy: protocol i's paths are drawn after protocol i - 1's ratios.
             attacked = (attacked_paths(gen, m, pi) for pi in probs)
         else:
-            if not hasattr(scratch, "mask"):
-                scratch.mask, *scratch.work = event_buffers(d, min(_BLOCK, n_sims))
-            events = draw_events(gen, m, probs, copula, out=scratch.mask, work=scratch.work)
+            if not hasattr(scratch, "sampler"):
+                scratch.sampler = EventSampler(copula, probs, min(_BLOCK, n_sims))
+            events = scratch.sampler.draw(gen, m)
             # flatnonzero is about 3x faster on a bool view than on uint8.
             attacked = (np.flatnonzero(np.unpackbits(row, count=m).view(bool)) for row in events)
         s = np.zeros(m)

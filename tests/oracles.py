@@ -9,7 +9,7 @@ from datetime import date
 import numpy as np
 
 from defirisk.datamodel import Chain, IssueType, Month
-from defirisk.dependence import CopulaSpec, draw_events, event_thresholds
+from defirisk.dependence import CopulaSpec, EventSampler, event_thresholds
 from defirisk.errors import DataError, DomainError, SchemaError, TvlGapError
 from defirisk.glm import invlogit
 from defirisk.numerics import RngStream, std_normal_cdf
@@ -59,7 +59,7 @@ def mvn_sample(chol: np.ndarray, rng, size: int | None = None) -> np.ndarray:
     same stream always yields the same draws) or a live numpy Generator to
     continue an existing sequence.  With ``size=None`` returns one vector
     of length d, otherwise an array of shape (size, d).  The attack
-    indicators do not go through here: ``dependence.draw_events`` streams
+    indicators do not go through here: ``dependence.EventSampler`` streams
     the same draws through fixed panels.
     """
     low = np.asarray(chol, dtype=float)
@@ -89,7 +89,7 @@ def sample_frequencies(
     """
     gen = rng.generator() if isinstance(rng, RngStream) else rng
     n = 1 if size is None else int(size)
-    events = np.unpackbits(draw_events(gen, n, probabilities, spec), axis=1, count=n)
+    events = np.unpackbits(EventSampler(spec, probabilities, n).draw(gen, n), axis=1, count=n)
     draws = events.T.astype(np.int8)
     return draws[0] if size is None else draws
 
@@ -118,9 +118,10 @@ def joint_cdf_estimate(
     active = np.flatnonzero(bounds == 0)
     hits = 0
     n_samples = int(n_samples)
+    sampler = EventSampler(spec, probabilities, min(_CHUNK, n_samples))
     for start in range(0, n_samples, _CHUNK):
         n = min(_CHUNK, n_samples - start)
-        events = np.unpackbits(draw_events(gen, n, probabilities, spec), axis=1, count=n).view(bool)
+        events = np.unpackbits(sampler.draw(gen, n), axis=1, count=n).view(bool)
         hits += int((~events[active].any(axis=0)).sum())
     p_hat = hits / n_samples
     se = float(np.sqrt(p_hat * (1.0 - p_hat) / n_samples))
@@ -130,7 +131,7 @@ def joint_cdf_estimate(
 def whole_block_events(gen, size: int, probs, spec=None) -> np.ndarray:
     """Attack indicators of ``size`` paths, path-major, from whole-block draws.
 
-    With a copula, the reference for ``dependence.draw_events``: all the
+    With a copula, the reference for ``dependence.EventSampler``: all the
     normals of the block at once, and all of Z.  Without one, the reference
     for ``dependence.attacked_paths`` called protocol by protocol: each
     protocol's Binomial count of attacked paths, then that many distinct

@@ -11,6 +11,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from datetime import date
 from pathlib import Path
 
 import pytest
@@ -18,7 +19,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import defirisk
+from defirisk import severity, tailrisk
 from defirisk.cli import _SETTINGS, RunConfig, main, make_parser
+from defirisk.datamodel import Chain
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -350,6 +353,42 @@ def cell_agrees(text: str, value) -> bool:
     if isinstance(value, float):
         return float(text).hex() == value.hex()
     return text == str(value)
+
+
+class TestPredictionDates:
+    def test_simulate_draws_each_ratio_law_at_the_date_price_uses(
+        self, fitted_dir, tmp_path, monkeypatch
+    ):
+        # Without P1's 2023-11 and 2023-12 TVL rows, P1 is predicted for
+        # 2023-11 and the other protocols for 2024-01.  ``price`` prices P1
+        # at 2023-11-01, and ``simulate`` must draw its ratios from the law
+        # at that date too (pi_s 0.12629, against 0.12365 at 2024-01-01).
+        tvl = tmp_path / "tvl.csv"
+        rows = Path(TVL).read_text().splitlines(keepends=True)
+        tvl.write_text("".join(r for r in rows if not r.startswith(("P1,2023-11", "P1,2023-12"))))
+        seen = []
+        real = tailrisk.risk_report
+
+        def spy(probs, tvls, laws, *args, **kwargs):
+            seen.append((tvls, laws))
+            return real(probs, tvls, laws, *args, **kwargs)
+
+        monkeypatch.setattr(tailrisk, "risk_report", spy)
+        common = ["--tvl", tvl, "--portfolio", PORTFOLIO_PRICED, "--models", fitted_dir,
+                  "--output", tmp_path / "out", "--samples", 10_000]
+        assert run(["simulate", *common, "--bootstrap", 2]) == 0
+        assert run(["price", *common]) == 0
+        (tvls, laws), = seen
+        model = severity.from_dict(json.loads((fitted_dir / "severity_model.json").read_text()))
+        p1_tvl, nov, jan = 606371102.61, date(2023, 11, 1), date(2024, 1, 1)
+        assert tvls[0] == p1_tvl
+        assert laws[0].pi_s == severity.predict_total_loss_prob(model, Chain.ETH, p1_tvl, nov)
+        assert round(laws[0].pi_s, 5) == 0.12629
+        assert round(severity.predict_total_loss_prob(model, Chain.ETH, p1_tvl, jan), 5) == 0.12365
+        with open(tmp_path / "out" / "quotes.csv", newline="") as fh:
+            quote = next(csv.DictReader(fh))
+        assert quote["protocol_id"] == "P1"
+        assert float(quote["loss_pct"]) == severity.loss_moments(model, Chain.ETH, p1_tvl, nov)[0]
 
 
 class TestFormats:

@@ -1,15 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from defirisk.dependence import (
-    attacked_paths,
-    build_copula,
-    draw_events,
-    event_buffers,
-    event_thresholds,
-)
+from defirisk.dependence import EventSampler, attacked_paths, build_copula, event_thresholds
 from defirisk.errors import DomainError
 from defirisk.numerics import RngStream, std_normal_cdf, std_normal_quantile
 
@@ -85,8 +80,9 @@ def wide_copula():
 
 class TestDrawEvents:
     # A full and a partial block, one whose last mask byte is padded, and
-    # one whose last panel holds a single path.  Without the copula the
-    # block is drawn protocol by protocol with ``attacked_paths``.
+    # one whose last 4,096-path panel holds a single path; at d = 230 the
+    # panels are 568 paths.  Without the copula the block is drawn
+    # protocol by protocol with ``attacked_paths``.
     @pytest.mark.parametrize("size", [65_536, 34_464, 10_001, 4_097])
     @pytest.mark.parametrize("d", [7, 230])
     @pytest.mark.parametrize("with_copula", [True, False])
@@ -98,7 +94,7 @@ class TestDrawEvents:
         gen, ref_gen = stream.block_generator(2), stream.block_generator(2)
         copula = spec if with_copula else None
         if with_copula:
-            mask = draw_events(gen, size, probs, copula)
+            mask = EventSampler(copula, probs, size).draw(gen, size)
             assert mask.shape == (d, (size + 7) // 8)
             bits = np.unpackbits(mask, axis=1)
             assert not bits[:, size:].any()  # the padding of the last byte
@@ -116,19 +112,41 @@ class TestDrawEvents:
         assert np.array_equal(gen.integers(0, 2**63, 4), ref_gen.integers(0, 2**63, 4))
 
     def test_reused_buffers_give_the_same_mask(self):
+        # One sampler drawing 10,000 and then 5,000 paths, with its buffers
+        # filled with garbage first, gives the masks of fresh samplers.
         spec = build_copula(SIMILARITY)
         probs = [ATTACK_PROBS[p] for p in PROTOCOL_IDS]
-        out, *work = event_buffers(8, 10_000)
-        out[:] = 255
-        for scratch in work:
+        sampler = EventSampler(spec, probs, 10_000)
+        sampler.mask[:] = 255
+        for scratch in (sampler.u, sampler.z, sampler.hit):
             scratch[:] = np.nan if scratch.dtype == float else True
         for size in (10_000, 5_000):
-            fresh = draw_events(RngStream(52).generator(), size, probs, spec)
-            reused = draw_events(RngStream(52).generator(), size, probs, spec, out=out, work=work)
+            fresh = EventSampler(spec, probs, size).draw(RngStream(52).generator(), size)
+            reused = sampler.draw(RngStream(52).generator(), size)
+            assert fresh.shape == reused.shape == (8, (size + 7) // 8)
             assert np.array_equal(
                 np.unpackbits(fresh, axis=1, count=size), np.unpackbits(reused, axis=1, count=size)
             )
-            assert np.shares_memory(reused, out)
+            assert np.shares_memory(reused, sampler.mask)
+
+    @pytest.mark.parametrize("d", [7, 32, 230, 2_000])
+    def test_footprint_is_the_mask_and_capped_panels(self, d):
+        # A 65,536-path sampler holds 8 KB of mask per protocol and panels of
+        # at most 2^17 normals, a Z panel of at most 32 rows and a bool
+        # panel, about 2.2 MB whatever d is.  Panels of 4,096 paths would
+        # take 9.5 MB at d = 230 and 82 MB at d = 2,000.
+        spec = build_copula(np.eye(d))
+        probs = np.full(d, 0.1)
+        tracemalloc.start()
+        try:
+            sampler = EventSampler(spec, probs, 65_536)
+            sampler.draw(RngStream(54).generator(), 1_024)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sampler.mask.nbytes == 8_192 * d
+        assert peak <= 8_192 * d + 2.5 * 2**20
+        assert sampler.panel == (4_096 if d <= 32 else (2**17 // d) // 8 * 8)
 
 
 class TestAttackedPaths:

@@ -42,6 +42,9 @@ class TestInvlogit:
         for eta in (edges, wide):
             new, old = glm.invlogit(eta), self.three_exp_form(eta)
             assert np.array_equal(new.view(np.uint64), old.view(np.uint64))
+            in_place = eta.copy()  # ``out`` may be the argument itself
+            assert glm.invlogit(in_place, out=in_place) is in_place
+            assert np.array_equal(in_place.view(np.uint64), old.view(np.uint64))
         for x in edges.tolist():
             new, old = glm.invlogit(x), self.three_exp_form(x)
             assert isinstance(new, float)

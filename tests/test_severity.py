@@ -211,6 +211,28 @@ class TestRatioMoments:
         assert m.second_moment_r <= m.mean_r
 
 
+class TestRatioLawDraw:
+    # eta = +-30 with sigma = 4 sends about 7% of the logit arguments past
+    # invlogit's clip at +-36; sigma = 0 gives a point mass; pi_s = 0 and 1
+    # take one branch only.
+    @pytest.mark.parametrize(
+        "pi_s, eta, sigma",
+        [(0.3, -0.8, 1.7), (0.05, 30.0, 4.0), (0.5, -30.0, 4.0), (0.2, 1.3, 0.0), (0.0, -2.0, 60.0),
+         (1.0, 0.5, 1.0)],
+    )
+    @pytest.mark.parametrize("k", [0, 1, 20_000])
+    def test_matches_one_where_over_the_inverse_logit_bit_for_bit(self, pi_s, eta, sigma, k):
+        law = severity.RatioLaw(pi_s, eta, sigma)
+        gen, ref_gen = RngStream(55, 1).generator(), RngStream(55, 1).generator()
+        got = law.draw(gen, k)
+        u, z = ref_gen.random(k), ref_gen.standard_normal(k)
+        want = np.where(u < pi_s, 1.0, glm.invlogit(eta + sigma * z))
+        assert got.shape == (k,) and got.dtype == np.float64
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        # The generator ends where the uniform and normal draws leave it.
+        assert np.array_equal(gen.integers(0, 2**63, 4), ref_gen.integers(0, 2**63, 4))
+
+
 class TestSampleRatio:
     def test_total_loss_only_always_one(self):
         model = total_loss_only_model()

@@ -289,12 +289,19 @@ class TestStreamingTop:
     @pytest.mark.parametrize("with_copula", [True, False])
     def test_simulate_memory_is_packed(self, with_copula):
         # A block's events are a bit-packed (d, 65,536) mask, 1/8 byte per
-        # entry, filled from a 4,096-path panel of normals (1/2 byte per
-        # entry of the block), a bool panel (1/16) and a 32-row Z panel.
+        # entry, filled from panels of at most 4,096 paths and 2^17 normals.
         # A one-byte-per-entry mask and two full (d, 4,096) float panels
         # take over twice the block's entries.
         peak, d = self.simulate_peak(with_copula)
         assert peak < 1.5 * tailrisk._BLOCK * d
+
+    def test_copula_memory_is_the_mask_and_capped_panels(self):
+        # With the copula a worker holds the block's mask (1/8 byte per
+        # entry) and panels capped at 2^17 normals, about 1.3 MB at d = 230
+        # (0.09 byte per entry), beside the losses.  Panels of 4,096 paths
+        # whatever d is peaked at 0.96 byte per entry.
+        peak, d = self.simulate_peak(True)
+        assert peak < 0.5 * tailrisk._BLOCK * d
 
     def test_independent_memory_does_not_follow_the_portfolio(self):
         # Without the copula a block holds its losses and one protocol's
