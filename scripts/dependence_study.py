@@ -37,8 +37,6 @@ def reference_severity() -> severity.SeverityModel:
             standard_errors=np.full(7, np.nan),
             converged=True,
             penalty=None,
-            covariate_means=np.zeros(6),
-            covariate_sds=np.ones(6),
         ),
         proportional_fit=glm.LinearLogitFit(
             coefficients=PROP_LOSS_COEFS, sigma2=2.0, xtx_inverse=None

@@ -588,7 +588,7 @@ def cmd_gof(cfg: RunConfig) -> list[Path]:
         ingest = load_incidents(cfg.incidents)
         series = load_tvl(cfg.tvl).get(model.protocol_id, {})
         panel = build_monthly_panel(ingest.records, series, matches[0], model.training_window[1])
-        hl = glm.hosmer_lemeshow(model.fit, *frequency.panel_design(panel))
+        hl = frequency.panel_hl(model, panel)
         payload = {
             "model": "frequency",
             "protocol_id": model.protocol_id,

@@ -30,17 +30,30 @@ _Z975 = std_normal_quantile(0.975)
 class FrequencyModel:
     """Fitted attack-frequency model for one protocol.
 
-    ``fit`` always carries two coefficients (intercept, standardized
-    log-TVL slope).  When the panel's TVL never varies the slope is pinned
-    to zero and ``covariate_dropped`` is set; the HL test is then not
-    applicable and ``hl`` is None.
+    ``fit`` always carries two coefficients: the intercept ``alpha0`` and
+    ``alpha1``, the slope on log TVL standardized as (log TVL - ``cov_mean``)
+    / ``cov_sd``, the mean and sample sd (ddof=1) of the training months.
+    When the panel's TVL never varies the slope is pinned to zero,
+    ``cov_sd`` is 1 and ``covariate_dropped`` is set; the HL test is then
+    not applicable and ``hl`` is None.
     """
 
     protocol_id: str
     fit: glm.LogisticFit
     training_window: tuple[Month, Month]
     hl: glm.HLResult | None
+    cov_mean: float
+    cov_sd: float
     covariate_dropped: bool = False
+
+
+@dataclass(frozen=True)
+class PooledFit:
+    """Logistic fit over pooled peer panels, on their own log-TVL scale."""
+
+    fit: glm.LogisticFit
+    cov_mean: float
+    cov_sd: float
 
 
 def panel_design(*panels: Panel) -> tuple[np.ndarray, np.ndarray]:
@@ -50,6 +63,24 @@ def panel_design(*panels: Panel) -> tuple[np.ndarray, np.ndarray]:
     return np.column_stack([np.ones(len(y)), x]), y
 
 
+def _log_tvl_scale(design: np.ndarray) -> tuple[float, float]:
+    """Mean and sample sd (ddof=1) of the design's log-TVL column."""
+    covariate = design[:, 1:]
+    return float(covariate.mean(axis=0)[0]), float(covariate.std(axis=0, ddof=1)[0])
+
+
+def _standardized(design: np.ndarray, mean: float, sd: float) -> np.ndarray:
+    x = design.copy()
+    x[:, 1] = (x[:, 1] - mean) / sd
+    return x
+
+
+def _standardized_log_tvl(model: FrequencyModel | PooledFit, tvl: float) -> float:
+    if not tvl > 0.0:
+        raise DomainError(f"tvl_next must be positive, got {tvl}")
+    return (math.log(tvl) - model.cov_mean) / model.cov_sd
+
+
 def fit_frequency(panel: Panel) -> FrequencyModel:
     """Fit event-on-log-TVL logistic regression over one protocol's panel."""
     if not len(panel):
@@ -57,7 +88,6 @@ def fit_frequency(panel: Panel) -> FrequencyModel:
     if len(panel) < 2:
         raise InsufficientDataError("a single panel month cannot identify the model")
     design, y = panel_design(panel)
-    x = design[:, 1]
     if y.sum() == 0:
         raise NoEventError(
             f"protocol {panel.protocol_id!r} has no event months; "
@@ -66,35 +96,38 @@ def fit_frequency(panel: Panel) -> FrequencyModel:
     window = (panel.start, panel.start.plus(len(panel) - 1))
     protocol_id = panel.protocol_id
 
-    if np.std(x, ddof=1) == 0.0:
+    mean, sd = _log_tvl_scale(design)
+    if sd == 0.0:
         # Constant TVL: standardization is undefined, so drop the covariate
         # and report an intercept-only model with a zero slope.
-        base = glm.fit_logistic(np.ones((len(y), 1)), y, standardize=False)
+        base = glm.fit_logistic(np.ones((len(y), 1)), y)
         fit = glm.LogisticFit(
             coefficients=np.array([base.coefficients[0], 0.0]),
             standard_errors=np.array([base.standard_errors[0], math.nan]),
             converged=base.converged,
             penalty=base.penalty,
-            covariate_means=np.array([float(x.mean())]),
-            covariate_sds=np.array([1.0]),
             covariance=None,
             nll_trace=base.nll_trace,
         )
-        return FrequencyModel(protocol_id, fit, window, hl=None, covariate_dropped=True)
+        return FrequencyModel(protocol_id, fit, window, None, mean, 1.0, covariate_dropped=True)
 
-    fit = glm.fit_logistic(design, y, standardize=True)
-    hl = glm.hosmer_lemeshow(fit, design, y)
-    return FrequencyModel(protocol_id, fit, window, hl=hl)
+    x = _standardized(design, mean, sd)
+    fit = glm.fit_logistic(x, y)
+    return FrequencyModel(protocol_id, fit, window, glm.hosmer_lemeshow(fit, x, y), mean, sd)
+
+
+def panel_hl(model: FrequencyModel, panel: Panel) -> glm.HLResult | None:
+    """Hosmer-Lemeshow test of the model on a panel, standardized on the model's scale."""
+    design, y = panel_design(panel)
+    return glm.hosmer_lemeshow(model.fit, _standardized(design, model.cov_mean, model.cov_sd), y)
 
 
 def predict_attack_probability(model: FrequencyModel, tvl_next: float) -> float:
     """Attack probability for a month with the given TVL."""
-    if not tvl_next > 0.0:
-        raise DomainError(f"tvl_next must be positive, got {tvl_next}")
-    return glm.predict_logistic(model.fit, [math.log(tvl_next)])
+    return glm.predict_logistic(model.fit, [_standardized_log_tvl(model, tvl_next)])
 
 
-def pooled_fit(peer_panels) -> glm.LogisticFit:
+def pooled_fit(peer_panels) -> PooledFit:
     """One logistic fit over the pooled peer panels, for ``peer_interval``.
 
     Raises InsufficientDataError without panel months, NoEventError without
@@ -106,27 +139,26 @@ def pooled_fit(peer_panels) -> glm.LogisticFit:
     design, y = panel_design(*peer_panels)
     if y.sum() == 0:
         raise NoEventError("pooled peer panels contain no events")
-    fit = glm.fit_logistic(design, y, standardize=True)
+    mean, sd = _log_tvl_scale(design)
+    sd = sd or 1.0  # a constant column is left to the rank-deficiency fallback
+    fit = glm.fit_logistic(_standardized(design, mean, sd), y)
     if fit.covariance is None:
         raise DomainError(
             "pooled fit fell back to the penalized path; no covariance for a Wald interval"
         )
-    return fit
+    return PooledFit(fit, mean, sd)
 
 
-def peer_interval(pooled: glm.LogisticFit, tvl_next: float) -> tuple[float, float]:
+def peer_interval(pooled: PooledFit, tvl_next: float) -> tuple[float, float]:
     """95% interval for the attack probability of a never-attacked protocol.
 
     The Wald interval of the pooled fit's predicted probability at
     ``tvl_next``, computed on the linear-predictor scale and mapped through
     the inverse logit.
     """
-    if not tvl_next > 0.0:
-        raise DomainError(f"tvl_next must be positive, got {tvl_next}")
-    z = (math.log(tvl_next) - pooled.covariate_means[0]) / pooled.covariate_sds[0]
-    v = np.array([1.0, z])
-    eta = float(v @ pooled.coefficients)
-    se = math.sqrt(float(v @ pooled.covariance @ v))
+    v = np.array([1.0, _standardized_log_tvl(pooled, tvl_next)])
+    eta = float(v @ pooled.fit.coefficients)
+    se = math.sqrt(float(v @ pooled.fit.covariance @ v))
     lo = glm.invlogit(eta - _Z975 * se)
     hi = glm.invlogit(eta + _Z975 * se)
     return (lo, hi)
@@ -143,8 +175,8 @@ def to_dict(model: FrequencyModel) -> dict:
         "se_alpha0": ses[0],
         "se_alpha1": ses[1],
         "converged": bool(fit.converged),
-        "cov_mean": float(fit.covariate_means[0]),
-        "cov_sd": float(fit.covariate_sds[0]),
+        "cov_mean": model.cov_mean,
+        "cov_sd": model.cov_sd,
         "window": [str(model.training_window[0]), str(model.training_window[1])],
         "penalty": None if fit.penalty is None else fit.penalty.to_dict(),
         "hl": None if model.hl is None else model.hl.to_dict(),
@@ -173,7 +205,6 @@ def from_dict(doc: dict) -> FrequencyModel:
 
     A missing or malformed field is a SchemaError naming the key.
     """
-    penalty = json_field(doc, "penalty", glm.PenaltySpec.from_dict, None)
     fit = glm.LogisticFit(
         coefficients=np.array(
             [json_field(doc, "alpha0", _finite), json_field(doc, "alpha1", _finite)]
@@ -182,9 +213,7 @@ def from_dict(doc: dict) -> FrequencyModel:
             [json_field(doc, k, float, math.nan) for k in ("se_alpha0", "se_alpha1")]
         ),
         converged=json_field(doc, "converged", json_bool),
-        penalty=penalty,
-        covariate_means=np.array([json_field(doc, "cov_mean", _finite)]),
-        covariate_sds=np.array([json_field(doc, "cov_sd", _positive)]),
+        penalty=json_field(doc, "penalty", glm.PenaltySpec.from_dict, None),
         covariance=None,
     )
     return FrequencyModel(
@@ -192,5 +221,7 @@ def from_dict(doc: dict) -> FrequencyModel:
         fit=fit,
         training_window=json_field(doc, "window", parse_window),
         hl=json_field(doc, "hl", glm.HLResult.from_dict, None),
+        cov_mean=json_field(doc, "cov_mean", _finite),
+        cov_sd=json_field(doc, "cov_sd", _positive),
         covariate_dropped=json_field(doc, "covariate_dropped", json_bool, False),
     )

@@ -5,10 +5,9 @@ elastic-net fallback for separated or rank-deficient problems, Gaussian
 linear models on logit-transformed ratios, the Hosmer-Lemeshow calibration
 test, and quantile residuals.
 
-Logistic coefficients live on the standardized-covariate scale when
-standardization is enabled (the default); the per-covariate (mean, sd)
-pairs recorded in the fit make prediction from raw covariates exact either
-way.  Standardization uses the sample standard deviation (ddof=1).
+Every fit is on the design it is given, penalty included: a caller that
+wants coefficients on a standardized scale standardizes the design, and
+predicts from covariates on that scale.
 """
 
 from __future__ import annotations
@@ -76,20 +75,17 @@ class PenaltySpec:
     lam: float = 1e-3
     alpha_mix: float = 0.5
 
-    def __post_init__(self):
-        if self.lam < 0:
-            raise DomainError(f"penalty lam must be nonnegative, got {self.lam}")
-        if not (0.0 <= self.alpha_mix <= 1.0):
-            raise DomainError(f"alpha_mix must lie in [0, 1], got {self.alpha_mix}")
-
     def to_dict(self) -> dict:
         return {"lambda": self.lam, "alpha_mix": self.alpha_mix}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "PenaltySpec":
-        return cls(
+        spec = cls(
             lam=json_field(doc, "lambda", float), alpha_mix=json_field(doc, "alpha_mix", float)
         )
+        if not (0.0 <= spec.lam < math.inf and 0.0 <= spec.alpha_mix <= 1.0):
+            raise ValueError("expected a finite lambda >= 0 and alpha_mix in [0, 1]")
+        return spec
 
 
 @dataclass(frozen=True)
@@ -97,35 +93,23 @@ class LogisticFit:
     """Fitted logistic regression (intercept first).
 
     ``standard_errors`` is all-NaN on the penalized path, where classical
-    errors are invalid.  ``covariate_means``/``covariate_sds`` hold the
-    standardization applied to the non-intercept columns (zeros/ones when
-    standardization was disabled).
+    errors are invalid.
     """
 
     coefficients: np.ndarray
     standard_errors: np.ndarray
     converged: bool
     penalty: PenaltySpec | None
-    covariate_means: np.ndarray
-    covariate_sds: np.ndarray
     covariance: np.ndarray | None = None
     nll_trace: tuple[float, ...] = field(default=(), repr=False)
 
     def __post_init__(self):
         if len(self.coefficients) != len(self.standard_errors):
             raise DomainError("coefficients and standard_errors must have equal length")
-        if np.any(np.asarray(self.covariate_sds) <= 0.0):
-            raise DomainError("stored standardization sds must be positive")
 
     @property
     def n_coefficients(self) -> int:
         return len(self.coefficients)
-
-
-def _standardized_design(design, means, sds):
-    x = np.array(design, dtype=float, copy=True)
-    x[:, 1:] = (x[:, 1:] - means) / sds
-    return x
 
 
 def _nll(x, y, beta):
@@ -212,7 +196,7 @@ def _fit_elastic_net(x, y, penalty: PenaltySpec):
     return beta, converged
 
 
-def fit_logistic(design, response, *, standardize: bool = True) -> LogisticFit:
+def fit_logistic(design, response) -> LogisticFit:
     """Maximum-likelihood logistic regression with a penalized fallback.
 
     IRLS runs until the infinity norm of the mean-log-likelihood gradient
@@ -220,26 +204,13 @@ def fit_logistic(design, response, *, standardize: bool = True) -> LogisticFit:
     ``_IRLS_MAX_ITER`` steps, coefficient blow-up, a singular or
     ill-conditioned information matrix, or no step that lowers the
     objective) redoes the fit with the default elastic-net penalty and
-    flags it.  ``design`` carries the intercept column; non-intercept
-    columns are standardized internally unless ``standardize=False``.  The
-    coefficients are determined only to that gradient tolerance, so their
-    last ulps depend on the BLAS kernels and SIMD ``exp``/``log`` of the
-    numpy build in use.
+    flags it.  ``design`` carries the intercept column first, and the fit,
+    penalty included, is on its columns as given.  The coefficients are
+    determined only to that gradient tolerance, so their last ulps depend
+    on the BLAS kernels and SIMD ``exp``/``log`` of the numpy build in use.
     """
-    x_raw, y = _check_design(design, response)
-    n, p = x_raw.shape
-
-    raw_means = x_raw[:, 1:].mean(axis=0) if p > 1 else np.empty(0)
-    raw_sds = x_raw[:, 1:].std(axis=0, ddof=1) if p > 1 else np.empty(0)
-    if standardize:
-        means = raw_means.copy()
-        # A constant column cannot be scaled; keep it centred and let the
-        # rank-deficiency fallback deal with it.
-        sds = np.where(raw_sds > 0.0, raw_sds, 1.0)
-    else:
-        means = np.zeros(p - 1)
-        sds = np.ones(p - 1)
-    x = _standardized_design(x_raw, means, sds)
+    x, y = _check_design(design, response)
+    n, p = x.shape
     col_means = x[:, 1:].mean(axis=0) if p > 1 else np.empty(0)
     col_sds = x[:, 1:].std(axis=0, ddof=1) if p > 1 else np.empty(0)
 
@@ -288,8 +259,6 @@ def fit_logistic(design, response, *, standardize: bool = True) -> LogisticFit:
             standard_errors=np.full(p, np.nan),
             converged=converged,
             penalty=penalty,
-            covariate_means=means,
-            covariate_sds=sds,
             covariance=None,
             nll_trace=tuple(trace),
         )
@@ -301,20 +270,17 @@ def fit_logistic(design, response, *, standardize: bool = True) -> LogisticFit:
         standard_errors=ses,
         converged=True,
         penalty=None,
-        covariate_means=means,
-        covariate_sds=sds,
         covariance=cov,
         nll_trace=tuple(trace),
     )
 
 
 def predict_logistic(fit: LogisticFit, covariates) -> float:
-    """Probability for one raw covariate vector (no intercept entry)."""
+    """Probability for one covariate vector on the fit's scale (no intercept entry)."""
     v = np.atleast_1d(np.asarray(covariates, dtype=float))
     if len(v) != fit.n_coefficients - 1:
         raise DomainError(f"expected {fit.n_coefficients - 1} covariates, got {len(v)}")
-    z = (v - fit.covariate_means) / fit.covariate_sds
-    eta = fit.coefficients[0] + fit.coefficients[1:] @ z
+    eta = fit.coefficients[0] + fit.coefficients[1:] @ v
     return float(invlogit(eta))
 
 
@@ -422,8 +388,7 @@ def hosmer_lemeshow(fit: LogisticFit, design, response, groups: int = 10) -> HLR
     if groups < 3:
         raise DomainError(f"need at least 3 groups, got {groups}")
     y = np.asarray(response, dtype=float)
-    xs = _standardized_design(design, fit.covariate_means, fit.covariate_sds)
-    probs = invlogit(xs @ fit.coefficients)
+    probs = invlogit(np.asarray(design, dtype=float) @ fit.coefficients)
     order = np.argsort(probs, kind="stable")
     p_sorted = probs[order]
     y_sorted = y[order]

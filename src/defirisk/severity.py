@@ -161,7 +161,7 @@ def fit_severity(data: TrainingSet) -> SeverityModel:
 
     total_fit = proportional_fit = hl = None
     if n_partial:  # else every training ratio is a total loss, and so is every prediction
-        total_fit = glm.fit_logistic(data.design, total.astype(float), standardize=False)
+        total_fit = glm.fit_logistic(data.design, total.astype(float))
         hl = glm.hosmer_lemeshow(total_fit, data.design, total.astype(float))
         proportional_fit = glm.fit_linear_on_logit(*data.partial())
     return SeverityModel(
@@ -369,8 +369,6 @@ def from_dict(doc: dict) -> SeverityModel:
             ),
             converged=json_field(doc, "converged", json_bool),
             penalty=json_field(doc, "penalty", glm.PenaltySpec.from_dict, None),
-            covariate_means=np.zeros(6),
-            covariate_sds=np.ones(6),
             covariance=None,
         )
     gamma = json_field(doc, "gamma", _vector(2), None)

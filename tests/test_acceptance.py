@@ -181,10 +181,10 @@ def test_criterion_5_tail_measures_exact_bernoulli():
         standard_errors=np.array([np.nan, np.nan]),
         converged=True,
         penalty=None,
-        covariate_means=np.array([0.0]),
-        covariate_sds=np.array([1.0]),
     )
-    freq_model = frequency.FrequencyModel("P0", freq_fit, (Month(2020, 1), Month(2023, 12)), None)
+    freq_model = frequency.FrequencyModel(
+        "P0", freq_fit, (Month(2020, 1), Month(2023, 12)), None, 0.0, 1.0
+    )
     sev_model = severity.SeverityModel(
         total_loss_fit=None, proportional_fit=None, time_origin=date(2020, 1, 1),
         training_window=(Month(2020, 1), Month(2023, 12)), hl=None,
@@ -224,8 +224,6 @@ def test_criterion_6_dependence_raises_extreme_tail():
             standard_errors=np.full(7, np.nan),
             converged=True,
             penalty=None,
-            covariate_means=np.zeros(6),
-            covariate_sds=np.ones(6),
         ),
         proportional_fit=glm.LinearLogitFit(
             coefficients=PROP_LOSS_COEFS, sigma2=2.0, xtx_inverse=None

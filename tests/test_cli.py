@@ -584,9 +584,16 @@ class TestErrorSurface:
             ("severity_model.json", lambda doc: {"beta": [1.0]}, "beta"),
             ("severity_model.json", lambda doc: {**doc, "hl": [1]}, "hl"),
             ("severity_model.json", lambda doc: {**doc, "sigma2": -1.0}, "sigma2"),
+            ("freq_P1.json", lambda doc: {**doc, "penalty": {"lambda": -1, "alpha_mix": 0.5}},
+             "penalty"),
+            ("freq_P1.json",
+             lambda doc: {**doc, "penalty": {"lambda": math.nan, "alpha_mix": 0.5}}, "penalty"),
+            ("severity_model.json",
+             lambda doc: {**doc, "penalty": {"lambda": 1e-3, "alpha_mix": 2}}, "penalty"),
         ],
         ids=["freq-missing", "freq-mistyped", "severity-short-beta", "severity-bad-hl",
-             "severity-negative-sigma2"],
+             "severity-negative-sigma2", "freq-negative-lambda", "freq-nan-lambda",
+             "severity-alpha-mix-above-1"],
     )
     def test_malformed_model_json_exits_2(
         self, fitted_dir, tmp_path, capsys, command, name, edit, key
@@ -951,6 +958,10 @@ class TestJsonInputs:
     @example(name="severity_model.json", command="gof", key="beta", value=[1e300] * 7)
     @example(name="severity_model.json", command="simulate", key="zero_loss_skipped",
              value=math.inf)
+    @example(name="freq_P1.json", command="gof", key="penalty",
+             value={"lambda": -1, "alpha_mix": 0.5})
+    @example(name="severity_model.json", command="simulate", key="penalty",
+             value={"lambda": 1e-3, "alpha_mix": 2})
     def test_model_file(self, fitted_dir, name, command, key, value):
         """The file holds ``value`` (REMOVE: nothing), or the fitted model with ``key``
         set to ``value`` or removed."""

@@ -87,7 +87,7 @@ class TestPredictAttackProbability:
 
     def test_prediction_at_training_mean(self):
         model = self.fitted()
-        tvl_at_mean = math.exp(float(model.fit.covariate_means[0]))
+        tvl_at_mean = math.exp(model.cov_mean)
         assert frequency.predict_attack_probability(model, tvl_at_mean) == pytest.approx(
             glm.invlogit(model.fit.coefficients[0]), abs=1e-12
         )
@@ -137,18 +137,22 @@ class TestPeerInterval:
 
 class TestSerialization:
     def test_round_trip(self):
-        model = frequency.fit_frequency(frequency_panel((-2.8, 0.2), 350, seed=91))
-        doc = frequency.to_dict(model)
-        back = frequency.from_dict(doc)
-        assert back.protocol_id == model.protocol_id
-        assert np.allclose(back.fit.coefficients, model.fit.coefficients)
-        assert back.training_window == model.training_window
-        assert back.hl == model.hl
-        # Identical predictions after the round trip.
-        for tvl in (1e5, 1e9):
-            assert frequency.predict_attack_probability(
-                back, tvl
-            ) == frequency.predict_attack_probability(model, tvl)
+        varying = frequency.fit_frequency(frequency_panel((-2.8, 0.2), 350, seed=91))
+        constant = frequency.fit_frequency(constant_tvl_panel(40, {3, 10, 17, 24}))
+        for model in (varying, constant):
+            back = frequency.from_dict(frequency.to_dict(model))
+            assert back.protocol_id == model.protocol_id
+            assert np.allclose(back.fit.coefficients, model.fit.coefficients)
+            assert back.training_window == model.training_window
+            assert back.hl == model.hl
+            assert (back.cov_mean, back.cov_sd) == (model.cov_mean, model.cov_sd)
+            assert back.covariate_dropped == model.covariate_dropped
+            # Identical predictions after the round trip.
+            for tvl in (1e5, 1e9):
+                assert frequency.predict_attack_probability(
+                    back, tvl
+                ) == frequency.predict_attack_probability(model, tvl)
+        assert constant.covariate_dropped and constant.cov_sd == 1.0
 
     def test_converged_flag_round_trips(self):
         import dataclasses

@@ -30,10 +30,8 @@ def flat_frequency_model(p: float, protocol_id="X") -> FrequencyModel:
         standard_errors=np.array([np.nan, np.nan]),
         converged=True,
         penalty=None,
-        covariate_means=np.array([0.0]),
-        covariate_sds=np.array([1.0]),
     )
-    return FrequencyModel(protocol_id, fit, (Month(2020, 1), Month(2023, 12)), hl=None)
+    return FrequencyModel(protocol_id, fit, (Month(2020, 1), Month(2023, 12)), None, 0.0, 1.0)
 
 
 def flat_severity_model(pi_s: float, mean_r: float) -> severity.SeverityModel:

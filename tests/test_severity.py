@@ -27,8 +27,6 @@ def reference_model(betas=None, gammas=None, sigma2=1.0):
         standard_errors=np.full(len(betas), np.nan),
         converged=True,
         penalty=None,
-        covariate_means=np.zeros(len(betas) - 1),
-        covariate_sds=np.ones(len(betas) - 1),
     )
     prop = glm.LinearLogitFit(
         coefficients=gammas, sigma2=sigma2, xtx_inverse=None
