@@ -16,9 +16,10 @@ every file in it is listed; the gof runs write to ``OUT_DIR/gof_severity``
 and ``OUT_DIR/gof_frequency`` so neither overwrites the other's
 ``gof.json``.  Prints one ``<sha256>  <path>`` line per output file,
 sorted by path, so two source trees are checked for byte-identical
-outputs with one diff of their listings.  ``--workers``
-(default 1) is passed to ``simulate``; outputs must not depend on it, so
-the listings at two worker counts must not differ either.  ``--samples``
+outputs with one diff of their listings.  ``--workers`` is passed to
+``simulate`` (by default it is not, so ``simulate`` uses its own default,
+the CPUs the process may run on); outputs must not depend on it, so the
+listings at two worker counts must not differ either.  ``--samples``
 (default: the config's, 10^5) is passed to ``simulate`` too: the merge
 of the retained tail compacts, and the bootstrap's CTE sums split, only
 at larger path counts (10^6 does both at the default levels).  ``--format``
@@ -57,7 +58,7 @@ def run(args, fmt: str) -> None:
         sys.exit(f"{args[0]} exited {code}")
 
 
-def run_all(data: Path, out: Path, seed: int, workers: int, samples: int | None, fmt: str) -> None:
+def run_all(data: Path, out: Path, seed: int, workers: int | None, samples: int | None, fmt: str) -> None:
     incidents, tvl = data / "incidents.csv", data / "tvl.csv"
     portfolio, priced = data / "portfolio.json", data / "portfolio_priced.json"
     first_priced = json.loads(priced.read_text(encoding="utf-8"))["protocols"][0]["id"]
@@ -67,7 +68,8 @@ def run_all(data: Path, out: Path, seed: int, workers: int, samples: int | None,
     run(["price", "--tvl", tvl, "--portfolio", priced, "--models", out, "--output", out,
          "--seed", seed], fmt)
     run(["simulate", "--tvl", tvl, "--portfolio", priced, "--models", out, "--output", out,
-         "--seed", seed, "--workers", workers] + (["--samples", samples] if samples else []), fmt)
+         "--seed", seed] + (["--workers", workers] if workers else [])
+        + (["--samples", samples] if samples else []), fmt)
     run(["summarize", "--incidents", incidents, "--output", out], fmt)
     run(["gof", "--model", out / "severity_model.json", "--incidents", incidents,
          "--output", out / "gof_severity"], fmt)
@@ -82,7 +84,7 @@ def main_digest() -> None:
     source.add_argument("--data", type=Path, default=ROOT / "tests" / "data")
     source.add_argument("--book", type=int, metavar="SEED")
     parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--workers", type=int, default=1)
+    parser.add_argument("--workers", type=int, default=None)
     parser.add_argument("--samples", type=int, default=None)
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     args = parser.parse_args()

@@ -3,7 +3,10 @@
 Subcommands: fit-frequency, fit-severity, price, simulate, gof, summarize.
 Every command is a pure function of (input files, config, seed): reruns
 with the same inputs produce byte-identical output files, and the
-``--workers`` flag never changes results, only wall time.
+``--workers`` flag never changes results, only wall time.  Its default is
+the number of CPUs the process may run on (``usable_cpus``).  simulate
+checks ``tailrisk.footprint`` against physical memory before it starts
+its one pool of workers, and passes the copula build to that pool.
 
 Only simulate draws random numbers, from stream 1000 of --seed and its
 children.  price is deterministic: its quotes depend on neither --seed nor
@@ -24,10 +27,12 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import json
 import math
+import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
 
@@ -53,6 +58,14 @@ from .numerics import RngStream, std_normal_quantile
 
 _SIMULATE_STREAM = 1000
 
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on, the default ``workers``."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 @dataclass
 class RunConfig:
     """Resolved run configuration (defaults < config file < CLI flags)."""
@@ -67,7 +80,7 @@ class RunConfig:
     theta: float | None = None
     levels: tuple[float, ...] = (0.90, 0.95, 0.99)
     format: str = "csv"
-    workers: int = 1
+    workers: int = field(default_factory=usable_cpus)
     dependence: str = "both"
     window_end: Month | None = None
     bootstrap: int = 200
@@ -510,8 +523,14 @@ def _price_from_override(cfg: RunConfig) -> list[Path]:
 
 def cmd_simulate(cfg: RunConfig) -> list[Path]:
     portfolio, points, freq_models, sev_model = _predictions(cfg)
+    parts = tailrisk.footprint(cfg.samples, cfg.levels, portfolio.dim, cfg.workers, cfg.dependence)
+    need, memory = sum(parts.values()), os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > memory:
+        raise ConfigError(
+            f"samples {cfg.samples} at {cfg.workers} workers needs about {need:,} bytes, "
+            f"more than the {memory:,} bytes of physical memory"
+        )
     tvls = [float(tvl_next) for tvl_next, _ in points]
-    copula = build_copula(portfolio.similarity)
     probs, laws = [], []
     for p, (tvl_next, when) in zip(portfolio.protocols, points):
         probs.append(frequency.predict_attack_probability(freq_models[p.id], tvl_next))
@@ -521,7 +540,8 @@ def cmd_simulate(cfg: RunConfig) -> list[Path]:
         probs,
         tvls,
         laws,
-        copula,
+        # Built on the run's pool; called through this module's name, which a tracer may wrap.
+        functools.partial(build_copula, portfolio.similarity),
         levels=cfg.levels,
         n_sims=cfg.samples,
         rng=RngStream(cfg.seed, _SIMULATE_STREAM),
@@ -539,8 +559,8 @@ def cmd_simulate(cfg: RunConfig) -> list[Path]:
             "base_stream": _SIMULATE_STREAM,
             "bootstrap_resamples": report.bootstrap_resamples,
             "total_tvl": report.total_tvl,
-            "repaired_similarity": copula.repaired,
-            "frobenius_shift": copula.frobenius_shift,
+            "repaired_similarity": report.copula.repaired,
+            "frobenius_shift": report.copula.frobenius_shift,
             "degenerate_tail": list(report.degenerate_tail),
             "var_on_atom": list(report.var_on_atom),
             "dependence": cfg.dependence,

@@ -7,7 +7,7 @@ so positive similarity entries produce positively correlated attacks while
 each marginal stays Bernoulli(pi_i).  ``EventSampler`` is the one sampler
 of the coupled indicators; it streams the normals through panels capped in
 bytes, so only the indicators are ever held for all paths, packed eight to
-a byte (its docstring gives the footprint).  Without the copula,
+a byte (``EventSampler.nbytes`` counts its buffers).  Without the copula,
 ``attacked_paths`` draws a protocol's attacked paths as a Binomial count
 and a uniform subset: nothing per (protocol, path).
 """
@@ -79,6 +79,11 @@ def event_thresholds(probabilities, dim: int) -> np.ndarray:
     ])
 
 
+def _panel_paths(d: int, size: int) -> int:
+    """Paths per panel: at most _PANEL and _PANEL_VALUES / d normals, a multiple of 8."""
+    return max(8, min(size, _PANEL, _PANEL_VALUES // d) // 8 * 8)
+
+
 class EventSampler:
     """Copula attack indicators of up to ``size`` paths a draw, from thresholds
     worked out once and buffers allocated once.
@@ -90,22 +95,30 @@ class EventSampler:
     array, so ``gen`` ends where that draw would leave it.  A panel is at
     most _PANEL paths and _PANEL_VALUES normals, a multiple of 8 so that it
     starts on a mask byte.  Z is formed _ROWS rows at a time, from the
-    nonzero part of the triangular L, and compared into a bool panel.  So a
-    sampler holds 8 KB of mask per protocol for a 65,536-path block and at
-    most about 2.2 MB of panels (1.3 MB at d = 230).
+    nonzero part of the triangular L, and compared into a bool panel.
+    ``nbytes`` counts the buffers, and ``tailrisk.footprint`` the samplers
+    of a run.
     """
 
     def __init__(self, spec: CopulaSpec, probs, size: int):
         d = spec.dim
         self.chol = spec.chol
         self.column = event_thresholds(probs, d)[:, None]
-        self.panel = max(8, min(size, _PANEL, _PANEL_VALUES // d) // 8 * 8)
+        self.panel = _panel_paths(d, size)
         self.mask = np.empty((d, (size + 7) // 8), dtype=np.uint8)
         self.u = np.empty((self.panel, d))
         self.z = np.empty(min(_ROWS, d) * self.panel)
         # One spare column: numpy compares Z with the thresholds about 4x
         # faster into a strided view than into a contiguous (d, panel) array.
         self.hit = np.empty((d, self.panel + 1), dtype=bool)
+
+    @staticmethod
+    def nbytes(d: int, size: int) -> int:
+        """Bytes of the buffers of a sampler of d protocols and ``size`` paths:
+        the mask, the normals, Z, the bool panel and its packed copy."""
+        panel = _panel_paths(d, size)
+        mask, u, z = d * ((size + 7) // 8), 8 * panel * d, 8 * min(_ROWS, d) * panel
+        return mask + u + z + d * (panel + 1) + d * (panel // 8)
 
     def draw(self, gen: np.random.Generator, m: int) -> np.ndarray:
         """The (d, ceil(m / 8)) uint8 mask of m <= ``size`` paths, a view of the

@@ -30,18 +30,24 @@ O(m) instead of O(n) with m a little above n (1 - min level): the draws
 are counted into one int32 tally of the top m, reused by every resample.
 
 ``risk_report`` therefore keeps only the top m losses of each scenario
-(``simulate_aggregate`` says what that holds in memory).  The rare
-resample that needs the rest redraws the same losses from the same stream.
+(``footprint`` counts what a run holds in memory).  The rare resample
+that needs the rest redraws the same losses from the same stream.
+
+A ``risk_report`` runs on one pool of worker threads, or inline at one
+worker, and may build the copula on it while the independent scenario is
+drawn.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import threading
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from collections.abc import Callable
+from concurrent.futures import Future, ThreadPoolExecutor
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,10 +57,33 @@ from .numerics import RngStream
 from .severity import RatioLaw
 
 _BLOCK = 1 << 16
+# Bytes a path of a block holds (``footprint``): while it is drawn, its
+# losses and one protocol's attacked paths, ratios and their temporaries
+# (42 under tracemalloc when every path is attacked); once drawn, the
+# losses that survive the cut.
+_DRAWING, _DRAWN = 42, 8
 
 
-def _in_order(fn, count: int, workers: int):
-    """fn(0), ..., fn(count - 1) in that order, computed on ``workers`` threads.
+@contextlib.contextmanager
+def worker_pool(workers: int):
+    """One pool of ``workers`` threads for a whole run, or None at one worker.
+
+    On leaving, the tasks not yet started are cancelled and the threads
+    joined, so an error leaves no thread running.
+    """
+    if workers <= 1:
+        yield None
+        return
+    pool = ThreadPoolExecutor(max_workers=workers)
+    try:
+        yield pool
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
+def _in_order(fn, count: int, workers: int, pool: ThreadPoolExecutor | None = None):
+    """fn(0), ..., fn(count - 1) in that order, computed on ``pool``'s ``workers``
+    threads, inline at one worker.  Without a pool, one is started for this call.
 
     At most two calls per worker are in flight or waiting to be consumed,
     so the memory held by finished results does not depend on scheduling.
@@ -62,7 +91,7 @@ def _in_order(fn, count: int, workers: int):
     if workers <= 1:
         yield from map(fn, range(count))
         return
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with worker_pool(workers) if pool is None else contextlib.nullcontext(pool) as pool:
         pending = deque()
         for i in range(count):
             pending.append(pool.submit(fn, i))
@@ -70,6 +99,11 @@ def _in_order(fn, count: int, workers: int):
                 yield pending.popleft().result()
         while pending:
             yield pending.popleft().result()
+
+
+def _merge_size(n: int, top: int) -> int:
+    """Values of the merge buffer that keeps the ``top`` largest of n."""
+    return min(n, top + max(_BLOCK, top // 4))
 
 
 def simulate_aggregate(
@@ -81,6 +115,7 @@ def simulate_aggregate(
     rng: RngStream,
     workers: int = 1,
     top: int | None = None,
+    pool: ThreadPoolExecutor | None = None,
 ) -> np.ndarray:
     """The ``top`` largest values (default all) of the sorted sample of the
     aggregate portfolio loss.
@@ -90,11 +125,12 @@ def simulate_aggregate(
     block's generator draws the ``EventSampler`` mask, then each protocol's
     ratios in turn; without one, each protocol's ``attacked_paths`` and
     then their ratios, one protocol after another.  The result is byte-identical
-    to the last ``top`` values of the full sorted sample.  Memory is a
-    merge buffer of top + max(65,536, top/4) values (1.25 top once top
-    passes 262,144), shrunk in place to the result, plus, per worker, one
-    ``EventSampler`` (copula only) and two blocks of losses: each drops
-    its values below the ``top``-th largest so far.
+    to the last ``top`` values of the full sorted sample.  The blocks run
+    on ``pool``, which has ``workers`` threads, or on a pool started for
+    this call when none is given.  ``footprint`` counts the memory: a merge
+    buffer shrunk in place to the result, and per worker an
+    ``EventSampler`` (copula only) and two blocks of losses, each of which
+    drops its values below the ``top``-th largest so far.
     """
     if n_sims < 10_000:
         raise DomainError(f"n_sims must be at least 10^4, got {n_sims}")
@@ -137,11 +173,11 @@ def simulate_aggregate(
         # change the top, which already holds ``top`` values at or above it.
         return s[s > floor]
 
-    blocks = _in_order(run_block, (n_sims + _BLOCK - 1) // _BLOCK, workers)
+    blocks = _in_order(run_block, (n_sims + _BLOCK - 1) // _BLOCK, workers, pool)
     # A full buffer is compacted and the floor raised.  Less slack than top/4
     # compacts more often; numpy's vectorized sort is faster here than
     # ndarray.partition (13 against 20 ms on 1.26M fixture losses, 2 vCPUs).
-    buf = np.empty(min(n_sims, top + max(_BLOCK, top // 4)))
+    buf = np.empty(_merge_size(n_sims, top))
     filled = 0
 
     def compact() -> float:  # the sorted top to buf[:top]; the smallest of it
@@ -159,6 +195,11 @@ def simulate_aggregate(
     compact()
     buf.resize(top, refcheck=False)  # shrinks in place: no second copy of the top
     return buf
+
+
+def _tally_dtype(n: int) -> np.dtype:
+    """The integer type of a bootstrap tally of draws from n values."""
+    return np.dtype(np.int32 if n < 2**31 else np.int64)
 
 
 def _order_index(n: int, q: float) -> int:
@@ -223,7 +264,8 @@ class RiskReport:
     ``level``, then for each of ``_MEASURES`` its column of each simulated
     scenario (``dep`` before ``indep``).  A scenario not simulated has no
     columns.  The flags name ``<measure>_<scenario>@<level>``, levels outer
-    and scenarios inner.
+    and scenarios inner.  ``copula`` is the copula of the run, also when
+    only the independent scenario was simulated.
     """
 
     table: dict[str, tuple[float, ...]]
@@ -231,6 +273,7 @@ class RiskReport:
     bootstrap_resamples: int
     degenerate_tail: tuple[str, ...]
     var_on_atom: tuple[str, ...]
+    copula: CopulaSpec = field(compare=False, repr=False)
 
 
 def _tail_size(n: int, t: int) -> int:
@@ -325,7 +368,7 @@ def _bootstrap_ses(
     """
     n = top.size if n is None else n
     ks, t, m = _tail_need(n, levels)
-    tally = np.empty(m, np.int32 if n < 2**31 else np.int64)
+    tally = np.empty(m, _tally_dtype(n))
     reps = []
     for _ in range(resamples):
         counts, lo = _resample_counts(n, t, m, gen, tally)
@@ -340,11 +383,36 @@ def _bootstrap_ses(
     return se[:, 0], se[:, 1]
 
 
+def footprint(n_sims: int, levels, d: int, workers: int, dependence: str) -> dict[str, int]:
+    """Bytes a ``risk_report`` of ``n_sims`` paths at ``levels`` holds at most, by part.
+
+    One scenario is held at a time: its sorted top of m values (8m), the
+    merge buffer's slack beyond it, max(65,536, m/4) values while merging,
+    and the bootstrap's tally of m counts.  Each worker that draws a block
+    holds an ``EventSampler`` of d protocols (copula scenarios only) and
+    two blocks in flight, one being drawn and one drawn, beside the block
+    being merged.  The bootstrap's draws, 65,536 at a time, come after the
+    blocks are freed and take less than they did.  Not counted: the
+    inputs, the copula, and the full-sample redraw of the rare resample
+    that needs it (about 10 sd away).
+    """
+    _, _, m = _tail_need(n_sims, levels)
+    block = min(_BLOCK, n_sims)
+    busy = min(workers, (n_sims + _BLOCK - 1) // _BLOCK)
+    return {
+        "top": 8 * m,
+        "merge_slack": 8 * (_merge_size(n_sims, m) - m),
+        "tally": _tally_dtype(n_sims).itemsize * m,
+        "samplers": busy * EventSampler.nbytes(d, block) if dependence != "off" else 0,
+        "blocks": (busy * (_DRAWING + _DRAWN) + _DRAWN) * block,
+    }
+
+
 def risk_report(
     probs,
     tvls,
     laws: list[RatioLaw],
-    copula: CopulaSpec,
+    copula: CopulaSpec | Callable[[], CopulaSpec],
     levels=(0.90, 0.95, 0.99),
     n_sims: int = 1_000_000,
     rng: RngStream = RngStream(0),
@@ -355,9 +423,18 @@ def risk_report(
     """VaR and CTE with frequency dependence, without it, or both, plus bootstrap SEs.
 
     ``probs``, ``tvls`` and ``laws`` are as in ``simulate_aggregate``.
-    ``dependence`` is "on" (copula paths only), "off" (independent paths
-    only) or "both".  Each scenario draws from its own streams, so its
-    measures do not depend on whether the other one ran.
+    ``copula`` is the ``CopulaSpec``, or a function of no arguments that
+    builds it.  ``dependence`` is "on" (copula paths only), "off"
+    (independent paths only) or "both".  Each scenario draws from its own
+    streams, so its measures do not depend on whether the other one ran,
+    nor on the order they run in.
+
+    One pool of ``workers`` threads serves the whole run, and none runs at
+    one worker.  A copula given as a function is built as the pool's first
+    task while the other workers draw the independent scenario, so on a
+    pool the scenarios are computed ``indep`` first; the columns keep
+    ``dep`` first.  At one worker it is built inline before any path is
+    drawn, and ``dep`` runs first.
     """
     levels = tuple(float(q) for q in levels)
     if any(not (0.0 < q < 1.0) for q in levels):
@@ -380,10 +457,11 @@ def risk_report(
             probs=probs,
             tvls=tvls,
             laws=laws,
-            copula=copula if with_copula else None,
+            copula=spec() if with_copula else None,
             n_sims=n_sims,
             rng=rng.child(path_stream),
             workers=workers,
+            pool=pool,
         )
         top = simulate(top=m)
         se_var, se_cte = _bootstrap_ses(
@@ -395,7 +473,15 @@ def risk_report(
         return [tuple(c.tolist()) for c in columns], no_tail, on_atom
 
     scenarios = _SCENARIOS[dependence]
-    measured = {scenario: measure(scenario) for scenario in scenarios}
+    with worker_pool(workers) as pool:
+        if callable(copula):  # the pool's first task, else built now
+            copula = pool.submit(copula) if pool is not None else copula()
+        spec = copula.result if isinstance(copula, Future) else lambda: copula
+        # On a pool indep goes first, so that the workers the build leaves
+        # free draw it.  Inline, dep first peaks lower: 41.0 against 41.8 MB
+        # RSS at 10^6 fixture paths, from where glibc places the blocks.
+        measured = {s: measure(s) for s in (scenarios if pool is None else reversed(scenarios))}
+        copula = spec()
     table = {"level": levels}
     for k, name in enumerate(_MEASURES):
         table.update((name.format(s), measured[s][0][k]) for s in scenarios)
@@ -415,4 +501,5 @@ def risk_report(
         bootstrap_resamples=bootstrap_resamples,
         degenerate_tail=flagged("cte", 1),
         var_on_atom=flagged("var", 2),
+        copula=copula,
     )

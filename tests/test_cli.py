@@ -11,6 +11,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import threading
 from datetime import date
 from pathlib import Path
 
@@ -19,9 +20,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import defirisk
-from defirisk import severity, tailrisk
-from defirisk.cli import _SETTINGS, RunConfig, main, make_parser
+from defirisk import dependence, severity, tailrisk
+from defirisk.cli import _SETTINGS, RunConfig, build_config, main, make_parser
 from defirisk.datamodel import Chain
+from defirisk.errors import DomainError
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -281,15 +283,18 @@ class TestDeterminism:
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
     def test_simulate_workers_do_not_change_bytes(self, fitted_dir, tmp_path):
-        # 200,000 paths are four blocks, so 8 workers merge tops across threads.
+        # 200,000 paths are four blocks, so 8 workers merge tops across
+        # threads.  No flag runs the default, the CPUs this process may use.
         outs = []
-        for workers in (1, 8):
+        for workers in (1, 8, None):
             out = tmp_path / f"w{workers}"
+            flag = [] if workers is None else ["--workers", workers]
             assert run(["simulate", "--tvl", TVL, "--portfolio", PORTFOLIO_PRICED,
                         "--models", fitted_dir, "--output", out, "--seed", 5,
-                        "--samples", 200_000, "--bootstrap", 20, "--workers", workers]) == 0
+                        "--samples", 200_000, "--bootstrap", 20, *flag]) == 0
             outs.append(out)
-        assert (outs[0] / "risk_report.csv").read_bytes() == (outs[1] / "risk_report.csv").read_bytes()
+        for name in ("risk_report.csv", "risk_report_meta.json"):
+            assert len({(out / name).read_bytes() for out in outs}) == 1, name
 
     def test_price_reruns_byte_identical(self, fitted_dir, tmp_path):
         outs = []
@@ -654,6 +659,44 @@ class TestErrorSurface:
         report = (tmp_path / "frequency_report.csv").read_text()
         assert report.count("no events anywhere") == 8
 
+    def test_samples_beyond_physical_memory_exit_2(self, fitted_dir, tmp_path, capsys, monkeypatch):
+        # 10^20 paths keep a top of about 10^19 losses: the footprint is
+        # checked against physical memory before a pool starts or a path
+        # is drawn, where numpy would raise "Maximum allowed dimension
+        # exceeded".
+        def never(*args, **kwargs):
+            raise AssertionError("risk_report ran")
+
+        monkeypatch.setattr(tailrisk, "risk_report", never)
+        code = run(["simulate", "--tvl", TVL, "--portfolio", PORTFOLIO_PRICED, "--models", fitted_dir,
+                    "--output", tmp_path, "--samples", 10**20])
+        (line,) = capsys.readouterr().err.splitlines()
+        err = json.loads(line)["error"]
+        assert code == 2
+        assert err["type"] == "ConfigError" and err["code"] == 2
+        assert err["message"].startswith(f"samples {10**20} at ")
+        assert not (tmp_path / "risk_report.csv").exists()
+
+    def test_failed_copula_build_ends_the_pool(self, fitted_dir, tmp_path, capsys, monkeypatch):
+        # At 2 workers the copula is built on the run's pool while the
+        # independent scenario is drawn; its error must reach the CLI as it
+        # does at one worker, and no pool thread may outlive the run.
+        def fails(a):
+            raise DomainError("repair did not converge")
+
+        monkeypatch.setattr(dependence, "nearest_correlation", fails)
+        errors = []
+        for workers in (1, 2):
+            out = tmp_path / f"w{workers}"
+            code = run(["simulate", "--tvl", TVL, "--portfolio", PORTFOLIO_PRICED, "--models", fitted_dir,
+                        "--output", out, "--samples", 200_000, "--bootstrap", 2, "--workers", workers])
+            (line,) = capsys.readouterr().err.splitlines()
+            errors.append((code, line))
+            assert not (out / "risk_report.csv").exists()
+        assert errors[0] == errors[1]
+        assert errors[0][0] == 3
+        assert not [t for t in threading.enumerate() if t.name.startswith("ThreadPoolExecutor")]
+
     def test_bad_samples_rejected(self, tmp_path):
         assert run(["summarize", "--incidents", INCIDENTS, "--output", tmp_path,
                     "--samples", 100]) == 2
@@ -716,7 +759,45 @@ class TestMalformedInput:
         assert json.loads(lines[0])["error"]["code"] == 2
 
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("edit", [_set_entry(1.5), _asymmetric], ids=["entry-1.5", "asymmetric"])
+    def test_bad_similarity_exits_2_before_any_path(self, fitted_dir, tmp_path, capsys, monkeypatch,
+                                                     edit, workers):
+        def never(**kwargs):
+            raise AssertionError("a path was drawn")
+
+        monkeypatch.setattr(tailrisk, "simulate_aggregate", never)
+        doc = json.loads(Path(PORTFOLIO_PRICED).read_text())
+        edit(doc)
+        portfolio = tmp_path / "portfolio.json"
+        portfolio.write_text(json.dumps(doc))
+        code = run(["simulate", "--tvl", TVL, "--portfolio", portfolio, "--models", fitted_dir,
+                    "--output", tmp_path / "out", "--samples", 10_000, "--workers", workers])
+        (line,) = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert json.loads(line)["error"]["code"] == 2
+        assert not (tmp_path / "out" / "risk_report.csv").exists()
+
+
 class TestConfigFile:
+    def test_workers_default_to_the_usable_cpus(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+        assert RunConfig().workers == 3
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"workers": 5}))
+
+        def workers(*argv):
+            return build_config(make_parser().parse_args(["simulate", *argv])).workers
+
+        assert workers() == 3
+        assert workers("--config", str(cfg)) == 5
+        assert workers("--config", str(cfg), "--workers", "2") == 2
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        assert RunConfig().workers == 4
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert RunConfig().workers == 1
+
     def test_config_file_supplies_paths(self, tmp_path):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({

@@ -1,6 +1,9 @@
+import functools
 import importlib.util
 import math
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from datetime import date
 from pathlib import Path
 
@@ -11,7 +14,7 @@ from hypothesis import strategies as st
 
 from defirisk import severity, tailrisk
 from defirisk.datamodel import Chain
-from defirisk.dependence import build_copula
+from defirisk.dependence import EventSampler, build_copula
 from defirisk.errors import ConfigError, DomainError
 from defirisk.numerics import RngStream
 
@@ -247,6 +250,37 @@ class TestStreamingTop:
         t = 40_000 - tailrisk._order_index(40_000, 0.90) + 1
         assert calls == [t + 1, None, t + 1, None]  # one redraw per scenario
 
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_one_pool_per_run(self, monkeypatch, workers):
+        # One report starts one pool of ``workers`` threads, and none at one
+        # worker, also when the bootstrap falls back to the full sample.  A
+        # pool per ``simulate_aggregate`` call, or a thread of its own for the
+        # copula build, gives glibc more allocating threads, each with its
+        # own malloc arena, and raised the peak RSS of ``simulate``.
+        monkeypatch.setattr(tailrisk, "_tail_size", lambda n, t: min(n, t + 1))
+        started = []
+
+        class Counted(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                started.append(max_workers)
+                super().__init__(max_workers)
+
+        simulate = tailrisk.simulate_aggregate
+        calls = []
+
+        def counted(**kwargs):
+            calls.append(kwargs.get("top"))
+            return simulate(**kwargs)
+
+        monkeypatch.setattr(tailrisk, "ThreadPoolExecutor", Counted)
+        monkeypatch.setattr(tailrisk, "simulate_aggregate", counted)
+        threads = threading.active_count()
+        report = TestRiskReport.small_report(seed=17, n=40_000, bootstrap=20, workers=workers)
+        assert started == ([] if workers == 1 else [workers])
+        assert None in calls  # the full-sample redraw ran on the same pool
+        assert threading.active_count() == threads
+        assert report == TestRiskReport.small_report(seed=17, n=40_000, bootstrap=20)
+
     def test_risk_report_memory_follows_the_tail(self):
         # Holding the sorted sample and the blocks it is concatenated from
         # takes at least 16 bytes a path.  At q = 0.9 the top is m = 0.1n
@@ -319,7 +353,8 @@ def report_rows(report) -> list[dict]:
 
 class TestRiskReport:
     @staticmethod
-    def small_report(seed=9, n=50_000, bootstrap=40):
+    def small_report(seed=9, n=50_000, bootstrap=40, workers=1):
+        """A three-protocol report whose copula is built by ``risk_report``."""
         similarity = [[1, 0.5, 0.3], [0.5, 1, 0.2], [0.3, 0.2, 1]]
         return tailrisk.risk_report(
             **inputs(
@@ -327,10 +362,11 @@ class TestRiskReport:
                 [1e7] * 3,
                 flat_severity_model(pi_s=0.4, mean_r=0.5),
             ),
-            copula=build_copula(similarity),
+            copula=functools.partial(build_copula, similarity),
             levels=(0.90, 0.95, 0.99),
             n_sims=n,
             rng=RngStream(seed, 100),
+            workers=workers,
             bootstrap_resamples=bootstrap,
         )
 
@@ -650,6 +686,51 @@ class TestTailOnlyBootstrap:
         finally:
             tracemalloc.stop()
         assert peak < 6 * m
+
+
+class TestFootprint:
+    @staticmethod
+    def traced_peak(n, d, workers, dependence, low, high) -> int:
+        probs = np.random.default_rng(4).uniform(low, high, d)
+        args = inputs(probs, [1e7] * d, flat_severity_model(pi_s=0.3, mean_r=0.4))
+        copula = build_copula(grouped_similarity(d, seed=4))
+        tracemalloc.start()
+        try:
+            tailrisk.risk_report(
+                **args, copula=copula, n_sims=n, rng=RngStream(43), workers=workers,
+                bootstrap_resamples=3, dependence=dependence,
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak
+
+    @pytest.mark.parametrize(
+        "n, d, workers, dependence, low, high",
+        [(200_000, 230, 1, "both", 0.01, 0.2), (200_000, 30, 2, "both", 0.9, 1.0),
+         (1_000_000, 7, 4, "on", 0.9, 1.0), (100_000, 2, 1, "off", 0.99, 1.0),
+         (2_000_000, 7, 1, "off", 0.01, 0.2)],
+        ids=["d230", "d30-w2-busy", "d7-w4", "d2-off-busy", "n2e6-off"],
+    )
+    def test_bounds_the_traced_peak(self, n, d, workers, dependence, low, high):
+        # Protocols attacked on nearly every path make the blocks' attacked
+        # paths and ratios as large as they get.  The footprint holds the
+        # run, and is within 3 times its peak, so it tells what a run needs.
+        peak = self.traced_peak(n, d, workers, dependence, low, high)
+        need = sum(tailrisk.footprint(n, (0.90, 0.95, 0.99), d, workers, dependence).values())
+        assert peak <= need <= 3 * peak
+
+    def test_parts(self):
+        # At 10^7 paths and a 0.90 level m is 1,010,012: 8m of top, m/4 of
+        # merge slack and an int32 tally; 10^10 paths need an int64 tally.
+        part = tailrisk.footprint(10**7, (0.90,), 230, 2, "off")
+        m = tailrisk._tail_need(10**7, (0.90,))[2]
+        assert (part["top"], part["merge_slack"], part["tally"]) == (8 * m, 8 * (m // 4), 4 * m)
+        assert part["samplers"] == 0
+        with_copula = tailrisk.footprint(10**7, (0.90,), 230, 2, "both")
+        assert with_copula["samplers"] == 2 * EventSampler.nbytes(230, tailrisk._BLOCK)
+        m = tailrisk._tail_need(10**10, (0.90,))[2]
+        assert tailrisk.footprint(10**10, (0.90,), 230, 2, "off")["tally"] == 8 * m
 
 
 def test_dependence_study_prints_a_row_per_level(capsys):
