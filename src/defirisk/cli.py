@@ -10,7 +10,7 @@ its one pool of workers, and passes the copula build to that pool.
 
 Only simulate draws random numbers, from stream 1000 of --seed and its
 children.  price is deterministic: its quotes depend on neither --seed nor
---samples nor a protocol's position in the portfolio.
+--samples.  No output depends on a protocol's position in the portfolio.
 
 Every report is a table, ``{column name: values}`` in column order, and
 one writer writes it as CSV or as JSON, a list of one object per row.
@@ -32,7 +32,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import date
 from pathlib import Path
 
@@ -301,7 +301,7 @@ def cmd_fit_frequency(cfg: RunConfig) -> list[Path]:
     pooled = None
     if len(models) < portfolio.dim:
         with contextlib.suppress(EngineError):  # no pooled fit: no interval
-            pooled = frequency.pooled_fit([panels[pid] for pid in models])
+            pooled = frequency.pooled_fit([panels[pid] for pid in sorted(models)])
 
     header = [
         "protocol_id",
@@ -418,12 +418,17 @@ def _rebuild_model(path: Path, doc: dict, from_dict):
 
 
 def _predictions(cfg: RunConfig):
-    """What ``price`` and ``simulate`` predict from: the portfolio, each protocol's
-    ``_prediction_point``, the frequency model of each protocol and the
-    severity model, the models from --models else --output.  The severity
-    model must start by the earliest prediction date."""
+    """What ``price`` and ``simulate`` predict from: the portfolio with its
+    protocols in id order, so that no output depends on their order in the
+    file; the ids in the file's order, the order of report rows; each
+    protocol's ``_prediction_point``; the frequency model of each protocol
+    and the severity model, the models from --models else --output.  The
+    severity model must start by the earliest prediction date."""
     cfg.validate(needs=("tvl", "portfolio"))
-    portfolio = load_portfolio(cfg.portfolio)
+    loaded = load_portfolio(cfg.portfolio)
+    order = sorted(range(loaded.dim), key=lambda k: loaded.protocols[k].id)
+    portfolio = replace(loaded, protocols=tuple(loaded.protocols[k] for k in order),
+                        similarity=loaded.similarity[np.ix_(order, order)])
     tvl = load_tvl(cfg.tvl)
     points = [_prediction_point(cfg, tvl.get(p.id, {}), p.id) for p in portfolio.protocols]
     earliest = min(when for _, when in points)
@@ -440,7 +445,7 @@ def _predictions(cfg: RunConfig):
     if sev_model.time_origin > earliest:
         path = models / "severity_model.json"
         raise SchemaError(f"{path}: 'time_origin' is after the prediction date {earliest}")
-    return portfolio, points, freq_models, sev_model
+    return portfolio, [p.id for p in loaded.protocols], points, freq_models, sev_model
 
 
 def _quote_table(quotes: list[pricing.PremiumQuote], seed: int) -> dict[str, list]:
@@ -462,13 +467,13 @@ def _quote_table(quotes: list[pricing.PremiumQuote], seed: int) -> dict[str, lis
 def cmd_price(cfg: RunConfig) -> list[Path]:
     if cfg.override is not None:
         return _price_from_override(cfg)
-    portfolio, points, freq_models, sev_model = _predictions(cfg)
+    portfolio, rows, points, freq_models, sev_model = _predictions(cfg)
     theta = cfg.theta if cfg.theta is not None else portfolio.loading_theta
-    quotes = [
-        pricing.price(proto, tvl_next, when, freq_models[proto.id], sev_model, theta=theta)
-        for proto, (tvl_next, when) in zip(portfolio.protocols, points)
-    ]
-    return [_emit_table(cfg, "quotes", _quote_table(quotes, cfg.seed))]
+    quotes = {
+        p.id: pricing.price(p, tvl_next, when, freq_models[p.id], sev_model, theta=theta)
+        for p, (tvl_next, when) in zip(portfolio.protocols, points)
+    }
+    return [_emit_table(cfg, "quotes", _quote_table([quotes[pid] for pid in rows], cfg.seed))]
 
 
 def _price_from_override(cfg: RunConfig) -> list[Path]:
@@ -522,7 +527,7 @@ def _price_from_override(cfg: RunConfig) -> list[Path]:
 
 
 def cmd_simulate(cfg: RunConfig) -> list[Path]:
-    portfolio, points, freq_models, sev_model = _predictions(cfg)
+    portfolio, _, points, freq_models, sev_model = _predictions(cfg)
     parts = tailrisk.footprint(cfg.samples, cfg.levels, portfolio.dim, cfg.workers, cfg.dependence)
     need, memory = sum(parts.values()), os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if need > memory:

@@ -18,7 +18,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .errors import DataError, DomainError, SchemaError, TvlGapError
+from .errors import DataError, DomainError, SchemaError
 from .numerics import check_similarity
 
 
@@ -474,7 +474,7 @@ def build_monthly_panel(
         month = protocol.inception.plus(k)
         value = series.get(month)
         if value is None:
-            raise TvlGapError(protocol.id, str(month))
+            raise DataError(f"protocol {protocol.id!r}: no TVL observation for {month}")
         if value <= 0.0:
             raise DomainError(f"protocol {protocol.id!r}: TVL for {month} is zero; log undefined")
         log_tvl[k] = math.log(value)

@@ -1,7 +1,10 @@
 """Exception hierarchy shared across the engine.
 
-Every error carries a ``code`` used as the CLI exit status: 2 for
-configuration/schema problems, 3 for numerical or statistical failures.
+Every error carries a ``code`` used as the CLI exit status: 2 for input
+the run cannot use (``SchemaError``, ``ConfigError``, ``DataError``), 3
+for numerical or statistical failures (``DomainError``, ``NoEventError``).
+The CLI's JSON error line names the class as its ``type``; the message
+says what failed and where.
 """
 
 from __future__ import annotations
@@ -31,42 +34,14 @@ class DataError(EngineError):
     code = 2
 
 
-class TvlGapError(DataError):
-    """A month inside the panel window has no TVL observation."""
-
-    def __init__(self, protocol_id: str, month: str):
-        super().__init__(f"protocol {protocol_id!r}: no TVL observation for {month}")
-        self.protocol_id = protocol_id
-        self.month = month
-
-
 class DomainError(EngineError):
-    """Argument outside the mathematical domain of an operation."""
-
-
-class FactorizationError(EngineError):
-    """Cholesky factorization hit a nonpositive pivot."""
-
-    def __init__(self, pivot: int, value: float):
-        super().__init__(f"matrix is not positive definite: pivot {pivot} = {value:.6g}")
-        self.pivot = pivot
-        self.value = value
-
-
-class DegenerateResponseError(EngineError):
-    """Binary response is constant; a logistic model cannot be fit."""
+    """Argument outside the mathematical domain of an operation, or data a
+    model cannot be fit to: too few rows, a constant response, a rank
+    deficient design, a matrix that is not positive definite."""
 
 
 class NoEventError(EngineError):
     """No event months observed; use the peer-interval path instead."""
-
-
-class InsufficientDataError(EngineError):
-    """Too few observations to fit the requested model."""
-
-
-class RankError(EngineError):
-    """Design matrix is rank deficient where a full-rank fit is required."""
 
 
 _REQUIRED = object()

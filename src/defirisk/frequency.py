@@ -14,16 +14,8 @@ import numpy as np
 
 from . import glm
 from .datamodel import Month, Panel, parse_window
-from .errors import (
-    DomainError,
-    InsufficientDataError,
-    NoEventError,
-    json_bool,
-    json_field,
-)
+from .errors import DomainError, NoEventError, json_bool, json_field
 from .numerics import std_normal_quantile
-
-_Z975 = std_normal_quantile(0.975)
 
 
 @dataclass(frozen=True)
@@ -84,9 +76,9 @@ def _standardized_log_tvl(model: FrequencyModel | PooledFit, tvl: float) -> floa
 def fit_frequency(panel: Panel) -> FrequencyModel:
     """Fit event-on-log-TVL logistic regression over one protocol's panel."""
     if not len(panel):
-        raise InsufficientDataError("empty monthly panel")
+        raise DomainError("empty monthly panel")
     if len(panel) < 2:
-        raise InsufficientDataError("a single panel month cannot identify the model")
+        raise DomainError("a single panel month cannot identify the model")
     design, y = panel_design(panel)
     if y.sum() == 0:
         raise NoEventError(
@@ -130,12 +122,12 @@ def predict_attack_probability(model: FrequencyModel, tvl_next: float) -> float:
 def pooled_fit(peer_panels) -> PooledFit:
     """One logistic fit over the pooled peer panels, for ``peer_interval``.
 
-    Raises InsufficientDataError without panel months, NoEventError without
-    events, and DomainError when the fit falls back to the penalized path,
-    which has no covariance for a Wald interval.
+    Raises NoEventError without events, and DomainError without panel
+    months or when the fit falls back to the penalized path, which has no
+    covariance for a Wald interval.
     """
     if not any(len(panel) for panel in peer_panels):
-        raise InsufficientDataError("no peer panels supplied")
+        raise DomainError("no peer panels supplied")
     design, y = panel_design(*peer_panels)
     if y.sum() == 0:
         raise NoEventError("pooled peer panels contain no events")
@@ -159,9 +151,8 @@ def peer_interval(pooled: PooledFit, tvl_next: float) -> tuple[float, float]:
     v = np.array([1.0, _standardized_log_tvl(pooled, tvl_next)])
     eta = float(v @ pooled.fit.coefficients)
     se = math.sqrt(float(v @ pooled.fit.covariance @ v))
-    lo = glm.invlogit(eta - _Z975 * se)
-    hi = glm.invlogit(eta + _Z975 * se)
-    return (lo, hi)
+    z = std_normal_quantile(0.975)
+    return (glm.invlogit(eta - z * se), glm.invlogit(eta + z * se))
 
 
 def to_dict(model: FrequencyModel) -> dict:

@@ -17,13 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DegenerateResponseError,
-    DomainError,
-    InsufficientDataError,
-    RankError,
-    json_field,
-)
+from .errors import DomainError, json_field
 
 # Linear predictors are clipped here before the inverse link, which keeps
 # probabilities strictly inside (0, 1) in double precision.
@@ -131,9 +125,9 @@ def _check_design(design, response):
     if not np.all((y == 0.0) | (y == 1.0)):
         raise DomainError("response must be binary 0/1")
     if n < p + 1:
-        raise InsufficientDataError(f"need at least {p + 1} rows for {p} coefficients, got {n}")
+        raise DomainError(f"need at least {p + 1} rows for {p} coefficients, got {n}")
     if np.all(y == 0.0) or np.all(y == 1.0):
-        raise DegenerateResponseError("response is constant; logistic fit is undefined")
+        raise DomainError("response is constant; logistic fit is undefined")
     return x, y
 
 
@@ -315,9 +309,9 @@ def fit_linear_on_logit(design, response) -> LinearLogitFit:
     if np.any(y <= 0.0) or np.any(y >= 1.0):
         raise DomainError("responses must lie strictly inside (0, 1)")
     if n <= p:
-        raise InsufficientDataError(f"need more than {p} observations, got {n}")
+        raise DomainError(f"need more than {p} observations, got {n}")
     if np.linalg.matrix_rank(x) < p:
-        raise RankError("design matrix is rank deficient")
+        raise DomainError("design matrix is rank deficient")
     z = logit(y)
     coefs, _, _, _ = np.linalg.lstsq(x, z, rcond=None)
     resid = z - x @ coefs

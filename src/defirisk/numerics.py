@@ -1,8 +1,10 @@
-"""Self-contained numerical kernel.
+"""Numerical kernel.
 
-Standard-normal distribution functions, a dense Cholesky factorization,
-Higham-style correlation-matrix repair, and the deterministic random-stream
-contract used by every stochastic operation in the engine.
+The standard normal CDF (``math.erfc``) and quantile (the standard
+library's ``statistics.NormalDist.inv_cdf``), a dense Cholesky
+factorization, Higham-style correlation-matrix repair, and the
+deterministic random-stream contract used by every stochastic operation
+in the engine.
 
 Random streams are counter-based Philox-4x64 generators keyed by
 ``(seed, stream_id)``.  Identical keys reproduce identical sequences on any
@@ -13,12 +15,13 @@ let simulations partition work across workers without changing the output.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, FactorizationError
+from .errors import DomainError
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -39,51 +42,22 @@ def std_normal_cdf(x: float) -> float:
     return 0.5 * math.erfc(-x / _SQRT2)
 
 
-def std_normal_quantile(p: float) -> float:
-    """Inverse standard normal CDF (Wichura's rational approximation).
+@functools.cache
+def _std_normal():
+    """``statistics.NormalDist()``, imported on first use so that importing
+    the engine does not load ``statistics``."""
+    from statistics import NormalDist
 
-    Satisfies ``std_normal_cdf(std_normal_quantile(p)) == p`` to better
-    than 1e-10 for p in (0, 1).
-    """
+    return NormalDist()
+
+
+def std_normal_quantile(p: float) -> float:
+    """Inverse standard normal CDF: the standard library's
+    ``NormalDist.inv_cdf``, Wichura's AS241."""
     p = float(p)
     if not (0.0 < p < 1.0):
         raise DomainError(f"std_normal_quantile requires p in (0, 1), got {p}")
-    q = p - 0.5
-    if abs(q) <= 0.425:
-        r = 0.180625 - q * q
-        num = (((((((2.5090809287301226727e3 * r + 3.3430575583588128105e4) * r
-                    + 6.7265770927008700853e4) * r + 4.5921953931549871457e4) * r
-                  + 1.3731693765509461125e4) * r + 1.9715909503065514427e3) * r
-                + 1.3314166789178437745e2) * r + 3.3871328727963666080e0)
-        den = (((((((5.2264952788528545610e3 * r + 2.8729085735721942674e4) * r
-                    + 3.9307895800092710610e4) * r + 2.1213794301586595867e4) * r
-                  + 5.3941960214247511077e3) * r + 6.8718700749205790830e2) * r
-                + 4.2313330701600911252e1) * r + 1.0)
-        return q * num / den
-    r = p if q < 0.0 else 1.0 - p
-    r = math.sqrt(-math.log(r))
-    if r <= 5.0:
-        r -= 1.6
-        num = (((((((7.74545014278341407640e-4 * r + 2.27238449892691845833e-2) * r
-                    + 2.41780725177450611770e-1) * r + 1.27045825245236838258e0) * r
-                  + 3.64784832476320460504e0) * r + 5.76949722146069140550e0) * r
-                + 4.63033784615654529590e0) * r + 1.42343711074968357734e0)
-        den = (((((((1.05075007164441684324e-9 * r + 5.47593808499534494600e-4) * r
-                    + 1.51986665636164571966e-2) * r + 1.48103976427480074590e-1) * r
-                  + 6.89767334985100004550e-1) * r + 1.67638483018380384940e0) * r
-                + 2.05319162663775882187e0) * r + 1.0)
-    else:
-        r -= 5.0
-        num = (((((((2.01033439929228813265e-7 * r + 2.71155556874348757815e-5) * r
-                    + 1.24266094738807843860e-3) * r + 2.65321895265761230930e-2) * r
-                  + 2.96560571828504891230e-1) * r + 1.78482653991729133580e0) * r
-                + 5.46378491116411436990e0) * r + 6.65790464350110377720e0)
-        den = (((((((2.04426310338993978564e-15 * r + 1.42151175831644588870e-7) * r
-                    + 1.84631831751005468180e-5) * r + 7.86869131145613259100e-4) * r
-                  + 1.48753612908506148525e-2) * r + 1.36929880922735805310e-1) * r
-                + 5.99832206555887937690e-1) * r + 1.0)
-    x = num / den
-    return -x if q < 0.0 else x
+    return _std_normal().inv_cdf(p)
 
 
 def check_unit_symmetric(m, name: str = "correlation matrix") -> np.ndarray:
@@ -135,8 +109,8 @@ class CorrelationMatrix:
 def cholesky(m) -> np.ndarray:
     """Lower-triangular factor L with L @ L.T == m.
 
-    Raises FactorizationError naming the failing pivot when m is not
-    positive definite.
+    Raises DomainError naming the failing pivot when m is not positive
+    definite.
     """
     a = m.entries if isinstance(m, CorrelationMatrix) else np.asarray(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -146,7 +120,7 @@ def cholesky(m) -> np.ndarray:
     for j in range(n):
         d = a[j, j] - low[j, :j] @ low[j, :j]
         if not (d > 0.0) or not math.isfinite(d):
-            raise FactorizationError(pivot=j, value=float(d))
+            raise DomainError(f"matrix is not positive definite: pivot {j} = {d:.6g}")
         low[j, j] = math.sqrt(d)
         if j + 1 < n:
             low[j + 1:, j] = (a[j + 1:, j] - low[j + 1:, :j] @ low[j, :j]) / low[j, j]

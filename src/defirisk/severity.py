@@ -18,7 +18,7 @@ import numpy as np
 
 from . import glm
 from .datamodel import Chain, Incidents, Month, parse_window
-from .errors import DomainError, InsufficientDataError, json_bool, json_field
+from .errors import DomainError, json_bool, json_field
 from .numerics import RngStream
 
 DEFAULT_WINDOW = (Month(2020, 1), Month(2023, 12))
@@ -154,7 +154,7 @@ def fit_severity(data: TrainingSet) -> SeverityModel:
     Zero-loss incidents are skipped (counted, not errored).
     """
     if not len(data.incidents):
-        raise InsufficientDataError("no usable incidents inside the training window")
+        raise DomainError("no usable incidents inside the training window")
     total = data.total
     n_total = int(total.sum())
     n_partial = len(data.incidents) - n_total

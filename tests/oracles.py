@@ -10,7 +10,7 @@ import numpy as np
 
 from defirisk.datamodel import Chain, IssueType, Month
 from defirisk.dependence import CopulaSpec, EventSampler, event_thresholds
-from defirisk.errors import DataError, DomainError, SchemaError, TvlGapError
+from defirisk.errors import DataError, DomainError, SchemaError
 from defirisk.glm import invlogit
 from defirisk.numerics import RngStream, std_normal_cdf
 from defirisk.tailrisk import _order_index
@@ -327,7 +327,7 @@ def monthly_panel_rows(incidents, series, protocol, window_end):
     rows = []
     for m in months:
         if m not in series:
-            raise TvlGapError(protocol.id, str(m))
+            raise DataError(f"protocol {protocol.id!r}: no TVL observation for {m}")
         value = series[m]
         if value <= 0.0:
             raise DomainError(f"protocol {protocol.id!r}: TVL for {m} is zero; log undefined")

@@ -21,7 +21,7 @@ from defirisk.datamodel import (
     load_portfolio,
     load_tvl,
 )
-from defirisk.errors import DataError, DomainError, SchemaError, TvlGapError
+from defirisk.errors import DataError, DomainError, SchemaError
 
 from oracles import incident_file_rows, monthly_panel_rows, tvl_file_series
 from synth import incident_rows, incident_table
@@ -282,9 +282,9 @@ class TestBuildMonthlyPanel:
     def test_missing_month_is_gap_error_naming_month(self):
         proto = ProtocolSpec("P1", Chain.ETH, Month(2020, 1))
         obs = {Month(2020, 1): 5.0, Month(2020, 3): 5.0}
-        with pytest.raises(TvlGapError) as err:
+        with pytest.raises(DataError) as err:
             build_monthly_panel(NO_INCIDENTS, obs, proto, Month(2020, 3))
-        assert err.value.month == "2020-02"
+        assert str(err.value) == "protocol 'P1': no TVL observation for 2020-02"
 
     def test_zero_tvl_is_domain_error(self):
         proto = ProtocolSpec("P1", Chain.ETH, Month(2020, 1))

@@ -5,7 +5,7 @@ import pytest
 
 from defirisk import frequency, glm
 from defirisk.datamodel import Month, Panel
-from defirisk.errors import DomainError, InsufficientDataError, NoEventError, SchemaError
+from defirisk.errors import DomainError, NoEventError, SchemaError
 
 from reference_values import FREQ_COEFS
 from synth import frequency_panel
@@ -39,11 +39,11 @@ class TestFitFrequency:
 
     def test_single_month_insufficient(self):
         panel = constant_tvl_panel(1, events={0})
-        with pytest.raises(InsufficientDataError):
+        with pytest.raises(DomainError, match="a single panel month cannot identify the model"):
             frequency.fit_frequency(panel)
 
     def test_empty_panel(self):
-        with pytest.raises(InsufficientDataError):
+        with pytest.raises(DomainError, match="empty monthly panel"):
             frequency.fit_frequency(constant_tvl_panel(0, events=set()))
 
     def test_constant_tvl_drops_covariate(self):

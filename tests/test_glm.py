@@ -8,12 +8,7 @@ from hypothesis import strategies as st
 from scipy.stats import chi2, kstest
 
 from defirisk import glm
-from defirisk.errors import (
-    DegenerateResponseError,
-    DomainError,
-    InsufficientDataError,
-    RankError,
-)
+from defirisk.errors import DomainError
 
 from reference_values import FREQ_COEFS, PROP_LOSS_COEFS
 
@@ -100,9 +95,9 @@ class TestFitLogistic:
         assert np.all(np.isfinite(fit.coefficients))
 
     def test_degenerate_response(self):
-        with pytest.raises(DegenerateResponseError):
+        with pytest.raises(DomainError, match="response is constant"):
             glm.fit_logistic(np.ones((20, 1)), np.zeros(20))
-        with pytest.raises(DegenerateResponseError):
+        with pytest.raises(DomainError, match="response is constant"):
             glm.fit_logistic(np.ones((20, 1)), np.ones(20))
 
     def test_objective_monotone_over_accepted_iterations(self):
@@ -217,11 +212,11 @@ class TestFitLinearOnLogit:
     def test_constant_column_raises_rank_error(self):
         design = np.column_stack([np.ones(50), np.full(50, 2.0)])
         y = np.linspace(0.1, 0.9, 50)
-        with pytest.raises(RankError):
+        with pytest.raises(DomainError, match="design matrix is rank deficient"):
             glm.fit_linear_on_logit(design, y)
 
     def test_too_few_rows(self):
-        with pytest.raises(InsufficientDataError):
+        with pytest.raises(DomainError, match="need more than 2 observations, got 2"):
             glm.fit_linear_on_logit(np.ones((2, 2)), np.array([0.5, 0.6]))
 
 
