@@ -8,6 +8,7 @@ copula moves VaR and CTE.  At moderate levels the two scenarios are close;
 the gap opens as the level approaches one.
 """
 
+import functools
 import sys
 from datetime import date
 from pathlib import Path
@@ -61,7 +62,7 @@ def main(n_sims: int = 1_000_000, seed: int = 7) -> None:
         [ATTACK_PROBS[pid] for pid in PROTOCOL_IDS],
         tvls,
         laws,
-        build_copula(SIMILARITY),
+        functools.partial(build_copula, SIMILARITY),
         levels=(0.90, 0.95, 0.99, 0.995, 0.999),
         n_sims=n_sims,
         rng=RngStream(seed, 0),

@@ -483,10 +483,10 @@ def _price_from_override(cfg: RunConfig) -> list[Path]:
     training data.  SD-principle columns need a second_moment_pct entry
     per protocol and stay empty otherwise.
     """
-    cfg.validate(needs=("override",))
+    cfg.validate(needs=("override",) if cfg.portfolio is None else ("override", "portfolio"))
     doc = read_json_object(cfg.override)
     theta = cfg.theta if cfg.theta is not None else pricing.DEFAULT_THETA
-    if cfg.portfolio is not None and Path(cfg.portfolio).exists():
+    if cfg.portfolio is not None:
         portfolio = load_portfolio(cfg.portfolio)
         order = [p.id for p in portfolio.protocols]
         if cfg.theta is None:

@@ -20,13 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .numerics import (
-    CorrelationMatrix,
-    check_similarity,
-    cholesky,
-    nearest_correlation,
-    std_normal_quantile,
-)
+from .numerics import check_similarity, cholesky, nearest_correlation, std_normal_quantile
 
 _PANEL = 4096  # paths
 _PANEL_VALUES = 1 << 17  # normals (1 MB), whatever the number of protocols
@@ -35,23 +29,24 @@ _ROWS = 32
 
 @dataclass(frozen=True)
 class CopulaSpec:
-    """Validated/repaired correlation matrix with its Cholesky factor."""
+    """The copula correlation ``psi``, the similarity matrix or its repair
+    (``nearest_correlation``'s read-only array), with its Cholesky factor."""
 
-    psi: CorrelationMatrix
+    psi: np.ndarray
     chol: np.ndarray
     repaired: bool
     frobenius_shift: float
 
     @property
     def dim(self) -> int:
-        return self.psi.dim
+        return len(self.psi)
 
 
 def build_copula(similarity) -> CopulaSpec:
     """Validate a similarity matrix, repair it when indefinite, and factorize it."""
     a = check_similarity(similarity)
     psi = nearest_correlation(a)  # passes a positive definite matrix through unchanged
-    shift = float(np.linalg.norm(psi.entries - a))
+    shift = float(np.linalg.norm(psi - a))
     return CopulaSpec(psi=psi, chol=cholesky(psi), repaired=shift > 0.0, frobenius_shift=shift)
 
 

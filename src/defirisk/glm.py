@@ -101,10 +101,6 @@ class LogisticFit:
         if len(self.coefficients) != len(self.standard_errors):
             raise DomainError("coefficients and standard_errors must have equal length")
 
-    @property
-    def n_coefficients(self) -> int:
-        return len(self.coefficients)
-
 
 def _nll(x, y, beta):
     eta = np.clip(x @ beta, -_ETA_CLIP, _ETA_CLIP)
@@ -272,8 +268,8 @@ def fit_logistic(design, response) -> LogisticFit:
 def predict_logistic(fit: LogisticFit, covariates) -> float:
     """Probability for one covariate vector on the fit's scale (no intercept entry)."""
     v = np.atleast_1d(np.asarray(covariates, dtype=float))
-    if len(v) != fit.n_coefficients - 1:
-        raise DomainError(f"expected {fit.n_coefficients - 1} covariates, got {len(v)}")
+    if len(v) != len(fit.coefficients) - 1:
+        raise DomainError(f"expected {len(fit.coefficients) - 1} covariates, got {len(v)}")
     eta = fit.coefficients[0] + fit.coefficients[1:] @ v
     return float(invlogit(eta))
 
@@ -296,24 +292,22 @@ class LinearLogitFit:
 def fit_linear_on_logit(design, response) -> LinearLogitFit:
     """Ordinary least squares of logit(response) on the design.
 
-    Responses must lie strictly inside (0, 1); values at the endpoints
-    belong to the total-loss model, not here.
+    Responses must lie strictly inside (0, 1), as ``logit`` checks; values
+    at the endpoints belong to the total-loss model, not here.  A design of
+    lower rank than its column count, by ``lstsq``'s own rank, is rejected.
     """
     x = np.asarray(design, dtype=float)
-    y = np.asarray(response, dtype=float)
+    z = logit(response)
     if x.ndim != 2:
         raise DomainError("design must be a 2-D matrix")
     n, p = x.shape
-    if len(y) != n:
-        raise DomainError(f"design has {n} rows but response has {len(y)}")
-    if np.any(y <= 0.0) or np.any(y >= 1.0):
-        raise DomainError("responses must lie strictly inside (0, 1)")
+    if len(z) != n:
+        raise DomainError(f"design has {n} rows but response has {len(z)}")
     if n <= p:
         raise DomainError(f"need more than {p} observations, got {n}")
-    if np.linalg.matrix_rank(x) < p:
+    coefs, _, rank, _ = np.linalg.lstsq(x, z, rcond=None)
+    if rank < p:
         raise DomainError("design matrix is rank deficient")
-    z = logit(y)
-    coefs, _, _, _ = np.linalg.lstsq(x, z, rcond=None)
     resid = z - x @ coefs
     rss = float(resid @ resid)
     sigma2 = rss / (n - p)
@@ -457,11 +451,7 @@ def quantile_residuals(fit: LinearLogitFit, design, response) -> np.ndarray:
     collapses, for Gaussian errors, to the standardized logit-scale
     residual; under a correct model these are standard normal.
     """
-    x = np.asarray(design, dtype=float)
-    y = np.asarray(response, dtype=float)
-    if np.any(y <= 0.0) or np.any(y >= 1.0):
-        raise DomainError("responses must lie strictly inside (0, 1)")
+    z = logit(response)  # rejects responses outside (0, 1)
     if fit.sigma2 <= 0.0:
         raise DomainError("quantile residuals need a positive residual variance")
-    mu = x @ fit.coefficients
-    return (logit(y) - mu) / np.sqrt(fit.sigma2)
+    return (z - np.asarray(design, dtype=float) @ fit.coefficients) / np.sqrt(fit.sigma2)

@@ -2,9 +2,9 @@
 
 The standard normal CDF (``math.erfc``) and quantile (the standard
 library's ``statistics.NormalDist.inv_cdf``), a dense Cholesky
-factorization, Higham-style correlation-matrix repair, and the
-deterministic random-stream contract used by every stochastic operation
-in the engine.
+factorization, Higham-style correlation-matrix repair (a plain read-only
+array that its own eigenvalue floor vouches for), and the deterministic
+random-stream contract used by every stochastic operation in the engine.
 
 Random streams are counter-based Philox-4x64 generators keyed by
 ``(seed, stream_id)``.  Identical keys reproduce identical sequences on any
@@ -85,34 +85,13 @@ def check_similarity(m) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class CorrelationMatrix:
-    """A validated correlation matrix: symmetric, unit diagonal, PSD."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        a = check_unit_symmetric(self.entries)
-        if np.linalg.eigvalsh(a).min() < -1e-10:
-            raise DomainError(
-                "matrix is not positive semidefinite; repair it with nearest_correlation"
-            )
-        a = a.copy()
-        a.setflags(write=False)
-        object.__setattr__(self, "entries", a)
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
-
 def cholesky(m) -> np.ndarray:
     """Lower-triangular factor L with L @ L.T == m.
 
     Raises DomainError naming the failing pivot when m is not positive
     definite.
     """
-    a = m.entries if isinstance(m, CorrelationMatrix) else np.asarray(m, dtype=float)
+    a = np.asarray(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DomainError(f"cholesky requires a square matrix, got shape {a.shape}")
     n = a.shape[0]
@@ -127,37 +106,36 @@ def cholesky(m) -> np.ndarray:
     return low
 
 
-def nearest_correlation(m) -> CorrelationMatrix:
-    """Nearest correlation matrix by alternating projections.
+def nearest_correlation(m) -> np.ndarray:
+    """Nearest correlation matrix by alternating projections, as a read-only array.
 
     Projects onto the PSD cone (eigenvalues clipped just above
     EIGENVALUE_FLOOR) and the unit-diagonal affine set with Dykstra's
     correction until the two projections agree to ``_REPAIR_TOL`` (relative,
-    Frobenius norm), a DomainError after ``_REPAIR_MAX_ITER`` rounds.
-    Matrices already satisfying the eigenvalue floor pass through with
-    their entries unchanged, which makes the operation exactly idempotent
-    and lets a caller tell a repair by comparing entries.
+    Frobenius norm) with every eigenvalue at least EIGENVALUE_FLOOR, a
+    DomainError after ``_REPAIR_MAX_ITER`` rounds.  A matrix already above
+    the floor passes through as a copy of its entries, which makes the
+    operation exactly idempotent and lets a caller tell a repair by comparing entries.
     """
     a = check_unit_symmetric(m)
-    if np.linalg.eigvalsh(a).min() >= EIGENVALUE_FLOOR:
-        return CorrelationMatrix(a)
-
     y = a.copy()
-    correction = np.zeros_like(a)
-    tol = _REPAIR_TOL * max(1.0, float(np.linalg.norm(a)))
-    for _ in range(_REPAIR_MAX_ITER):
-        r = y - correction
-        w, v = np.linalg.eigh(r)
-        x = (v * np.clip(w, _CLIP_FLOOR, None)) @ v.T
-        x = 0.5 * (x + x.T)
-        correction = x - r
-        y = x.copy()
-        np.fill_diagonal(y, 1.0)
-        if np.linalg.norm(x - y) <= tol and np.linalg.eigvalsh(y).min() >= EIGENVALUE_FLOOR:
-            break
-    else:
-        raise DomainError("nearest_correlation did not converge")
-    return CorrelationMatrix(y)
+    if np.linalg.eigvalsh(a).min() < EIGENVALUE_FLOOR:
+        correction = np.zeros_like(a)
+        tol = _REPAIR_TOL * max(1.0, float(np.linalg.norm(a)))
+        for _ in range(_REPAIR_MAX_ITER):
+            r = y - correction
+            w, v = np.linalg.eigh(r)
+            x = (v * np.clip(w, _CLIP_FLOOR, None)) @ v.T
+            x = 0.5 * (x + x.T)
+            correction = x - r
+            y = x.copy()
+            np.fill_diagonal(y, 1.0)
+            if np.linalg.norm(x - y) <= tol and np.linalg.eigvalsh(y).min() >= EIGENVALUE_FLOOR:
+                break
+        else:
+            raise DomainError("nearest_correlation did not converge")
+    y.setflags(write=False)
+    return y
 
 
 _U64 = np.uint64

@@ -46,7 +46,7 @@ import math
 import threading
 from collections import deque
 from collections.abc import Callable
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -264,8 +264,8 @@ class RiskReport:
     ``level``, then for each of ``_MEASURES`` its column of each simulated
     scenario (``dep`` before ``indep``).  A scenario not simulated has no
     columns.  The flags name ``<measure>_<scenario>@<level>``, levels outer
-    and scenarios inner.  ``copula`` is the copula of the run, also when
-    only the independent scenario was simulated.
+    and scenarios inner.  ``copula`` is what the run's copula builder
+    returned, also when only the independent scenario was simulated.
     """
 
     table: dict[str, tuple[float, ...]]
@@ -412,7 +412,7 @@ def risk_report(
     probs,
     tvls,
     laws: list[RatioLaw],
-    copula: CopulaSpec | Callable[[], CopulaSpec],
+    copula: Callable[[], CopulaSpec],
     levels=(0.90, 0.95, 0.99),
     n_sims: int = 1_000_000,
     rng: RngStream = RngStream(0),
@@ -423,18 +423,19 @@ def risk_report(
     """VaR and CTE with frequency dependence, without it, or both, plus bootstrap SEs.
 
     ``probs``, ``tvls`` and ``laws`` are as in ``simulate_aggregate``.
-    ``copula`` is the ``CopulaSpec``, or a function of no arguments that
-    builds it.  ``dependence`` is "on" (copula paths only), "off"
-    (independent paths only) or "both".  Each scenario draws from its own
-    streams, so its measures do not depend on whether the other one ran,
-    nor on the order they run in.
+    ``copula`` is a function of no arguments that builds the ``CopulaSpec``;
+    it is called once, also when only the independent scenario runs, and
+    the report carries what it built.  ``dependence`` is "on" (copula paths
+    only), "off" (independent paths only) or "both".  Each scenario draws
+    from its own streams, so its measures do not depend on whether the
+    other one ran, nor on the order they run in.
 
     One pool of ``workers`` threads serves the whole run, and none runs at
-    one worker.  A copula given as a function is built as the pool's first
-    task while the other workers draw the independent scenario, so on a
-    pool the scenarios are computed ``indep`` first; the columns keep
-    ``dep`` first.  At one worker it is built inline before any path is
-    drawn, and ``dep`` runs first.
+    one worker.  On a pool the copula is built as the pool's first task
+    while the other workers draw the independent scenario, so the
+    scenarios are computed ``indep`` first; the columns keep ``dep``
+    first.  At one worker it is built inline before any path is drawn, and
+    ``dep`` runs first.
     """
     levels = tuple(float(q) for q in levels)
     if any(not (0.0 < q < 1.0) for q in levels):
@@ -474,9 +475,11 @@ def risk_report(
 
     scenarios = _SCENARIOS[dependence]
     with worker_pool(workers) as pool:
-        if callable(copula):  # the pool's first task, else built now
-            copula = pool.submit(copula) if pool is not None else copula()
-        spec = copula.result if isinstance(copula, Future) else lambda: copula
+        if pool is None:  # built now, before any path is drawn
+            built = copula()
+            spec = lambda: built
+        else:  # the pool's first task
+            spec = pool.submit(copula).result
         # On a pool indep goes first, so that the workers the build leaves
         # free draw it.  Inline, dep first peaks lower: 41.0 against 41.8 MB
         # RSS at 10^6 fixture paths, from where glibc places the blocks.

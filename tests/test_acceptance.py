@@ -5,6 +5,7 @@ Run with ``pytest tests/test_acceptance.py -v`` (add ``-s`` to see the
 per-criterion lines as they complete).
 """
 
+import functools
 import json
 import math
 from datetime import date
@@ -235,7 +236,7 @@ def test_criterion_6_dependence_raises_extreme_tail():
     pi = [ATTACK_PROBS[p] for p in PROTOCOL_IDS]
     laws = [severity.ratio_law(sev_model, chains[p], tvls[p], date(2024, 1, 1)) for p in PROTOCOL_IDS]
     rep = tailrisk.risk_report(
-        pi, [tvls[p] for p in PROTOCOL_IDS], laws, build_copula(SIMILARITY),
+        pi, [tvls[p] for p in PROTOCOL_IDS], laws, functools.partial(build_copula, SIMILARITY),
         levels=(0.99,), n_sims=10_000_000, rng=RngStream(2024, 0),
         workers=4, bootstrap_resamples=200,
     )
@@ -280,13 +281,13 @@ def test_criterion_8_numerics_kernel():
 
     repaired = nearest_correlation(SIMILARITY)
     low = cholesky(repaired)
-    recon = float(np.max(np.abs(low @ low.T - repaired.entries)))
+    recon = float(np.max(np.abs(low @ low.T - repaired)))
     chol_ok = recon <= 1e-12
 
     m = np.array([[1.0, 0.9, 0.9], [0.9, 1.0, -0.9], [0.9, -0.9, 1.0]])
     once = nearest_correlation(m)
-    twice = nearest_correlation(once.entries)
-    idem = float(np.max(np.abs(twice.entries - once.entries)))
+    twice = nearest_correlation(once)
+    idem = float(np.max(np.abs(twice - once)))
     idem_ok = idem <= 1e-12
 
     passed = round_trip_ok and chol_ok and idem_ok

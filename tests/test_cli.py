@@ -616,6 +616,22 @@ class TestOverridePricing:
         path.write_text(json.dumps({"A": {"attack_prob": 0.1, "loss_pct": 0.2}}))
         assert run(["price", "--override", path, "--output", tmp_path, "--theta", 0]) == 2
 
+    def test_missing_portfolio_exits_2(self, tmp_path, capsys):
+        # A mistyped --portfolio is an error, not a silent price at the
+        # default theta in the override file's order.
+        path = tmp_path / "override.json"
+        path.write_text(json.dumps({"A": {"attack_prob": 0.1, "loss_pct": 0.2}}))
+        missing = tmp_path / "typo.json"
+        assert run(["price", "--override", path, "--portfolio", missing,
+                    "--output", tmp_path]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == {
+            "type": "ConfigError", "code": 2,
+            "message": f"portfolio path does not exist: {missing}",
+        }
+        assert not (tmp_path / "quotes.csv").exists()
+
 
 class TestErrorSurface:
     def test_missing_incidents_file_exits_2(self, tmp_path, capsys):
@@ -1333,6 +1349,28 @@ class TestImportGraph:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False False"
+
+
+class TestOutputDigest:
+    def test_listing_names_every_output_and_ignores_workers(self, tmp_path):
+        # scripts/output_digest.py is the byte-identity check of a refactor:
+        # its listing must cover all 19 output files of the fixture and must
+        # not depend on the worker count.
+        script = Path(__file__).resolve().parent.parent / "scripts" / "output_digest.py"
+        src = str(Path(defirisk.__file__).resolve().parent.parent)
+        listings = []
+        for workers in (1, 2):
+            proc = subprocess.run(
+                [sys.executable, str(script), str(tmp_path / f"w{workers}"), "--data", str(DATA),
+                 "--samples", "10000", "--workers", str(workers)],
+                env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=600,
+            )
+            assert proc.returncode == 0, proc.stderr
+            listing = proc.stdout.splitlines()
+            paths = [line.split("  ", 1)[1] for line in listing]
+            assert len(listing) == 19 and len(set(paths)) == 19
+            listings.append(listing)
+        assert listings[0] == listings[1]
 
 
 class TestGof:

@@ -32,7 +32,7 @@ class TestBuildCopula:
     def test_reference_similarity_matrix(self):
         spec = build_copula(SIMILARITY)
         assert not spec.repaired  # the eight-protocol matrix is already PD
-        assert np.max(np.abs(spec.chol @ spec.chol.T - spec.psi.entries)) <= 1e-12
+        assert np.max(np.abs(spec.chol @ spec.chol.T - spec.psi)) <= 1e-12
 
     def test_indefinite_input_repaired(self):
         m = np.array([[1.0, 0.9, 0.9], [0.9, 1.0, 0.0], [0.9, 0.0, 1.0]])
@@ -41,7 +41,7 @@ class TestBuildCopula:
         spec = build_copula(m)
         assert spec.repaired
         assert spec.frobenius_shift > 0.0
-        assert np.linalg.eigvalsh(spec.psi.entries).min() > 0
+        assert np.linalg.eigvalsh(spec.psi).min() > 0
 
     def test_validation_errors(self):
         with pytest.raises(DomainError):

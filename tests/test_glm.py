@@ -215,6 +215,13 @@ class TestFitLinearOnLogit:
         with pytest.raises(DomainError, match="design matrix is rank deficient"):
             glm.fit_linear_on_logit(design, y)
 
+    def test_collinear_slopes_raise_rank_error(self):
+        # No constant column besides the intercept: the third is twice the second.
+        x = np.linspace(-1.0, 1.0, 50)
+        design = np.column_stack([np.ones(50), x, 2.0 * x])
+        with pytest.raises(DomainError, match="design matrix is rank deficient"):
+            glm.fit_linear_on_logit(design, np.linspace(0.1, 0.9, 50))
+
     def test_too_few_rows(self):
         with pytest.raises(DomainError, match="need more than 2 observations, got 2"):
             glm.fit_linear_on_logit(np.ones((2, 2)), np.array([0.5, 0.6]))

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from defirisk.errors import DomainError
 from defirisk.numerics import (
     EIGENVALUE_FLOOR,
-    CorrelationMatrix,
     RngStream,
     cholesky,
     nearest_correlation,
@@ -97,7 +96,13 @@ class TestCholesky:
     def test_similarity_matrix_reconstruction(self):
         repaired = nearest_correlation(SIMILARITY)
         low = cholesky(repaired)
-        assert np.max(np.abs(low @ low.T - repaired.entries)) <= 1e-12
+        assert np.max(np.abs(low @ low.T - repaired)) <= 1e-12
+
+    def test_indefinite_names_pivot(self):
+        # An indefinite matrix that skipped the repair fails at its pivot.
+        m = np.array([[1.0, 0.9, 0.9], [0.9, 1.0, -0.9], [0.9, -0.9, 1.0]])
+        with pytest.raises(DomainError, match=r"^matrix is not positive definite: pivot 2 = "):
+            cholesky(m)
 
     def test_non_pd_names_pivot(self):
         bad = np.array([[1.0, 1.0], [1.0, 1.0]])
@@ -114,21 +119,21 @@ class TestCholesky:
 class TestNearestCorrelation:
     def test_identity_unchanged(self):
         out = nearest_correlation(np.eye(5))
-        assert np.array_equal(out.entries, np.eye(5))
+        assert np.array_equal(out, np.eye(5))
 
     def test_pd_passthrough_exact(self):
         m = np.array([[1.0, 0.3], [0.3, 1.0]])
         out = nearest_correlation(m)
-        assert np.array_equal(out.entries, m)
+        assert np.array_equal(out, m)
 
     def test_indefinite_repaired_with_grid_oracle(self):
         m = np.array([[1.0, 0.9, 0.9], [0.9, 1.0, -0.9], [0.9, -0.9, 1.0]])
         assert np.linalg.eigvalsh(m).min() < 0
         out = nearest_correlation(m)
-        w = np.linalg.eigvalsh(out.entries)
+        w = np.linalg.eigvalsh(out)
         assert w.min() >= EIGENVALUE_FLOOR * 0.99
-        assert np.max(np.abs(np.diag(out.entries) - 1.0)) <= 1e-12
-        ours = np.linalg.norm(out.entries - m)
+        assert np.max(np.abs(np.diag(out) - 1.0)) <= 1e-12
+        ours = np.linalg.norm(out - m)
 
         # Brute-force oracle: search the three free off-diagonals over a
         # coarse global grid, then refine around the argmin at step 1e-3.
@@ -155,8 +160,23 @@ class TestNearestCorrelation:
     def test_idempotent(self):
         m = np.array([[1.0, 0.9, 0.9], [0.9, 1.0, -0.9], [0.9, -0.9, 1.0]])
         once = nearest_correlation(m)
-        twice = nearest_correlation(once.entries)
-        assert np.max(np.abs(twice.entries - once.entries)) <= 1e-12
+        twice = nearest_correlation(once)
+        assert np.max(np.abs(twice - once)) <= 1e-12
+
+    @pytest.mark.parametrize("m", [
+        np.array([[1.0, 0.3], [0.3, 1.0]]),
+        np.array([[1.0, 0.9, 0.9], [0.9, 1.0, -0.9], [0.9, -0.9, 1.0]]),
+    ], ids=["passthrough", "repaired"])
+    def test_result_is_read_only_and_leaves_input_writable(self, m):
+        out = nearest_correlation(m)
+        assert not out.flags.writeable
+        with pytest.raises(ValueError):
+            out[0, 1] = 0.0
+        assert m.flags.writeable
+
+    def test_bad_diagonal_rejected(self):
+        with pytest.raises(DomainError, match="must have a unit diagonal"):
+            nearest_correlation(np.array([[1.0, 0.0], [0.0, 2.0]]))
 
     def test_non_symmetric_rejected(self):
         m = np.array([[1.0, 0.5], [0.4, 1.0]])
@@ -165,18 +185,7 @@ class TestNearestCorrelation:
 
     def test_similarity_matrix_already_pd(self):
         out = nearest_correlation(SIMILARITY)
-        assert np.array_equal(out.entries, SIMILARITY)
-
-
-class TestCorrelationMatrix:
-    def test_rejects_indefinite(self):
-        m = np.array([[1.0, 0.9, 0.9], [0.9, 1.0, -0.9], [0.9, -0.9, 1.0]])
-        with pytest.raises(DomainError):
-            CorrelationMatrix(m)
-
-    def test_rejects_bad_diagonal(self):
-        with pytest.raises(DomainError):
-            CorrelationMatrix(np.array([[1.0, 0.0], [0.0, 2.0]]))
+        assert np.array_equal(out, SIMILARITY)
 
 
 class TestRngStream:

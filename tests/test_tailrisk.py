@@ -290,8 +290,8 @@ class TestStreamingTop:
         tracemalloc.start()
         try:
             tailrisk.risk_report(
-                **self.total_loss_inputs(), copula=build_copula(self.SIMILARITY), n_sims=n,
-                rng=RngStream(41, 0), bootstrap_resamples=5,
+                **self.total_loss_inputs(), copula=functools.partial(build_copula, self.SIMILARITY),
+                n_sims=n, rng=RngStream(41, 0), bootstrap_resamples=5,
             )
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -392,7 +392,7 @@ class TestRiskReport:
     def test_zero_probability_portfolio_reports_zeros(self):
         report = tailrisk.risk_report(
             **inputs([0.0, 0.0], [1e6, 1e6]),
-            copula=build_copula(np.eye(2)),
+            copula=functools.partial(build_copula, np.eye(2)),
             levels=(0.9, 0.99),
             n_sims=20_000,
             rng=RngStream(3, 50),
@@ -434,7 +434,7 @@ class TestRiskReport:
             monkeypatch.setattr(tailrisk, "simulate_aggregate", lambda **_: sample)
             report = tailrisk.risk_report(
                 **inputs([0.05], [100.0]),
-                copula=build_copula(np.eye(1)),
+                copula=functools.partial(build_copula, np.eye(1)),
                 levels=(0.90, 0.96),
                 n_sims=n,
                 rng=RngStream(4, 0),
@@ -445,7 +445,7 @@ class TestRiskReport:
     def test_single_scenario_report_carries_only_its_columns(self):
         report = tailrisk.risk_report(
             **inputs([0.1, 0.1], [1e6, 2e6]),
-            copula=build_copula(np.eye(2)),
+            copula=functools.partial(build_copula, np.eye(2)),
             levels=(0.9,),
             n_sims=20_000,
             rng=RngStream(3, 50),
@@ -460,7 +460,7 @@ class TestRiskReport:
         with pytest.raises(ConfigError):
             tailrisk.risk_report(
                 **inputs([0.1], [1e6]),
-                copula=None,
+                copula=functools.partial(build_copula, np.eye(1)),
                 n_sims=10_000,
                 rng=RngStream(1),
                 dependence="sometimes",
@@ -470,7 +470,7 @@ class TestRiskReport:
         with pytest.raises(DomainError):
             tailrisk.risk_report(
                 **inputs([0.1], [1e6]),
-                copula=build_copula(np.eye(1)),
+                copula=functools.partial(build_copula, np.eye(1)),
                 levels=(0.9, 1.0),
                 n_sims=10_000,
                 rng=RngStream(1),
@@ -525,7 +525,8 @@ class TestExactIndependentLaw:
         args, report = fixture_simulate
         if paths == "1e6":
             report = tailrisk.risk_report(
-                **args, copula=None, levels=self.LEVELS, n_sims=1_000_000, rng=RngStream(11, 0),
+                **args, copula=functools.partial(build_copula, np.eye(len(args["tvls"]))),
+                levels=self.LEVELS, n_sims=1_000_000, rng=RngStream(11, 0),
                 bootstrap_resamples=100, dependence="off",
             )
         exact = independent_tail_law(**args, levels=self.LEVELS)
@@ -693,11 +694,11 @@ class TestFootprint:
     def traced_peak(n, d, workers, dependence, low, high) -> int:
         probs = np.random.default_rng(4).uniform(low, high, d)
         args = inputs(probs, [1e7] * d, flat_severity_model(pi_s=0.3, mean_r=0.4))
-        copula = build_copula(grouped_similarity(d, seed=4))
+        spec = build_copula(grouped_similarity(d, seed=4))  # built before the trace starts
         tracemalloc.start()
         try:
             tailrisk.risk_report(
-                **args, copula=copula, n_sims=n, rng=RngStream(43), workers=workers,
+                **args, copula=lambda: spec, n_sims=n, rng=RngStream(43), workers=workers,
                 bootstrap_resamples=3, dependence=dependence,
             )
             _, peak = tracemalloc.get_traced_memory()
