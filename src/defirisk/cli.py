@@ -555,6 +555,7 @@ def cmd_simulate(cfg: RunConfig) -> list[Path]:
         dependence=cfg.dependence,
     )
     paths = [_emit_table(cfg, "risk_report", report.table)]
+    copula = report.copula  # None under --dependence off, which builds none
     meta_path = cfg.output / "risk_report_meta.json"
     _write_json(
         meta_path,
@@ -564,8 +565,8 @@ def cmd_simulate(cfg: RunConfig) -> list[Path]:
             "base_stream": _SIMULATE_STREAM,
             "bootstrap_resamples": report.bootstrap_resamples,
             "total_tvl": report.total_tvl,
-            "repaired_similarity": report.copula.repaired,
-            "frobenius_shift": report.copula.frobenius_shift,
+            "repaired_similarity": None if copula is None else copula.repaired,
+            "frobenius_shift": None if copula is None else copula.frobenius_shift,
             "degenerate_tail": list(report.degenerate_tail),
             "var_on_atom": list(report.var_on_atom),
             "dependence": cfg.dependence,

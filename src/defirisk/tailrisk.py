@@ -33,6 +33,16 @@ are counted into one int32 tally of the top m, reused by every resample.
 (``footprint`` counts what a run holds in memory).  The rare resample
 that needs the rest redraws the same losses from the same stream.
 
+The merge of those top m guesses its floor from block 0, as Floyd &
+Rivest's selection guesses from a sample (*CACM* 18(3), 1975): the
+block's value at rank 5 standard deviations beyond its share m/n from
+the top, so that more than m values of the whole sample most likely lie
+above it.  Every block drops what lies at or below the floor, so the
+merge buffer rarely fills and one sort gives the top.  A guess that
+turns out above the m-th largest value (fewer than m kept, with
+probability about Phi(-5) per scenario) is dropped, and the blocks,
+drawn again byte for byte, are merged from -inf.
+
 A ``risk_report`` runs on one pool of worker threads, or inline at one
 worker, and may build the copula on it while the independent scenario is
 drawn.
@@ -62,6 +72,9 @@ _BLOCK = 1 << 16
 # (42 under tracemalloc when every path is attacked); once drawn, the
 # losses that survive the cut.
 _DRAWING, _DRAWN = 42, 8
+# Standard deviations by which the merge's guessed floor undershoots the
+# top's share of its block (``_guessed_floor``).
+_GUESS_SD = 5.0
 
 
 @contextlib.contextmanager
@@ -130,7 +143,13 @@ def simulate_aggregate(
     this call when none is given.  ``footprint`` counts the memory: a merge
     buffer shrunk in place to the result, and per worker an
     ``EventSampler`` (copula only) and two blocks of losses, each of which
-    drops its values below the ``top``-th largest so far.
+    drops its values at or below the floor.
+
+    The floor starts at block 0's guess (``_guessed_floor``) when ``top``
+    is less than the sample and there is more than one block; a full
+    buffer is sorted and the floor raised to its ``top``-th largest value.
+    Fewer than ``top`` values above the guess means it was too high: the
+    blocks are merged again, with the floor from -inf.
     """
     if n_sims < 10_000:
         raise DomainError(f"n_sims must be at least 10^4, got {n_sims}")
@@ -145,14 +164,16 @@ def simulate_aggregate(
     if copula is not None and copula.dim != d:
         raise ConfigError(f"copula dimension {copula.dim} does not match portfolio size {d}")
 
-    floor = -math.inf  # the top-th largest value merged so far; it only rises
+    blocks = (n_sims + _BLOCK - 1) // _BLOCK
+    floor = -math.inf  # every value at or below it is dropped; it only rises within a merge
     # Each thread reuses one ``EventSampler``.  Fresh buffers each block
     # can make malloc return them to the system and fault them in again:
     # at 10^7 paths on 2 threads that was 250,000 page faults, not 8,000,
     # and 0.8 s of system time.
     scratch = threading.local()
 
-    def run_block(block: int) -> np.ndarray:
+    def run_block(block: int) -> tuple[np.ndarray, float]:  # the block's losses above the cut, and the cut
+        cut = floor
         start = block * _BLOCK
         m = min(_BLOCK, n_sims - start)
         gen = rng.block_generator(block)
@@ -169,32 +190,70 @@ def simulate_aggregate(
         for idx, tvl, law in zip(attacked, tvls, laws):
             if idx.size:  # distinct paths, so += adds each ratio once
                 s[idx] += tvl * law.draw(gen, idx.size)
-        # A stale floor is still a valid cut.  A value equal to it cannot
-        # change the top, which already holds ``top`` values at or above it.
-        return s[s > floor]
+        # A stale floor is still a valid cut.  A value equal to a raised
+        # floor cannot change the top, which already holds ``top`` values
+        # at or above it.
+        return s[s > cut], cut
 
-    blocks = _in_order(run_block, (n_sims + _BLOCK - 1) // _BLOCK, workers, pool)
     # A full buffer is compacted and the floor raised.  Less slack than top/4
     # compacts more often; numpy's vectorized sort is faster here than
     # ndarray.partition (13 against 20 ms on 1.26M fixture losses, 2 vCPUs).
     buf = np.empty(_merge_size(n_sims, top))
-    filled = 0
 
-    def compact() -> float:  # the sorted top to buf[:top]; the smallest of it
-        buf[:filled].sort()
-        buf[:top] = buf[filled - top : filled]  # a forward 1-D copy: no temporary when they overlap
-        return float(buf[0])
+    def merge(guess: bool) -> int:
+        """Merge every block into ``buf``; how many values it holds.  With ``guess``,
+        the floor starts at block 0's guess of the ``top``-th largest value."""
+        nonlocal floor
+        floor = -math.inf
+        filled = 0
+        for block, (part, cut) in enumerate(_in_order(run_block, blocks, workers, pool)):
+            if guess and block == 0:  # block 0 comes first at any worker count
+                floor = _guessed_floor(part, top / n_sims)
+            if cut < floor:
+                part = part[part > floor]
+            if filled + part.size > buf.size:  # then filled > top
+                floor = _compact(buf, filled, top)
+                filled = top
+                part = part[part > floor]
+            buf[filled : filled + part.size] = part
+            filled += part.size
+        return filled
 
-    for part in blocks:
-        if filled + part.size > buf.size:
-            floor = compact()
-            filled = top
-            part = part[part > floor]
-        buf[filled : filled + part.size] = part
-        filled += part.size
-    compact()
+    # Fewer than ``top`` values above the guessed floor means it lay above
+    # the top-th largest value: the blocks are drawn again, byte for byte,
+    # and merged from -inf.  A compaction leaves ``top`` values, so it
+    # never hides a bad guess.
+    filled = merge(guess=top < n_sims and blocks > 1)
+    if filled < top:
+        filled = merge(guess=False)
+    _compact(buf, filled, top)
     buf.resize(top, refcheck=False)  # shrinks in place: no second copy of the top
     return buf
+
+
+def _guessed_floor(block: np.ndarray, p: float) -> float:
+    """A floor that a share p of the sample most likely exceeds, from one block of it.
+
+    One ulp below the block's r-th largest value, r = ceil(b p + z sd) + 1 of
+    its b values with sd = sqrt(b p (1 - p)) and z = ``_GUESS_SD``, so ties
+    with it survive.  It lies above the sample's (p n)-th largest value
+    with probability about Phi(-z) (Floyd & Rivest, "Expected time bounds
+    for selection", CACM 18(3), 1975).  -inf when r exceeds b.  Partitions
+    ``block`` in place.
+    """
+    b = block.size
+    r = math.ceil(b * p + _GUESS_SD * math.sqrt(b * p * (1.0 - p))) + 1
+    if r > b:
+        return -math.inf
+    block.partition(b - r)
+    return float(np.nextafter(block[b - r], -math.inf))
+
+
+def _compact(buf: np.ndarray, filled: int, top: int) -> float:
+    """Sort ``buf[:filled]`` and move its top ``top`` values to ``buf[:top]``; the smallest of them."""
+    buf[:filled].sort()
+    buf[:top] = buf[filled - top : filled]  # a forward 1-D copy: no temporary when they overlap
+    return float(buf[0])
 
 
 def _tally_dtype(n: int) -> np.dtype:
@@ -265,7 +324,7 @@ class RiskReport:
     scenario (``dep`` before ``indep``).  A scenario not simulated has no
     columns.  The flags name ``<measure>_<scenario>@<level>``, levels outer
     and scenarios inner.  ``copula`` is what the run's copula builder
-    returned, also when only the independent scenario was simulated.
+    returned, or None when only the independent scenario was simulated.
     """
 
     table: dict[str, tuple[float, ...]]
@@ -273,7 +332,7 @@ class RiskReport:
     bootstrap_resamples: int
     degenerate_tail: tuple[str, ...]
     var_on_atom: tuple[str, ...]
-    copula: CopulaSpec = field(compare=False, repr=False)
+    copula: CopulaSpec | None = field(compare=False, repr=False)
 
 
 def _tail_size(n: int, t: int) -> int:
@@ -424,8 +483,8 @@ def risk_report(
 
     ``probs``, ``tvls`` and ``laws`` are as in ``simulate_aggregate``.
     ``copula`` is a function of no arguments that builds the ``CopulaSpec``;
-    it is called once, also when only the independent scenario runs, and
-    the report carries what it built.  ``dependence`` is "on" (copula paths
+    it is called once when the copula scenario runs, never otherwise, and
+    the report carries what it built (None under "off").  ``dependence`` is "on" (copula paths
     only), "off" (independent paths only) or "both".  Each scenario draws
     from its own streams, so its measures do not depend on whether the
     other one ran, nor on the order they run in.
@@ -475,7 +534,9 @@ def risk_report(
 
     scenarios = _SCENARIOS[dependence]
     with worker_pool(workers) as pool:
-        if pool is None:  # built now, before any path is drawn
+        if "dep" not in scenarios:  # no path draws through the copula
+            spec = lambda: None
+        elif pool is None:  # built now, before any path is drawn
             built = copula()
             spec = lambda: built
         else:  # the pool's first task

@@ -552,6 +552,42 @@ class TestFormats:
             for flags in ("degenerate_tail", "var_on_atom"):
                 assert meta[flags] == [f for f in both_meta[flags] if f"_{scenario}@" in f]
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_independent_run_builds_no_copula(self, fitted_dir, tmp_path, monkeypatch, workers):
+        # Under --dependence off no path draws through the copula, so the
+        # similarity is never repaired; the meta writes null for what the
+        # build would have reported, and the report's bytes are the
+        # independent columns of a run that built it.
+        import defirisk.cli as cli
+
+        built = []
+
+        def counted(similarity):
+            built.append(1)
+            return dependence.build_copula(similarity)
+
+        monkeypatch.setattr(cli, "build_copula", counted)
+
+        def report(dependence_):
+            out = tmp_path / dependence_
+            assert run(["simulate", "--tvl", TVL, "--portfolio", PORTFOLIO_PRICED,
+                        "--models", fitted_dir, "--output", out, "--seed", 5, "--workers", workers,
+                        "--samples", 20000, "--bootstrap", 10, "--dependence", dependence_]) == 0
+            return out
+
+        off = report("off")
+        assert built == []
+        meta = json.loads((off / "risk_report_meta.json").read_text())
+        assert meta["repaired_similarity"] is None and meta["frobenius_shift"] is None
+        both = report("both")
+        assert built == [1]
+        with open(both / "risk_report.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        keep = [i for i, name in enumerate(rows[0]) if "dep" not in name.split("_")]
+        expected = io.StringIO(newline="")
+        csv.writer(expected, lineterminator="\n").writerows([row[i] for i in keep] for row in rows)
+        assert (off / "risk_report.csv").read_bytes() == expected.getvalue().encode()
+
     def test_levels_flag_sets_report_rows(self, fitted_dir, tmp_path):
         assert run(["simulate", "--tvl", TVL, "--portfolio", PORTFOLIO_PRICED,
                     "--models", fitted_dir, "--output", tmp_path, "--seed", 5,

@@ -196,14 +196,13 @@ class TestStreamingTop:
         ids=["1", "3", "1-q0.90", "3-q0.90", "1-n1e5", "3-n1e5"],
     )
     def test_top_is_the_top_of_the_full_sample(self, workers, n, q):
-        # The merge buffer holds m + max(65,536, m/4) values and is
-        # compacted whenever it fills.  q = 0.99 at n = 10^6 keeps
-        # m = 11,011: the first compaction has more values to drop than to
-        # keep, so the top moves to the front from apart, and the later
-        # ones fewer, so it moves onto itself.  At q = 0.90 the cut falls
-        # in the zero atom, so the floor stays at 0 and every later zero,
-        # a tie with it, is dropped; at n = 10^5 the last compaction comes
-        # after the last block.
+        # The cut falls inside an atom of the sample.  At q = 0.99, at 10^6
+        # paths and at 10^5 (two blocks), block 0's guessed floor sits
+        # below the atom, so every tie with it survives and the one sort is
+        # the last.  At q = 0.90 the cut falls in the zero atom: the guess
+        # is 0, the floor one ulp below it, so the zeros survive it, the
+        # buffer fills and a compaction raises the floor to 0, after which
+        # every later zero, a tie with it, is dropped.
         m = tailrisk._tail_need(n, [q])[2]
         args = self.total_loss_inputs()
         for copula in (build_copula(self.SIMILARITY), None):
@@ -215,6 +214,83 @@ class TestStreamingTop:
             )
             assert full[-m - 1] == full[-m]  # the cut falls inside an atom
             assert top.tobytes() == full[-m:].tobytes()
+
+    @staticmethod
+    def partial_loss_inputs():
+        """Three protocols attacked often, with partial losses: the top 1% of
+        the sample lies among continuously distributed values."""
+        return inputs([0.2, 0.3, 0.25], [1e6, 2e6, 4e6], flat_severity_model(pi_s=0.3, mean_r=0.4))
+
+    def merge(self, monkeypatch, args, q, workers) -> list[tuple[int, int]]:
+        """Check that the merged top m of 10^6 paths is the top of the full
+        sample, with the copula and without it; per copula, the sorts of the
+        merge (``_compact`` calls) and the blocks it drew."""
+        n = 10**6
+        m = tailrisk._tail_need(n, [q])[2]
+        compact, block_generator = tailrisk._compact, RngStream.block_generator
+        calls = []
+
+        def counted_compact(*a):
+            calls.append("sort")
+            return compact(*a)
+
+        def counted_blocks(self, block):
+            calls.append("block")
+            return block_generator(self, block)
+
+        monkeypatch.setattr(tailrisk, "_compact", counted_compact)
+        monkeypatch.setattr(RngStream, "block_generator", counted_blocks)
+        seen = []
+        for copula in (build_copula(self.SIMILARITY), None):
+            run = functools.partial(
+                tailrisk.simulate_aggregate,
+                **args, copula=copula, n_sims=n, rng=RngStream(40, 1), workers=workers,
+            )
+            full = run()
+            calls.clear()
+            top = run(top=m)
+            assert top.tobytes() == full[-m:].tobytes()
+            seen.append((calls.count("sort"), calls.count("block")))
+        return seen
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_guessed_floor_holds_and_the_merge_sorts_once(self, monkeypatch, workers):
+        # About 1.3% of the sample lies above block 0's guess, fewer values
+        # than the buffer holds, so no compaction runs before the last sort.
+        assert self.merge(monkeypatch, self.partial_loss_inputs(), 0.99, workers) == [(1, 16)] * 2
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_floor_in_the_zero_atom_still_compacts(self, monkeypatch, workers):
+        # At q = 0.90 about 2% of the paths lose anything, so the guess is 0.
+        for sorts, blocks in self.merge(monkeypatch, self.total_loss_inputs(), 0.90, workers):
+            assert sorts > 1 and blocks == 16
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_wide_margin_compacts(self, monkeypatch, workers):
+        # 1,000 sd puts the guess near block 0's 40th percentile from the
+        # top, so the buffer of m + 65,536 values fills several times.
+        monkeypatch.setattr(tailrisk, "_GUESS_SD", 1000.0)
+        for sorts, blocks in self.merge(monkeypatch, self.partial_loss_inputs(), 0.99, workers):
+            assert sorts > 1 and blocks == 16
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_guess_above_the_top_merges_again(self, monkeypatch, workers):
+        # 20 sd above the mean puts the guess near the top 0.3%, so fewer
+        # than m values lie above it: the blocks are drawn again and merged
+        # from -inf.
+        monkeypatch.setattr(tailrisk, "_GUESS_SD", -20.0)
+        for sorts, blocks in self.merge(monkeypatch, self.partial_loss_inputs(), 0.99, workers):
+            assert sorts > 1 and blocks == 32
+
+    def test_guessed_floor_keeps_ties(self):
+        # The block's r-th largest value is 1, an atom of 100: the floor
+        # lies one ulp below it, so all 100 lie above it.  Of b = 1,010
+        # values at p = 0.01, r = ceil(10.1 + 5 sqrt(10.1 * 0.99)) + 1 = 27.
+        block = np.concatenate([np.zeros(900), np.ones(100), np.full(10, 2.0)])
+        floor = tailrisk._guessed_floor(block, 0.01)
+        assert floor == np.nextafter(1.0, -math.inf)
+        assert int((block > floor).sum()) == 110  # partitioned in place, not dropped
+        assert tailrisk._guessed_floor(np.arange(10.0), 0.5) == -math.inf  # r = 11 > 10
 
     def test_top_bounds_are_checked(self):
         args = self.total_loss_inputs()
@@ -457,6 +533,7 @@ class TestRiskReport:
             "se_var_indep", "se_cte_indep",
         )
         assert "var_dep" not in report.table and report.table["var_indep"][0] > 0.0
+        assert report.copula is None  # the builder is not called
         with pytest.raises(ConfigError):
             tailrisk.risk_report(
                 **inputs([0.1], [1e6]),
