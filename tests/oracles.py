@@ -145,22 +145,32 @@ def whole_block_events(gen, size: int, probs, spec=None) -> np.ndarray:
     return hit
 
 
-def independent_tail_law(probs, tvls, laws, levels, grid: int = 1 << 18) -> list[tuple]:
-    """The exact VaR_q and CTE_q of the independent scenario, bracketed.
+def _patterns(d: int):
+    """The 2^d attack patterns in ``itertools.product`` order: pattern k attacks
+    protocol i iff bit d - 1 - i of k is set."""
+    return itertools.product((False, True), repeat=d)
 
-    S = sum_i tvl_i N_i R_i with independent N_i ~ Bernoulli(pi_i) and R_i
-    from ``laws[i]``.  Term i has an atom at 0 (mass 1 - pi_i), an atom at
-    tvl_i (mass pi_i pi_S, or pi_i for a total-loss-only law) and, for a
-    logit-normal law, the rest spread over (0, tvl_i).  Each term is put on
-    the lattice h Z twice, rounded down and rounded up, and the terms are
-    convolved with ``numpy.fft`` (Embrechts & Frei 2009, "Panjer recursion
-    versus FFT for compound distributions"), so S^- <= S <= S^+ path by
-    path and VaR_q(S^-) <= VaR_q(S) <= VaR_q(S^+).  The atoms of S, the
-    subset sums of the tvl_i, are kept exactly (summed in portfolio order,
-    as ``simulate_aggregate`` sums them); so it is decided whether VaR_q
-    sits on one, and then VaR_q is that atom.  CTE_q = E[S | S > VaR_q]
-    grows with VaR_q, and at a fixed v it is v + E[(S - v)^+] / P(S > v),
-    bounded by the lattice sums.
+
+def mixture_tail_law(weights, tvls, laws, levels, grid: int = 1 << 18, error: float = 0.0) -> list[tuple]:
+    """The exact VaR_q and CTE_q of a portfolio loss whose attack pattern is drawn first, bracketed.
+
+    Pattern k (``_patterns`` order) has probability ``weights[k]``; given
+    it, S = sum over the attacked i of tvl_i R_i with independent R_i from
+    ``laws[i]``.  Loss i has an atom at tvl_i (mass pi_S, or 1 for a
+    total-loss-only law) and, for a logit-normal law, the rest spread over
+    (0, tvl_i).  Each loss is put on the lattice h Z twice, rounded down
+    and rounded up, its spectrum taken with ``numpy.fft`` (Embrechts & Frei
+    2009, "Panjer recursion versus FFT for compound distributions"), and
+    the law of S is the weighted sum over the patterns of the products of
+    the attacked spectra, so S^- <= S <= S^+ path by path and VaR_q(S^-) <=
+    VaR_q(S) <= VaR_q(S^+).  The atoms of S, each pattern's sum of its
+    tvl_i when every attacked loss is total, are kept exactly (summed in
+    portfolio order, as ``simulate_aggregate`` sums them); so it is decided
+    whether VaR_q sits on one, and then VaR_q is that atom.  CTE_q =
+    E[S | S > VaR_q] grows with VaR_q, and at a fixed v it is v +
+    E[(S - v)^+] / P(S > v), bounded by the lattice sums.  ``error`` bounds
+    the summed absolute error of the weights: every probability compared
+    is widened by it, and each E[(S - v)^+] by it times the largest excess.
 
     Returns ``(var_lo, var_hi, cte_lo, cte_hi, on_atom)`` per level; an
     AssertionError when the lattice is too coarse to decide ``on_atom``.
@@ -169,47 +179,49 @@ def independent_tail_law(probs, tvls, laws, levels, grid: int = 1 << 18) -> list
 
     tvls = np.asarray(tvls, dtype=float)
     d = tvls.size
-    h = float(tvls.sum()) / (grid - d - 1)  # the sum of the rounded-up terms stays on the grid
+    h = float(tvls.sum()) / (grid - d - 1)  # the sum of the rounded-up losses stays on the grid
     down, up = np.floor(tvls / h).astype(int), np.ceil(tvls / h).astype(int)
-    spectra = np.ones((2, grid // 2 + 1), dtype=complex)  # rounded down, rounded up
-    atom_mass = []  # per term: the mass at 0 and the mass at tvl_i
-    for pi, tvl, law, k_up in zip(probs, tvls, laws, up):
-        total = pi if law.eta is None else pi * law.pi_s
+    spectra = np.empty((2, d, grid // 2 + 1), dtype=complex)  # each loss rounded down, rounded up
+    total_mass = []  # per loss: P(R_i = 1)
+    for i, (tvl, law, k_up) in enumerate(zip(tvls, laws, up)):
+        total = 1.0 if law.eta is None else law.pi_s
 
-        def cdf(y, strict):  # P(L < y) if strict, else P(L <= y)
+        def cdf(y, strict):  # P(L < y) if strict, else P(L <= y), of L = tvl R
             inside = (y > 0.0) & (y < tvl)
             partial = 0.0
             if law.eta is not None:
                 partial = ndtr((logit(np.where(inside, y / tvl, 0.5)) - law.eta) / law.sigma)
-            partial = (pi - total) * np.where(inside, partial, y >= tvl)
-            if strict:
-                return (1.0 - pi) * (y > 0.0) + partial + total * (y > tvl)
-            return (1.0 - pi) * (y >= 0.0) + partial + total * (y >= tvl)
+            partial = (1.0 - total) * np.where(inside, partial, y >= tvl)
+            return partial + total * (y > tvl if strict else y >= tvl)
 
         y = h * np.arange(-1, k_up + 2)
         below, at_most = cdf(y, True), cdf(y, False)
-        spectra[0] *= np.fft.rfft(below[2:] - below[1:-1], grid)  # P(kh <= L < (k + 1)h)
-        spectra[1] *= np.fft.rfft(at_most[1:-1] - at_most[:-2], grid)  # P((k - 1)h < L <= kh)
-        atom_mass.append((1.0 - pi, total))
-    pmf = [np.fft.irfft(f, grid) for f in spectra]
+        spectra[0, i] = np.fft.rfft(below[2:] - below[1:-1], grid)  # P(kh <= L < (k + 1)h)
+        spectra[1, i] = np.fft.rfft(at_most[1:-1] - at_most[:-2], grid)  # P((k - 1)h < L <= kh)
+        total_mass.append(total)
+
+    def mixed(r, i=0, k=0, product=1.0):  # the weighted sum over the patterns below prefix k of length i
+        if i == d:
+            return weights[k] * product
+        return mixed(r, i + 1, 2 * k, product) + mixed(r, i + 1, 2 * k + 1, product * spectra[r, i])
+
+    pmf = [np.fft.irfft(mixed(r), grid) for r in (0, 1)]
     cdfs = [np.maximum.accumulate(np.cumsum(p)) for p in pmf]
     lattice = h * np.arange(grid)
-    tol = 1e-9  # far above the FFT's rounding in a CDF
+    tol = 1e-9 + error  # 1e-9 is far above the FFT's rounding in a CDF
 
     def at(c, k):  # the lattice CDF at index k, 0 below the lattice
         return float(c[k]) if k >= 0 else 0.0
 
     atoms = {}  # value -> [(mass, rounded-down index, rounded-up index)]
-    for pattern in itertools.product((False, True), repeat=d):
-        x, mass = 0.0, 1.0
-        for i, attacked in enumerate(pattern):
-            mass *= atom_mass[i][attacked]
-            if attacked:
-                x += float(tvls[i])
+    for k, pattern in enumerate(_patterns(d)):
+        hit = list(pattern)
+        mass = weights[k] * math.prod(m for m, attacked in zip(total_mass, pattern) if attacked)
         if mass > 0.0:
-            atoms.setdefault(x, []).append(
-                (mass, int(down[list(pattern)].sum()), int(up[list(pattern)].sum()))
-            )
+            x = 0.0
+            for tvl in tvls[hit]:
+                x += float(tvl)
+            atoms.setdefault(x, []).append((mass, int(down[hit].sum()), int(up[hit].sum())))
 
     def bounds(x):
         """Lower and upper bounds of P(S < x) and of P(S <= x)."""
@@ -220,8 +232,8 @@ def independent_tail_law(probs, tvls, laws, levels, grid: int = 1 << 18) -> list
         le_lo = at(cdfs[1], upto_k) + sum(m for m, _, k in here if k > upto_k)
         return at(cdfs[1], below_k), lt_hi, le_lo, at(cdfs[0], upto_k)
 
-    def excess(p, v):  # E[(X - v)^+] of a lattice law
-        return float(np.dot(p, np.maximum(lattice - v, 0.0)))
+    def excess(r, v, sign):  # E[(X - v)^+] of lattice law r, moved by the weights' error
+        return float(np.dot(pmf[r], np.maximum(lattice - v, 0.0))) + sign * error * (lattice[-1] - v)
 
     out = []
     for q in levels:
@@ -238,10 +250,60 @@ def independent_tail_law(probs, tvls, laws, levels, grid: int = 1 << 18) -> list
         else:
             var_lo = float(lattice[np.searchsorted(cdfs[0], q - tol)])
             var_hi = float(lattice[np.searchsorted(cdfs[1], q + tol)])
-        cte_lo = var_lo + excess(pmf[0], var_lo) / (1.0 - bounds(var_lo)[2] + tol)
-        cte_hi = var_hi + excess(pmf[1], var_hi) / (1.0 - bounds(var_hi)[3] - tol)
+        cte_lo = var_lo + excess(0, var_lo, -1.0) / (1.0 - bounds(var_lo)[2] + tol)
+        cte_hi = var_hi + excess(1, var_hi, 1.0) / (1.0 - bounds(var_hi)[3] - tol)
         out.append((var_lo, var_hi, cte_lo, cte_hi, bool(on)))
     return out
+
+
+def independent_tail_law(probs, tvls, laws, levels, grid: int = 1 << 18) -> list[tuple]:
+    """The exact VaR_q and CTE_q of the independent scenario, bracketed: ``mixture_tail_law``
+    with each pattern's weight the product of pi_i over the attacked protocols
+    and of 1 - pi_i over the others."""
+    weights = [math.prod(p if attacked else 1.0 - p for p, attacked in zip(probs, pattern))
+               for pattern in _patterns(len(probs))]
+    return mixture_tail_law(weights, tvls, laws, levels, grid)
+
+
+# Absolute error to which each attack pattern's orthant probability is computed.
+ORTHANT_ABSEPS = 1e-7
+
+
+def attack_pattern_law(probs, spec: CopulaSpec) -> np.ndarray:
+    """The probability of each attack pattern (``_patterns`` order) under the copula.
+
+    Pattern k attacks the protocols i with Z_i > z_i (``event_thresholds``)
+    and no other, Z ~ N(0, psi).  Flipping the signs of the attacked
+    coordinates, s_i = -1, turns that into the orthant P(s * Z <= s * z) of
+    N(0, S psi S), S = diag(s), which scipy computes by Genz's randomized
+    quasi-Monte Carlo rule (Genz 1992, "Numerical computation of
+    multivariate normal probabilities", *J. Comput. Graph. Stat.* 1(2)) on
+    a fixed generator until 3 SEs of the estimate fall under
+    ``ORTHANT_ABSEPS``.  So the 2^d weights err by at most 2^d
+    ``ORTHANT_ABSEPS`` in all, and their sum lies that close to 1.
+    """
+    from scipy.stats import multivariate_normal
+
+    z = event_thresholds(probs, spec.dim)
+    weights = []
+    for pattern in _patterns(spec.dim):
+        s = np.where(pattern, -1.0, 1.0)
+        weights.append(float(multivariate_normal.cdf(
+            s * z, cov=spec.psi * np.outer(s, s), abseps=ORTHANT_ABSEPS, releps=0.0,
+            rng=np.random.default_rng(0),
+        )))
+    weights = np.array(weights)
+    assert abs(weights.sum() - 1.0) <= weights.size * ORTHANT_ABSEPS, weights.sum()
+    return weights
+
+
+def copula_tail_law(probs, spec: CopulaSpec, tvls, laws, levels, grid: int = 1 << 18,
+                    patterns=None) -> list[tuple]:
+    """The exact VaR_q and CTE_q of the copula scenario, bracketed: ``mixture_tail_law``
+    over ``attack_pattern_law`` (or the ``patterns`` it returned), on the
+    lattice of the independent scenario, widened by the weights' summed error."""
+    patterns = attack_pattern_law(probs, spec) if patterns is None else np.asarray(patterns)
+    return mixture_tail_law(patterns, tvls, laws, levels, grid, error=patterns.size * ORTHANT_ABSEPS)
 
 
 def full_bootstrap_ses(sample: np.ndarray, levels, resamples: int, gen):

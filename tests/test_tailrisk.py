@@ -18,7 +18,13 @@ from defirisk.dependence import EventSampler, build_copula
 from defirisk.errors import ConfigError, DomainError
 from defirisk.numerics import RngStream
 
-from oracles import full_bootstrap_ses, independent_tail_law
+from oracles import (
+    ORTHANT_ABSEPS,
+    attack_pattern_law,
+    copula_tail_law,
+    full_bootstrap_ses,
+    independent_tail_law,
+)
 from synth import grouped_similarity
 from test_cli import PORTFOLIO_PRICED, TVL, fit_models, run
 from test_pricing import flat_severity_model
@@ -615,6 +621,102 @@ class TestExactIndependentLaw:
             assert (f"var_indep@{q:g}" in report.var_on_atom) == on_atom
 
 
+def _study():
+    """``scripts/dependence_study.py`` as a module."""
+    path = Path(__file__).resolve().parent.parent / "scripts" / "dependence_study.py"
+    spec = importlib.util.spec_from_file_location("dependence_study", path)
+    study = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(study)
+    return study
+
+
+class TestExactCopulaLaw:
+    """The copula scenario against its exact law: the independent scenario's
+    lattice mixed over the attack patterns' orthant probabilities."""
+
+    LEVELS = (0.90, 0.95, 0.99)
+    SE_BOUND = 4.0  # bootstrap SEs, as in TestExactIndependentLaw
+    # Pattern frequencies: P(|Z| > 4.5) over 2^7 patterns is below 1e-3.
+    PATTERN_SE_BOUND = 4.5
+
+    @pytest.fixture(scope="class")
+    def fixture_patterns(self, fixture_simulate):
+        args, report = fixture_simulate
+        return attack_pattern_law(args["probs"], report.copula)
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        """The eight-protocol reference portfolio's inputs, copula and pattern law."""
+        study = _study()
+        tvls = [study.TVLS[pid] for pid in study.PROTOCOL_IDS]
+        args = inputs([study.ATTACK_PROBS[pid] for pid in study.PROTOCOL_IDS], tvls,
+                      study.reference_severity())
+        spec = build_copula(study.SIMILARITY)
+        return args, spec, attack_pattern_law(args["probs"], spec)
+
+    def check(self, report, exact):
+        """Each VaR and CTE of the copula scenario within SE_BOUND of its bootstrap
+        SEs of the exact bracket (an SE of 0 asks for the bracket itself), and
+        ``var_on_atom`` set exactly where the exact law puts VaR on an atom."""
+        for j, (q, (var_lo, var_hi, cte_lo, cte_hi, on_atom)) in enumerate(zip(self.LEVELS, exact)):
+            for name, lo, hi in (("var", var_lo, var_hi), ("cte", cte_lo, cte_hi)):
+                value, se = report.table[f"{name}_dep"][j], report.table[f"se_{name}_dep"][j]
+                bound = self.SE_BOUND * se
+                assert lo - bound <= value <= hi + bound, (name, q, value, se, lo, hi)
+            assert (f"var_dep@{q:g}" in report.var_on_atom) == on_atom
+
+    @pytest.mark.parametrize("paths", ["golden", "1e6"])
+    def test_fixture_report_lies_in_the_bracket(self, fixture_simulate, fixture_patterns, paths):
+        # The golden run, and 10^6 paths on their own streams.  The fixture's
+        # copula law is continuous at every level.
+        args, report = fixture_simulate
+        spec = report.copula
+        if paths == "1e6":
+            report = tailrisk.risk_report(
+                **args, copula=lambda: spec, levels=self.LEVELS, n_sims=1_000_000,
+                rng=RngStream(12, 0), bootstrap_resamples=100, dependence="on",
+            )
+        exact = copula_tail_law(**args, spec=spec, levels=self.LEVELS, patterns=fixture_patterns)
+        assert [on_atom for *_, on_atom in exact] == [False, False, False]
+        self.check(report, exact)
+
+    def test_reference_var_on_an_atom(self, reference):
+        # On the reference portfolio the copula puts VaR_0.99 on the total
+        # loss of protocol F alone (4 x 10^8), which the independent law
+        # does not; 10^6 paths on their own streams.
+        args, spec, patterns = reference
+        exact = copula_tail_law(**args, spec=spec, levels=self.LEVELS, patterns=patterns)
+        assert [on_atom for *_, on_atom in exact] == [False, False, True]
+        assert exact[2][:2] == (4e8, 4e8)
+        assert not any(on_atom for *_, on_atom in independent_tail_law(**args, levels=self.LEVELS))
+        report = tailrisk.risk_report(
+            **args, copula=lambda: spec, levels=self.LEVELS, n_sims=1_000_000,
+            rng=RngStream(14, 0), bootstrap_resamples=100, dependence="on",
+        )
+        self.check(report, exact)
+
+    def test_event_sampler_pattern_frequencies(self, fixture_simulate, fixture_patterns):
+        # 10^6 paths drawn block by block, as ``simulate_aggregate`` draws
+        # them: each attack pattern with probability above 1e-5 is seen at
+        # that rate within PATTERN_SE_BOUND binomial SEs, plus the orthant
+        # probability's own error.
+        args, report = fixture_simulate
+        d, n = report.copula.dim, 1_000_000
+        sampler = EventSampler(report.copula, args["probs"], tailrisk._BLOCK)
+        rng = RngStream(13, 0)
+        place = (1 << np.arange(d - 1, -1, -1))[:, None]  # protocol 0 is the leading bit
+        counts = np.zeros(2**d, dtype=np.int64)
+        for block, start in enumerate(range(0, n, tailrisk._BLOCK)):
+            m = min(tailrisk._BLOCK, n - start)
+            bits = np.unpackbits(sampler.draw(rng.block_generator(block), m), axis=1, count=m)
+            counts += np.bincount((place * bits).sum(axis=0), minlength=2**d)
+        p = fixture_patterns
+        seen = p > 1e-5
+        assert seen.sum() > 2**d // 2
+        bound = self.PATTERN_SE_BOUND * np.sqrt(p * (1.0 - p) / n) + ORTHANT_ABSEPS
+        assert np.all(np.abs(counts / n - p)[seen] <= bound[seen])
+
+
 class TestTailOnlyBootstrap:
     @staticmethod
     def atoms_sample(n=20_000):
@@ -814,11 +916,7 @@ class TestFootprint:
 def test_dependence_study_prints_a_row_per_level(capsys):
     # The study script calls ``risk_report`` itself; a change of its
     # signature must not leave the script broken.
-    path = Path(__file__).resolve().parent.parent / "scripts" / "dependence_study.py"
-    spec = importlib.util.spec_from_file_location("dependence_study", path)
-    study = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(study)
-    study.main(n_sims=20_000)
+    _study().main(n_sims=20_000)
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("paths per scenario: 20,000; total insured TVL: 1,650,000,000")
     assert lines[1] == ""
