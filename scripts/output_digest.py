@@ -21,8 +21,9 @@ outputs with one diff of their listings.  ``--workers`` is passed to
 the CPUs the process may run on); outputs must not depend on it, so the
 listings at two worker counts must not differ either.  ``--samples``
 (default: the config's, 10^5) is passed to ``simulate`` too: the merge
-of the retained tail compacts, and the bootstrap's CTE sums split, only
-at larger path counts (10^6 does both at the default levels).  ``--format``
+of the retained tail takes its blocks of 65,536 paths in order at any
+worker count, and 10^6 paths are 16 of them, which 3 workers do not
+split evenly.  ``--format``
 (default csv) is passed to every command, so the JSON form of each report
 table is checked the same way.  BLAS runs on one
 thread unless ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` or

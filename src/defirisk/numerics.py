@@ -1,16 +1,17 @@
 """Numerical kernel.
 
 The standard normal CDF (``math.erfc``) and quantile (the standard
-library's ``statistics.NormalDist.inv_cdf``), a dense Cholesky
+library's ``statistics.NormalDist.inv_cdf``), LAPACK's Cholesky
 factorization, Higham-style correlation-matrix repair (a plain read-only
 array that its own eigenvalue floor vouches for), and the deterministic
 random-stream contract used by every stochastic operation in the engine.
 
-Random streams are counter-based Philox-4x64 generators keyed by
-``(seed, stream_id)``.  Identical keys reproduce identical sequences on any
-machine; distinct ``stream_id`` values give statistically independent
-streams, and within one stream disjoint counter blocks (``block_generator``)
-let simulations partition work across workers without changing the output.
+Random streams are SFC64 generators, one per ``(seed, stream_id, block)``,
+seeded by ``SeedSequence(seed, spawn_key=(stream_id, block))``.  Identical
+keys reproduce identical sequences on any machine; distinct keys give
+statistically independent streams, so the blocks of one stream
+(``block_generator``) let simulations partition work across workers
+without changing the output.
 """
 
 from __future__ import annotations
@@ -86,24 +87,31 @@ def check_similarity(m) -> np.ndarray:
 
 
 def cholesky(m) -> np.ndarray:
-    """Lower-triangular factor L with L @ L.T == m.
+    """Lower-triangular factor L with L @ L.T == m, from LAPACK (``np.linalg.cholesky``).
 
     Raises DomainError naming the failing pivot when m is not positive
-    definite.
+    definite: the first leading block that has no finite factor, and its
+    Schur complement over the block before it.
     """
     a = np.asarray(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DomainError(f"cholesky requires a square matrix, got shape {a.shape}")
-    n = a.shape[0]
-    low = np.zeros((n, n))
-    for j in range(n):
-        d = a[j, j] - low[j, :j] @ low[j, :j]
-        if not (d > 0.0) or not math.isfinite(d):
-            raise DomainError(f"matrix is not positive definite: pivot {j} = {d:.6g}")
-        low[j, j] = math.sqrt(d)
-        if j + 1 < n:
-            low[j + 1:, j] = (a[j + 1:, j] - low[j + 1:, :j] @ low[j, :j]) / low[j, j]
-    return low
+    low = _factor(a)
+    if low is not None:
+        return low
+    j = next(j for j in range(len(a)) if _factor(a[: j + 1, : j + 1]) is None)
+    row = np.linalg.solve(_factor(a[:j, :j]), a[j, :j]) if j else a[j, :0]
+    raise DomainError(f"matrix is not positive definite: pivot {j} = {a[j, j] - row @ row:.6g}")
+
+
+def _factor(a: np.ndarray) -> np.ndarray | None:
+    """LAPACK's Cholesky factor of ``a``; None where it fails or is not finite
+    (LAPACK passes a NaN through)."""
+    try:
+        low = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return None
+    return low if np.isfinite(np.diagonal(low)).all() else None
 
 
 def nearest_correlation(m) -> np.ndarray:
@@ -138,15 +146,12 @@ def nearest_correlation(m) -> np.ndarray:
     return y
 
 
-_U64 = np.uint64
-
-
 @dataclass(frozen=True)
 class RngStream:
     """Deterministic random-stream handle.
 
     Identical ``(seed, stream_id)`` pairs reproduce identical sequences;
-    distinct ``stream_id`` values key independent Philox streams.  Cheap
+    distinct ``stream_id`` values key independent SFC64 streams.  Cheap
     to copy and hand out to workers.
     """
 
@@ -158,27 +163,24 @@ class RngStream:
             if not (0 <= int(value) < 2**64):
                 raise DomainError(f"{name} must be an unsigned 64-bit integer, got {value}")
 
-    def _bit_generator(self) -> np.random.Philox:
-        key = np.array([self.seed, self.stream_id], dtype=_U64)
-        return np.random.Philox(key=key)
-
     def generator(self) -> np.random.Generator:
-        """A fresh generator positioned at the start of this stream."""
-        return np.random.Generator(self._bit_generator())
+        """A fresh generator positioned at the start of this stream: block 0."""
+        return self.block_generator(0)
 
     def block_generator(self, block: int) -> np.random.Generator:
-        """Generator for counter block ``block`` within this stream.
+        """Generator for block ``block`` of this stream.
 
-        Blocks are spaced 2^64 draws apart, so any block consuming fewer
-        draws than that never overlaps its neighbours.  This is what makes
-        worker-partitioned simulation independent of the worker count.
+        SFC64 seeded by ``SeedSequence(seed, spawn_key=(stream_id, block))``.
+        SeedSequence hashes the seed, padded to four 32-bit words, then the
+        words of ``stream_id`` and the one word of a block below 2^32, so
+        distinct keys hash distinct words and their blocks are independent
+        streams.  This is what makes worker-partitioned simulation
+        independent of the worker count.
         """
-        if block < 0:
-            raise DomainError(f"block index must be nonnegative, got {block}")
-        bg = self._bit_generator()
-        if block:
-            bg.advance(block << 64)
-        return np.random.Generator(bg)
+        if not 0 <= block < 2**32:
+            raise DomainError(f"block index must lie in [0, 2^32), got {block}")
+        seq = np.random.SeedSequence(self.seed, spawn_key=(self.stream_id, block))
+        return np.random.Generator(np.random.SFC64(seq))
 
     def child(self, offset: int) -> "RngStream":
         """Derived stream at ``stream_id + offset`` (caller keeps offsets disjoint)."""

@@ -2,9 +2,9 @@
 
 Aggregate monthly loss S is simulated replicate-by-replicate: draw which
 protocols each path attacks, then an independent severity ratio for each
-attacked protocol.  Replicates are organized in fixed-size blocks with
-per-block counter offsets, so the same seed yields byte-identical results
-for any worker count.  ``dependence`` draws the attacks: through the
+attacked protocol.  Replicates are organized in fixed-size blocks, each
+drawn from its own keyed stream (``RngStream.block_generator``), so the
+same seed yields byte-identical results for any worker count.  ``dependence`` draws the attacks: through the
 copula as a block's bit-packed mask, from one ``EventSampler`` per worker
 that fills it panel by panel, and without it as each protocol's attacked
 paths.  So no block holds its normals in full, and the independent
@@ -383,15 +383,6 @@ def _resample_counts(n: int, t: int, m: int, gen, tally: np.ndarray) -> tuple[np
     return counts, 0
 
 
-def _pairwise_weighted_sum(weight: np.ndarray, values: np.ndarray) -> float:
-    """``(weight * values).sum()`` bit for bit, split where numpy's pairwise sum splits."""
-    half = values.size // 2 - values.size // 2 % 8
-    if values.size <= _BLOCK:  # a leaf; the product is formed only here
-        return float((weight * values).sum())
-    pairs = (weight[:half], values[:half]), (weight[half:], values[half:])
-    return _pairwise_weighted_sum(*pairs[0]) + _pairwise_weighted_sum(*pairs[1])
-
-
 def _resample_tail(top: np.ndarray, counts: np.ndarray, lo: int, ks, n: int) -> list[tuple]:
     """(VaR, CTE) at each 1-based rank in ``ks`` of a resample tallied by ``_resample_counts``.
 
@@ -412,7 +403,8 @@ def _resample_tail(top: np.ndarray, counts: np.ndarray, lo: int, ks, n: int) -> 
         above = int(np.searchsorted(values, v, side="right"))
         weight = counts[above:]
         drawn = int(weight.sum())
-        out.append((v, _pairwise_weighted_sum(weight, values[above:]) / drawn if drawn else v))
+        # einsum sums the product in buffered chunks: no temporary of the tail.
+        out.append((v, float(np.einsum("i,i->", weight, values[above:])) / drawn if drawn else v))
     return out
 
 

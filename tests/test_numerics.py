@@ -190,34 +190,34 @@ class TestNearestCorrelation:
 
 class TestRngStream:
     def test_golden_uniforms(self):
-        # Pins the Philox-4x64 keyed-stream algorithm.
+        # Pins the SFC64 stream keyed by SeedSequence(seed, spawn_key=(stream_id, block)).
         got = RngStream(42, 0).generator().random(4)
         expected = [
-            0.8201981478608876,
-            0.18924562408645496,
-            0.8676608148821462,
-            0.3945814702827203,
+            0.37956408825274657,
+            0.99649675954541,
+            0.40478935824096596,
+            0.8756914703047523,
         ]
         assert got.tolist() == expected
 
     def test_golden_normals(self):
         got = RngStream(42, 0).generator().standard_normal(4)
         expected = [
-            0.3375714466967798,
-            -0.7821534784435413,
-            -0.3160252007782352,
-            -2.1012153395949684,
+            0.06060162873768834,
+            1.7789943541606692,
+            0.516355671412391,
+            -0.009458703378142516,
         ]
         assert got.tolist() == expected
 
     def test_golden_substream_and_block(self):
         assert RngStream(42, 7).generator().random(2).tolist() == [
-            0.649420079613736,
-            0.8848813535936771,
+            0.8079033669232482,
+            0.6388107519823247,
         ]
         assert RngStream(42, 0).block_generator(3).random(2).tolist() == [
-            0.2939059036046485,
-            0.008073701257006016,
+            0.1795235622015341,
+            0.8971132123641051,
         ]
 
     def test_repeatability(self):
@@ -239,6 +239,20 @@ class TestRngStream:
         assert not np.array_equal(first, second)
         # block 0 equals the plain stream start
         assert np.array_equal(first, base.generator().random(8))
+
+    def test_distinct_keys_give_distinct_streams(self):
+        # Every (seed, stream_id, block) below, the extreme words included,
+        # starts its own stream, and generator() is block 0.
+        keys = [(seed, stream, block) for seed in (0, 1, 2**32, 2**64 - 1)
+                for stream in (0, 1, 2**32, 2**64 - 1) for block in (0, 1, 2**32 - 1)]
+        starts = {RngStream(seed, stream).block_generator(block).bytes(16) for seed, stream, block in keys}
+        assert len(starts) == len(keys)
+        for seed, stream, _ in keys:
+            rng = RngStream(seed, stream)
+            assert rng.generator().bytes(64) == rng.block_generator(0).bytes(64)
+        for block in (-1, 2**32):  # a wider block would share words with the stream id
+            with pytest.raises(DomainError):
+                RngStream(0, 0).block_generator(block)
 
     def test_key_range_validated(self):
         with pytest.raises(DomainError):

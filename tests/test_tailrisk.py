@@ -835,21 +835,6 @@ class TestTailOnlyBootstrap:
         assert np.array_equal(tally, np.bincount(ref.integers(0, m, c), minlength=m))
         assert ours.random() == ref.random()
 
-    def test_pairwise_weighted_sum_is_bit_for_bit(self):
-        # numpy sums a contiguous float64 array pairwise, splitting n at
-        # n // 2 rounded down to a multiple of 8; the split sum must keep
-        # every bit around the 65,536-value leaf and the split points.
-        gen = np.random.default_rng(35)
-        leaf = tailrisk._BLOCK
-        lengths = [1, 9, leaf - 1, leaf, leaf + 1, leaf + 7, 2 * leaf - 8, 2 * leaf + 1,
-                   2 * leaf + 8, 2 * leaf + 15, 2 * leaf + 17, 4 * leaf + 24, 1_000_003, 3_000_000]
-        for n in lengths:
-            values = np.sort(gen.lognormal(15.0, 3.0, n))
-            weight = gen.integers(0, 4, n).astype(np.int32)
-            want = float((weight * values).sum())
-            assert tailrisk._pairwise_weighted_sum(weight, values) == want, n
-            assert tailrisk._pairwise_weighted_sum(weight.astype(np.int64), values) == want, n
-
     def test_bootstrap_memory_follows_the_tally(self):
         # One int32 tally of the top m is 4m bytes, reused by every
         # resample; the draws, the rank search and the CTE sums hold
