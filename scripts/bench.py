@@ -2,15 +2,20 @@
 """Paired runs of ``perfbench/run.py`` on one source tree or two, written to a JSON file.
 
     python3 scripts/bench.py --workload tail-paths --seed 5 --rounds 10 --seconds 20 \\
-        --parent REV_OR_DIR --output BENCH_26.json
+        [--change REV] [--parent REV] --output BENCH_26.json
 
-Each round runs ``perfbench/run.py --workload W --seed S --seconds T`` as
-it is, from the root of each tree, and then times the ``simulate`` child
-on its own.  With ``--parent`` there are two trees, and they alternate
-which runs first: the parent in even rounds, the change in odd ones.
-``--tree`` (default: the repository holding this script) is the change.
-``--parent`` is a directory or a git revision of that repository, which
-``git archive`` exports into ``<tree>/.perfbench_run/bench/<rev>``.
+Each tree is a git revision of the repository holding this script
+(``--change``, default HEAD, and with ``--parent`` a second one), which
+``git archive`` exports into ``.perfbench_run/bench/<12 hex digits of
+its commit>``, so the trees' paths have one length.  The peak RSS of
+the ``simulate`` child follows the length of its input paths: on
+``tail-bootstrap`` one version of the code peaked at 41.2 MB with paths
+34 characters longer than another tree's, and at 41.5 MB with that
+tree's paths.  Each round runs ``perfbench/run.py
+--workload W --seed S --seconds T`` as it is, from the root of each
+tree, and then times the ``simulate`` child on its own.  Two trees
+alternate which runs first: the parent in even rounds, the change in
+odd ones.
 
 The ``simulate`` child is started from this process, which imports no
 numpy, so the peak RSS that ``os.wait4`` reports is the child's own.  It
@@ -22,8 +27,9 @@ Bytecode is pinned.  Every child runs with
 ``PYTHONPYCACHEPREFIX=<tree>/.perfbench_run/pycache`` and without
 ``PYTHONDONTWRITEBYTECODE``.  An untimed perfbench round per tree
 (``--seconds 0``) fills that cache before the first timed round, so no
-timed process compiles the source, numpy or scipy again.  A pure edit of
-the text of ``src/`` then moves no metric.
+timed process compiles the source, numpy or scipy again.  Where every
+child compiled ``src/``, a 30-line comment edit moved the ``simulate``
+peak on ``tail-bootstrap`` by about 0.1 MB.
 
 For each metric the file records each side's values, median and
 quartiles.  With two trees it also records the change's wins: pairs in
@@ -134,19 +140,15 @@ def git(*args: str) -> str:
                           check=True).stdout.strip()
 
 
-def parent_tree(spec: str, tree: Path) -> Tree:
-    """``spec`` as a directory, or the git revision ``spec`` exported under ``tree``."""
-    if Path(spec).is_dir():
-        path = Path(spec).resolve()
-        head = subprocess.run(["git", "-C", str(path), "rev-parse", "HEAD"], capture_output=True, text=True)
-        return Tree("parent", path, head.stdout.strip() if (path / ".git").exists() else None)
-    commit = git("rev-parse", spec)
-    path = tree / ".perfbench_run" / "bench" / commit[:12]
+def exported(name: str, rev: str) -> Tree:
+    """The tree of git revision ``rev``, exported under ``.perfbench_run/bench``."""
+    commit = git("rev-parse", "--verify", f"{rev}^{{commit}}")
+    path = ROOT / ".perfbench_run" / "bench" / commit[:12]
     if not path.is_dir():
         path.mkdir(parents=True)
         archive = subprocess.run(["git", "-C", str(ROOT), "archive", commit], capture_output=True, check=True)
         subprocess.run(["tar", "-x", "-C", str(path)], input=archive.stdout, check=True)
-    return Tree("parent", path, commit)
+    return Tree(name, path, commit)
 
 
 def summary(values: list[float]) -> dict:
@@ -160,15 +162,14 @@ def main() -> int:
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--rounds", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=20.0)
-    parser.add_argument("--tree", type=Path, default=ROOT)
+    parser.add_argument("--change", default="HEAD")
     parser.add_argument("--parent")
     parser.add_argument("--output", type=Path, required=True)
     args = parser.parse_args()
 
-    tree = args.tree.resolve()
-    change = Tree("change" if args.parent else "tree", tree, git("rev-parse", "HEAD") if tree == ROOT else None)
-    trees = [parent_tree(args.parent, tree), change] if args.parent else [change]
-    flags = simulate_flags(tree, args.workload)
+    change = exported("change" if args.parent else "tree", args.change)
+    trees = [exported("parent", args.parent), change] if args.parent else [change]
+    flags = simulate_flags(change.path, args.workload)
     for t in trees:  # untimed: fills the bytecode cache
         t.perfbench(args.workload, args.seed, 0.0)
     for r in range(args.rounds):
@@ -185,7 +186,7 @@ def main() -> int:
         print(f"round {r + 1}/{args.rounds}: " + ", ".join(
             f"{t.name} simulate_s {t.samples['simulate_s'][-1]:.3f}" for t in trees), file=sys.stderr)
 
-    units = {m["name"]: m["unit"] for m in json.loads((tree / "BENCHMARK.json").read_text())["end_to_end"]}
+    units = {m["name"]: m["unit"] for m in json.loads((change.path / "BENCHMARK.json").read_text())["end_to_end"]}
     units.update(CHILD)
     metrics = {}
     for name in trees[0].samples:
