@@ -4,11 +4,12 @@ Aggregate monthly loss S is simulated replicate-by-replicate: draw which
 protocols each path attacks, then an independent severity ratio for each
 attacked protocol.  Replicates are organized in fixed-size blocks, each
 drawn from its own keyed stream (``RngStream.block_generator``), so the
-same seed yields byte-identical results for any worker count.  ``dependence`` draws the attacks: through the
-copula as a block's bit-packed mask, from one ``EventSampler`` per worker
-that fills it panel by panel, and without it as each protocol's attacked
-paths.  So no block holds its normals in full, and the independent
-scenario holds nothing per (protocol, path).
+same seed yields byte-identical results for any worker count.
+``dependence`` draws the attacks: through the copula as a block's
+bit-packed mask, from one ``EventSampler`` per worker that fills it
+panel by panel, and without it as each protocol's attacked paths.  So
+no block holds its normals in full, and the independent scenario holds
+nothing per (protocol, path).
 
 VaR uses the ceil(n q)-th order statistic, the exact sample analogue of
 the generalized-inverse definition; CTE averages the strictly greater

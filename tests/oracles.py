@@ -218,9 +218,7 @@ def mixture_tail_law(weights, tvls, laws, levels, grid: int = 1 << 18, error: fl
         hit = list(pattern)
         mass = weights[k] * math.prod(m for m, attacked in zip(total_mass, pattern) if attacked)
         if mass > 0.0:
-            x = 0.0
-            for tvl in tvls[hit]:
-                x += float(tvl)
+            x = sum(tvls[hit].tolist())  # left to right, in portfolio order
             atoms.setdefault(x, []).append((mass, int(down[hit].sum()), int(up[hit].sum())))
 
     def bounds(x):
