@@ -1,21 +1,22 @@
 #!/usr/bin/env python3
 """Paired runs of ``perfbench/run.py`` on one source tree or two, written to a JSON file.
 
-    python3 scripts/bench.py --workload tail-paths --seed 5 --rounds 10 --seconds 20 \\
-        [--change REV] [--parent REV] --output BENCH_26.json
+    python3 scripts/bench.py --workload tail-paths --seed 5 --rounds 10 \\
+        [--parent REV] --output BENCH_26.json
 
-Each tree is a git revision of the repository holding this script
-(``--change``, default HEAD, and with ``--parent`` a second one), which
-``git archive`` exports into ``.perfbench_run/bench/<12 hex digits of
-its commit>``, so the trees' paths have one length.  The peak RSS of
-the ``simulate`` child follows the length of its input paths: on
-``tail-bootstrap`` one version of the code peaked at 41.2 MB with paths
-34 characters longer than another tree's, and at 41.5 MB with that
-tree's paths.  Each round runs ``perfbench/run.py
+Each tree is a git revision of the repository holding this script (HEAD,
+and with ``--parent`` a second one), which ``git archive`` exports into
+``.perfbench_run/bench/<12 hex digits of its commit>``, so the trees'
+paths have one length.  An export is unpacked beside its place and
+renamed into it only once ``tar`` succeeds, so a partial tree is never
+reused.  The peak RSS of the ``simulate`` child follows the length of
+its input paths: on ``tail-bootstrap`` one version of the code peaked
+at 41.2 MB with paths 34 characters longer than another tree's, and at
+41.5 MB with that tree's paths.  Each round runs ``perfbench/run.py
 --workload W --seed S --seconds T`` as it is, from the root of each
-tree, and then times the ``simulate`` child on its own.  Two trees
-alternate which runs first: the parent in even rounds, the change in
-odd ones.
+tree, T being ``run_seconds`` in ``BENCHMARK.json``, and then times the
+``simulate`` child on its own.  Two trees alternate which runs first:
+the parent in even rounds, the change in odd ones.
 
 The ``simulate`` child is started from this process, which imports no
 numpy, so the peak RSS that ``os.wait4`` reports is the child's own.  It
@@ -39,7 +40,8 @@ below the parent's by more than the parent's interquartile range.  The
 file also records each tree's commit and bytecode state, and the host:
 ``nproc``, the Python, numpy and BLAS versions and the BLAS thread
 count.  Runs of other workloads and seeds are merged into an existing
-file, one entry per ``<workload>@<seed>``.
+file, one entry per ``<workload>@<seed>``, only if the file's host is
+this one.
 """
 
 from __future__ import annotations
@@ -145,9 +147,12 @@ def exported(name: str, rev: str) -> Tree:
     commit = git("rev-parse", "--verify", f"{rev}^{{commit}}")
     path = ROOT / ".perfbench_run" / "bench" / commit[:12]
     if not path.is_dir():
-        path.mkdir(parents=True)
+        partial = path.with_name(path.name + ".partial")
+        shutil.rmtree(partial, ignore_errors=True)
+        partial.mkdir(parents=True)
         archive = subprocess.run(["git", "-C", str(ROOT), "archive", commit], capture_output=True, check=True)
-        subprocess.run(["tar", "-x", "-C", str(path)], input=archive.stdout, check=True)
+        subprocess.run(["tar", "-x", "-C", str(partial)], input=archive.stdout, check=True)
+        partial.rename(path)
     return Tree(name, path, commit)
 
 
@@ -161,21 +166,21 @@ def main() -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--rounds", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=20.0)
-    parser.add_argument("--change", default="HEAD")
     parser.add_argument("--parent")
     parser.add_argument("--output", type=Path, required=True)
     args = parser.parse_args()
 
-    change = exported("change" if args.parent else "tree", args.change)
+    change = exported("change" if args.parent else "tree", "HEAD")
     trees = [exported("parent", args.parent), change] if args.parent else [change]
     flags = simulate_flags(change.path, args.workload)
+    benchmark = json.loads((change.path / "BENCHMARK.json").read_text(encoding="utf-8"))
+    seconds = float(benchmark["run_seconds"])
     for t in trees:  # untimed: fills the bytecode cache
         t.perfbench(args.workload, args.seed, 0.0)
     for r in range(args.rounds):
         order = trees if r % 2 == 0 else trees[::-1]
         for t in order:
-            doc = t.perfbench(args.workload, args.seed, args.seconds)
+            doc = t.perfbench(args.workload, args.seed, seconds)
             t.correct.append(bool(doc["correct"]) and doc["failed"] == 0)
             for name, metric in doc["metrics"].items():
                 t.record(name, metric["value"])
@@ -186,7 +191,7 @@ def main() -> int:
         print(f"round {r + 1}/{args.rounds}: " + ", ".join(
             f"{t.name} simulate_s {t.samples['simulate_s'][-1]:.3f}" for t in trees), file=sys.stderr)
 
-    units = {m["name"]: m["unit"] for m in json.loads((change.path / "BENCHMARK.json").read_text())["end_to_end"]}
+    units = {m["name"]: m["unit"] for m in benchmark["end_to_end"]}
     units.update(CHILD)
     metrics = {}
     for name in trees[0].samples:
@@ -202,11 +207,13 @@ def main() -> int:
 
     versions = subprocess.run([sys.executable, "-c", _VERSIONS], env=dict(change.env, **THREAD_ENV),
                               capture_output=True, text=True, check=True)
-    doc = json.loads(args.output.read_text()) if args.output.exists() else {"runs": {}}
-    doc["host"] = {"nproc": len(os.sched_getaffinity(0)), "cpu_count": os.cpu_count(),
-                   **json.loads(versions.stdout), "blas_thread_env": THREAD_ENV}
+    host = {"nproc": len(os.sched_getaffinity(0)), "cpu_count": os.cpu_count(),
+            **json.loads(versions.stdout), "blas_thread_env": THREAD_ENV}
+    doc = json.loads(args.output.read_text()) if args.output.exists() else {"host": host, "runs": {}}
+    if doc["host"] != host:
+        sys.exit(f"{args.output} holds runs of another host: {doc['host']}, not {host}")
     doc["runs"][f"{args.workload}@{args.seed}"] = {
-        "workload": args.workload, "seed": args.seed, "rounds": args.rounds, "seconds": args.seconds,
+        "workload": args.workload, "seed": args.seed, "rounds": args.rounds, "seconds": seconds,
         "trees": {t.name: {"commit": t.commit, "bytecode": t.bytecode(), "correct": t.correct} for t in trees},
         "metrics": metrics,
     }

@@ -295,13 +295,11 @@ def attack_pattern_law(probs, spec: CopulaSpec) -> np.ndarray:
     return weights
 
 
-def copula_tail_law(probs, spec: CopulaSpec, tvls, laws, levels, grid: int = 1 << 18,
-                    patterns=None) -> list[tuple]:
+def copula_tail_law(patterns, tvls, laws, levels, grid: int = 1 << 18) -> list[tuple]:
     """The exact VaR_q and CTE_q of the copula scenario, bracketed: ``mixture_tail_law``
-    over ``attack_pattern_law`` (or the ``patterns`` it returned), on the
-    lattice of the independent scenario, widened by the weights' summed error."""
-    patterns = attack_pattern_law(probs, spec) if patterns is None else np.asarray(patterns)
-    return mixture_tail_law(patterns, tvls, laws, levels, grid, error=patterns.size * ORTHANT_ABSEPS)
+    over the pattern weights ``attack_pattern_law`` returned, on the lattice
+    of the independent scenario, widened by the weights' summed error."""
+    return mixture_tail_law(patterns, tvls, laws, levels, grid, error=len(patterns) * ORTHANT_ABSEPS)
 
 
 def full_bootstrap_ses(sample: np.ndarray, levels, resamples: int, gen):

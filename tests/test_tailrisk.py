@@ -676,7 +676,7 @@ class TestExactCopulaLaw:
                 **args, copula=lambda: spec, levels=self.LEVELS, n_sims=1_000_000,
                 rng=RngStream(12, 0), bootstrap_resamples=100, dependence="on",
             )
-        exact = copula_tail_law(**args, spec=spec, levels=self.LEVELS, patterns=fixture_patterns)
+        exact = copula_tail_law(fixture_patterns, args["tvls"], args["laws"], self.LEVELS)
         assert [on_atom for *_, on_atom in exact] == [False, False, False]
         self.check(report, exact)
 
@@ -685,7 +685,7 @@ class TestExactCopulaLaw:
         # loss of protocol F alone (4 x 10^8), which the independent law
         # does not; 10^6 paths on their own streams.
         args, spec, patterns = reference
-        exact = copula_tail_law(**args, spec=spec, levels=self.LEVELS, patterns=patterns)
+        exact = copula_tail_law(patterns, args["tvls"], args["laws"], self.LEVELS)
         assert [on_atom for *_, on_atom in exact] == [False, False, True]
         assert exact[2][:2] == (4e8, 4e8)
         assert not any(on_atom for *_, on_atom in independent_tail_law(**args, levels=self.LEVELS))
