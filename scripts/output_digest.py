@@ -2,7 +2,7 @@
 """SHA-256 of every output file the six subcommands write on one data set.
 
     PYTHONPATH=src python scripts/output_digest.py OUT_DIR [--data DIR | --book SEED] [--seed N]
-        [--workers N] [--samples N] [--format {csv,json}]
+        [--workers N] [--samples N] [--dependence {on,off,both}] [--format {csv,json}]
 
 Runs fit-frequency, fit-severity, price, simulate, summarize and both kinds
 of gof (on ``severity_model.json`` and on the first priced protocol's
@@ -23,7 +23,10 @@ listings at two worker counts must not differ either.  ``--samples``
 (default: the config's, 10^5) is passed to ``simulate`` too: the merge
 of the retained tail takes its blocks of 65,536 paths in order at any
 worker count, and 10^6 paths are 16 of them, which 3 workers do not
-split evenly.  ``--format``
+split evenly.  ``--dependence`` (default: the config's, both) is passed
+to ``simulate`` as well: a single scenario is bootstrapped alone, and on
+a pool the scenarios are drawn in another order, so each value's
+listings must not depend on ``--workers`` either.  ``--format``
 (default csv) is passed to every command, so the JSON form of each report
 table is checked the same way.  BLAS runs on one
 thread unless ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` or
@@ -59,7 +62,7 @@ def run(args, fmt: str) -> None:
         sys.exit(f"{args[0]} exited {code}")
 
 
-def run_all(data: Path, out: Path, seed: int, workers: int | None, samples: int | None, fmt: str) -> None:
+def run_all(data: Path, out: Path, seed: int, simulate_flags: list, fmt: str) -> None:
     incidents, tvl = data / "incidents.csv", data / "tvl.csv"
     portfolio, priced = data / "portfolio.json", data / "portfolio_priced.json"
     first_priced = json.loads(priced.read_text(encoding="utf-8"))["protocols"][0]["id"]
@@ -69,8 +72,7 @@ def run_all(data: Path, out: Path, seed: int, workers: int | None, samples: int 
     run(["price", "--tvl", tvl, "--portfolio", priced, "--models", out, "--output", out,
          "--seed", seed], fmt)
     run(["simulate", "--tvl", tvl, "--portfolio", priced, "--models", out, "--output", out,
-         "--seed", seed] + (["--workers", workers] if workers else [])
-        + (["--samples", samples] if samples else []), fmt)
+         "--seed", seed] + simulate_flags, fmt)
     run(["summarize", "--incidents", incidents, "--output", out], fmt)
     run(["gof", "--model", out / "severity_model.json", "--incidents", incidents,
          "--output", out / "gof_severity"], fmt)
@@ -87,8 +89,13 @@ def main_digest() -> None:
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--workers", type=int, default=None)
     parser.add_argument("--samples", type=int, default=None)
+    parser.add_argument("--dependence", choices=("on", "off", "both"), default=None)
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     args = parser.parse_args()
+    simulate_flags = []
+    for flag in ("workers", "samples", "dependence"):
+        if getattr(args, flag) is not None:
+            simulate_flags += [f"--{flag}", getattr(args, flag)]
     with contextlib.ExitStack() as stack:
         data = args.data
         if args.book is not None:
@@ -98,7 +105,7 @@ def main_digest() -> None:
             data = Path(stack.enter_context(tempfile.TemporaryDirectory()))
             make_book(args.book, data)
         with contextlib.redirect_stdout(io.StringIO()):  # keep the "wrote" lines out of the listing
-            run_all(data, args.out_dir, args.seed, args.workers, args.samples, args.format)
+            run_all(data, args.out_dir, args.seed, simulate_flags, args.format)
     for path in sorted(p for p in args.out_dir.rglob("*") if p.is_file()):
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         print(f"{digest}  {path.relative_to(args.out_dir).as_posix()}")

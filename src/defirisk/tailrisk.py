@@ -29,10 +29,16 @@ alone fix every VaR and CTE; otherwise the other n - c draws are made as
 well.  The resampled law is therefore exact, and each resample costs
 O(m) instead of O(n) with m a little above n (1 - min level): the draws
 are counted into one int32 tally of the top m, reused by every resample.
+Every scenario's sample has the same n and m, so one tally is an exact
+resample of each of them: a run draws each resample once, from one
+stream, and applies it to the top of every scenario simulated (common
+random numbers).  Each scenario's bootstrap law is unchanged, and its
+SEs are those it would get alone.
 
-``risk_report`` therefore keeps only the top m losses of each scenario
-(``footprint`` counts what a run holds in memory).  The rare resample
-that needs the rest redraws the same losses from the same stream.
+``risk_report`` therefore keeps only the top m losses of each scenario,
+all of them until the bootstrap is done (``footprint`` counts what a run
+holds in memory).  The rare resample that needs the rest redraws the
+same losses from the same streams.
 
 The merge of those top m guesses its floor from block 0, as Floyd &
 Rivest's selection guesses from a sample (*CACM* 18(3), 1975): the
@@ -305,12 +311,15 @@ def conditional_tail_expectation(sample: np.ndarray, q: float) -> float:
 # Scenarios simulated for each ``dependence`` value, in report-column order.
 _SCENARIOS = {"on": ("dep",), "off": ("indep",), "both": ("dep", "indep")}
 
-# Per scenario: whether paths draw through the copula, the path stream and
-# the bootstrap stream (offsets within the report's base stream).
+# Per scenario: whether paths draw through the copula, and the path stream
+# (an offset within the report's base stream).
 _STREAMS = {
-    "dep": (True, 1, 3),
-    "indep": (False, 2, 4),
+    "dep": (True, 1),
+    "indep": (False, 2),
 }
+# The bootstrap's stream, one for every scenario: each resample's tally
+# resamples the top of each scenario simulated.
+_BOOTSTRAP_STREAM = 3
 
 # Measures of one scenario at one level, in report-column order.
 _MEASURES = ("var_{}", "cte_{}", "var_{}_pct", "cte_{}_pct", "se_var_{}", "se_cte_{}")
@@ -384,22 +393,30 @@ def _resample_counts(n: int, t: int, m: int, gen, tally: np.ndarray) -> tuple[np
     return counts, 0
 
 
-def _resample_tail(top: np.ndarray, counts: np.ndarray, lo: int, ks, n: int) -> list[tuple]:
-    """(VaR, CTE) at each 1-based rank in ``ks`` of a resample tallied by ``_resample_counts``.
+def _rank_cells(counts: np.ndarray, ks, n: int) -> list[int]:
+    """The index into ``counts`` (tallied by ``_resample_counts``) of the value
+    at each 1-based rank in ``ks`` of the resample it stands for."""
+    width = 1024
+    ends = np.cumsum(np.add.reduceat(counts, np.arange(0, counts.size, width), dtype=counts.dtype))
+    ends += n - ends[-1]  # the rank of each block's last draw; no running count of all m
+    cells = []
+    for k in ks:
+        b = int(np.searchsorted(ends, k))
+        block = counts[b * width : (b + 1) * width]
+        cells.append(b * width + int(np.searchsorted(np.cumsum(block), k - (ends[b] - block.sum()))))
+    return cells
+
+
+def _resample_tail(top: np.ndarray, counts: np.ndarray, lo: int, cells, n: int) -> list[tuple]:
+    """(VaR, CTE) at each of ``cells`` (``_rank_cells``) of a resample tallied by ``_resample_counts``.
 
     ``top`` holds the largest values of the sorted n-sample, from the
     (lo + 1)-th smallest on at least.  CTE is the mean of the resample's
     values strictly above VaR, or VaR when there are none.
     """
     values = top[lo - (n - top.size) :]
-    width = 1024
-    ends = np.cumsum(np.add.reduceat(counts, np.arange(0, counts.size, width), dtype=counts.dtype))
-    ends += n - ends[-1]  # the rank of each block's last draw; no running count of all m
     out = []
-    for k in ks:
-        b = int(np.searchsorted(ends, k))
-        block = counts[b * width : (b + 1) * width]
-        i = b * width + int(np.searchsorted(np.cumsum(block), k - (ends[b] - block.sum())))
+    for i in cells:
         v = float(values[i])
         above = int(np.searchsorted(values, v, side="right"))
         weight = counts[above:]
@@ -410,23 +427,31 @@ def _resample_tail(top: np.ndarray, counts: np.ndarray, lo: int, ks, n: int) -> 
 
 
 def _bootstrap_ses(
-    top: np.ndarray, levels, resamples: int, gen, n: int | None = None, redraw=None
+    tops: list[np.ndarray], levels, resamples: int, gen, n: int | None = None, redraws=None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Bootstrap SEs of (VaR, CTE) at each level of a sorted n-sample, resampling its top.
+    """Bootstrap SEs of (VaR, CTE) at each level of sorted n-samples, resampling their tops.
 
-    ``top`` holds the sample's largest values (all n by default), at least
-    the m that ``_tail_need`` names.  A resample that falls back to the
-    whole sample gets it from ``redraw()``, once.  Every resample reuses one tally.
+    Each of ``tops`` holds a sample's largest values (all n by default), at
+    least the m that ``_tail_need`` names.  The samples share n, so one
+    tally per resample, drawn from ``gen``, is an exact multinomial
+    resample of each of them (common random numbers): a sample's SEs are
+    those it gets alone from the same ``gen``.  A resample that falls back
+    to the whole samples gets sample j from ``redraws[j]()``, once.  Every
+    resample reuses one tally.  The SEs are top-major: those of
+    ``tops[j]`` at the i-th level sit at j * len(levels) + i.
     """
-    n = top.size if n is None else n
+    if resamples < 2:
+        raise DomainError(f"bootstrap_resamples must be at least 2, got {resamples}")
+    n = tops[0].size if n is None else n
     ks, t, m = _tail_need(n, levels)
     tally = np.empty(m, _tally_dtype(n))
     reps = []
     for _ in range(resamples):
         counts, lo = _resample_counts(n, t, m, gen, tally)
-        if lo < n - top.size:
-            top = redraw()
-        reps.append(_resample_tail(top, counts, lo, ks, n))
+        if lo < n - tops[0].size:
+            tops = [redraw() for redraw in redraws]
+        cells = _rank_cells(counts, ks, n)
+        reps.append([tail for top in tops for tail in _resample_tail(top, counts, lo, cells, n)])
     reps = np.array(reps)
     # Deviations from the first replicate have the same SD, and an SD of
     # exactly 0 when every replicate agrees (a float mean of equal values
@@ -438,21 +463,22 @@ def _bootstrap_ses(
 def footprint(n_sims: int, levels, d: int, workers: int, dependence: str) -> dict[str, int]:
     """Bytes a ``risk_report`` of ``n_sims`` paths at ``levels`` holds at most, by part.
 
-    One scenario is held at a time: its sorted top of m values (8m), the
-    merge buffer's slack beyond it, max(65,536, m/4) values while merging,
-    and the bootstrap's tally of m counts.  Each worker that draws a block
-    holds an ``EventSampler`` of d protocols (copula scenarios only) and
-    two blocks in flight, one being drawn and one drawn, beside the block
+    The sorted top of m values (8m) of each scenario simulated, since each
+    top lives from its merge through the one bootstrap; the merge buffer's
+    slack beyond a top, max(65,536, m/4) values while merging; and the
+    bootstrap's tally of m counts.  Each worker that draws a block holds
+    an ``EventSampler`` of d protocols (copula scenarios only) and two
+    blocks in flight, one being drawn and one drawn, beside the block
     being merged.  The bootstrap's draws, 65,536 at a time, come after the
     blocks are freed and take less than they did.  Not counted: the
-    inputs, the copula, and the full-sample redraw of the rare resample
-    that needs it (about 10 sd away).
+    inputs, the copula, and the full-sample redraws of the rare resample
+    that needs them (about 10 sd away).
     """
     _, _, m = _tail_need(n_sims, levels)
     block = min(_BLOCK, n_sims)
     busy = min(workers, (n_sims + _BLOCK - 1) // _BLOCK)
     return {
-        "top": 8 * m,
+        "top": 8 * m * len(_SCENARIOS[dependence]),
         "merge_slack": 8 * (_merge_size(n_sims, m) - m),
         "tally": _tally_dtype(n_sims).itemsize * m,
         "samplers": busy * EventSampler.nbytes(d, block) if dependence != "off" else 0,
@@ -479,15 +505,17 @@ def risk_report(
     it is called once when the copula scenario runs, never otherwise, and
     the report carries what it built (None under "off").  ``dependence`` is "on" (copula paths
     only), "off" (independent paths only) or "both".  Each scenario draws
-    from its own streams, so its measures do not depend on whether the
-    other one ran, nor on the order they run in.
+    its paths from its own stream, and one bootstrap (``_bootstrap_ses``)
+    resamples the tops of all of them from one stream, so a scenario's
+    measures do not depend on whether the other one ran, nor on the order
+    they run in.
 
     One pool of ``workers`` threads serves the whole run, and none runs at
     one worker.  On a pool the copula is built as the pool's first task
     while the other workers draw the independent scenario, so the
-    scenarios are computed ``indep`` first; the columns keep ``dep``
-    first.  At one worker it is built inline before any path is drawn, and
-    ``dep`` runs first.
+    scenarios are drawn ``indep`` first; the columns keep ``dep`` first.
+    At one worker it is built inline before any path is drawn, and ``dep``
+    runs first.  The bootstrap runs once every top is drawn.
     """
     levels = tuple(float(q) for q in levels)
     if any(not (0.0 < q < 1.0) for q in levels):
@@ -497,15 +525,11 @@ def risk_report(
     total_tvl = float(np.asarray(tvls, dtype=float).sum())
     _, _, m = _tail_need(n_sims, levels)
 
-    def measure(scenario: str) -> tuple[list[tuple[float, ...]], np.ndarray, np.ndarray]:
-        """The scenario's columns in ``_MEASURES`` order, one value per level, and per
-        level whether no sample value lies above VaR and whether VaR sits on an atom.
-
-        The values come from the top of the sample; the rare bootstrap
-        fallback redraws the full sample from the same stream.
-        """
-        with_copula, path_stream, boot_stream = _STREAMS[scenario]
-        simulate = functools.partial(
+    def sampler(scenario: str) -> Callable[..., np.ndarray]:
+        """``simulate_aggregate`` of the scenario's paths: its top, and the full
+        sample that the rare bootstrap fallback redraws from the same stream."""
+        with_copula, path_stream = _STREAMS[scenario]
+        return functools.partial(
             simulate_aggregate,
             probs=probs,
             tvls=tvls,
@@ -516,14 +540,6 @@ def risk_report(
             workers=workers,
             pool=pool,
         )
-        top = simulate(top=m)
-        se_var, se_cte = _bootstrap_ses(
-            top, levels, bootstrap_resamples, rng.child(boot_stream).generator(), n_sims, simulate
-        )
-        tails = [_tail(top, q, n_sims) for q in levels]
-        var_q, cte_q, no_tail, on_atom = map(np.array, zip(*tails))
-        columns = (var_q, cte_q, var_q / total_tvl, cte_q / total_tvl, se_var, se_cte)
-        return [tuple(c.tolist()) for c in columns], no_tail, on_atom
 
     scenarios = _SCENARIOS[dependence]
     with worker_pool(workers) as pool:
@@ -537,14 +553,28 @@ def risk_report(
         # On a pool indep goes first, so that the workers the build leaves
         # free draw it.  Inline, dep first peaks lower: 41.0 against 41.8 MB
         # RSS at 10^6 fixture paths, from where glibc places the blocks.
-        measured = {s: measure(s) for s in (scenarios if pool is None else reversed(scenarios))}
+        order = scenarios if pool is None else scenarios[::-1]
+        redraws, tops = [], []
+        for s in order:  # the sampler of dep waits for the copula only once indep is drawn
+            redraws.append(sampler(s))
+            tops.append(redraws[-1](top=m))
+        ses = _bootstrap_ses(
+            tops, levels, bootstrap_resamples, rng.child(_BOOTSTRAP_STREAM).generator(), n_sims, redraws
+        )
         copula = spec()
+    # Per scenario: its columns in ``_MEASURES`` order, one value per level, and per
+    # level whether no sample value lies above VaR and whether VaR sits on an atom.
+    measured = {}
+    for s, top, se_var, se_cte in zip(order, tops, *(se.reshape(len(tops), -1) for se in ses)):
+        var_q, cte_q, no_tail, on_atom = map(np.array, zip(*(_tail(top, q, n_sims) for q in levels)))
+        columns = (var_q, cte_q, var_q / total_tvl, cte_q / total_tvl, se_var, se_cte)
+        measured[s] = [tuple(c.tolist()) for c in columns], no_tail, on_atom
     table = {"level": levels}
     for k, name in enumerate(_MEASURES):
         table.update((name.format(s), measured[s][0][k]) for s in scenarios)
 
     def flagged(name: str, k: int) -> tuple[str, ...]:
-        """``<name>_<scenario>@<level>`` where the k-th flag of ``measure`` is set, levels outer."""
+        """``<name>_<scenario>@<level>`` where the k-th entry of ``measured`` flags it, levels outer."""
         return tuple(
             f"{name}_{s}@{q:g}"
             for j, q in enumerate(levels)

@@ -140,6 +140,16 @@ def check_golden(produced: Path, name: str, regen: bool) -> None:
     assert not problems, f"{name} drifted from golden copy:\n{shown}{more}"
 
 
+def scenario_columns(report_csv: Path, scenario: str) -> bytes:
+    """The bytes of ``report_csv`` with only its level and ``scenario``'s columns."""
+    with open(report_csv, newline="") as fh:
+        rows = list(csv.reader(fh))
+    keep = [i for i, name in enumerate(rows[0]) if name == "level" or scenario in name.split("_")]
+    expected = io.StringIO(newline="")
+    csv.writer(expected, lineterminator="\n").writerows([row[i] for i in keep] for row in rows)
+    return expected.getvalue().encode()
+
+
 @pytest.fixture(scope="module")
 def fitted_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("fitted")
@@ -581,12 +591,22 @@ class TestFormats:
         assert meta["repaired_similarity"] is None and meta["frobenius_shift"] is None
         both = report("both")
         assert built == [1]
-        with open(both / "risk_report.csv", newline="") as fh:
-            rows = list(csv.reader(fh))
-        keep = [i for i, name in enumerate(rows[0]) if "dep" not in name.split("_")]
-        expected = io.StringIO(newline="")
-        csv.writer(expected, lineterminator="\n").writerows([row[i] for i in keep] for row in rows)
-        assert (off / "risk_report.csv").read_bytes() == expected.getvalue().encode()
+        assert (off / "risk_report.csv").read_bytes() == scenario_columns(both / "risk_report.csv", "indep")
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_dependent_run_is_the_dependent_columns_of_both(self, fitted_dir, tmp_path, workers):
+        # Both scenarios share one bootstrap stream, which under --dependence
+        # on resamples the copula scenario's top alone; on a pool "both" draws
+        # the independent scenario first.  Either way the report's bytes are
+        # the dependent columns of a run that drew both.
+        def report(dependence_):
+            out = tmp_path / dependence_
+            assert run(["simulate", "--tvl", TVL, "--portfolio", PORTFOLIO_PRICED,
+                        "--models", fitted_dir, "--output", out, "--seed", 5, "--workers", workers,
+                        "--samples", 20000, "--bootstrap", 10, "--dependence", dependence_]) == 0
+            return out / "risk_report.csv"
+
+        assert report("on").read_bytes() == scenario_columns(report("both"), "dep")
 
     def test_levels_flag_sets_report_rows(self, fitted_dir, tmp_path):
         assert run(["simulate", "--tvl", TVL, "--portfolio", PORTFOLIO_PRICED,

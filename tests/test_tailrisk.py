@@ -330,7 +330,7 @@ class TestStreamingTop:
             reports.append(TestRiskReport.small_report(seed=17, n=40_000, bootstrap=20))
         assert reports[0] == reports[1]
         t = 40_000 - tailrisk._order_index(40_000, 0.90) + 1
-        assert calls == [t + 1, None, t + 1, None]  # one redraw per scenario
+        assert calls == [t + 1, t + 1, None, None]  # one redraw per scenario
 
     @pytest.mark.parametrize("workers", [1, 3])
     def test_one_pool_per_run(self, monkeypatch, workers):
@@ -497,7 +497,7 @@ class TestRiskReport:
 
         n = 100_000
         sample = np.sort(RngStream(1, 0).generator().standard_normal(n))
-        se_var, _ = _bootstrap_ses(sample, [0.95], 200, RngStream(1, 1).generator())
+        se_var, _ = _bootstrap_ses([sample], [0.95], 200, RngStream(1, 1).generator())
         z = 1.6448536269514722
         theory = math.sqrt(0.95 * 0.05 / n) / (math.exp(-z * z / 2) / math.sqrt(2 * math.pi))
         assert 0.7 < se_var[0] / theory < 1.4
@@ -558,6 +558,24 @@ class TestRiskReport:
                 n_sims=10_000,
                 rng=RngStream(1),
             )
+
+    @pytest.mark.parametrize("resamples", [0, 1])
+    def test_fewer_than_two_resamples_rejected(self, resamples):
+        # The SD of fewer than two replicates is undefined.
+        with pytest.raises(DomainError, match="at least 2"):
+            self.small_report(n=10_000, bootstrap=resamples)
+
+    def test_one_tally_per_resample_serves_both_scenarios(self, monkeypatch):
+        real = tailrisk._resample_counts
+        calls = []
+
+        def counted(*args):
+            calls.append(args[0])
+            return real(*args)
+
+        monkeypatch.setattr(tailrisk, "_resample_counts", counted)
+        self.small_report(n=20_000, bootstrap=15)
+        assert calls == [20_000] * 15
 
 
 @pytest.fixture(scope="module")
@@ -734,7 +752,7 @@ class TestTailOnlyBootstrap:
         levels = (0.89, 0.95, 0.97, 0.99)
         seeds = range(40)
         tail = np.array([
-            np.concatenate(tailrisk._bootstrap_ses(sample, levels, 40, RngStream(s, 1).generator()))
+            np.concatenate(tailrisk._bootstrap_ses([sample], levels, 40, RngStream(s, 1).generator()))
             for s in seeds
         ])
         full = np.array([
@@ -790,12 +808,43 @@ class TestTailOnlyBootstrap:
                     paths.add(lo)
                     below = np.full(n - int(counts.sum()), sample[lo - 1] if lo else 0.0)
                     resample = np.concatenate([below, np.repeat(sample[lo:], counts)])
-                    tails = tailrisk._resample_tail(sample, counts, lo, ks, n)
+                    tails = tailrisk._resample_tail(sample, counts, lo, tailrisk._rank_cells(counts, ks, n), n)
                     for (v, cte), q in zip(tails, levels):
                         want_var, want_cte, *_ = tailrisk._tail(resample, q, n)
                         assert v == want_var
                         assert cte == pytest.approx(want_cte, rel=1e-12)
             assert 0 in paths and len(paths) > 1
+
+    @pytest.mark.parametrize("fallback", [False, True], ids=["tail", "fallback"])
+    def test_joint_bootstrap_gives_each_top_its_own_ses(self, monkeypatch, fallback):
+        # One tally per resample serves every top, so each top's SEs from the
+        # joint bootstrap are, byte for byte, those it gets alone from the
+        # same stream.  With m = t + 1 about half the resamples draw fewer
+        # than t values from the top and redraw every sample once.
+        if fallback:
+            monkeypatch.setattr(tailrisk, "_tail_size", lambda n, t: min(n, t + 1))
+        n, levels = 20_000, (0.89, 0.95, 0.97, 0.99)
+        fulls = [self.atoms_sample(n), np.sort(RngStream(37, 0).generator().lognormal(15.0, 2.0, n))]
+        m = tailrisk._tail_need(n, levels)[2]
+        redrawn = []
+
+        def redraw(j):
+            redrawn.append(j)
+            return fulls[j]
+
+        def ses(js):
+            tops = [fulls[j][-m:] for j in js]
+            redraws = [functools.partial(redraw, j) for j in js]
+            gen = RngStream(38, 0).generator()
+            se_var, se_cte = tailrisk._bootstrap_ses(tops, levels, 40, gen, n, redraws)
+            return [(se_var[i * 4 : i * 4 + 4], se_cte[i * 4 : i * 4 + 4]) for i in range(len(js))]
+
+        joint = ses([0, 1])
+        assert redrawn == ([0, 1] if fallback else [])
+        for j in (0, 1):
+            alone = ses([j])[0]
+            assert [a.tobytes() for a in joint[j]] == [a.tobytes() for a in alone]
+            assert np.all(alone[0][:3] > 0.0)  # not a comparison of zeros
 
     def test_var_on_an_atom_in_every_resample_has_zero_se(self):
         # 20% of the sample on one total loss: VaR at 0.9, 0.95 and 0.99
@@ -805,7 +854,7 @@ class TestTailOnlyBootstrap:
         rest = np.sort(RngStream(31, 0).generator().random(16_000)) * 1e8
         sample = np.concatenate([rest, np.full(4_000, 459252161.86)])
         levels = (0.90, 0.95, 0.99)
-        se_var, se_cte = tailrisk._bootstrap_ses(sample, levels, 200, RngStream(31, 1).generator())
+        se_var, se_cte = tailrisk._bootstrap_ses([sample], levels, 200, RngStream(31, 1).generator())
         assert np.all(se_var == 0.0) and np.all(se_cte == 0.0)
 
     @pytest.mark.parametrize("m", [7, 65_537, 2**31 - 1, 2**32, 2**33 + 7])
@@ -846,7 +895,7 @@ class TestTailOnlyBootstrap:
         gen = RngStream(36, 1).generator()
         tracemalloc.start()
         try:
-            tailrisk._bootstrap_ses(top, [0.90, 0.99], 3, gen, n)
+            tailrisk._bootstrap_ses([top], [0.90, 0.99], 3, gen, n)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
