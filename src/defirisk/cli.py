@@ -54,6 +54,7 @@ from .datamodel import (
 )
 from .dependence import build_copula
 from .errors import ConfigError, DataError, EngineError, NoEventError, SchemaError
+from .errors import finite, integer, real
 from .numerics import RngStream, std_normal_quantile
 
 _SIMULATE_STREAM = 1000
@@ -92,8 +93,6 @@ class RunConfig:
             raise ConfigError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
         if self.samples < 10_000:
             raise ConfigError(f"samples must be at least 10^4, got {self.samples}")
-        if self.theta is not None and not 0.0 < self.theta < math.inf:
-            raise ConfigError(f"theta must be positive and finite, got {self.theta}")
         if not self.levels or any(not (0.0 < q < 1.0) for q in self.levels):
             raise ConfigError(f"levels must be one or more in (0, 1), got {self.levels}")
         if self.format not in ("csv", "json"):
@@ -113,26 +112,9 @@ class RunConfig:
 
 
 def _parse_levels(raw) -> tuple[float, ...]:
-    if isinstance(raw, (list, tuple)):
-        return tuple(float(v) for v in raw)
-    try:
-        return tuple(float(part) for part in str(raw).split(",") if part.strip())
-    except ValueError as exc:
-        raise ConfigError(f"bad levels {raw!r}") from exc
-
-
-def _integer(raw) -> int:
-    """An integer setting: a JSON integer or a flag's text, never a float or a bool."""
-    if isinstance(raw, (bool, float)):
-        raise TypeError(f"expected an integer, got {raw!r}")
-    return int(raw)
-
-
-def _real(raw) -> float:
-    """A float setting: a JSON number or a flag's text, never a bool."""
-    if isinstance(raw, bool):
-        raise TypeError(f"expected a number, got {raw!r}")
-    return float(raw)
+    """A JSON list of levels, or a flag's comma-separated text."""
+    parts = raw if isinstance(raw, list) else [p for p in str(raw).split(",") if p.strip()]
+    return tuple(map(real, parts))
 
 
 def _month(raw) -> Month:
@@ -152,16 +134,16 @@ _SETTINGS = {
     "portfolio": (Path, "portfolio JSON path", None),
     "models": (Path, "directory holding fitted model files", None),
     "output": (Path, "output directory", None),
-    "seed": (_integer, "base RNG seed (u64)", None),
-    "samples": (_integer, "simulation paths", None),
-    "theta": (_real, "premium loading", None),
+    "seed": (integer, "base RNG seed (u64)", None),
+    "samples": (integer, "simulation paths", None),
+    "theta": (finite(0.0, math.inf, above=True), "premium loading", None),
     "levels": (_parse_levels, "comma-separated confidence levels", None),
     "format": (str, "report format: csv or json", None),
-    "workers": (_integer, "simulation worker threads", None),
+    "workers": (integer, "simulation worker threads", None),
     "window_end": (_month, "training window end YYYY-MM", "fit-frequency"),
     "override": (Path, "JSON of (attack_prob, loss_pct) pairs to price", "price"),
     "dependence": (str, "scenarios to simulate: on, off or both", "simulate"),
-    "bootstrap": (_integer, "bootstrap resamples for SEs", "simulate"),
+    "bootstrap": (integer, "bootstrap resamples for SEs", "simulate"),
     "model": (Path, "fitted model JSON to diagnose", "gof"),
 }
 
@@ -179,7 +161,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
                 try:
                     setattr(cfg, key, cast(source[key]))
                 except (TypeError, ValueError, OverflowError) as exc:
-                    raise ConfigError(f"bad {key} {source[key]!r:.60}") from exc
+                    raise ConfigError(f"bad {key} {source[key]!r:.60}: {exc!s:.80}") from exc
     return cfg
 
 
@@ -402,15 +384,12 @@ def cmd_fit_severity(cfg: RunConfig) -> list[Path]:
     return written
 
 
-def _read_model(path: Path, what: str) -> dict:
-    """The JSON object of a fitted-model file."""
+def _load_model(path: Path, what: str, from_dict):
+    """``from_dict`` of the JSON object in the fitted-model file at ``path``,
+    naming the file in a SchemaError."""
     if not path.exists():
         raise ConfigError(f"missing {what}: {path}")
-    return read_json_object(path)
-
-
-def _rebuild_model(path: Path, doc: dict, from_dict):
-    """``from_dict(doc)``, naming the file in a schema error."""
+    doc = read_json_object(path)
     try:
         return from_dict(doc)
     except SchemaError as exc:
@@ -422,8 +401,9 @@ def _predictions(cfg: RunConfig):
     protocols in id order, so that no output depends on their order in the
     file; the ids in the file's order, the order of report rows; each
     protocol's ``_prediction_point``; the frequency model of each protocol
-    and the severity model, the models from --models else --output.  The
-    severity model must start by the earliest prediction date."""
+    and the severity model, the models from --models else --output.  Each
+    frequency model must be its protocol's, and the severity model must
+    start by the earliest prediction date."""
     cfg.validate(needs=("tvl", "portfolio"))
     loaded = load_portfolio(cfg.portfolio)
     order = sorted(range(loaded.dim), key=lambda k: loaded.protocols[k].id)
@@ -434,16 +414,16 @@ def _predictions(cfg: RunConfig):
     earliest = min(when for _, when in points)
     models = Path(cfg.models or cfg.output)
 
-    def load(name: str, what: str, from_dict):
-        return _rebuild_model(models / name, _read_model(models / name, what), from_dict)
-
     freq_models = {}
     for p in portfolio.protocols:
-        what = f"frequency model for protocol {p.id!r}"
-        freq_models[p.id] = load(f"freq_{p.id}.json", what, frequency.from_dict)
-    sev_model = load("severity_model.json", "severity model file", severity.from_dict)
+        path = models / f"freq_{p.id}.json"
+        model = _load_model(path, f"frequency model for protocol {p.id!r}", frequency.from_dict)
+        if model.protocol_id != p.id:
+            raise SchemaError(f"{path}: 'protocol_id' is {model.protocol_id!r}, not {p.id!r}")
+        freq_models[p.id] = model
+    path = models / "severity_model.json"
+    sev_model = _load_model(path, "severity model file", severity.from_dict)
     if sev_model.time_origin > earliest:
-        path = models / "severity_model.json"
         raise SchemaError(f"{path}: 'time_origin' is after the prediction date {earliest}")
     return portfolio, [p.id for p in loaded.protocols], points, freq_models, sev_model
 
@@ -495,25 +475,21 @@ def _price_from_override(cfg: RunConfig) -> list[Path]:
         order = list(doc.keys())
 
     quotes = []
+    unit, positive = finite(0.0, 1.0), finite(0.0, math.inf, above=True)
     for pid in order:
         if pid not in doc:
             raise ConfigError(f"override file has no entry for protocol {pid!r}")
         entry = doc[pid]
         try:
-            attack_prob = float(entry["attack_prob"])
-            loss_pct = float(entry["loss_pct"])
-            tvl = float(entry.get("tvl", 1.0))
+            attack_prob, loss_pct = unit(entry["attack_prob"]), unit(entry["loss_pct"])
+            tvl = positive(entry.get("tvl", 1.0))
             second = entry.get("second_moment_pct")
-            second = None if second is None else float(second)
+            second = None if second is None else real(second)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(
-                f"override entry for {pid!r} needs numeric attack_prob and loss_pct"
-            ) from exc
-        if not (0.0 <= attack_prob <= 1.0 and 0.0 <= loss_pct <= 1.0 and 0.0 < tvl < math.inf):
-            raise ConfigError(
-                f"override entry for {pid!r} needs attack_prob and loss_pct in [0, 1] "
+                f"override entry for {pid!r} needs numeric attack_prob and loss_pct in [0, 1] "
                 "and a positive finite tvl"
-            )
+            ) from exc
         if second is not None and not loss_pct * loss_pct <= second <= loss_pct:
             raise ConfigError(
                 f"override entry for {pid!r} needs second_moment_pct in [loss_pct^2, loss_pct] "
@@ -601,12 +577,19 @@ def _write_qq_table(
 
 def cmd_gof(cfg: RunConfig) -> list[Path]:
     cfg.validate(needs=("model", "incidents"))
-    doc = _read_model(cfg.model, "model file")
+
+    def from_dict(doc: dict):
+        if "alpha0" in doc:
+            return frequency.from_dict(doc)
+        if "beta" in doc or "gamma" in doc:
+            return severity.from_dict(doc)
+        raise ConfigError(f"{cfg.model}: unrecognized model file")
+
+    model = _load_model(cfg.model, "model file", from_dict)
     cfg.output.mkdir(parents=True, exist_ok=True)
     written = []
-    if "alpha0" in doc:
+    if isinstance(model, frequency.FrequencyModel):
         cfg.validate(needs=("tvl", "portfolio"))
-        model = _rebuild_model(cfg.model, doc, frequency.from_dict)
         portfolio = load_portfolio(cfg.portfolio)
         matches = [p for p in portfolio.protocols if p.id == model.protocol_id]
         if not matches:
@@ -620,8 +603,7 @@ def cmd_gof(cfg: RunConfig) -> list[Path]:
             "protocol_id": model.protocol_id,
             "hl": None if hl is None else hl.to_dict(),
         }
-    elif "beta" in doc or "gamma" in doc:
-        model = _rebuild_model(cfg.model, doc, severity.from_dict)
+    else:
         ingest = load_incidents(cfg.incidents)
         data = severity.training_set(ingest.records, model.training_window, model.time_origin)
         total = data.total
@@ -637,8 +619,6 @@ def cmd_gof(cfg: RunConfig) -> list[Path]:
         qq_path = _write_qq_table(cfg.output / "gof_quantile_residuals.csv", model, data)
         if qq_path is not None:
             written.append(qq_path)
-    else:
-        raise ConfigError(f"{cfg.model}: unrecognized model file")
     out = cfg.output / "gof.json"
     _write_json(out, payload)
     written.append(out)

@@ -18,7 +18,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .errors import DataError, DomainError, SchemaError
+from .errors import DataError, DomainError, SchemaError, json_field, real
 from .numerics import check_similarity
 
 
@@ -443,9 +443,9 @@ def load_portfolio(path) -> Portfolio:
         return Portfolio(
             protocols=tuple(protocols),
             similarity=np.asarray(doc["similarity"], dtype=float),
-            loading_theta=float(doc["theta"]),
+            loading_theta=json_field(doc, "theta", real),
         )
-    except (ValueError, TypeError, OverflowError, DomainError) as exc:
+    except (ValueError, TypeError, OverflowError, DomainError, SchemaError) as exc:
         raise SchemaError(f"{path}: bad portfolio payload: {exc}") from exc
 
 

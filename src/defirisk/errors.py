@@ -5,9 +5,16 @@ the run cannot use (``SchemaError``, ``ConfigError``, ``DataError``), 3
 for numerical or statistical failures (``DomainError``, ``NoEventError``).
 The CLI's JSON error line names the class as its ``type``; the message
 says what failed and where.
+
+Settings, override entries, the portfolio's theta and fitted-model fields
+are read through one cast per invariant: ``integer`` (never a float or a bool), ``real`` (never a
+bool; text parses, as flags are text) and ``finite`` (a real in bounds).
+``json_field`` applies a cast to one key of a JSON object.
 """
 
 from __future__ import annotations
+
+import math
 
 
 class EngineError(Exception):
@@ -77,3 +84,31 @@ def json_bool(raw) -> bool:
     if not isinstance(raw, bool):
         raise ValueError(f"expected true or false, got {raw!r:.60}")
     return raw
+
+
+def integer(raw) -> int:
+    """Cast of a JSON integer or a flag's text to an int, never a float or a bool."""
+    if isinstance(raw, (bool, float)):
+        raise TypeError(f"expected an integer, got {raw!r:.60}")
+    return int(raw)
+
+
+def real(raw) -> float:
+    """Cast of a JSON number or a flag's text to a float, never a bool."""
+    if isinstance(raw, bool):
+        raise TypeError(f"expected a number, got {raw!r:.60}")
+    return float(raw)
+
+
+def finite(low: float, high: float, above: bool = False):
+    """Cast of a JSON number to a finite float in [low, high], or in (low, high]
+    when ``above``."""
+
+    def cast(raw) -> float:
+        value = real(raw)
+        inside = low < value <= high if above else low <= value <= high
+        if not (inside and math.isfinite(value)):
+            raise ValueError(f"expected a finite number in {'(' if above else '['}{low}, {high}]")
+        return value
+
+    return cast

@@ -8,13 +8,13 @@ been attacked.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import glm
 from .datamodel import Month, Panel, parse_window
-from .errors import DomainError, NoEventError, json_bool, json_field
+from .errors import DomainError, NoEventError, finite, json_bool, json_field
 from .numerics import std_normal_quantile
 
 
@@ -93,13 +93,11 @@ def fit_frequency(panel: Panel) -> FrequencyModel:
         # Constant TVL: standardization is undefined, so drop the covariate
         # and report an intercept-only model with a zero slope.
         base = glm.fit_logistic(np.ones((len(y), 1)), y)
-        fit = glm.LogisticFit(
+        fit = replace(
+            base,
             coefficients=np.array([base.coefficients[0], 0.0]),
             standard_errors=np.array([base.standard_errors[0], math.nan]),
-            converged=base.converged,
-            penalty=base.penalty,
             covariance=None,
-            nll_trace=base.nll_trace,
         )
         return FrequencyModel(protocol_id, fit, window, None, mean, 1.0, covariate_dropped=True)
 
@@ -175,44 +173,26 @@ def to_dict(model: FrequencyModel) -> dict:
     }
 
 
-def _finite(raw) -> float:
-    """Cast of a JSON number to a finite float."""
-    value = float(raw)
-    if not math.isfinite(value):
-        raise ValueError(f"expected a finite number, got {value}")
-    return value
-
-
-def _positive(raw) -> float:
-    """Cast of a JSON number to a finite positive float."""
-    value = _finite(raw)
-    if value <= 0.0:
-        raise ValueError(f"expected a positive number, got {value}")
-    return value
-
-
 def from_dict(doc: dict) -> FrequencyModel:
     """Rebuild a frequency model from its JSON payload.
 
     A missing or malformed field is a SchemaError naming the key.
     """
+    number, se = finite(-math.inf, math.inf), finite(0.0, math.inf)
     fit = glm.LogisticFit(
-        coefficients=np.array(
-            [json_field(doc, "alpha0", _finite), json_field(doc, "alpha1", _finite)]
-        ),
+        coefficients=np.array([json_field(doc, k, number) for k in ("alpha0", "alpha1")]),
         standard_errors=np.array(
-            [json_field(doc, k, float, math.nan) for k in ("se_alpha0", "se_alpha1")]
+            [json_field(doc, k, se, math.nan) for k in ("se_alpha0", "se_alpha1")]
         ),
         converged=json_field(doc, "converged", json_bool),
         penalty=json_field(doc, "penalty", glm.PenaltySpec.from_dict, None),
-        covariance=None,
     )
     return FrequencyModel(
         protocol_id=json_field(doc, "protocol_id", str),
         fit=fit,
         training_window=json_field(doc, "window", parse_window),
         hl=json_field(doc, "hl", glm.HLResult.from_dict, None),
-        cov_mean=json_field(doc, "cov_mean", _finite),
-        cov_sd=json_field(doc, "cov_sd", _positive),
+        cov_mean=json_field(doc, "cov_mean", number),
+        cov_sd=json_field(doc, "cov_sd", finite(0.0, math.inf, above=True)),
         covariate_dropped=json_field(doc, "covariate_dropped", json_bool, False),
     )

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, json_field
+from .errors import DomainError, finite, integer, json_field
 
 # Linear predictors are clipped here before the inverse link, which keeps
 # probabilities strictly inside (0, 1) in double precision.
@@ -74,12 +74,10 @@ class PenaltySpec:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "PenaltySpec":
-        spec = cls(
-            lam=json_field(doc, "lambda", float), alpha_mix=json_field(doc, "alpha_mix", float)
+        return cls(
+            lam=json_field(doc, "lambda", finite(0.0, math.inf)),
+            alpha_mix=json_field(doc, "alpha_mix", finite(0.0, 1.0)),
         )
-        if not (0.0 <= spec.lam < math.inf and 0.0 <= spec.alpha_mix <= 1.0):
-            raise ValueError("expected a finite lambda >= 0 and alpha_mix in [0, 1]")
-        return spec
 
 
 @dataclass(frozen=True)
@@ -241,28 +239,15 @@ def fit_logistic(design, response) -> LogisticFit:
         if np.max(np.abs(_equivalent_standardized_coefs(beta, col_means, col_sds))) > _BLOWUP_LIMIT:
             break
 
-    if not converged:
+    penalty = cov = None
+    if converged:
+        cov = np.linalg.inv(hessian)
+        ses = np.sqrt(np.diag(cov))
+    else:
         penalty = PenaltySpec()
         beta, converged = _fit_elastic_net(x, y, penalty)
-        return LogisticFit(
-            coefficients=beta,
-            standard_errors=np.full(p, np.nan),
-            converged=converged,
-            penalty=penalty,
-            covariance=None,
-            nll_trace=tuple(trace),
-        )
-
-    cov = np.linalg.inv(hessian)
-    ses = np.sqrt(np.diag(cov))
-    return LogisticFit(
-        coefficients=beta,
-        standard_errors=ses,
-        converged=True,
-        penalty=None,
-        covariance=cov,
-        nll_trace=tuple(trace),
-    )
+        ses = np.full(p, np.nan)
+    return LogisticFit(beta, ses, converged, penalty, cov, nll_trace=tuple(trace))
 
 
 def predict_logistic(fit: LogisticFit, covariates) -> float:
@@ -335,10 +320,10 @@ class HLResult:
     @classmethod
     def from_dict(cls, doc: dict) -> "HLResult":
         return cls(
-            statistic=json_field(doc, "stat", float),
-            df=json_field(doc, "df", int),
-            p_value=json_field(doc, "p", float),
-            groups_used=json_field(doc, "groups", int),
+            statistic=json_field(doc, "stat", finite(0.0, math.inf)),
+            df=json_field(doc, "df", integer),
+            p_value=json_field(doc, "p", finite(0.0, 1.0)),
+            groups_used=json_field(doc, "groups", integer),
         )
 
 
@@ -355,11 +340,8 @@ def _partition_sorted(p_sorted: np.ndarray, groups: int) -> list[tuple[int, int]
         # extend so tied probabilities never straddle a boundary
         while end < n and p_sorted[end] == p_sorted[end - 1]:
             end += 1
-        bounds.append((start, min(end, n)))
-        start = min(end, n)
-    if bounds and bounds[-1][1] < n:
-        s, _ = bounds[-1]
-        bounds[-1] = (s, n)
+        bounds.append((start, end))
+        start = end
     return bounds
 
 
@@ -434,7 +416,7 @@ def _chi2_sf(x: float, df: int) -> float:
         for j in range(1, df // 2):
             term *= h / j
             total += term
-        return decay * total
+        return min(decay * total, 1.0)  # for x near 0, rounding can lift it an ulp above 1
     root = math.sqrt(h)
     term = 2.0 * root / math.sqrt(math.pi)  # h^(1/2) / Gamma(3/2)
     total = 0.0

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import glm
 from .datamodel import Chain, Incidents, Month, parse_window
-from .errors import DomainError, json_bool, json_field
+from .errors import DomainError, finite, integer, json_bool, json_field
 from .numerics import RngStream
 
 DEFAULT_WINDOW = (Month(2020, 1), Month(2023, 12))
@@ -334,24 +334,15 @@ def to_dict(model: SeverityModel) -> dict:
     }
 
 
-def _vector(n: int, finite: bool = True):
-    """Cast of a JSON list to a float vector of length ``n``; null entries read NaN."""
+def _vector(n: int, cast):
+    """Cast of a JSON list of ``n`` values, each through ``cast``, to a float vector."""
 
-    def cast(raw) -> np.ndarray:
-        vec = np.array(raw, dtype=float)
-        if vec.shape != (n,) or (finite and not np.isfinite(vec).all()):
-            raise ValueError(f"expected {n} {'finite ' if finite else ''}numbers")
-        return vec
+    def vector(raw) -> np.ndarray:
+        if not isinstance(raw, list) or len(raw) != n:
+            raise ValueError(f"expected a list of {n} numbers")
+        return np.array([cast(v) for v in raw], dtype=float)
 
-    return cast
-
-
-def _variance(raw) -> float:
-    """Cast of a JSON number to a finite, non-negative variance."""
-    value = float(raw)
-    if not 0.0 <= value < math.inf:
-        raise ValueError(f"expected a finite non-negative variance, got {value}")
-    return value
+    return vector
 
 
 def from_dict(doc: dict) -> SeverityModel:
@@ -359,34 +350,31 @@ def from_dict(doc: dict) -> SeverityModel:
 
     A missing or malformed field is a SchemaError naming the key.
     """
-    beta = json_field(doc, "beta", _vector(7), None)
+    number, se = finite(-math.inf, math.inf), finite(0.0, math.inf)
+    beta = json_field(doc, "beta", _vector(7, number), None)
     tl = None
     if beta is not None:
         tl = glm.LogisticFit(
             coefficients=beta,
             standard_errors=json_field(
-                doc, "beta_se", _vector(7, finite=False), np.full(7, math.nan)
+                doc, "beta_se", _vector(7, lambda v: math.nan if v is None else se(v)),
+                np.full(7, math.nan),
             ),
             converged=json_field(doc, "converged", json_bool),
             penalty=json_field(doc, "penalty", glm.PenaltySpec.from_dict, None),
-            covariance=None,
         )
-    gamma = json_field(doc, "gamma", _vector(2), None)
+    gamma = json_field(doc, "gamma", _vector(2, number), None)
     prop = None
     if gamma is not None:
-        prop = glm.LinearLogitFit(
-            coefficients=gamma,
-            sigma2=json_field(doc, "sigma2", _variance),
-            xtx_inverse=None,
-        )
+        prop = glm.LinearLogitFit(coefficients=gamma, sigma2=json_field(doc, "sigma2", se))
     return SeverityModel(
         total_loss_fit=tl,
         proportional_fit=prop,
         time_origin=json_field(doc, "time_origin", date.fromisoformat),
         training_window=json_field(doc, "window", parse_window),
         hl=json_field(doc, "hl", glm.HLResult.from_dict, None),
-        n_total=json_field(doc, "n_total", int),
-        n_partial=json_field(doc, "n_partial", int),
+        n_total=json_field(doc, "n_total", integer),
+        n_partial=json_field(doc, "n_partial", integer),
         low_partial_warning=json_field(doc, "low_partial_warning", json_bool),
-        zero_loss_skipped=json_field(doc, "zero_loss_skipped", int, 0),
+        zero_loss_skipped=json_field(doc, "zero_loss_skipped", integer, 0),
     )

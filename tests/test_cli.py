@@ -22,9 +22,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import defirisk
-from defirisk import dependence, severity, tailrisk
+from defirisk import dependence, glm, severity, tailrisk
 from defirisk.cli import _SETTINGS, RunConfig, build_config, main, make_parser
-from defirisk.datamodel import Chain
+from defirisk.datamodel import Chain, IngestResult
 from defirisk.errors import DomainError
 
 DATA = Path(__file__).parent / "data"
@@ -689,6 +689,22 @@ class TestOverridePricing:
         assert not (tmp_path / "quotes.csv").exists()
 
 
+# Values that exited 0 while each reader cast on its own: (file, its JSON
+# object's keys replaced, text the error line must hold).  The file is a
+# fitted model, the portfolio or the override; "{path}" is the file's path.
+HL = {"stat": 1.0, "df": 2, "p": 0.5, "groups": 4}
+TIGHTENED = {
+    "bool-coefficient": ("freq_P1.json", {"alpha0": True}, ["{path}", "'alpha0'"]),
+    "inf-text-se": ("freq_P1.json", {"se_alpha0": "inf"}, ["{path}", "'se_alpha0'"]),
+    "fractional-n-total": ("severity_model.json", {"n_total": 5.7}, ["{path}", "'n_total'"]),
+    "fractional-hl-df": ("freq_P1.json", {"hl": {**HL, "df": 2.9}}, ["{path}", "'df'"]),
+    "hl-p-2": ("freq_P1.json", {"hl": {**HL, "p": 2}}, ["{path}", "'p'"]),
+    "bool-theta": ("portfolio", {"theta": True}, ["{path}", "'theta'"]),
+    "bool-attack-prob": ("override", {"P1": {"attack_prob": True, "loss_pct": 0.3}},
+                         ["attack_prob"]),
+}
+
+
 class TestErrorSurface:
     def test_missing_incidents_file_exits_2(self, tmp_path, capsys):
         code = run(["summarize", "--incidents", tmp_path / "nope.csv", "--output", tmp_path])
@@ -818,6 +834,47 @@ class TestErrorSurface:
         error = json.loads(lines[0])["error"]
         assert error["type"] == "SchemaError"
         assert str(path) in error["message"] and repr(key) in error["message"]
+
+    @pytest.mark.parametrize("case", sorted(TIGHTENED))
+    def test_tightened_value_exits_2_naming_the_file_or_key(self, fitted_dir, override_file,
+                                                            tmp_path, capsys, case):
+        name, keys, wanted = TIGHTENED[case]
+        models = tmp_path / "models"
+        shutil.copytree(fitted_dir, models)
+        sources = {"portfolio": PORTFOLIO_PRICED, "override": override_file}
+        path = tmp_path / f"{name}.json" if name in sources else models / name
+        path.write_text(json.dumps({**json.loads(Path(sources.get(name, path)).read_text()), **keys}))
+        if name == "override":
+            args = ["price", "--override", path]
+        else:
+            portfolio = path if name == "portfolio" else PORTFOLIO_PRICED
+            args = ["price", "--tvl", TVL, "--portfolio", portfolio, "--models", models]
+        assert run(args + ["--output", tmp_path / "out"]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])["error"]
+        assert error["code"] == 2
+        for text in wanted:
+            assert text.format(path=path) in error["message"], error["message"]
+
+    @pytest.mark.parametrize("command", ["price", "simulate"])
+    def test_another_protocols_frequency_model_exits_2(self, fitted_dir, tmp_path, capsys,
+                                                        command):
+        models = tmp_path / "models"
+        shutil.copytree(fitted_dir, models)
+        path = models / "freq_P1.json"
+        shutil.copyfile(models / "freq_P2.json", path)
+        args = [command, "--tvl", TVL, "--portfolio", PORTFOLIO_PRICED, "--models", models,
+                "--output", tmp_path / "out"]
+        if command == "simulate":
+            args += ["--samples", 10000, "--bootstrap", 2]
+        assert run(args) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])["error"]
+        assert error["type"] == "SchemaError"
+        assert str(path) in error["message"] and "'protocol_id'" in error["message"]
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["price", "simulate"])
     def test_time_origin_after_prediction_exits_2(self, fitted_dir, tmp_path, capsys, command):
@@ -1242,6 +1299,11 @@ class TestJsonInputs:
              value={"lambda": -1, "alpha_mix": 0.5})
     @example(name="severity_model.json", command="simulate", key="penalty",
              value={"lambda": 1e-3, "alpha_mix": 2})
+    @example(name="freq_P1.json", command="simulate", key="alpha0", value=True)
+    @example(name="freq_P1.json", command="gof", key="se_alpha0", value="inf")
+    @example(name="severity_model.json", command="gof", key="n_total", value=5.7)
+    @example(name="freq_P1.json", command="gof", key="hl", value={**HL, "df": 2.9})
+    @example(name="freq_P1.json", command="simulate", key="hl", value={**HL, "p": 2})
     def test_model_file(self, fitted_dir, name, command, key, value):
         """The file holds ``value`` (REMOVE: nothing), or the fitted model with ``key``
         set to ``value`` or removed."""
@@ -1392,6 +1454,23 @@ class TestImportGraph:
         )
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout.splitlines()[-1]) == []
+
+    def test_every_traced_attribute_resolves(self):
+        # perfbench/tracing.py wraps each (module, attribute) of WRAPPED and
+        # reads these attributes of the results; a cut that drops one breaks
+        # the traced benchmark run.
+        path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+        spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        importlib.import_module("defirisk.cli")
+        missing = [(module, attr) for module, attr, _ in tracing.WRAPPED
+                   if not hasattr(importlib.import_module(module), attr)]
+        assert missing == []
+        read = {glm.LogisticFit: "nll_trace", severity.RatioMoments: "n_samples",
+                tailrisk.RiskReport: "bootstrap_resamples", IngestResult: "total_rows"}
+        assert [cls for cls, attr in read.items()
+                if attr not in cls.__dataclass_fields__ and not hasattr(cls, attr)] == []
 
     def test_cli_import_leaves_quadrature_unbuilt(self):
         # The ratio-moment quadrature loads numpy.polynomial, and the normal

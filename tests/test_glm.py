@@ -330,6 +330,13 @@ class TestChi2Tail:
                 if want >= 1e-300:
                     assert glm._chi2_sf(x, df) == pytest.approx(want, rel=1e-13, abs=0.0)
 
+    def test_never_above_one(self):
+        # A fitted model's HL p must reload as a probability; at df = 6 and
+        # x = 3e-8 the Poisson sum rounded to 1.0000000000000002.
+        for df in self.DFS:
+            for x in np.logspace(-12, -4, 400).tolist():
+                assert glm._chi2_sf(x, df) <= 1.0, (x, df)
+
     @pytest.mark.parametrize("x", [0.0, -0.0, -1e-300, -3.5, -math.inf])
     def test_nonpositive_x_is_exactly_one(self, x):
         for df in self.DFS:
