@@ -12,8 +12,13 @@ Only simulate draws random numbers, from stream 1000 of --seed and its
 children.  price is deterministic: its quotes depend on neither --seed nor
 --samples.  No output depends on a protocol's position in the portfolio.
 
-Every report is a table, ``{column name: values}`` in column order, and
-one writer writes it as CSV or as JSON, a list of one object per row.
+Each command builds one ordered ``{file name: content}`` dict, and one
+writer, ``_write_outputs``, writes it under --output in that order: a name
+without a suffix is a report table, ``{column name: values}`` in column
+order, written in --format (CSV, or JSON as a list of one object per row);
+a ``.json`` name is a JSON payload; a ``.csv`` name is a CSV table whatever
+--format says.  Every file is built before the first is written, so a
+command whose work fails writes none of them.
 Each setting is declared once, in ``_SETTINGS``: its cast, its flag help
 and the command that takes its flag.  Flag values and config-file values
 take the same casts and the same checks (``RunConfig.validate``).
@@ -176,30 +181,32 @@ def _cells(column) -> list[str]:
     return ["" if v is None else repr(float(v)) if isinstance(v, float) else str(v) for v in column]
 
 
-def _write_csv(path: Path, table: dict) -> None:
-    """Write a table, ``{column name: values}`` in column order, as CSV."""
-    with open(path, "w", newline="\n", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(table)
-        writer.writerows(zip(*map(_cells, table.values())))
+def _write_outputs(cfg: RunConfig, outputs: dict) -> list[Path]:
+    """Write each ``{file name: content}`` entry under --output, in order, and
+    return the paths written.
 
-
-def _write_json(path: Path, payload) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, allow_nan=False)
-        fh.write("\n")
-
-
-def _emit_table(cfg: RunConfig, stem: str, table: dict) -> Path:
-    """Write a table in --format: CSV, or JSON as a list of one object per row."""
+    A name without a suffix is a report table, written in --format: CSV, or
+    JSON as a list of one object per row.  A ``.json`` name is a JSON
+    payload, and a ``.csv`` name a CSV table whatever --format says.
+    """
     cfg.output.mkdir(parents=True, exist_ok=True)
-    if cfg.format == "csv":
-        path = cfg.output / f"{stem}.csv"
-        _write_csv(path, table)
-    else:
-        path = cfg.output / f"{stem}.json"
-        _write_json(path, [dict(zip(table, row)) for row in zip(*table.values())])
-    return path
+    written = []
+    for name, content in outputs.items():
+        path = cfg.output / name
+        if not path.suffix:
+            path = path.with_suffix("." + cfg.format)
+            if cfg.format == "json":
+                content = [dict(zip(content, row)) for row in zip(*content.values())]
+        with open(path, "w", newline="\n", encoding="utf-8") as fh:
+            if path.suffix == ".csv":
+                writer = csv.writer(fh, lineterminator="\n")
+                writer.writerow(content)
+                writer.writerows(zip(*map(_cells, content.values())))
+            else:
+                json.dump(content, fh, indent=2, allow_nan=False)
+                fh.write("\n")
+        written.append(path)
+    return written
 
 
 def _row_table(header: list[str], rows: list[list]) -> dict[str, tuple]:
@@ -270,8 +277,6 @@ def cmd_fit_frequency(cfg: RunConfig) -> list[Path]:
         window_end = cfg.window_end or _latest_month(series, proto.id)
         panels[proto.id] = build_monthly_panel(incidents_by[proto.id], series, proto, window_end)
 
-    cfg.output.mkdir(parents=True, exist_ok=True)
-    written = []
     models: dict[str, frequency.FrequencyModel] = {}
     for proto in portfolio.protocols:
         try:
@@ -299,15 +304,12 @@ def cmd_fit_frequency(cfg: RunConfig) -> list[Path]:
         "interval_high",
         "note",
     ]
-    rows = []
+    rows, outputs = [], {}
     for proto in portfolio.protocols:
         tvl_next, _ = _prediction_point(cfg, tvl.get(proto.id, {}), proto.id)
         if proto.id in models:
             model = models[proto.id]
-            path = cfg.output / f"freq_{proto.id}.json"
-            doc = frequency.to_dict(model)
-            _write_json(path, doc)
-            written.append(path)
+            doc = outputs[f"freq_{proto.id}.json"] = frequency.to_dict(model)
             rows.append(
                 [
                     proto.id,
@@ -336,11 +338,9 @@ def cmd_fit_frequency(cfg: RunConfig) -> list[Path]:
                 [proto.id, None, None, None, None, None, None, tvl_next, None, lo, hi, note]
             )
 
-    written.append(_emit_table(cfg, "frequency_report", _row_table(header, rows)))
-    report_path = cfg.output / "ingest_report.json"
-    _write_json(report_path, _ingest_report_payload(ingest))
-    written.append(report_path)
-    return written
+    outputs["frequency_report"] = _row_table(header, rows)
+    outputs["ingest_report.json"] = _ingest_report_payload(ingest)
+    return _write_outputs(cfg, outputs)
 
 
 def cmd_fit_severity(cfg: RunConfig) -> list[Path]:
@@ -348,40 +348,24 @@ def cmd_fit_severity(cfg: RunConfig) -> list[Path]:
     ingest = load_incidents(cfg.incidents)
     data = severity.training_set(ingest.records)
     model = severity.fit_severity(data)
-    cfg.output.mkdir(parents=True, exist_ok=True)
-    written = []
-
-    model_path = cfg.output / "severity_model.json"
-    _write_json(model_path, severity.to_dict(model))
-    written.append(model_path)
-
-    # Plot-ready diagnostics are always CSV regardless of --format.
-    kept = data.incidents
-    ratios_path = cfg.output / "loss_ratios.csv"
-    ratios = {
-        "index": range(len(kept)),
-        "protocol_id": kept.protocol_id.tolist(),
-        "date": np.datetime_as_string(kept.day).tolist(),
-        "ratio": data.ratios,
-    }
-    _write_csv(ratios_path, ratios)
-    written.append(ratios_path)
-
-    qq_path = _write_qq_table(cfg.output / "quantile_residuals.csv", model, data)
-    if qq_path is not None:
-        written.append(qq_path)
-
     if model.low_partial_warning:
         print(
             f"warning: only {model.n_partial} partial-loss observations "
             f"(fewer than {severity.MIN_PARTIAL_OBS}); proportional-loss fit is weakly identified",
             file=sys.stderr,
         )
-
-    report_path = cfg.output / "ingest_report.json"
-    _write_json(report_path, _ingest_report_payload(ingest))
-    written.append(report_path)
-    return written
+    kept = data.incidents
+    return _write_outputs(cfg, {
+        "severity_model.json": severity.to_dict(model),
+        "loss_ratios.csv": {
+            "index": range(len(kept)),
+            "protocol_id": kept.protocol_id.tolist(),
+            "date": np.datetime_as_string(kept.day).tolist(),
+            "ratio": data.ratios,
+        },
+        **_qq_table("quantile_residuals.csv", model, data),
+        "ingest_report.json": _ingest_report_payload(ingest),
+    })
 
 
 def _load_model(path: Path, what: str, from_dict):
@@ -428,9 +412,18 @@ def _predictions(cfg: RunConfig):
     return portfolio, [p.id for p in loaded.protocols], points, freq_models, sev_model
 
 
-def _quote_table(quotes: list[pricing.PremiumQuote], seed: int) -> dict[str, list]:
-    """The quotes table: one row per quote, each with the run's seed."""
-    return {
+def cmd_price(cfg: RunConfig) -> list[Path]:
+    if cfg.override is not None:
+        quotes = _override_quotes(cfg)
+    else:
+        portfolio, rows, points, freq_models, sev_model = _predictions(cfg)
+        theta = cfg.theta if cfg.theta is not None else portfolio.loading_theta
+        by_id = {
+            p.id: pricing.price(p, tvl_next, when, freq_models[p.id], sev_model, theta=theta)
+            for p, (tvl_next, when) in zip(portfolio.protocols, points)
+        }
+        quotes = [by_id[pid] for pid in rows]
+    return _write_outputs(cfg, {"quotes": {
         "protocol_id": [q.protocol_id for q in quotes],
         "attack_prob": [q.attack_prob for q in quotes],
         "loss_pct": [q.loss_pct for q in quotes],
@@ -440,23 +433,11 @@ def _quote_table(quotes: list[pricing.PremiumQuote], seed: int) -> dict[str, lis
         "sd_pct": [q.sd_premium_pct for q in quotes],
         "theta": [q.theta for q in quotes],
         "n_samples": [q.n_samples for q in quotes],
-        "seed": [seed] * len(quotes),
-    }
+        "seed": [cfg.seed] * len(quotes),
+    }})
 
 
-def cmd_price(cfg: RunConfig) -> list[Path]:
-    if cfg.override is not None:
-        return _price_from_override(cfg)
-    portfolio, rows, points, freq_models, sev_model = _predictions(cfg)
-    theta = cfg.theta if cfg.theta is not None else portfolio.loading_theta
-    quotes = {
-        p.id: pricing.price(p, tvl_next, when, freq_models[p.id], sev_model, theta=theta)
-        for p, (tvl_next, when) in zip(portfolio.protocols, points)
-    }
-    return [_emit_table(cfg, "quotes", _quote_table([quotes[pid] for pid in rows], cfg.seed))]
-
-
-def _price_from_override(cfg: RunConfig) -> list[Path]:
+def _override_quotes(cfg: RunConfig) -> list[pricing.PremiumQuote]:
     """Quotes from externally supplied (attack_prob, loss_pct) pairs.
 
     Lets published probability/loss-percentage pairs be priced without the
@@ -499,7 +480,7 @@ def _price_from_override(cfg: RunConfig) -> list[Path]:
         if not all(math.isfinite(v or 0.0) for v in (q.expectation_premium_usd, q.sd_premium_usd)):
             raise ConfigError(f"override entry for {pid!r} gives a premium that is not finite")
         quotes.append(q)
-    return [_emit_table(cfg, "quotes", _quote_table(quotes, cfg.seed))]
+    return quotes
 
 
 def cmd_simulate(cfg: RunConfig) -> list[Path]:
@@ -530,12 +511,10 @@ def cmd_simulate(cfg: RunConfig) -> list[Path]:
         bootstrap_resamples=cfg.bootstrap,
         dependence=cfg.dependence,
     )
-    paths = [_emit_table(cfg, "risk_report", report.table)]
     copula = report.copula  # None under --dependence off, which builds none
-    meta_path = cfg.output / "risk_report_meta.json"
-    _write_json(
-        meta_path,
-        {
+    return _write_outputs(cfg, {
+        "risk_report": report.table,
+        "risk_report_meta.json": {
             "n_sims": cfg.samples,
             "seed": cfg.seed,
             "base_stream": _SIMULATE_STREAM,
@@ -548,31 +527,25 @@ def cmd_simulate(cfg: RunConfig) -> list[Path]:
             "dependence": cfg.dependence,
             "workers_independent": True,
         },
-    )
-    paths.append(meta_path)
-    return paths
+    })
 
 
-def _write_qq_table(
-    path: Path, model: severity.SeverityModel, data: severity.TrainingSet
-) -> Path | None:
-    """QQ coordinates of the partial-loss quantile residuals.
+def _qq_table(name: str, model: severity.SeverityModel, data: severity.TrainingSet) -> dict:
+    """``{name: table}`` of the QQ coordinates of the partial-loss quantile residuals.
 
-    None when there are none: no partial losses, or a zero residual variance.
+    Empty when there are none: no partial losses, or a zero residual variance.
     """
     design, ratios = data.partial()
     fit = model.proportional_fit
     if fit is None or not len(ratios) or fit.sigma2 == 0.0:
-        return None
+        return {}
     resid = np.sort(glm.quantile_residuals(fit, design, ratios), kind="stable")
     n = len(resid)
-    table = {
+    return {name: {
         "index": range(n),
         "theoretical_quantile": [std_normal_quantile((k + 0.5) / n) for k in range(n)],
         "sample_quantile": resid,
-    }
-    _write_csv(path, table)
-    return path
+    }}
 
 
 def cmd_gof(cfg: RunConfig) -> list[Path]:
@@ -586,8 +559,6 @@ def cmd_gof(cfg: RunConfig) -> list[Path]:
         raise ConfigError(f"{cfg.model}: unrecognized model file")
 
     model = _load_model(cfg.model, "model file", from_dict)
-    cfg.output.mkdir(parents=True, exist_ok=True)
-    written = []
     if isinstance(model, frequency.FrequencyModel):
         cfg.validate(needs=("tvl", "portfolio"))
         portfolio = load_portfolio(cfg.portfolio)
@@ -598,11 +569,11 @@ def cmd_gof(cfg: RunConfig) -> list[Path]:
         series = load_tvl(cfg.tvl).get(model.protocol_id, {})
         panel = build_monthly_panel(ingest.records, series, matches[0], model.training_window[1])
         hl = frequency.panel_hl(model, panel)
-        payload = {
+        outputs = {"gof.json": {
             "model": "frequency",
             "protocol_id": model.protocol_id,
             "hl": None if hl is None else hl.to_dict(),
-        }
+        }}
     else:
         ingest = load_incidents(cfg.incidents)
         data = severity.training_set(ingest.records, model.training_window, model.time_origin)
@@ -610,19 +581,13 @@ def cmd_gof(cfg: RunConfig) -> list[Path]:
         hl = None
         if model.total_loss_fit is not None and len(total):
             hl = glm.hosmer_lemeshow(model.total_loss_fit, data.design, total.astype(float))
-        payload = {
+        outputs = {**_qq_table("gof_quantile_residuals.csv", model, data), "gof.json": {
             "model": "severity",
             "n_total": int(total.sum()),
             "n_partial": int((~total).sum()),
             "hl": None if hl is None else hl.to_dict(),
-        }
-        qq_path = _write_qq_table(cfg.output / "gof_quantile_residuals.csv", model, data)
-        if qq_path is not None:
-            written.append(qq_path)
-    out = cfg.output / "gof.json"
-    _write_json(out, payload)
-    written.append(out)
-    return written
+        }}
+    return _write_outputs(cfg, outputs)
 
 
 def cmd_summarize(cfg: RunConfig) -> list[Path]:
@@ -630,7 +595,7 @@ def cmd_summarize(cfg: RunConfig) -> list[Path]:
     records = load_incidents(cfg.incidents).records
     header = ["section", "key", "metric", "value"]
     if not len(records):
-        return [_emit_table(cfg, "summary", _row_table(header, [["notice", "", "empty", 0]]))]
+        return _write_outputs(cfg, {"summary": _row_table(header, [["notice", "", "empty", 0]])})
 
     def _stats(values: np.ndarray) -> list[tuple[str, float | None]]:
         # Scaling by a power of two is exact, and it keeps the sums of
@@ -662,7 +627,7 @@ def cmd_summarize(cfg: RunConfig) -> list[Path]:
             vals = log_loss[mask[positive]]
             if vals.size:
                 rows += [[section, key, metric, value] for metric, value in _stats(vals)]
-    return [_emit_table(cfg, "summary", _row_table(header, rows))]
+    return _write_outputs(cfg, {"summary": _row_table(header, rows)})
 
 
 # ---------------------------------------------------------------------------

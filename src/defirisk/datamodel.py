@@ -18,7 +18,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .errors import DataError, DomainError, SchemaError, json_field, real
+from .errors import DataError, DomainError, SchemaError, finite, json_field, real, string
 from .numerics import check_similarity
 
 
@@ -416,8 +416,17 @@ def read_json_object(path) -> dict:
     return doc
 
 
+def _unit_matrix(raw) -> np.ndarray:
+    """Cast of a JSON list of rows, each entry a number in [0, 1]."""
+    unit = finite(0.0, 1.0)
+    return np.array([list(map(unit, row)) for row in raw], dtype=float)
+
+
 def load_portfolio(path) -> Portfolio:
-    """Parse the portfolio JSON: protocols, similarity matrix, theta."""
+    """Parse the portfolio JSON: protocols, similarity matrix, theta.
+
+    A protocol's id, chain, inception and description are JSON strings.
+    """
     doc = read_json_object(path)
     for key in ("protocols", "similarity", "theta"):
         if key not in doc:
@@ -426,26 +435,29 @@ def load_portfolio(path) -> Portfolio:
         raise SchemaError(f"{path}: protocols must be a list")
     protocols = []
     for index, entry in enumerate(doc["protocols"]):
+        name = f"protocol entry {index}"
         try:
+            pid = json_field(entry, "id", string)
+            name += f" ({pid!r})"
             protocols.append(
                 ProtocolSpec(
-                    id=str(entry["id"]),
-                    chain=Chain.parse(str(entry["chain"])),
-                    inception=Month.parse(str(entry["inception"])),
-                    description=str(entry.get("description", "")),
+                    id=pid,
+                    chain=Chain.parse(json_field(entry, "chain", string)),
+                    inception=json_field(entry, "inception", lambda raw: Month.parse(string(raw))),
+                    description=json_field(entry, "description", string, ""),
                 )
             )
-        except (KeyError, TypeError) as exc:
-            raise SchemaError(f"{path}: bad protocol entry {entry!r}") from exc
-        if not protocols[-1].id.strip():
+        except SchemaError as exc:
+            raise SchemaError(f"{path}: {name}: {exc}") from exc
+        if not pid.strip():
             raise SchemaError(f"{path}: protocol entry {index} has an empty id")
     try:
         return Portfolio(
             protocols=tuple(protocols),
-            similarity=np.asarray(doc["similarity"], dtype=float),
+            similarity=json_field(doc, "similarity", _unit_matrix),
             loading_theta=json_field(doc, "theta", real),
         )
-    except (ValueError, TypeError, OverflowError, DomainError, SchemaError) as exc:
+    except (DomainError, SchemaError) as exc:
         raise SchemaError(f"{path}: bad portfolio payload: {exc}") from exc
 
 

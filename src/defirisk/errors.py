@@ -6,9 +6,10 @@ for numerical or statistical failures (``DomainError``, ``NoEventError``).
 The CLI's JSON error line names the class as its ``type``; the message
 says what failed and where.
 
-Settings, override entries, the portfolio's theta and fitted-model fields
-are read through one cast per invariant: ``integer`` (never a float or a bool), ``real`` (never a
-bool; text parses, as flags are text) and ``finite`` (a real in bounds).
+Settings, override entries, portfolio values and fitted-model fields are
+read through one cast per invariant: ``integer`` (never a float or a bool),
+``real`` (never a bool; text parses, as flags are text), ``finite`` (a real
+in bounds) and ``string`` (a JSON string, never a number, a bool or null).
 ``json_field`` applies a cast to one key of a JSON object.
 """
 
@@ -98,6 +99,13 @@ def real(raw) -> float:
     if isinstance(raw, bool):
         raise TypeError(f"expected a number, got {raw!r:.60}")
     return float(raw)
+
+
+def string(raw) -> str:
+    """Cast of a JSON string, never a number, a bool or null."""
+    if not isinstance(raw, str):
+        raise TypeError(f"expected a string, got {raw!r:.60}")
+    return raw
 
 
 def finite(low: float, high: float, above: bool = False):

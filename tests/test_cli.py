@@ -517,7 +517,46 @@ class TestPredictionDates:
         assert float(quote["loss_pct"]) == severity.loss_moments(model, Chain.ETH, p1_tvl, nov)[0]
 
 
+# The files each run on the fixture writes, in the order written; a report
+# table's name has no suffix here, and it takes --format's.
+WRITTEN = {
+    "fit-frequency": [*(f"freq_{pid}.json" for pid in ("P1", "P2", "P3", "P4", "P6", "P7", "P8")),
+                      "frequency_report", "ingest_report.json"],
+    "fit-severity": ["severity_model.json", "loss_ratios.csv", "quantile_residuals.csv",
+                     "ingest_report.json"],
+    "price": ["quotes"],
+    "simulate": ["risk_report", "risk_report_meta.json"],
+    "gof-severity": ["gof_quantile_residuals.csv", "gof.json"],
+    "gof-frequency": ["gof.json"],
+    "summarize": ["summary"],
+}
+
+
 class TestFormats:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("case", sorted(WRITTEN))
+    def test_wrote_lines_name_the_output_files_in_order(self, fitted_dir, tmp_path, capsys, case,
+                                                        fmt):
+        args = {
+            "fit-frequency": ["fit-frequency", "--incidents", INCIDENTS, "--tvl", TVL,
+                              "--portfolio", PORTFOLIO],
+            "fit-severity": ["fit-severity", "--incidents", INCIDENTS],
+            "price": ["price", "--tvl", TVL, "--portfolio", PORTFOLIO_PRICED,
+                      "--models", fitted_dir],
+            "simulate": ["simulate", "--tvl", TVL, "--portfolio", PORTFOLIO_PRICED,
+                         "--models", fitted_dir, "--samples", 10000, "--bootstrap", 2],
+            "gof-severity": ["gof", "--model", fitted_dir / "severity_model.json",
+                             "--incidents", INCIDENTS],
+            "gof-frequency": ["gof", "--model", fitted_dir / "freq_P1.json", "--incidents",
+                              INCIDENTS, "--tvl", TVL, "--portfolio", PORTFOLIO],
+            "summarize": ["summarize", "--incidents", INCIDENTS],
+        }[case]
+        out = tmp_path / "out"
+        assert run(args + ["--output", out, "--format", fmt]) == 0
+        names = [name if "." in name else f"{name}.{fmt}" for name in WRITTEN[case]]
+        assert capsys.readouterr().out.splitlines() == [f"wrote {out / name}" for name in names]
+        assert sorted(path.name for path in out.iterdir()) == sorted(names)
+
     @pytest.mark.parametrize(
         "case", ["frequency_report", "quotes", "quotes-override", "risk_report", "summary"]
     )
@@ -689,10 +728,20 @@ class TestOverridePricing:
         assert not (tmp_path / "quotes.csv").exists()
 
 
-# Values that exited 0 while each reader cast on its own: (file, its JSON
-# object's keys replaced, text the error line must hold).  The file is a
-# fitted model, the portfolio or the override; "{path}" is the file's path.
+# Values that exited 0, or exited 2 naming neither the file nor the key,
+# while each reader cast on its own: (file, its JSON object's keys
+# replaced, text the error line must hold).  The file is a fitted model,
+# the portfolio or the override; "{path}" is the file's path.
 HL = {"stat": 1.0, "df": 2, "p": 0.5, "groups": 4}
+PRICED = json.loads(Path(PORTFOLIO_PRICED).read_text())
+
+
+def first_protocol(**fields) -> dict:
+    """The priced portfolio's protocols, the first with ``fields`` set."""
+    first, *rest = PRICED["protocols"]
+    return {"protocols": [{**first, **fields}, *rest]}
+
+
 TIGHTENED = {
     "bool-coefficient": ("freq_P1.json", {"alpha0": True}, ["{path}", "'alpha0'"]),
     "inf-text-se": ("freq_P1.json", {"se_alpha0": "inf"}, ["{path}", "'se_alpha0'"]),
@@ -702,6 +751,14 @@ TIGHTENED = {
     "bool-theta": ("portfolio", {"theta": True}, ["{path}", "'theta'"]),
     "bool-attack-prob": ("override", {"P1": {"attack_prob": True, "loss_pct": 0.3}},
                          ["attack_prob"]),
+    "bool-chain": ("portfolio", first_protocol(chain=True), ["{path}", "'P1'", "'chain'"]),
+    "list-id": ("portfolio", first_protocol(id=["x"]), ["{path}", "protocol entry 0", "'id'"]),
+    "month-13-inception": ("portfolio", first_protocol(inception="2020-13"),
+                           ["{path}", "'P1'", "'inception'", "2020-13"]),
+    "bool-similarity": ("portfolio",
+                        {"similarity": [[True, *PRICED["similarity"][0][1:]],
+                                        *PRICED["similarity"][1:]]},
+                        ["{path}", "'similarity'"]),
 }
 
 
@@ -787,6 +844,18 @@ class TestErrorSurface:
         assert code == 2
         (err,) = capsys.readouterr().err.splitlines()
         assert json.loads(err)["error"]["message"] == f"{portfolio}: protocol entry 1 has an empty id"
+
+    def test_failed_command_writes_nothing(self, fitted_dir, tmp_path, capsys):
+        # The model is read and checked before the portfolio is found to lack
+        # its protocol; the outputs are written only once all are built.
+        portfolio = tmp_path / "portfolio.json"
+        portfolio.write_text(json.dumps({**PRICED, **first_protocol(id="P0")}))
+        out = tmp_path / "out"
+        code = run(["gof", "--model", fitted_dir / "freq_P1.json", "--incidents", INCIDENTS,
+                    "--tvl", TVL, "--portfolio", portfolio, "--output", out])
+        assert code == 2
+        assert "no protocol 'P1'" in json.loads(capsys.readouterr().err)["error"]["message"]
+        assert not out.exists()
 
     def test_invalid_model_json_exits_2(self, tmp_path, capsys):
         model = tmp_path / "model.json"
@@ -1490,14 +1559,15 @@ class TestOutputDigest:
     def test_listing_names_every_output_and_ignores_workers(self, tmp_path):
         # scripts/output_digest.py is the byte-identity check of a refactor:
         # its listing must cover all 19 output files of the fixture and must
-        # not depend on the worker count.
+        # not depend on the worker count.  Under --format json only the four
+        # report tables change their suffix.
         script = Path(__file__).resolve().parent.parent / "scripts" / "output_digest.py"
         src = str(Path(defirisk.__file__).resolve().parent.parent)
-        listings = []
-        for workers in (1, 2):
+        listings, names = [], []
+        for workers, fmt in ((1, "csv"), (2, "csv"), (1, "json")):
             proc = subprocess.run(
-                [sys.executable, str(script), str(tmp_path / f"w{workers}"), "--data", str(DATA),
-                 "--samples", "10000", "--workers", str(workers)],
+                [sys.executable, str(script), str(tmp_path / f"{fmt}_w{workers}"), "--data",
+                 str(DATA), "--samples", "10000", "--workers", str(workers), "--format", fmt],
                 env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=600,
             )
             assert proc.returncode == 0, proc.stderr
@@ -1505,7 +1575,12 @@ class TestOutputDigest:
             paths = [line.split("  ", 1)[1] for line in listing]
             assert len(listing) == 19 and len(set(paths)) == 19
             listings.append(listing)
+            names.append(sorted(paths))
         assert listings[0] == listings[1]
+        tables = ("frequency_report", "quotes", "risk_report", "summary")
+        assert names[2] == sorted(
+            f"{path[:-4]}.json" if path[:-4] in tables else path for path in names[0]
+        )
 
 
 class TestGof:
