@@ -23,6 +23,12 @@ Each setting is declared once, in ``_SETTINGS``: its cast, its flag help
 and the command that takes its flag.  Flag values and config-file values
 take the same casts and the same checks (``RunConfig.validate``).
 
+Importing this module loads only what parsing, dispatch and the writer
+need, and the readers of ``datamodel`` and ``build_copula``, which a
+tracer may wrap here.  Each command imports the model modules it runs
+(``frequency``, ``glm``, ``pricing``, ``severity``, ``tailrisk``) when it
+starts, so ``summarize`` loads none of them.
+
 Exit codes: 0 success, 2 configuration/schema error, 3 numerical failure;
 errors are emitted as a JSON object on stderr.
 """
@@ -40,10 +46,10 @@ import sys
 from dataclasses import dataclass, field, replace
 from datetime import date
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import frequency, glm, pricing, severity, tailrisk
 from .datamodel import (
     Chain,
     Incidents,
@@ -61,6 +67,9 @@ from .dependence import build_copula
 from .errors import ConfigError, DataError, EngineError, NoEventError, SchemaError
 from .errors import finite, integer, real
 from .numerics import RngStream, std_normal_quantile
+
+if TYPE_CHECKING:
+    from . import pricing, severity
 
 _SIMULATE_STREAM = 1000
 
@@ -266,6 +275,7 @@ def _prediction_point(cfg: RunConfig, series, protocol_id: str) -> tuple[float, 
 
 
 def cmd_fit_frequency(cfg: RunConfig) -> list[Path]:
+    from . import frequency
     cfg.validate(needs=("incidents", "tvl", "portfolio"))
     ingest = load_incidents(cfg.incidents)
     tvl = load_tvl(cfg.tvl)
@@ -344,6 +354,7 @@ def cmd_fit_frequency(cfg: RunConfig) -> list[Path]:
 
 
 def cmd_fit_severity(cfg: RunConfig) -> list[Path]:
+    from . import severity
     cfg.validate(needs=("incidents",))
     ingest = load_incidents(cfg.incidents)
     data = severity.training_set(ingest.records)
@@ -388,6 +399,7 @@ def _predictions(cfg: RunConfig):
     and the severity model, the models from --models else --output.  Each
     frequency model must be its protocol's, and the severity model must
     start by the earliest prediction date."""
+    from . import frequency, severity
     cfg.validate(needs=("tvl", "portfolio"))
     loaded = load_portfolio(cfg.portfolio)
     order = sorted(range(loaded.dim), key=lambda k: loaded.protocols[k].id)
@@ -413,6 +425,7 @@ def _predictions(cfg: RunConfig):
 
 
 def cmd_price(cfg: RunConfig) -> list[Path]:
+    from . import pricing
     if cfg.override is not None:
         quotes = _override_quotes(cfg)
     else:
@@ -444,6 +457,7 @@ def _override_quotes(cfg: RunConfig) -> list[pricing.PremiumQuote]:
     training data.  SD-principle columns need a second_moment_pct entry
     per protocol and stay empty otherwise.
     """
+    from . import pricing
     cfg.validate(needs=("override",) if cfg.portfolio is None else ("override", "portfolio"))
     doc = read_json_object(cfg.override)
     theta = cfg.theta if cfg.theta is not None else pricing.DEFAULT_THETA
@@ -484,6 +498,7 @@ def _override_quotes(cfg: RunConfig) -> list[pricing.PremiumQuote]:
 
 
 def cmd_simulate(cfg: RunConfig) -> list[Path]:
+    from . import frequency, severity, tailrisk
     portfolio, _, points, freq_models, sev_model = _predictions(cfg)
     parts = tailrisk.footprint(cfg.samples, cfg.levels, portfolio.dim, cfg.workers, cfg.dependence)
     need, memory = sum(parts.values()), os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
@@ -535,6 +550,7 @@ def _qq_table(name: str, model: severity.SeverityModel, data: severity.TrainingS
 
     Empty when there are none: no partial losses, or a zero residual variance.
     """
+    from . import glm
     design, ratios = data.partial()
     fit = model.proportional_fit
     if fit is None or not len(ratios) or fit.sigma2 == 0.0:
@@ -549,6 +565,7 @@ def _qq_table(name: str, model: severity.SeverityModel, data: severity.TrainingS
 
 
 def cmd_gof(cfg: RunConfig) -> list[Path]:
+    from . import frequency, glm, severity
     cfg.validate(needs=("model", "incidents"))
 
     def from_dict(doc: dict):

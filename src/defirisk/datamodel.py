@@ -18,7 +18,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .errors import DataError, DomainError, SchemaError, finite, json_field, real, string
+from .errors import DataError, DomainError, SchemaError, file_name, finite, json_field, real, string
 from .numerics import check_similarity
 
 
@@ -425,7 +425,8 @@ def _unit_matrix(raw) -> np.ndarray:
 def load_portfolio(path) -> Portfolio:
     """Parse the portfolio JSON: protocols, similarity matrix, theta.
 
-    A protocol's id, chain, inception and description are JSON strings.
+    A protocol's id, chain, inception and description are JSON strings, and
+    its id, which names its model file ``freq_<id>.json``, is a ``file_name``.
     """
     doc = read_json_object(path)
     for key in ("protocols", "similarity", "theta"):
@@ -437,7 +438,7 @@ def load_portfolio(path) -> Portfolio:
     for index, entry in enumerate(doc["protocols"]):
         name = f"protocol entry {index}"
         try:
-            pid = json_field(entry, "id", string)
+            pid = json_field(entry, "id", file_name)
             name += f" ({pid!r})"
             protocols.append(
                 ProtocolSpec(

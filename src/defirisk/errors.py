@@ -9,7 +9,8 @@ says what failed and where.
 Settings, override entries, portfolio values and fitted-model fields are
 read through one cast per invariant: ``integer`` (never a float or a bool),
 ``real`` (never a bool; text parses, as flags are text), ``finite`` (a real
-in bounds) and ``string`` (a JSON string, never a number, a bool or null).
+in bounds), ``string`` (a JSON string, never a number, a bool or null) and
+``file_name`` (a string that may stand in a file name).
 ``json_field`` applies a cast to one key of a JSON object.
 """
 
@@ -106,6 +107,15 @@ def string(raw) -> str:
     if not isinstance(raw, str):
         raise TypeError(f"expected a string, got {raw!r:.60}")
     return raw
+
+
+def file_name(raw) -> str:
+    """Cast of a JSON string that may stand in a file name: no ``/``, no NUL
+    and no leading ``.``, so neither ``.`` nor ``..``."""
+    name = string(raw)
+    if "/" in name or "\0" in name or name.startswith("."):
+        raise ValueError(f"expected a name with no '/', NUL or leading '.', got {name!r:.60}")
+    return name
 
 
 def finite(low: float, high: float, above: bool = False):

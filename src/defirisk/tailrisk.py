@@ -63,8 +63,8 @@ import math
 import threading
 from collections import deque
 from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -72,6 +72,9 @@ from .dependence import CopulaSpec, EventSampler, attacked_paths, check_probabil
 from .errors import ConfigError, DomainError
 from .numerics import RngStream
 from .severity import RatioLaw
+
+if TYPE_CHECKING:
+    from concurrent.futures import ThreadPoolExecutor
 
 _BLOCK = 1 << 16
 # Bytes a path of a block holds (``footprint``): while it is drawn, its
@@ -88,12 +91,16 @@ _GUESS_SD = 5.0
 def worker_pool(workers: int):
     """One pool of ``workers`` threads for a whole run, or None at one worker.
 
-    On leaving, the tasks not yet started are cancelled and the threads
-    joined, so an error leaves no thread running.
+    ``concurrent.futures``, and the ``logging``, ``queue`` and ``traceback``
+    modules it loads, are imported only here, when a pool starts, so a run
+    at one worker loads none of them.  On leaving, the tasks not yet started
+    are cancelled and the threads joined, so an error leaves no thread
+    running.
     """
     if workers <= 1:
         yield None
         return
+    from concurrent.futures import ThreadPoolExecutor
     pool = ThreadPoolExecutor(max_workers=workers)
     try:
         yield pool

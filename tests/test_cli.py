@@ -753,6 +753,8 @@ TIGHTENED = {
                          ["attack_prob"]),
     "bool-chain": ("portfolio", first_protocol(chain=True), ["{path}", "'P1'", "'chain'"]),
     "list-id": ("portfolio", first_protocol(id=["x"]), ["{path}", "protocol entry 0", "'id'"]),
+    "slash-id": ("portfolio", first_protocol(id="P1/x"), ["{path}", "protocol entry 0", "'id'"]),
+    "dotdot-id": ("portfolio", first_protocol(id=".."), ["{path}", "protocol entry 0", "'id'"]),
     "month-13-inception": ("portfolio", first_protocol(inception="2020-13"),
                            ["{path}", "'P1'", "'inception'", "2020-13"]),
     "bool-similarity": ("portfolio",
@@ -1513,6 +1515,29 @@ assert main(["gof", "--model", out + "/freq_P1.json", "--incidents", data + "/in
 print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
 """
 
+# Which of the modules named is loaded after main(argv), or after the import
+# alone for an empty argv.
+_LOADED_PROBE = """
+import json, sys
+from defirisk.cli import main
+argv, modules = json.loads(sys.argv[1]), json.loads(sys.argv[2])
+assert not argv or main(argv) == 0
+print(json.dumps([m for m in modules if m in sys.modules]))
+"""
+
+_MODEL_MODULES = [f"defirisk.{m}" for m in ("frequency", "glm", "pricing", "severity", "tailrisk")]
+
+# case: (argv, with {models} and {out} to fill in; modules that stay unloaded)
+_UNLOADED = {
+    "import": ([], ["numpy.polynomial", "statistics", *_MODEL_MODULES, "concurrent.futures"]),
+    "summarize": (["summarize", "--incidents", INCIDENTS, "--output", "{out}"], _MODEL_MODULES),
+    "simulate-one-worker": (
+        ["simulate", "--tvl", TVL, "--portfolio", PORTFOLIO_PRICED, "--models", "{models}",
+         "--output", "{out}", "--workers", "1", "--samples", "10000", "--bootstrap", "2"],
+        ["concurrent.futures"],
+    ),
+}
+
 
 class TestImportGraph:
     def test_cli_runs_without_scipy(self, tmp_path):
@@ -1541,18 +1566,21 @@ class TestImportGraph:
         assert [cls for cls, attr in read.items()
                 if attr not in cls.__dataclass_fields__ and not hasattr(cls, attr)] == []
 
-    def test_cli_import_leaves_quadrature_unbuilt(self):
+    @pytest.mark.parametrize("case", sorted(_UNLOADED))
+    def test_cli_import_leaves_quadrature_unbuilt(self, fitted_dir, tmp_path, case):
         # The ratio-moment quadrature loads numpy.polynomial, and the normal
-        # quantile statistics, on first use only.
+        # quantile statistics, on first use only.  Importing the CLI loads no
+        # model module, each command loads the ones it runs, and only a pool
+        # of workers loads concurrent.futures.
+        argv, unloaded = _UNLOADED[case]
+        argv = [a.format(models=fitted_dir, out=tmp_path) for a in argv]
         src = str(Path(defirisk.__file__).resolve().parent.parent)
-        probe = ("import sys, defirisk.cli; "
-                 "print('numpy.polynomial' in sys.modules, 'statistics' in sys.modules)")
         proc = subprocess.run(
-            [sys.executable, "-c", probe],
+            [sys.executable, "-c", _LOADED_PROBE, json.dumps(argv), json.dumps(unloaded)],
             env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=300,
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False False"
+        assert json.loads(proc.stdout.splitlines()[-1]) == []
 
 
 class TestOutputDigest:

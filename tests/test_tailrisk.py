@@ -354,7 +354,7 @@ class TestStreamingTop:
             calls.append(kwargs.get("top"))
             return simulate(**kwargs)
 
-        monkeypatch.setattr(tailrisk, "ThreadPoolExecutor", Counted)
+        monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", Counted)
         monkeypatch.setattr(tailrisk, "simulate_aggregate", counted)
         threads = threading.active_count()
         report = TestRiskReport.small_report(seed=17, n=40_000, bootstrap=20, workers=workers)
