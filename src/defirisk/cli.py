@@ -616,19 +616,21 @@ def cmd_summarize(cfg: RunConfig) -> list[Path]:
 
     def _stats(values: np.ndarray) -> list[tuple[str, float | None]]:
         # Scaling by a power of two is exact, and it keeps the sums of
-        # losses near the float maximum finite.
+        # losses near the float maximum finite.  The median is np.median's, a sum
+        # from 0.0 of the middle values, less its NaN check, which loads numpy.ma.
         k = math.frexp(float(np.abs(values).max()))[1]
         arr = np.ldexp(values, -k)
+        low, high = np.sort(arr)[[(arr.size - 1) // 2, arr.size // 2]].tolist()
         sd = math.ldexp(float(arr.std(ddof=1)), k) if arr.size > 1 else None
         return [
             ("count", int(arr.size)),
-            ("median", math.ldexp(float(np.median(arr)), k)),
+            ("median", math.ldexp((0.0 + low + high) / 2, k)),
             ("mean", math.ldexp(float(arr.mean()), k)),
             ("sd", sd),
         ]
 
     year = records.day.astype("datetime64[Y]").astype(np.int64) + 1970
-    by_year = [(str(y), year == y) for y in np.unique(year).tolist()]
+    by_year = [(str(y), year == y) for y in sorted(set(year.tolist()))]
     by_issue = [(issue.value, records.issue == issue) for issue in IssueType]
     by_chain = [(chain.value, records.chain == chain) for chain in Chain]
     rows: list[list] = []

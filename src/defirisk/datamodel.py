@@ -18,8 +18,8 @@ from operator import itemgetter
 
 import numpy as np
 
-from .errors import DataError, DomainError, SchemaError, file_name, finite, json_field, real, string
-from .numerics import check_similarity
+from .errors import DataError, DomainError, SchemaError, file_name, json_field, real, string
+from .numerics import check_unit_symmetric
 
 
 class Chain(Enum):
@@ -142,7 +142,12 @@ class ProtocolSpec:
 
 @dataclass(frozen=True)
 class Portfolio:
-    """Ordered protocols plus their similarity matrix and loading."""
+    """Ordered protocols plus their similarity matrix and loading.
+
+    The one check of the similarity: d x d, ``check_unit_symmetric`` and
+    every entry in [0, 1], positive definite or not.  It is kept as a
+    read-only copy.
+    """
 
     protocols: tuple[ProtocolSpec, ...]
     similarity: np.ndarray
@@ -152,14 +157,15 @@ class Portfolio:
         ids = [p.id for p in self.protocols]
         if len(set(ids)) != len(ids):
             raise DataError("protocol ids must be unique within a portfolio")
-        sim = np.asarray(self.similarity, dtype=float)
-        d = len(self.protocols)
-        if sim.shape != (d, d):
-            raise DataError(f"similarity must be {d}x{d}, got {sim.shape}")
-        sim = check_similarity(sim)
+        sim = check_unit_symmetric(np.array(self.similarity, dtype=float), "similarity matrix")
+        if sim.shape != (self.dim, self.dim):
+            raise DataError(f"similarity must be {self.dim}x{self.dim}, got {sim.shape}")
+        outside = np.argwhere((sim < 0.0) | (sim > 1.0)).tolist()
+        if outside:
+            i, j = outside[0]
+            raise DataError(f"similarity row {i}, column {j} is {sim[i, j]}, outside [0, 1]")
         if not 0.0 < self.loading_theta < math.inf:
             raise DataError(f"loading theta must be positive and finite, got {self.loading_theta}")
-        sim = sim.copy()
         sim.setflags(write=False)
         object.__setattr__(self, "similarity", sim)
 
@@ -416,17 +422,13 @@ def read_json_object(path) -> dict:
     return doc
 
 
-def _unit_matrix(raw) -> np.ndarray:
-    """Cast of a JSON list of rows, each entry a number in [0, 1]."""
-    unit = finite(0.0, 1.0)
-    return np.array([list(map(unit, row)) for row in raw], dtype=float)
-
-
 def load_portfolio(path) -> Portfolio:
     """Parse the portfolio JSON: protocols, similarity matrix, theta.
 
     A protocol's id, chain, inception and description are JSON strings, and
     its id, which names its model file ``freq_<id>.json``, is a ``file_name``.
+    Each similarity entry is a ``real``; ``Portfolio`` tests the matrix.
+    Every error, ``Portfolio``'s included, is a SchemaError naming the file.
     """
     doc = read_json_object(path)
     for key in ("protocols", "similarity", "theta"):
@@ -450,15 +452,15 @@ def load_portfolio(path) -> Portfolio:
             )
         except SchemaError as exc:
             raise SchemaError(f"{path}: {name}: {exc}") from exc
-        if not pid.strip():
-            raise SchemaError(f"{path}: protocol entry {index} has an empty id")
     try:
         return Portfolio(
             protocols=tuple(protocols),
-            similarity=json_field(doc, "similarity", _unit_matrix),
+            similarity=json_field(
+                doc, "similarity", lambda raw: np.array([list(map(real, row)) for row in raw])
+            ),
             loading_theta=json_field(doc, "theta", real),
         )
-    except (DomainError, SchemaError) as exc:
+    except (DataError, DomainError, SchemaError) as exc:
         raise SchemaError(f"{path}: bad portfolio payload: {exc}") from exc
 
 

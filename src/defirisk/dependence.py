@@ -1,15 +1,16 @@
 """Gaussian-copula coupling of the per-protocol attack indicators.
 
 The exogenous similarity matrix plays the role of the copula correlation;
-it is validated (and repaired when indefinite) before factorization.  The
-event convention is N_i = 1 iff Z_i exceeds the (1 - pi_i) normal quantile,
-so positive similarity entries produce positively correlated attacks while
-each marginal stays Bernoulli(pi_i).  ``EventSampler`` is the one sampler
-of the coupled indicators; it streams the normals through panels capped in
-bytes, so only the indicators are ever held for all paths, packed eight to
-a byte (``EventSampler.nbytes`` counts its buffers).  Without the copula,
-``attacked_paths`` draws a protocol's attacked paths as a Binomial count
-and a uniform subset: nothing per (protocol, path).
+``Portfolio`` validates it, and it is repaired when indefinite before
+factorization.  The event convention is N_i = 1 iff Z_i exceeds the
+(1 - pi_i) normal quantile, so positive similarity entries produce
+positively correlated attacks while each marginal stays Bernoulli(pi_i).
+``EventSampler`` is the one sampler of the coupled indicators; it streams
+the normals through panels capped in bytes, so only the indicators are
+ever held for all paths, packed eight to a byte (``EventSampler.nbytes``
+counts its buffers).  Without the copula, ``attacked_paths`` draws a
+protocol's attacked paths as a Binomial count and a uniform subset:
+nothing per (protocol, path).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .numerics import check_similarity, cholesky, nearest_correlation, std_normal_quantile
+from .numerics import cholesky, nearest_correlation, std_normal_quantile
 
 _PANEL = 4096  # paths
 _PANEL_VALUES = 1 << 17  # normals (1 MB), whatever the number of protocols
@@ -43,8 +44,10 @@ class CopulaSpec:
 
 
 def build_copula(similarity) -> CopulaSpec:
-    """Validate a similarity matrix, repair it when indefinite, and factorize it."""
-    a = check_similarity(similarity)
+    """Repair a unit-diagonal symmetric matrix when it is indefinite, and
+    factorize it.  ``nearest_correlation`` checks it; entries may be
+    negative, as the [0, 1] rule is a portfolio similarity's."""
+    a = np.asarray(similarity, dtype=float)
     psi = nearest_correlation(a)  # passes a positive definite matrix through unchanged
     shift = float(np.linalg.norm(psi - a))
     return CopulaSpec(psi=psi, chol=cholesky(psi), repaired=shift > 0.0, frobenius_shift=shift)

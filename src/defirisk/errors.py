@@ -61,7 +61,7 @@ def json_field(doc: dict, key: str, cast, default=_REQUIRED):
 
     ``default``, when given, stands in for a missing or null value.  A
     missing key, or a value ``cast`` rejects, is a SchemaError naming the
-    key.
+    key and giving the cast's reason.
     """
     try:
         value = doc[key]
@@ -78,7 +78,7 @@ def json_field(doc: dict, key: str, cast, default=_REQUIRED):
     except SchemaError as exc:
         raise SchemaError(f"in {key!r}: {exc}") from exc
     except (TypeError, ValueError, OverflowError, IndexError, AttributeError) as exc:
-        raise SchemaError(f"bad value for key {key!r}: {value!r:.60}") from exc
+        raise SchemaError(f"bad value for key {key!r}: {exc!s:.100}") from exc
 
 
 def json_bool(raw) -> bool:
@@ -110,11 +110,12 @@ def string(raw) -> str:
 
 
 def file_name(raw) -> str:
-    """Cast of a JSON string that may stand in a file name: no ``/``, no NUL
-    and no leading ``.``, so neither ``.`` nor ``..``."""
+    """Cast of a JSON string that may stand in a file name: not blank (after
+    trimming, which an id read from a CSV cell gets), no ``/``, no NUL and
+    no leading ``.``, so neither ``.`` nor ``..``."""
     name = string(raw)
-    if "/" in name or "\0" in name or name.startswith("."):
-        raise ValueError(f"expected a name with no '/', NUL or leading '.', got {name!r:.60}")
+    if not name.strip() or "/" in name or "\0" in name or name.startswith("."):
+        raise ValueError(f"expected a non-blank name without '/', NUL or leading '.', got {name!r:.60}")
     return name
 
 

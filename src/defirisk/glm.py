@@ -217,7 +217,8 @@ def fit_logistic(design, response) -> LogisticFit:
             converged = True
             break
         try:
-            if np.linalg.cond(hessian) > _COND_LIMIT:
+            eig = np.linalg.eigvalsh(hessian)  # ascending: cond is eig[-1] / eig[0]
+            if eig[0] * _COND_LIMIT < eig[-1]:
                 break
             step = np.linalg.solve(hessian, grad)
         except np.linalg.LinAlgError:

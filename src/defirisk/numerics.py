@@ -5,6 +5,8 @@ library's ``statistics.NormalDist.inv_cdf``), LAPACK's Cholesky
 factorization, Higham-style correlation-matrix repair (a plain read-only
 array that its own eigenvalue floor vouches for), and the deterministic
 random-stream contract used by every stochastic operation in the engine.
+``check_unit_symmetric`` tests a square, finite, symmetric, unit-diagonal
+matrix, for ``Portfolio`` and ``nearest_correlation``.
 
 Random streams are SFC64 generators, one per ``(seed, stream_id, block)``,
 seeded by ``SeedSequence(seed, spawn_key=(stream_id, block))``.  Identical
@@ -73,16 +75,6 @@ def check_unit_symmetric(m, name: str = "correlation matrix") -> np.ndarray:
         raise DomainError(f"{name} must be symmetric (tolerance 1e-12)")
     if np.max(np.abs(np.diag(a) - 1.0)) > 1e-12:
         raise DomainError(f"{name} must have a unit diagonal")
-    return a
-
-
-def check_similarity(m) -> np.ndarray:
-    """A portfolio similarity matrix: ``check_unit_symmetric`` plus every
-    entry in [0, 1].  Positive definiteness is not required; the copula
-    repairs an indefinite matrix."""
-    a = check_unit_symmetric(m, "similarity matrix")
-    if a.min() < 0.0 or a.max() > 1.0:
-        raise DomainError("similarity entries must lie in [0, 1]")
     return a
 
 

@@ -742,18 +742,27 @@ def first_protocol(**fields) -> dict:
     return {"protocols": [{**first, **fields}, *rest]}
 
 
+def similarity_with(value, i: int, j: int) -> dict:
+    """The priced portfolio's similarity with entries (i, j) and (j, i) set to ``value``."""
+    rows = [list(row) for row in PRICED["similarity"]]
+    rows[i][j] = rows[j][i] = value
+    return {"similarity": rows}
+
+
 TIGHTENED = {
     "bool-coefficient": ("freq_P1.json", {"alpha0": True}, ["{path}", "'alpha0'"]),
     "inf-text-se": ("freq_P1.json", {"se_alpha0": "inf"}, ["{path}", "'se_alpha0'"]),
     "fractional-n-total": ("severity_model.json", {"n_total": 5.7}, ["{path}", "'n_total'"]),
     "fractional-hl-df": ("freq_P1.json", {"hl": {**HL, "df": 2.9}}, ["{path}", "'df'"]),
-    "hl-p-2": ("freq_P1.json", {"hl": {**HL, "p": 2}}, ["{path}", "'p'"]),
+    "hl-p-2": ("freq_P1.json", {"hl": {**HL, "p": 2}},
+               ["{path}", "'p'", "expected a finite number in [0.0, 1.0]"]),
     "bool-theta": ("portfolio", {"theta": True}, ["{path}", "'theta'"]),
     "bool-attack-prob": ("override", {"P1": {"attack_prob": True, "loss_pct": 0.3}},
                          ["attack_prob"]),
     "bool-chain": ("portfolio", first_protocol(chain=True), ["{path}", "'P1'", "'chain'"]),
     "list-id": ("portfolio", first_protocol(id=["x"]), ["{path}", "protocol entry 0", "'id'"]),
-    "slash-id": ("portfolio", first_protocol(id="P1/x"), ["{path}", "protocol entry 0", "'id'"]),
+    "slash-id": ("portfolio", first_protocol(id="P1/x"),
+                 ["{path}", "protocol entry 0", "'id'", "without '/', NUL or leading '.'"]),
     "dotdot-id": ("portfolio", first_protocol(id=".."), ["{path}", "protocol entry 0", "'id'"]),
     "month-13-inception": ("portfolio", first_protocol(inception="2020-13"),
                            ["{path}", "'P1'", "'inception'", "2020-13"]),
@@ -761,6 +770,14 @@ TIGHTENED = {
                         {"similarity": [[True, *PRICED["similarity"][0][1:]],
                                         *PRICED["similarity"][1:]]},
                         ["{path}", "'similarity'"]),
+    # Portfolio's own errors, which exited 2 without the path.
+    "duplicate-id": ("portfolio", first_protocol(id=PRICED["protocols"][1]["id"]),
+                     ["{path}", "unique"]),
+    "non-square-similarity": ("portfolio", {"similarity": PRICED["similarity"][:-1]},
+                              ["{path}", "square", "(6, 7)"]),
+    "zero-theta": ("portfolio", {"theta": 0}, ["{path}", "theta"]),
+    "negative-similarity": ("portfolio", similarity_with(-0.25, 1, 2),
+                            ["{path}", "row 1, column 2 is -0.25, outside [0, 1]"]),
 }
 
 
@@ -845,7 +862,23 @@ class TestErrorSurface:
                     "--portfolio", portfolio, "--output", tmp_path])
         assert code == 2
         (err,) = capsys.readouterr().err.splitlines()
-        assert json.loads(err)["error"]["message"] == f"{portfolio}: protocol entry 1 has an empty id"
+        assert json.loads(err)["error"]["message"] == (
+            f"{portfolio}: protocol entry 1: bad value for key 'id': "
+            "expected a non-blank name without '/', NUL or leading '.', got '  '"
+        )
+
+    def test_overflowing_theta_exits_2_naming_the_file(self, tmp_path, capsys):
+        # JSON's 1e400 reads as inf, which the cast lets through and Portfolio refuses.
+        portfolio = tmp_path / "portfolio.json"
+        text = json.dumps({**PRICED, "theta": 0.5}).replace('"theta": 0.5', '"theta": 1e400')
+        portfolio.write_text(text)
+        code = run(["price", "--tvl", TVL, "--portfolio", portfolio, "--models", tmp_path,
+                    "--output", tmp_path / "out"])
+        assert code == 2
+        (err,) = capsys.readouterr().err.splitlines()
+        assert json.loads(err)["error"] == {"type": "SchemaError", "code": 2, "message": (
+            f"{portfolio}: bad portfolio payload: loading theta must be positive and finite, got inf"
+        )}
 
     def test_failed_command_writes_nothing(self, fitted_dir, tmp_path, capsys):
         # The model is read and checked before the portfolio is found to lack
@@ -1530,7 +1563,8 @@ _MODEL_MODULES = [f"defirisk.{m}" for m in ("frequency", "glm", "pricing", "seve
 # case: (argv, with {models} and {out} to fill in; modules that stay unloaded)
 _UNLOADED = {
     "import": ([], ["numpy.polynomial", "statistics", *_MODEL_MODULES, "concurrent.futures"]),
-    "summarize": (["summarize", "--incidents", INCIDENTS, "--output", "{out}"], _MODEL_MODULES),
+    "summarize": (["summarize", "--incidents", INCIDENTS, "--output", "{out}"],
+                  [*_MODEL_MODULES, "numpy.ma"]),
     "simulate-one-worker": (
         ["simulate", "--tvl", TVL, "--portfolio", PORTFOLIO_PRICED, "--models", "{models}",
          "--output", "{out}", "--workers", "1", "--samples", "10000", "--bootstrap", "2"],

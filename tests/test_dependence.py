@@ -48,8 +48,15 @@ class TestBuildCopula:
             build_copula(np.array([[1.0, 0.4], [0.3, 1.0]]))  # asymmetric
         with pytest.raises(DomainError):
             build_copula(np.array([[2.0, 0.3], [0.3, 1.0]]))  # diagonal
-        with pytest.raises(DomainError):
-            build_copula(np.array([[1.0, -0.3], [-0.3, 1.0]]))  # negative entry
+
+    def test_negative_correlation_passes_unrepaired(self):
+        # The [0, 1] rule is a portfolio similarity's; a copula correlation
+        # may be negative, and a positive definite one is factored as given.
+        m = np.array([[1.0, -0.3, 0.2], [-0.3, 1.0, 0.1], [0.2, 0.1, 1.0]])
+        spec = build_copula(m)
+        assert not spec.repaired and spec.frobenius_shift == 0.0
+        assert np.array_equal(spec.psi, m)
+        assert np.max(np.abs(spec.chol @ spec.chol.T - m)) <= 1e-15
 
 
 class TestEventThresholds:
