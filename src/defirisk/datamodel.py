@@ -157,12 +157,11 @@ class Portfolio:
         ids = [p.id for p in self.protocols]
         if len(set(ids)) != len(ids):
             raise DataError("protocol ids must be unique within a portfolio")
-        sim = check_unit_symmetric(np.array(self.similarity, dtype=float), "similarity matrix")
+        sim = check_unit_symmetric(self.similarity, "similarity matrix").copy()
         if sim.shape != (self.dim, self.dim):
             raise DataError(f"similarity must be {self.dim}x{self.dim}, got {sim.shape}")
-        outside = np.argwhere((sim < 0.0) | (sim > 1.0)).tolist()
-        if outside:
-            i, j = outside[0]
+        if sim.min() < 0.0 or sim.max() > 1.0:
+            i, j = np.argwhere((sim < 0.0) | (sim > 1.0))[0]
             raise DataError(f"similarity row {i}, column {j} is {sim[i, j]}, outside [0, 1]")
         if not 0.0 < self.loading_theta < math.inf:
             raise DataError(f"loading theta must be positive and finite, got {self.loading_theta}")
