@@ -39,9 +39,7 @@ def reference_severity() -> severity.SeverityModel:
             converged=True,
             penalty=None,
         ),
-        proportional_fit=glm.LinearLogitFit(
-            coefficients=PROP_LOSS_COEFS, sigma2=2.0, xtx_inverse=None
-        ),
+        proportional_fit=glm.LinearLogitFit(coefficients=PROP_LOSS_COEFS, sigma2=2.0),
         time_origin=date(2020, 1, 1),
         training_window=(Month(2020, 1), Month(2023, 12)),
         hl=None,

@@ -43,7 +43,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -392,26 +392,26 @@ def _load_model(path: Path, what: str, from_dict):
 
 
 def _predictions(cfg: RunConfig):
-    """What ``price`` and ``simulate`` predict from: the portfolio with its
+    """What ``price`` and ``simulate`` predict from: the portfolio as the file
+    orders it, the order of report rows; ``order``, the indices of its
     protocols in id order, so that no output depends on their order in the
-    file; the ids in the file's order, the order of report rows; each
-    protocol's ``_prediction_point``; the frequency model of each protocol
-    and the severity model, the models from --models else --output.  Each
-    frequency model must be its protocol's, and the severity model must
-    start by the earliest prediction date."""
+    file; ``(protocol, tvl_next, when)`` of each protocol in that order, from
+    its ``_prediction_point``; the frequency model of each protocol and the
+    severity model, the models from --models else --output.  Each frequency
+    model must be its protocol's, and the severity model must start by the
+    earliest prediction date.  The portfolio is loaded, and so checked, once."""
     from . import frequency, severity
     cfg.validate(needs=("tvl", "portfolio"))
-    loaded = load_portfolio(cfg.portfolio)
-    order = sorted(range(loaded.dim), key=lambda k: loaded.protocols[k].id)
-    portfolio = replace(loaded, protocols=tuple(loaded.protocols[k] for k in order),
-                        similarity=loaded.similarity[np.ix_(order, order)])
+    portfolio = load_portfolio(cfg.portfolio)
+    order = sorted(range(portfolio.dim), key=lambda k: portfolio.protocols[k].id)
     tvl = load_tvl(cfg.tvl)
-    points = [_prediction_point(cfg, tvl.get(p.id, {}), p.id) for p in portfolio.protocols]
-    earliest = min(when for _, when in points)
+    points = [(p, *_prediction_point(cfg, tvl.get(p.id, {}), p.id))
+              for p in (portfolio.protocols[k] for k in order)]
+    earliest = min(when for _, _, when in points)
     models = Path(cfg.models or cfg.output)
 
     freq_models = {}
-    for p in portfolio.protocols:
+    for p, _, _ in points:
         path = models / f"freq_{p.id}.json"
         model = _load_model(path, f"frequency model for protocol {p.id!r}", frequency.from_dict)
         if model.protocol_id != p.id:
@@ -421,7 +421,7 @@ def _predictions(cfg: RunConfig):
     sev_model = _load_model(path, "severity model file", severity.from_dict)
     if sev_model.time_origin > earliest:
         raise SchemaError(f"{path}: 'time_origin' is after the prediction date {earliest}")
-    return portfolio, [p.id for p in loaded.protocols], points, freq_models, sev_model
+    return portfolio, order, points, freq_models, sev_model
 
 
 def cmd_price(cfg: RunConfig) -> list[Path]:
@@ -429,13 +429,13 @@ def cmd_price(cfg: RunConfig) -> list[Path]:
     if cfg.override is not None:
         quotes = _override_quotes(cfg)
     else:
-        portfolio, rows, points, freq_models, sev_model = _predictions(cfg)
+        portfolio, _, points, freq_models, sev_model = _predictions(cfg)
         theta = cfg.theta if cfg.theta is not None else portfolio.loading_theta
         by_id = {
             p.id: pricing.price(p, tvl_next, when, freq_models[p.id], sev_model, theta=theta)
-            for p, (tvl_next, when) in zip(portfolio.protocols, points)
+            for p, tvl_next, when in points
         }
-        quotes = [by_id[pid] for pid in rows]
+        quotes = [by_id[p.id] for p in portfolio.protocols]
     return _write_outputs(cfg, {"quotes": {
         "protocol_id": [q.protocol_id for q in quotes],
         "attack_prob": [q.attack_prob for q in quotes],
@@ -499,7 +499,7 @@ def _override_quotes(cfg: RunConfig) -> list[pricing.PremiumQuote]:
 
 def cmd_simulate(cfg: RunConfig) -> list[Path]:
     from . import frequency, severity, tailrisk
-    portfolio, _, points, freq_models, sev_model = _predictions(cfg)
+    portfolio, order, points, freq_models, sev_model = _predictions(cfg)
     parts = tailrisk.footprint(cfg.samples, cfg.levels, portfolio.dim, cfg.workers, cfg.dependence)
     need, memory = sum(parts.values()), os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if need > memory:
@@ -507,9 +507,9 @@ def cmd_simulate(cfg: RunConfig) -> list[Path]:
             f"samples {cfg.samples} at {cfg.workers} workers needs about {need:,} bytes, "
             f"more than the {memory:,} bytes of physical memory"
         )
-    tvls = [float(tvl_next) for tvl_next, _ in points]
+    tvls = [float(tvl_next) for _, tvl_next, _ in points]
     probs, laws = [], []
-    for p, (tvl_next, when) in zip(portfolio.protocols, points):
+    for p, tvl_next, when in points:
         probs.append(frequency.predict_attack_probability(freq_models[p.id], tvl_next))
         laws.append(severity.ratio_law(sev_model, p.chain, tvl_next, when))
 
@@ -518,7 +518,7 @@ def cmd_simulate(cfg: RunConfig) -> list[Path]:
         tvls,
         laws,
         # Built on the run's pool; called through this module's name, which a tracer may wrap.
-        functools.partial(build_copula, portfolio.similarity),
+        functools.partial(build_copula, portfolio.similarity[np.ix_(order, order)]),
         levels=cfg.levels,
         n_sims=cfg.samples,
         rng=RngStream(cfg.seed, _SIMULATE_STREAM),

@@ -61,7 +61,8 @@ def json_field(doc: dict, key: str, cast, default=_REQUIRED):
 
     ``default``, when given, stands in for a missing or null value.  A
     missing key, or a value ``cast`` rejects, is a SchemaError naming the
-    key and giving the cast's reason.
+    key and giving the cast's reason, cut to whole words within 100
+    characters when longer.
     """
     try:
         value = doc[key]
@@ -78,7 +79,14 @@ def json_field(doc: dict, key: str, cast, default=_REQUIRED):
     except SchemaError as exc:
         raise SchemaError(f"in {key!r}: {exc}") from exc
     except (TypeError, ValueError, OverflowError, IndexError, AttributeError) as exc:
-        raise SchemaError(f"bad value for key {key!r}: {exc!s:.100}") from exc
+        raise SchemaError(f"bad value for key {key!r}: {_clipped(str(exc))}") from exc
+
+
+def _clipped(reason: str, bound: int = 100) -> str:
+    """``reason`` whole up to ``bound`` characters, else cut at its last space
+    within them (at the bound when it has none) and ended with ``...``."""
+    cut = reason.rfind(" ", 0, bound + 1)
+    return reason if len(reason) <= bound else reason[: cut if cut > 0 else bound] + "..."
 
 
 def json_bool(raw) -> bool:

@@ -2,7 +2,9 @@
 
 A Bernoulli event-per-month model with a logit link on standardized
 log-TVL, plus a pooled-peer interval path for protocols that have never
-been attacked.
+been attacked.  A ``FrequencyModel`` survives its JSON file field for
+field (``to_dict``, ``from_dict``); a ``PooledFit`` is never written, and
+it alone keeps a covariance, the one ``peer_interval`` needs.
 """
 
 from __future__ import annotations
@@ -41,11 +43,13 @@ class FrequencyModel:
 
 @dataclass(frozen=True)
 class PooledFit:
-    """Logistic fit over pooled peer panels, on their own log-TVL scale."""
+    """Logistic fit over pooled peer panels, on their own log-TVL scale, with
+    the inverse of its observed information: the coefficients' covariance."""
 
     fit: glm.LogisticFit
     cov_mean: float
     cov_sd: float
+    covariance: np.ndarray
 
 
 def panel_design(*panels: Panel) -> tuple[np.ndarray, np.ndarray]:
@@ -97,7 +101,6 @@ def fit_frequency(panel: Panel) -> FrequencyModel:
             base,
             coefficients=np.array([base.coefficients[0], 0.0]),
             standard_errors=np.array([base.standard_errors[0], math.nan]),
-            covariance=None,
         )
         return FrequencyModel(protocol_id, fit, window, None, mean, 1.0, covariate_dropped=True)
 
@@ -118,7 +121,8 @@ def predict_attack_probability(model: FrequencyModel, tvl_next: float) -> float:
 
 
 def pooled_fit(peer_panels) -> PooledFit:
-    """One logistic fit over the pooled peer panels, for ``peer_interval``.
+    """One logistic fit over the pooled peer panels, for ``peer_interval``,
+    with its covariance: the inverse of ``glm.information`` at the fit.
 
     Raises NoEventError without events, and DomainError without panel
     months or when the fit falls back to the penalized path, which has no
@@ -131,12 +135,13 @@ def pooled_fit(peer_panels) -> PooledFit:
         raise NoEventError("pooled peer panels contain no events")
     mean, sd = _log_tvl_scale(design)
     sd = sd or 1.0  # a constant column is left to the rank-deficiency fallback
-    fit = glm.fit_logistic(_standardized(design, mean, sd), y)
-    if fit.covariance is None:
+    x = _standardized(design, mean, sd)
+    fit = glm.fit_logistic(x, y)
+    if fit.penalty is not None:
         raise DomainError(
             "pooled fit fell back to the penalized path; no covariance for a Wald interval"
         )
-    return PooledFit(fit, mean, sd)
+    return PooledFit(fit, mean, sd, np.linalg.inv(glm.information(x, fit.coefficients)[1]))
 
 
 def peer_interval(pooled: PooledFit, tvl_next: float) -> tuple[float, float]:
@@ -148,7 +153,7 @@ def peer_interval(pooled: PooledFit, tvl_next: float) -> tuple[float, float]:
     """
     v = np.array([1.0, _standardized_log_tvl(pooled, tvl_next)])
     eta = float(v @ pooled.fit.coefficients)
-    se = math.sqrt(float(v @ pooled.fit.covariance @ v))
+    se = math.sqrt(float(v @ pooled.covariance @ v))
     z = std_normal_quantile(0.975)
     return (glm.invlogit(eta - z * se), glm.invlogit(eta + z * se))
 

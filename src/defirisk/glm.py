@@ -1,9 +1,10 @@
 """Regression engine.
 
 Logistic regression by iteratively reweighted least squares with an
-elastic-net fallback for separated or rank-deficient problems, Gaussian
-linear models on logit-transformed ratios, the Hosmer-Lemeshow calibration
-test, and quantile residuals.
+elastic-net fallback for separated or rank-deficient problems, the observed
+information of a logistic fit (``information``), Gaussian linear models on
+logit-transformed ratios, the Hosmer-Lemeshow calibration test, and
+quantile residuals.
 
 Every fit is on the design it is given, penalty included: a caller that
 wants coefficients on a standardized scale standardizes the design, and
@@ -92,8 +93,9 @@ class LogisticFit:
     standard_errors: np.ndarray
     converged: bool
     penalty: PenaltySpec | None
-    covariance: np.ndarray | None = None
-    nll_trace: tuple[float, ...] = field(default=(), repr=False)
+    # The negative log-likelihood at the start and after each accepted IRLS
+    # step: the solver's path, not part of the model, so no file keeps it.
+    nll_trace: tuple[float, ...] = field(default=(), compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.coefficients) != len(self.standard_errors):
@@ -184,6 +186,14 @@ def _fit_elastic_net(x, y, penalty: PenaltySpec):
     return beta, converged
 
 
+def information(x, beta) -> tuple[np.ndarray, np.ndarray]:
+    """The fitted probabilities of a logistic model at ``beta`` on the design
+    ``x``, and its observed information X'WX, W = diag(mu (1 - mu))."""
+    mu = invlogit(x @ beta)
+    w = np.maximum(mu * (1.0 - mu), 1e-12)
+    return mu, (x * w[:, None]).T @ x
+
+
 def fit_logistic(design, response) -> LogisticFit:
     """Maximum-likelihood logistic regression with a penalized fallback.
 
@@ -207,11 +217,8 @@ def fit_logistic(design, response) -> LogisticFit:
     trace = [nll]
     converged = False
     for _ in range(_IRLS_MAX_ITER):
-        eta = np.clip(x @ beta, -_ETA_CLIP, _ETA_CLIP)
-        mu = invlogit(eta)
+        mu, hessian = information(x, beta)  # at convergence, the information for the SEs
         grad = x.T @ (y - mu)
-        w = np.maximum(mu * (1.0 - mu), 1e-12)
-        hessian = (x * w[:, None]).T @ x  # at convergence, the information for the SEs
         # Scale-free criterion: gradient of the mean log-likelihood.
         if np.max(np.abs(grad)) / n <= _TOL:
             converged = True
@@ -240,15 +247,14 @@ def fit_logistic(design, response) -> LogisticFit:
         if np.max(np.abs(_equivalent_standardized_coefs(beta, col_means, col_sds))) > _BLOWUP_LIMIT:
             break
 
-    penalty = cov = None
+    penalty = None
     if converged:
-        cov = np.linalg.inv(hessian)
-        ses = np.sqrt(np.diag(cov))
+        ses = np.sqrt(np.diag(np.linalg.inv(hessian)))
     else:
         penalty = PenaltySpec()
         beta, converged = _fit_elastic_net(x, y, penalty)
         ses = np.full(p, np.nan)
-    return LogisticFit(beta, ses, converged, penalty, cov, nll_trace=tuple(trace))
+    return LogisticFit(beta, ses, converged, penalty, nll_trace=tuple(trace))
 
 
 def predict_logistic(fit: LogisticFit, covariates) -> float:
@@ -266,13 +272,6 @@ class LinearLogitFit:
 
     coefficients: np.ndarray
     sigma2: float
-    xtx_inverse: np.ndarray | None = None
-
-    @property
-    def standard_errors(self) -> np.ndarray:
-        if self.xtx_inverse is None:
-            return np.full(len(self.coefficients), np.nan)
-        return np.sqrt(self.sigma2 * np.diag(self.xtx_inverse))
 
 
 def fit_linear_on_logit(design, response) -> LinearLogitFit:
@@ -296,9 +295,7 @@ def fit_linear_on_logit(design, response) -> LinearLogitFit:
         raise DomainError("design matrix is rank deficient")
     resid = z - x @ coefs
     rss = float(resid @ resid)
-    sigma2 = rss / (n - p)
-    xtx_inv = np.linalg.inv(x.T @ x)
-    return LinearLogitFit(coefficients=coefs, sigma2=sigma2, xtx_inverse=xtx_inv)
+    return LinearLogitFit(coefficients=coefs, sigma2=rss / (n - p))
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,10 @@
 """Numerical kernel.
 
-The standard normal CDF (``math.erfc``) and quantile (the standard
-library's ``statistics.NormalDist.inv_cdf``), LAPACK's Cholesky
-factorization, Higham-style correlation-matrix repair (a plain read-only
-array that its own eigenvalue floor vouches for), and the deterministic
-random-stream contract used by every stochastic operation in the engine.
+The standard normal quantile (the standard library's
+``statistics.NormalDist.inv_cdf``), LAPACK's Cholesky factorization,
+Higham-style correlation-matrix repair (a plain read-only array that its
+own eigenvalue floor vouches for), and the deterministic random-stream
+contract used by every stochastic operation in the engine.
 ``check_unit_symmetric`` tests a square, finite, symmetric, unit-diagonal
 matrix, for ``Portfolio`` and ``nearest_correlation``.
 
@@ -19,14 +19,11 @@ without changing the output.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
-
-_SQRT2 = math.sqrt(2.0)
 
 # Smallest eigenvalue guaranteed after correlation-matrix repair.  The
 # projection step clips at twice this value so the final unit-diagonal
@@ -35,14 +32,6 @@ EIGENVALUE_FLOOR = 1e-8
 _CLIP_FLOOR = 2.0 * EIGENVALUE_FLOOR
 _REPAIR_TOL = 1e-10
 _REPAIR_MAX_ITER = 500
-
-
-def std_normal_cdf(x: float) -> float:
-    """Standard normal CDF, accurate to well under 1e-12 absolute."""
-    x = float(x)
-    if not math.isfinite(x):
-        raise DomainError(f"std_normal_cdf requires finite input, got {x}")
-    return 0.5 * math.erfc(-x / _SQRT2)
 
 
 @functools.cache

@@ -283,16 +283,6 @@ def _order_index(n: int, q: float) -> int:
     return min(max(int(k), 1), n)
 
 
-def value_at_risk(sample: np.ndarray, q: float) -> float:
-    """Empirical VaR: the ceil(n q)-th order statistic of the sorted sample."""
-    if not (0.0 < q < 1.0):
-        raise DomainError(f"q must lie in (0, 1), got {q}")
-    s = np.asarray(sample, dtype=float)
-    if s.size == 0:
-        raise DomainError("empty sample")
-    return float(s[_order_index(s.size, q) - 1])
-
-
 def _tail(top: np.ndarray, q: float, n: int) -> tuple[float, float, bool, bool]:
     """VaR_q, CTE_q, whether no sample value lies above VaR_q (then CTE_q = VaR_q),
     and whether VaR_q sits on an atom (more than one sample value equals it).
@@ -306,13 +296,6 @@ def _tail(top: np.ndarray, q: float, n: int) -> tuple[float, float, bool, bool]:
     if start >= top.size:
         return var_q, var_q, True, on_atom
     return var_q, float(top[start:].mean()), False, on_atom
-
-
-def conditional_tail_expectation(sample: np.ndarray, q: float) -> float:
-    """Mean of sample values strictly above VaR_q; VaR itself if none exceed it."""
-    s = np.asarray(sample, dtype=float)
-    value_at_risk(s, q)  # rejects a bad level or an empty sample
-    return _tail(s, q, s.size)[1]
 
 
 # Scenarios simulated for each ``dependence`` value, in report-column order.

@@ -1,7 +1,9 @@
 """Independent numerical oracles used to check stochastic components,
-and row-by-row references for the columnar code paths."""
+row-by-row references for the columnar code paths, and a field-by-field
+comparison of fitted models."""
 
 import csv
+import dataclasses
 import itertools
 import math
 from datetime import date
@@ -12,8 +14,41 @@ from defirisk.datamodel import Chain, IssueType, Month
 from defirisk.dependence import CopulaSpec, EventSampler, event_thresholds
 from defirisk.errors import DataError, DomainError, SchemaError
 from defirisk.glm import invlogit
-from defirisk.numerics import RngStream, std_normal_cdf
+from defirisk.numerics import RngStream
 from defirisk.tailrisk import _order_index
+
+
+def normal_cdf(x: float) -> float:
+    """Standard normal CDF from ``math.erfc``."""
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
+
+
+def field_mismatches(a, b, path: str = "") -> list[str]:
+    """The paths of the fields where ``a`` and ``b`` differ, in value or in
+    type, walking dataclasses and tuples; a dataclass field declared with
+    ``compare=False`` is skipped, and arrays match by ``np.array_equal``
+    with NaN equal to NaN."""
+    if dataclasses.is_dataclass(a) and type(a) is type(b):
+        return [
+            where
+            for f in dataclasses.fields(a)
+            if f.compare
+            for where in field_mismatches(getattr(a, f.name), getattr(b, f.name), f"{path}.{f.name}")
+        ]
+    if isinstance(a, tuple) and isinstance(b, tuple) and len(a) == len(b):
+        return [where for k, pair in enumerate(zip(a, b)) for where in field_mismatches(*pair, f"{path}[{k}]")]
+    if isinstance(a, np.ndarray) and isinstance(b, np.ndarray):
+        same = a.dtype == b.dtype and np.array_equal(a, b, equal_nan=True)
+    else:
+        same = type(a) is type(b) and a == b
+    return [] if same else [path]
+
+
+def linear_logit_ses(fit, design) -> np.ndarray:
+    """Classical standard errors of a linear-on-logit fit on ``design``:
+    sqrt(sigma^2 diag((X'X)^-1))."""
+    x = np.asarray(design, dtype=float)
+    return np.sqrt(fit.sigma2 * np.diag(np.linalg.inv(x.T @ x)))
 
 
 def _phi(z):
@@ -31,12 +66,12 @@ def bivariate_upper_orthant(a: float, b: float, rho: float, n_nodes: int = 400) 
     if not (-1.0 <= rho <= 1.0):
         raise ValueError(f"rho must lie in [-1, 1], got {rho}")
     if rho == 0.0:
-        return (1.0 - std_normal_cdf(a)) * (1.0 - std_normal_cdf(b))
+        return (1.0 - normal_cdf(a)) * (1.0 - normal_cdf(b))
     if rho == 1.0:
-        return 1.0 - std_normal_cdf(max(a, b))
+        return 1.0 - normal_cdf(max(a, b))
     if rho == -1.0:
         # Z2 = -Z1: need Z1 > a and -Z1 > b.
-        return max(0.0, std_normal_cdf(-b) - std_normal_cdf(a))
+        return max(0.0, normal_cdf(-b) - normal_cdf(a))
     hi = 9.0
     if a >= hi:
         return 0.0
@@ -47,7 +82,7 @@ def bivariate_upper_orthant(a: float, b: float, rho: float, n_nodes: int = 400) 
     denom = math.sqrt(1.0 - rho * rho)
     total = 0.0
     for zi, wi in zip(z, weights):
-        tail = 1.0 - std_normal_cdf((b - rho * zi) / denom)
+        tail = 1.0 - normal_cdf((b - rho * zi) / denom)
         total += wi * _phi(zi) * tail
     return half * total
 

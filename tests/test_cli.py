@@ -1,4 +1,5 @@
 import argparse
+import ast
 import contextlib
 import csv
 import dataclasses
@@ -14,15 +15,17 @@ import subprocess
 import sys
 import tempfile
 import threading
+from collections import Counter
 from datetime import date
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import defirisk
-from defirisk import dependence, glm, severity, tailrisk
+from defirisk import datamodel, dependence, glm, severity, tailrisk
 from defirisk.cli import _SETTINGS, RunConfig, build_config, main, make_parser
 from defirisk.datamodel import Chain, IngestResult
 from defirisk.errors import DomainError
@@ -450,6 +453,23 @@ class TestProtocolOrder:
             want_ids, want_rows = id_order_runs[name]
             assert ids == [want_ids[k] for k in perm], name  # rows in the file's order
             assert rows == want_rows, name
+
+    @pytest.mark.parametrize("command", ["price", "simulate"])
+    def test_portfolio_is_checked_once(self, fitted_dir, tmp_path, monkeypatch, command):
+        # Putting the protocols in id order permutes a similarity already
+        # checked when the portfolio was read; nothing checks it again.
+        calls = []
+        check = datamodel.check_unit_symmetric
+
+        def counted(*args, **kwargs):
+            calls.append(args[1:])
+            return check(*args, **kwargs)
+
+        monkeypatch.setattr(datamodel, "check_unit_symmetric", counted)
+        args = {"price": ["price", "--tvl", TVL, "--portfolio", PORTFOLIO_PRICED, "--models", fitted_dir],
+                "simulate": command_args("simulate", fitted_dir, None)}[command]
+        assert run(args + ["--output", tmp_path]) == 0
+        assert calls == [("similarity matrix",)]
 
 
 def table_run(case: str, models: Path, tmp_path: Path) -> list:
@@ -879,6 +899,26 @@ class TestErrorSurface:
         assert json.loads(err)["error"] == {"type": "SchemaError", "code": 2, "message": (
             f"{portfolio}: bad portfolio payload: loading theta must be positive and finite, got inf"
         )}
+
+    @pytest.mark.parametrize("key, value", [
+        ("similarity", [[1.0], *PRICED["similarity"][1:]]),  # numpy's reason runs past 100 characters
+        ("theta", "x" * 300),  # float's reason holds the whole text
+    ], ids=["ragged-similarity", "300-character-theta"])
+    def test_long_reason_is_cut_between_words(self, tmp_path, capsys, key, value):
+        portfolio = tmp_path / "portfolio.json"
+        portfolio.write_text(json.dumps({**PRICED, key: value}))
+        code = run(["price", "--tvl", TVL, "--portfolio", portfolio, "--models", tmp_path,
+                    "--output", tmp_path / "out"])
+        assert code == 2
+        (err,) = capsys.readouterr().err.splitlines()
+        message = json.loads(err)["error"]["message"]
+        head = f"{portfolio}: bad portfolio payload: bad value for key {key!r}: "
+        assert message.startswith(head) and message.endswith("...")
+        reason = message[len(head):-3]
+        with pytest.raises(ValueError) as full:
+            np.array(value) if key == "similarity" else float(value)
+        whole = str(full.value)
+        assert len(reason) <= 100 and whole.startswith(reason) and whole[len(reason)] == " "
 
     def test_failed_command_writes_nothing(self, fitted_dir, tmp_path, capsys):
         # The model is read and checked before the portfolio is found to lack
@@ -1573,7 +1613,50 @@ _UNLOADED = {
 }
 
 
+def traced_benchmark():
+    """The benchmark's tracer module, ``perfbench/tracing.py``."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing
+
+
+def unused_functions(package: Path, exempt) -> list[str]:
+    """``module.name`` or ``module.Class.name`` of each public module-level
+    function and public method in ``package`` whose name no code there
+    uses (as a name, an attribute or an import) outside its own definition,
+    bar the names in ``exempt``."""
+    def uses(tree: ast.AST) -> Counter:
+        return Counter(
+            node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute)
+            else node.name
+            for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute, ast.alias))
+        )
+
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    everywhere = sum((uses(tree) for tree in trees.values()), Counter())
+    defined = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                defined += [(f"{module}.{node.name}.{m.name}", m) for m in node.body
+                            if isinstance(m, ast.FunctionDef)]
+            elif isinstance(node, ast.FunctionDef):
+                defined.append((f"{module}.{node.name}", node))
+    return [where for where, node in defined
+            if not node.name.startswith("_") and node.name not in exempt
+            and everywhere[node.name] == uses(node)[node.name]]
+
+
 class TestImportGraph:
+    def test_src_holds_no_test_only_function(self):
+        # Each public function and method in src/ is run by the program.
+        # The tracer's wrapped attributes are the only exemption: it pins
+        # them by name even where the program no longer calls them.
+        exempt = {attr for _, attr, _ in traced_benchmark().WRAPPED}
+        assert unused_functions(Path(defirisk.__file__).resolve().parent, exempt) == []
+
     def test_cli_runs_without_scipy(self, tmp_path):
         src = str(Path(defirisk.__file__).resolve().parent.parent)
         proc = subprocess.run(
@@ -1587,10 +1670,7 @@ class TestImportGraph:
         # perfbench/tracing.py wraps each (module, attribute) of WRAPPED and
         # reads these attributes of the results; a cut that drops one breaks
         # the traced benchmark run.
-        path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
-        spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
-        tracing = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(tracing)
+        tracing = traced_benchmark()
         importlib.import_module("defirisk.cli")
         missing = [(module, attr) for module, attr, _ in tracing.WRAPPED
                    if not hasattr(importlib.import_module(module), attr)]

@@ -6,11 +6,12 @@ import pytest
 
 from defirisk.dependence import EventSampler, attacked_paths, build_copula, event_thresholds
 from defirisk.errors import DomainError
-from defirisk.numerics import RngStream, std_normal_cdf, std_normal_quantile
+from defirisk.numerics import RngStream, std_normal_quantile
 
 from oracles import (
     bivariate_upper_orthant,
     joint_cdf_estimate,
+    normal_cdf,
     sample_frequencies,
     whole_block_events,
 )
@@ -67,7 +68,7 @@ class TestEventThresholds:
         pi = np.geomspace(1e-300, 0.5, 601)
         t = event_thresholds(pi, pi.size)
         assert np.all(np.isfinite(t)) and np.all(np.diff(t) < 0.0)
-        tail = np.array([std_normal_cdf(-x) for x in t])
+        tail = np.array([normal_cdf(-x) for x in t])
         rel = np.abs(tail - pi) / pi
         assert rel.max() <= 2e-12
         assert rel[pi >= 1e-17].max() <= 1e-13
@@ -282,7 +283,7 @@ class TestJointCdfEstimate:
         b = std_normal_quantile(1.0 - pi[1])
         # P(N1 = 0, N2 = 0) = P(Z1 <= a, Z2 <= b) by inclusion-exclusion.
         upper = bivariate_upper_orthant(a, b, rho)
-        expected = 1.0 - (1.0 - std_normal_cdf(a)) - (1.0 - std_normal_cdf(b)) + upper
+        expected = 1.0 - (1.0 - normal_cdf(a)) - (1.0 - normal_cdf(b)) + upper
         p, se = joint_cdf_estimate(
             pi, spec, np.zeros(2, dtype=int), n_samples=1_000_000, rng=RngStream(28)
         )

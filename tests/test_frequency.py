@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from defirisk import frequency, glm
 from defirisk.datamodel import Month, Panel
 from defirisk.errors import DomainError, NoEventError, SchemaError
 
+from oracles import field_mismatches
 from reference_values import FREQ_COEFS
 from synth import frequency_panel
 
@@ -134,8 +136,24 @@ class TestPeerInterval:
         with pytest.raises(NoEventError):
             frequency.pooled_fit([panel])
 
+    def test_penalized_fallback_raises(self, monkeypatch):
+        # A penalized fit has no covariance for a Wald interval.
+        panel = frequency_panel((-2.0, 0.4), 500, seed=89)
+        monkeypatch.setattr(glm, "_IRLS_MAX_ITER", 1)
+        with pytest.raises(DomainError, match="penalized path"):
+            frequency.pooled_fit([panel])
+
 
 class TestSerialization:
+    @pytest.mark.parametrize("kind", ["slope", "covariate-dropped"])
+    def test_every_field_survives_the_file(self, kind):
+        panel = {"slope": frequency_panel((-2.8, 0.2), 350, seed=91),
+                 "covariate-dropped": constant_tvl_panel(40, {3, 10, 17, 24})}[kind]
+        model = frequency.fit_frequency(panel)
+        assert model.covariate_dropped is (kind == "covariate-dropped")
+        back = frequency.from_dict(json.loads(json.dumps(frequency.to_dict(model))))
+        assert field_mismatches(model, back) == []
+
     def test_round_trip(self):
         varying = frequency.fit_frequency(frequency_panel((-2.8, 0.2), 350, seed=91))
         constant = frequency.fit_frequency(constant_tvl_panel(40, {3, 10, 17, 24}))

@@ -1,3 +1,4 @@
+import json
 import math
 from datetime import date
 
@@ -11,7 +12,7 @@ from defirisk.datamodel import Chain, IssueType, Month
 from defirisk.errors import DomainError, SchemaError
 from defirisk.numerics import RngStream
 
-from oracles import exact_ratio_moments, mc_ratio_moments
+from oracles import exact_ratio_moments, field_mismatches, linear_logit_ses, mc_ratio_moments
 from reference_values import PROP_LOSS_COEFS, TOTAL_LOSS_COEFS
 from synth import incident_rows, incident_table, severity_incidents
 
@@ -28,9 +29,7 @@ def reference_model(betas=None, gammas=None, sigma2=1.0):
         converged=True,
         penalty=None,
     )
-    prop = glm.LinearLogitFit(
-        coefficients=gammas, sigma2=sigma2, xtx_inverse=None
-    )
+    prop = glm.LinearLogitFit(coefficients=gammas, sigma2=sigma2)
     return severity.SeverityModel(
         total_loss_fit=total,
         proportional_fit=prop,
@@ -59,26 +58,21 @@ def total_loss_only_model():
 class TestFitSeverity:
     def test_parametric_recovery(self):
         incidents = severity_incidents(10_000, 301, TOTAL_LOSS_COEFS, PROP_LOSS_COEFS, SIGMA2_TRUTH)
-        model = severity.fit_severity(severity.training_set(incidents))
+        data = severity.training_set(incidents)
+        model = severity.fit_severity(data)
         tl = model.total_loss_fit
         assert tl.penalty is None
         assert np.all(np.abs(tl.coefficients - TOTAL_LOSS_COEFS) <= 3.0 * tl.standard_errors)
         prop = model.proportional_fit
-        assert np.all(
-            np.abs(prop.coefficients - PROP_LOSS_COEFS) <= 3.0 * prop.standard_errors
-        )
+        ses = linear_logit_ses(prop, data.partial()[0])
+        assert np.all(np.abs(prop.coefficients - PROP_LOSS_COEFS) <= 3.0 * ses)
         assert prop.sigma2 == pytest.approx(SIGMA2_TRUTH, rel=0.10)
 
     def test_chain_separated_dataset(self):
         # All BSC incidents are total losses, all ETH lose exactly half:
         # the chain dummy separates the total-loss response, so the
         # penalized fallback must fire; the proportional part sees only ETH.
-        rows = []
-        for i in range(60):
-            tvl = 1e6 * (1.0 + i)
-            rows.append((f"B{i}", date(2021, 3, 1), Chain.BSC, IssueType.OTHER, tvl, tvl))
-            rows.append((f"E{i}", date(2021, 3, 1), Chain.ETH, IssueType.OTHER, tvl / 2, tvl))
-        model = severity.fit_severity(severity.training_set(incident_table(rows)))
+        model = severity.fit_severity(severity.training_set(incident_table(separated_rows())))
         assert model.total_loss_fit.penalty is not None
         assert np.all(np.isfinite(model.total_loss_fit.coefficients))
         assert model.n_partial == 60
@@ -287,7 +281,33 @@ class TestPredictedLossPercentage:
         assert all(a >= b for a, b in zip(vals, vals[1:]))
 
 
+def separated_rows() -> list:
+    """Incidents whose chain separates total losses (BSC) from partial ones (ETH)."""
+    rows = []
+    for i in range(60):
+        tvl = 1e6 * (1.0 + i)
+        rows.append((f"B{i}", date(2021, 3, 1), Chain.BSC, IssueType.OTHER, tvl, tvl))
+        rows.append((f"E{i}", date(2021, 3, 1), Chain.ETH, IssueType.OTHER, tvl / 2, tvl))
+    return rows
+
+
 class TestSerialization:
+    @pytest.mark.parametrize("kind", ["two-part", "penalized", "total-loss-only"])
+    def test_every_field_survives_the_file(self, kind):
+        incidents = {
+            "two-part": lambda: severity_incidents(800, 311, TOTAL_LOSS_COEFS, PROP_LOSS_COEFS, 2.0),
+            "penalized": lambda: incident_table(separated_rows()),
+            "total-loss-only": lambda: incident_table(
+                (f"P{i}", date(2022, 1, 1), Chain.ETH, IssueType.OTHER, 1e6, None) for i in range(40)
+            ),
+        }[kind]()
+        model = severity.fit_severity(severity.training_set(incidents))
+        assert model.total_loss_only is (kind == "total-loss-only")
+        if kind == "penalized":
+            assert model.total_loss_fit.penalty is not None
+        back = severity.from_dict(json.loads(json.dumps(severity.to_dict(model))))
+        assert field_mismatches(model, back) == []
+
     def test_round_trip(self):
         import json
 
